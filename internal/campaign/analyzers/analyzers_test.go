@@ -152,8 +152,8 @@ func TestParse(t *testing.T) {
 	if !sort.StringsAreSorted(a.Keys()) {
 		t.Fatalf("set keys not sorted: %v", a.Keys())
 	}
-	if !a.NeedsCandidates() {
-		t.Fatal("moves analyzer must request candidate recording")
+	if a.NeedsCandidates() {
+		t.Fatal("moves reads the per-move feasible counts and must leave candidate recording off")
 	}
 	c, err := Parse([]string{"contention"})
 	if err != nil {
@@ -229,8 +229,9 @@ func TestAnalyzersRunOnRealTrial(t *testing.T) {
 	}
 }
 
-// TestMovesWithoutCandidates: the moves analyzer degrades to zero
-// candidate counters when recording was off (it must not panic).
+// TestMovesWithoutCandidates: the moves analyzer reads the per-move
+// feasible counts, so it publishes the same values whether or not the
+// balancer recorded its candidates.
 func TestMovesWithoutCandidates(t *testing.T) {
 	in := pipelineInput(t, false)
 	set, err := Parse([]string{"moves"})
@@ -238,11 +239,14 @@ func TestMovesWithoutCandidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	extras := mustRun(t, set, in)
-	if extras["moves.cand_evals"] != 0 || extras["moves.cand_feasible_ratio"] != 0 {
-		t.Fatalf("candidate counters non-zero without recording: %v", extras)
-	}
 	tr := in.Balance.Trace()
+	if extras["moves.cand_evals"] != float64(len(in.Balance.Moves)*in.Procs) || extras["moves.cand_feasible"] == 0 {
+		t.Fatalf("candidate counters not populated without recording: %v", extras)
+	}
 	if extras["moves.relocated"] != float64(tr.Relocated) || extras["moves.gained"] != float64(tr.Gained) {
 		t.Fatalf("move counters not populated: %v", extras)
+	}
+	if recorded := mustRun(t, set, pipelineInput(t, true)); !reflect.DeepEqual(recorded, extras) {
+		t.Fatalf("moves extras depend on candidate recording:\n with    %v\n without %v", recorded, extras)
 	}
 }

@@ -2,8 +2,10 @@ package analyzers
 
 // The moves analyzer condenses the balancer's per-policy move trace:
 // how many blocks actually relocated (block churn), how the gain was
-// distributed over moves, and — from the candidate recording it turns
-// on — how selective the per-processor evaluation was. This is the
+// distributed over moves, and — from the balancer's per-move feasible
+// counts — how selective the per-processor evaluation was. It reads
+// counts only, so it leaves candidate recording (and its allocations)
+// off. This is the
 // instrument that distinguishes a policy that wins by a few large moves
 // from one that wins by many small ones.
 //
@@ -12,9 +14,8 @@ package analyzers
 
 func init() {
 	register(&Analyzer{
-		Name:            "moves",
-		NeedsCandidates: true,
-		AfterOnly:       true,
+		Name:      "moves",
+		AfterOnly: true,
 		// The trial's move/forced/relaxed-LCM totals are already headline
 		// metrics (`moves`, `forced`, `relaxed_lcm`); only the genuinely
 		// new trace quantities are published here.

@@ -6,14 +6,14 @@ import (
 	"repro/internal/arch"
 	"repro/internal/blocks"
 	"repro/internal/gen"
-	"repro/internal/model"
 	"repro/internal/sched"
 )
 
 // TestEvaluateAllocFree pins the balancer's per-candidate evaluation —
 // the innermost hot path, run blocks×processors times per trial — at
-// zero allocations once the run-wide scratch is warm. Candidate slices
-// in particular must only appear under RecordCandidates.
+// zero allocations once the run-wide scratch is warm, time-index queries
+// and the once-per-block dependence bounds included. Candidate slices in
+// particular must only appear under RecordCandidates.
 func TestEvaluateAllocFree(t *testing.T) {
 	ts, err := gen.Generate(gen.Config{Seed: 7, Tasks: 40, Utilization: 3})
 	if err != nil {
@@ -26,39 +26,23 @@ func TestEvaluateAllocFree(t *testing.T) {
 	}
 	is := sched.FromSchedule(s)
 
-	// Replicate the runPass prologue up to the first block's evaluation.
 	blks := blocks.Build(is)
-	st := &balState{
-		intervals:  make([][]ivl, ar.Procs),
-		firstStart: make([]model.Time, ar.Procs),
-		memSum:     make([]model.Mem, ar.Procs),
-		anyMoved:   make([]bool, ar.Procs),
-		resv:       make([][]*blocks.Block, ar.Procs),
-		owner:      make([]ownerRef, ts.TotalInstances()),
-		taskBlocks: make([][]*blocks.Block, ts.Len()),
-		wcet:       make([]model.Time, ts.Len()),
-		shifted:    make([]bool, ts.Len()),
-		seen:       make([]bool, len(blks)),
-	}
-	for i := range st.firstStart {
-		st.firstStart[i] = -1
-	}
-	for i := range st.wcet {
-		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
-	}
-	for _, bl := range blks {
-		st.resv[bl.Proc] = append(st.resv[bl.Proc], bl)
-		for mi, m := range bl.Members {
-			st.owner[ts.InstanceIndex(m.Inst)] = ownerRef{bl: bl, mi: mi}
-		}
-		for _, task := range bl.Tasks() {
-			st.taskBlocks[task] = append(st.taskBlocks[task], bl)
-		}
-	}
+	st := newBalState(ts, ar, blks)
 
+	// Place the first half of the blocks, so the queries below run
+	// against populated moved-interval and reservation indexes.
 	b := &Balancer{}
 	processed := make([]bool, len(blks))
-	bl := blks[0]
+	q := newBlockQueue(blks)
+	for n := 0; n < len(blks)/2; n++ {
+		bl := q.pop(processed)
+		st.removeResv(bl)
+		if _, err := b.placeBlock(ts, ar, bl, processed, st, q, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		processed[bl.ID] = true
+	}
+	bl := q.pop(processed)
 	st.removeResv(bl)
 	ctx := newPctx(ts, ar, bl, processed, st, false)
 	defer ctx.release()
@@ -67,7 +51,15 @@ func TestEvaluateAllocFree(t *testing.T) {
 	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
 		b.evaluate(ctx, p, false)
 	}
+	moved := 0
+	for p := range st.intervals {
+		moved += len(st.intervals[p].starts)
+	}
+	if moved == 0 {
+		t.Fatal("no moved intervals: the queries would not be exercised")
+	}
 	allocs := testing.AllocsPerRun(100, func() {
+		ctx.depsOnce = false // recompute the per-block bounds every round
 		for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
 			c := b.evaluate(ctx, p, false)
 			if int(c.Proc) != int(p) {

@@ -19,7 +19,13 @@ type Move struct {
 	Category   int
 	Forced     bool // no processor was feasible; block kept in place
 	RelaxedLCM bool // placed only after relaxing eq. (4) to the exact wrap check
-	Candidates []Candidate
+
+	// FeasibleProcs counts the processors the policy evaluation found
+	// feasible (before any eq. 4 relaxation); it is kept on every run.
+	// Candidates holds that evaluation itself, one record per processor,
+	// only under RecordCandidates.
+	FeasibleProcs int
+	Candidates    []Candidate
 }
 
 // Result is the outcome of one balancing run.
@@ -57,7 +63,8 @@ type Balancer struct {
 
 	// RecordCandidates keeps the per-processor evaluation of every block
 	// in the result (needed by the worked-example test and the CLI trace).
-	// Off — the default — the hot path allocates no Candidate slices.
+	// Off — the default — the hot path allocates no Candidate slices; the
+	// per-move feasible counts (Move.FeasibleProcs) are kept either way.
 	RecordCandidates bool
 
 	// DisableLCMCondition drops the paper's Block Condition (eq. 4)
@@ -71,6 +78,12 @@ type Balancer struct {
 	// script, when non-nil, forces the first len(script) placement
 	// decisions (used by ExhaustiveBest). Not part of the public API.
 	script []arch.ProcID
+
+	// probe, when non-nil, gets a copy of every block's placement context
+	// before the processors are evaluated (used by the differential tests
+	// of the placement queries). A copy, so the context itself does not
+	// escape to the heap. Not part of the public API.
+	probe func(ctx pctx)
 }
 
 // ivl is one occupied interval on a processor timeline.
@@ -88,15 +101,19 @@ type ownerRef struct {
 // — the balancer's inner loops run millions of lookups per trial and
 // map overhead used to dominate them.
 type balState struct {
-	intervals  [][]ivl      // blocks moved to each processor, as intervals
+	// intervals[p] indexes the blocks moved to p as [start, end)
+	// intervals (the item is the end), sorted by start so placement
+	// queries visit only the intervals near their window.
+	intervals  []timeIndex[model.Time]
 	firstStart []model.Time // start of first block moved there (-1 = none)
 	memSum     []model.Mem  // Σ m of blocks moved there
 	anyMoved   []bool
 
-	// resv[p] holds the unprocessed blocks currently hosted on p — their
-	// members are the reservations conflict checks must honour. A block is
-	// removed from its original processor's set when it is committed.
-	resv [][]*blocks.Block
+	// resv[p] holds the unprocessed blocks currently hosted on p, sorted
+	// by Start() — their members are the reservations conflict checks
+	// must honour. A block is removed when it is popped for placement,
+	// and repositioned whenever gain propagation shifts it.
+	resv []timeIndex[*blocks.Block]
 
 	// owner[i] locates the block member holding the instance with dense
 	// index i (static: block membership never changes during a run).
@@ -120,16 +137,50 @@ type balState struct {
 	obst    []ivl
 }
 
-// removeResv drops a block from the reservation index once processed.
-func (st *balState) removeResv(bl *blocks.Block) {
-	s := st.resv[bl.Proc]
-	for i, other := range s {
-		if other == bl {
-			s[i] = s[len(s)-1]
-			st.resv[bl.Proc] = s[:len(s)-1]
-			return
+// newBalState builds the initial state of one pass over blks: nothing
+// moved yet, every block reserved on its current processor. Each index
+// is pre-sized from its processor's initial block count, so later
+// insertions rarely reallocate.
+func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block) *balState {
+	st := &balState{
+		intervals:  make([]timeIndex[model.Time], ar.Procs),
+		firstStart: make([]model.Time, ar.Procs),
+		memSum:     make([]model.Mem, ar.Procs),
+		anyMoved:   make([]bool, ar.Procs),
+		resv:       make([]timeIndex[*blocks.Block], ar.Procs),
+		owner:      make([]ownerRef, ts.TotalInstances()),
+		taskBlocks: make([][]*blocks.Block, ts.Len()),
+		wcet:       make([]model.Time, ts.Len()),
+		shifted:    make([]bool, ts.Len()),
+		seen:       make([]bool, len(blks)),
+	}
+	for i := range st.wcet {
+		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
+	}
+	perProc := make([]int, ar.Procs)
+	for _, bl := range blks {
+		perProc[bl.Proc]++
+	}
+	for p, n := range perProc {
+		st.firstStart[p] = -1
+		st.intervals[p] = newTimeIndex[model.Time](n)
+		st.resv[p] = newTimeIndex[*blocks.Block](n)
+	}
+	for _, bl := range blks {
+		st.resv[bl.Proc].insert(bl.Start(), bl.End(ts), bl)
+		for mi, m := range bl.Members {
+			st.owner[ts.InstanceIndex(m.Inst)] = ownerRef{bl: bl, mi: mi}
+		}
+		for _, task := range bl.Tasks() {
+			st.taskBlocks[task] = append(st.taskBlocks[task], bl)
 		}
 	}
+	return st
+}
+
+// removeResv drops a block from the reservation index once processed.
+func (st *balState) removeResv(bl *blocks.Block) {
+	st.resv[bl.Proc].remove(bl.Start(), bl)
 }
 
 // Run balances the given instance-level schedule and returns the result.
@@ -172,34 +223,7 @@ func (b *Balancer) runPass(input *sched.InstSchedule, conservative bool) (*Resul
 		Moves:          make([]Move, 0, len(blks)),
 	}
 
-	st := &balState{
-		intervals:  make([][]ivl, ar.Procs),
-		firstStart: make([]model.Time, ar.Procs),
-		memSum:     make([]model.Mem, ar.Procs),
-		anyMoved:   make([]bool, ar.Procs),
-		resv:       make([][]*blocks.Block, ar.Procs),
-		owner:      make([]ownerRef, ts.TotalInstances()),
-		taskBlocks: make([][]*blocks.Block, ts.Len()),
-		wcet:       make([]model.Time, ts.Len()),
-		shifted:    make([]bool, ts.Len()),
-		seen:       make([]bool, len(blks)),
-	}
-	for i := range st.wcet {
-		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
-	}
-	for i := range st.firstStart {
-		st.firstStart[i] = -1
-	}
-	for _, bl := range blks {
-		st.resv[bl.Proc] = append(st.resv[bl.Proc], bl)
-		for mi, m := range bl.Members {
-			st.owner[ts.InstanceIndex(m.Inst)] = ownerRef{bl: bl, mi: mi}
-		}
-		for _, task := range bl.Tasks() {
-			st.taskBlocks[task] = append(st.taskBlocks[task], bl)
-		}
-	}
-
+	st := newBalState(ts, ar, blks)
 	q := newBlockQueue(blks)
 	processed := make([]bool, len(blks))
 	for n := 0; n < len(blks); n++ {
@@ -335,11 +359,16 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 	var bestVal Candidate
 	ctx := newPctx(ts, ar, bl, processed, st, conservative)
 	defer ctx.release()
+	if b.probe != nil {
+		b.probe(*ctx)
+	}
 
 	relaxed := false
+	feasible := 0
 	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
 		c := b.evaluate(ctx, p, b.DisableLCMCondition)
 		if c.Feasible {
+			feasible++
 			c.Lambda = lambda(b.Policy, c.Gain, st.memSum[p])
 			if best == nil || better(b.Policy, c, bestVal) {
 				bestVal = c
@@ -384,7 +413,7 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 		best = &bestVal
 	}
 
-	mv := Move{BlockID: bl.ID, From: bl.Proc, OldStart: sOld, Category: bl.Category}
+	mv := Move{BlockID: bl.ID, From: bl.Proc, OldStart: sOld, Category: bl.Category, FeasibleProcs: feasible}
 	if b.RecordCandidates {
 		mv.Candidates = cands
 	}
@@ -423,7 +452,7 @@ func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, relaxLCM bool) Candidate {
 		return c
 	}
 
-	movedLB, conservativeLB := b.depBounds(ctx, p)
+	movedLB, conservativeLB := ctx.depBounds(p)
 
 	var newStart model.Time
 	if bl.Category == 2 {
@@ -476,40 +505,6 @@ func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, relaxLCM bool) Candidate {
 	return c
 }
 
-// depBounds computes the producer lower bounds on the block start for a
-// landing on p. Producers in already moved blocks contribute their exact
-// position and processor (movedLB); unprocessed producers contribute
-// their current end plus a conservative C (conservativeLB), since they
-// may end up anywhere.
-func (b *Balancer) depBounds(ctx *pctx, p arch.ProcID) (movedLB, conservativeLB model.Time) {
-	ts, ar, bl, st := ctx.ts, ctx.ar, ctx.bl, ctx.st
-	sOld := bl.Start()
-	for _, m := range bl.Members {
-		off := m.Start - sOld // member offset inside the block
-		model.EachInstanceDep(ts, m.Inst.Task, m.Inst.K, func(src model.InstanceID) {
-			ref := st.owner[ts.InstanceIndex(src)]
-			if ref.bl == bl {
-				return
-			}
-			end := ref.bl.Members[ref.mi].Start + ts.Task(src.Task).WCET
-			if ctx.processed[ref.bl.ID] {
-				delay := model.Time(0)
-				if ref.bl.Proc != p {
-					delay = ar.CommTime
-				}
-				if v := end + delay - off; v > movedLB {
-					movedLB = v
-				}
-			} else {
-				if v := end + ar.CommTime - off; v > conservativeLB {
-					conservativeLB = v
-				}
-			}
-		})
-	}
-	return movedLB, conservativeLB
-}
-
 // earliestOn returns the earliest start of a first-category block on p
 // compatible with the already-moved blocks, the reservations of
 // unprocessed blocks, and the producer bounds — and whether it does not
@@ -553,7 +548,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 			st.anyMoved[p] = true
 			st.firstStart[p] = newStart
 		}
-		st.intervals[p] = append(st.intervals[p], ivl{start: newStart, end: bl.End(ts)})
+		st.intervals[p].insert(newStart, bl.End(ts), bl.End(ts))
 	}
 	st.memSum[p] += bl.Mem()
 
@@ -580,6 +575,9 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 	}
 	for _, other := range st.touched {
 		st.seen[other.ID] = false
+		// Reposition the reservation: its sort key is the start, which
+		// the shift may change.
+		st.removeResv(other)
 		changed := false
 		for i := range other.Members {
 			if st.shifted[other.Members[i].Inst.Task] {
@@ -591,5 +589,6 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 			other.Recompute(ts)
 			q.push(other) // keep the queue key current
 		}
+		st.resv[other.Proc].insert(other.Start(), other.End(ts), other)
 	}
 }

@@ -44,6 +44,15 @@ type pctx struct {
 
 	capOnce  bool
 	capValue model.Time
+
+	// Producer bounds, computed once per block by computeDeps (see
+	// depBounds): the two best moved-producer bounds including the +C
+	// delay, from distinct processors, and the conservative bound.
+	depsOnce     bool
+	movedTop1    model.Time
+	movedTop2    model.Time
+	movedTopProc arch.ProcID
+	consLB       model.Time
 }
 
 // cachedPropagationCap computes propagationCap once per block (it does
@@ -83,6 +92,65 @@ func (c *pctx) shifts(task model.TaskID) bool {
 	return c.cat1 && c.st.shifted[task]
 }
 
+// depBounds returns the producer lower bounds on the block start for a
+// landing on p. Producers in already moved blocks contribute their exact
+// position and processor (movedLB); unprocessed producers contribute
+// their current end plus a conservative C (conservativeLB), since they
+// may end up anywhere.
+//
+// Only the +C delay of a moved producer depends on p, so one walk over
+// the producers serves every processor (the trick of
+// sched.(*Schedule).DepLowerBounds): a landing off the processor of the
+// best cross-processor bound gets that bound; a landing on it gets the
+// best of that producer without the delay and the runner-up from
+// another processor. Every other producer on p is dominated by the
+// former, and every other remote one by the latter.
+func (c *pctx) depBounds(p arch.ProcID) (movedLB, conservativeLB model.Time) {
+	if !c.depsOnce {
+		c.computeDeps()
+	}
+	if p != c.movedTopProc {
+		return c.movedTop1, c.consLB
+	}
+	movedLB = c.movedTop1 - c.ar.CommTime
+	if c.movedTop2 > movedLB {
+		movedLB = c.movedTop2
+	}
+	return movedLB, c.consLB
+}
+
+func (c *pctx) computeDeps() {
+	ts, bl, st, comm := c.ts, c.bl, c.st, c.ar.CommTime
+	c.depsOnce = true
+	c.movedTop1, c.movedTop2, c.movedTopProc, c.consLB = 0, 0, -1, 0
+	sOld := bl.Start()
+	for _, m := range bl.Members {
+		off := m.Start - sOld // member offset inside the block
+		model.EachInstanceDep(ts, m.Inst.Task, m.Inst.K, func(src model.InstanceID) {
+			ref := st.owner[ts.InstanceIndex(src)]
+			if ref.bl == bl {
+				return
+			}
+			v := ref.bl.Members[ref.mi].Start + st.wcet[src.Task] + comm - off
+			if !c.processed[ref.bl.ID] {
+				if v > c.consLB {
+					c.consLB = v
+				}
+				return
+			}
+			switch pp := ref.bl.Proc; {
+			case v > c.movedTop1:
+				if pp != c.movedTopProc {
+					c.movedTop2 = c.movedTop1
+				}
+				c.movedTop1, c.movedTopProc = v, pp
+			case v > c.movedTop2 && pp != c.movedTopProc:
+				c.movedTop2 = v
+			}
+		})
+	}
+}
+
 // conflictFree reports whether the candidate block, placed at start s on
 // processor p (implying gain = sOld − s for category-1 blocks), overlaps
 // neither a moved interval nor a reservation on p.
@@ -93,42 +161,37 @@ func (c *pctx) conflictFree(p arch.ProcID, s model.Time) bool {
 	span := c.bl.End(c.ts) - sOld
 	end := s + span
 
-	for _, iv := range c.st.intervals[p] {
-		for _, d := range [3]model.Time{0, h, -h} {
-			if s < iv.end+d && iv.start+d < end {
+	// A reservation's envelope is its [Start−gain, End) span for gain ≥ 0
+	// and [Start, End−gain) otherwise: the widening covers members that
+	// would shift along. A block whose envelope misses the candidate
+	// window has no conflicting member, so the index is queried with the
+	// window widened the same way.
+	var below, above model.Time
+	if gain >= 0 {
+		below = gain
+	} else {
+		above = -gain
+	}
+	mv, rv := &c.st.intervals[p], &c.st.resv[p]
+	for _, d := range [3]model.Time{0, h, -h} {
+		i, j := mv.window(s-d, end-d)
+		for k := i; k < j; k++ {
+			if s < mv.items[k]+d && mv.starts[k]+d < end {
 				return false
 			}
 		}
-	}
-	for _, other := range c.st.resv[p] {
-		// Envelope pre-filter: a block whose [Start−gain, End) span (the
-		// −gain widening covers members that would shift along) misses
-		// the candidate window in every ±H image has no conflicting
-		// member; the common case skips the member scan entirely.
-		lo, hi := other.Start(), other.End(c.ts)
-		if gain >= 0 {
-			lo -= gain
-		} else {
-			hi -= gain
-		}
-		overlapsEnvelope := false
-		for _, d := range [3]model.Time{0, h, -h} {
-			if s < hi+d && lo+d < end {
-				overlapsEnvelope = true
-				break
+		i, j = rv.window(s-d-above, end-d+below)
+		for k := i; k < j; k++ {
+			other := rv.items[k]
+			if !(s < other.End(c.ts)+above+d && other.Start()-below+d < end) {
+				continue
 			}
-		}
-		if !overlapsEnvelope {
-			continue
-		}
-		for _, m := range other.Members {
-			pos := m.Start
-			if c.shifts(m.Inst.Task) {
-				pos -= gain // sibling instance shifts along with the gain
-			}
-			w := c.st.wcet[m.Inst.Task]
-			for _, d := range [3]model.Time{0, h, -h} {
-				if s < pos+w+d && pos+d < end {
+			for _, m := range other.Members {
+				pos := m.Start
+				if c.shifts(m.Inst.Task) {
+					pos -= gain // sibling instance shifts along with the gain
+				}
+				if s < pos+c.st.wcet[m.Inst.Task]+d && pos+d < end {
 					return false
 				}
 			}
@@ -150,17 +213,24 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 	sOld := c.bl.Start()
 	span := c.bl.End(c.ts) - sOld
 
-	// Relative (shift-along) obstacles: evaluate once at s = sOld.
+	// Relative (shift-along) obstacles: evaluate once at s = sOld. They
+	// are members of the shifting tasks in unprocessed blocks on p.
+	st := c.st
 	if c.cat1 {
-		for _, other := range c.st.resv[p] {
-			for _, m := range other.Members {
-				if !c.st.shifted[m.Inst.Task] {
+		for _, bm := range c.bl.Members {
+			for _, other := range st.taskBlocks[bm.Inst.Task] {
+				if other == c.bl || other.Proc != p || c.processed[other.ID] {
 					continue
 				}
-				w := c.ts.Task(m.Inst.Task).WCET
-				for _, d := range [3]model.Time{0, h, -h} {
-					if sOld < m.Start+w+d && m.Start+d < sOld+span {
-						return 0, false // constant-offset collision at every s
+				for _, m := range other.Members {
+					if !st.shifted[m.Inst.Task] {
+						continue
+					}
+					w := st.wcet[m.Inst.Task]
+					for _, d := range [3]model.Time{0, h, -h} {
+						if sOld < m.Start+w+d && m.Start+d < sOld+span {
+							return 0, false // constant-offset collision at every s
+						}
 					}
 				}
 			}
@@ -169,36 +239,32 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 
 	// Fixed obstacles: collect the ±H images intersecting the search
 	// window [lb, cap+span) into scratch, sort once, and sweep forward —
-	// one pass instead of rescanning every obstacle per jump.
+	// one pass instead of rescanning every obstacle per jump. Each image
+	// queries the indexes for the window shifted back by its offset.
 	wHi := cap + span
-	obst := c.st.obst[:0]
-	add := func(start, end model.Time) {
-		for _, d := range [3]model.Time{0, h, -h} {
-			if end+d > lb && start+d < wHi {
-				obst = append(obst, ivl{start: start + d, end: end + d})
+	obst := st.obst[:0]
+	mv, rv := &st.intervals[p], &st.resv[p]
+	for _, d := range [3]model.Time{0, h, -h} {
+		i, j := mv.window(lb-d, wHi-d)
+		for k := i; k < j; k++ {
+			if start, end := mv.starts[k]+d, mv.items[k]+d; end > lb && start < wHi {
+				obst = append(obst, ivl{start: start, end: end})
 			}
 		}
-	}
-	for _, iv := range c.st.intervals[p] {
-		add(iv.start, iv.end)
-	}
-	for _, other := range c.st.resv[p] {
-		lo, hi := other.Start(), other.End(c.ts)
-		inWindow := false
-		for _, d := range [3]model.Time{0, h, -h} {
-			if hi+d > lb && lo+d < wHi {
-				inWindow = true
-				break
-			}
-		}
-		if !inWindow {
-			continue
-		}
-		for _, m := range other.Members {
-			if c.shifts(m.Inst.Task) {
+		i, j = rv.window(lb-d, wHi-d)
+		for k := i; k < j; k++ {
+			other := rv.items[k]
+			if !(other.End(c.ts)+d > lb && other.Start()+d < wHi) {
 				continue
 			}
-			add(m.Start, m.Start+c.st.wcet[m.Inst.Task])
+			for _, m := range other.Members {
+				if c.shifts(m.Inst.Task) {
+					continue
+				}
+				if start, end := m.Start+d, m.Start+st.wcet[m.Inst.Task]+d; end > lb && start < wHi {
+					obst = append(obst, ivl{start: start, end: end})
+				}
+			}
 		}
 	}
 	slices.SortFunc(obst, func(a, b ivl) int {
@@ -207,7 +273,7 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 		}
 		return cmp.Compare(a.end, b.end)
 	})
-	c.st.obst = obst
+	st.obst = obst
 
 	s := lb
 	for _, ob := range obst {
@@ -267,7 +333,9 @@ func (c *pctx) propagationCap() model.Time {
 				// Non-overlap against unshifted left neighbours on the same
 				// processor (direct and wrapped images).
 				mEnd := m.Start + c.ts.Task(m.Inst.Task).WCET
-				for _, iv := range st.intervals[other.Proc] {
+				moved := &st.intervals[other.Proc]
+				for k, ivStart := range moved.starts {
+					iv := ivl{start: ivStart, end: moved.items[k]}
 					for _, d := range [3]model.Time{0, h, -h} {
 						if iv.end+d <= m.Start {
 							if g := m.Start - (iv.end + d); g < cap {
@@ -278,7 +346,7 @@ func (c *pctx) propagationCap() model.Time {
 						}
 					}
 				}
-				for _, nb := range st.resv[other.Proc] {
+				for _, nb := range st.resv[other.Proc].items {
 					if nb == c.bl {
 						continue
 					}

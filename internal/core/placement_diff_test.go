@@ -1,0 +1,377 @@
+package core
+
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/gen"
+	"repro/internal/model"
+	"repro/internal/sched"
+)
+
+// The reference implementations below are the balancer's placement
+// queries as plain linear scans over every moved interval and every
+// reservation on the processor, with the producer bounds recomputed per
+// processor. The indexed production queries must agree with them on
+// every answer.
+
+// refConflictFree also reports whether the conflict it found came from a
+// ±H image and whether it came from a member shifting along.
+func refConflictFree(c *pctx, p arch.ProcID, s model.Time) (free, wrapped, shifted bool) {
+	h := c.ts.HyperPeriod()
+	sOld := c.bl.Start()
+	gain := sOld - s
+	span := c.bl.End(c.ts) - sOld
+	end := s + span
+
+	mv := &c.st.intervals[p]
+	for k, start := range mv.starts {
+		for _, d := range [3]model.Time{0, h, -h} {
+			if s < mv.items[k]+d && start+d < end {
+				return false, d != 0, false
+			}
+		}
+	}
+	for _, other := range c.st.resv[p].items {
+		lo, hi := other.Start(), other.End(c.ts)
+		if gain >= 0 {
+			lo -= gain
+		} else {
+			hi -= gain
+		}
+		overlapsEnvelope := false
+		for _, d := range [3]model.Time{0, h, -h} {
+			if s < hi+d && lo+d < end {
+				overlapsEnvelope = true
+				break
+			}
+		}
+		if !overlapsEnvelope {
+			continue
+		}
+		for _, m := range other.Members {
+			pos := m.Start
+			if c.shifts(m.Inst.Task) {
+				pos -= gain
+			}
+			w := c.st.wcet[m.Inst.Task]
+			for _, d := range [3]model.Time{0, h, -h} {
+				if s < pos+w+d && pos+d < end {
+					return false, d != 0, c.shifts(m.Inst.Task)
+				}
+			}
+		}
+	}
+	return true, false, false
+}
+
+func refEarliestConflictFree(c *pctx, p arch.ProcID, lb, cap model.Time) (model.Time, bool) {
+	h := c.ts.HyperPeriod()
+	sOld := c.bl.Start()
+	span := c.bl.End(c.ts) - sOld
+
+	if c.cat1 {
+		for _, other := range c.st.resv[p].items {
+			for _, m := range other.Members {
+				if !c.st.shifted[m.Inst.Task] {
+					continue
+				}
+				w := c.ts.Task(m.Inst.Task).WCET
+				for _, d := range [3]model.Time{0, h, -h} {
+					if sOld < m.Start+w+d && m.Start+d < sOld+span {
+						return 0, false
+					}
+				}
+			}
+		}
+	}
+
+	wHi := cap + span
+	var obst []ivl
+	add := func(start, end model.Time) {
+		for _, d := range [3]model.Time{0, h, -h} {
+			if end+d > lb && start+d < wHi {
+				obst = append(obst, ivl{start: start + d, end: end + d})
+			}
+		}
+	}
+	mv := &c.st.intervals[p]
+	for k, start := range mv.starts {
+		add(start, mv.items[k])
+	}
+	for _, other := range c.st.resv[p].items {
+		lo, hi := other.Start(), other.End(c.ts)
+		inWindow := false
+		for _, d := range [3]model.Time{0, h, -h} {
+			if hi+d > lb && lo+d < wHi {
+				inWindow = true
+				break
+			}
+		}
+		if !inWindow {
+			continue
+		}
+		for _, m := range other.Members {
+			if c.shifts(m.Inst.Task) {
+				continue
+			}
+			add(m.Start, m.Start+c.st.wcet[m.Inst.Task])
+		}
+	}
+	slices.SortFunc(obst, func(a, b ivl) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.end, b.end)
+	})
+
+	s := lb
+	for _, ob := range obst {
+		if ob.start >= s+span {
+			break
+		}
+		if ob.end > s {
+			s = ob.end
+		}
+	}
+	if s <= cap {
+		return s, true
+	}
+	return 0, false
+}
+
+func refDepBounds(c *pctx, p arch.ProcID) (movedLB, conservativeLB model.Time) {
+	ts, ar, bl, st := c.ts, c.ar, c.bl, c.st
+	sOld := bl.Start()
+	for _, m := range bl.Members {
+		off := m.Start - sOld
+		model.EachInstanceDep(ts, m.Inst.Task, m.Inst.K, func(src model.InstanceID) {
+			ref := st.owner[ts.InstanceIndex(src)]
+			if ref.bl == bl {
+				return
+			}
+			end := ref.bl.Members[ref.mi].Start + ts.Task(src.Task).WCET
+			if c.processed[ref.bl.ID] {
+				delay := model.Time(0)
+				if ref.bl.Proc != p {
+					delay = ar.CommTime
+				}
+				if v := end + delay - off; v > movedLB {
+					movedLB = v
+				}
+			} else {
+				if v := end + ar.CommTime - off; v > conservativeLB {
+					conservativeLB = v
+				}
+			}
+		})
+	}
+	return movedLB, conservativeLB
+}
+
+// diffTally counts what the differential probes exercised, so the test
+// can insist its coverage is not vacuous.
+type diffTally struct {
+	steps, conflicts, frees, wrapped, shifted, negGainConflicts, negGainFrees int
+	fits, noFits, movedProducers                                              int
+}
+
+// checkPlacementQueries compares every indexed query with its reference
+// for every processor at the current placement step.
+func checkPlacementQueries(t *testing.T, ctx *pctx, tally *diffTally) {
+	t.Helper()
+	h := ctx.ts.HyperPeriod()
+	sOld := ctx.bl.Start()
+	span := ctx.bl.End(ctx.ts) - sOld
+	capped := sOld - ctx.cachedPropagationCap()
+	tally.steps++
+
+	starts := []model.Time{0, 1, capped, h - span, h - 1, h, -span + 1, -h, -h / 2, sOld - h/2, sOld + h/2, 2*h - span}
+	for d := model.Time(-8); d <= 4; d++ {
+		starts = append(starts, sOld+d) // d > 0: negative gain
+	}
+	// The reservation indexes hold exactly the other unprocessed blocks,
+	// each on its processor and keyed by its current start.
+	pending := -1 // ctx.bl is unprocessed but already popped
+	for _, done := range ctx.processed {
+		if !done {
+			pending++
+		}
+	}
+	for p := range ctx.st.resv {
+		rv := &ctx.st.resv[p]
+		for k, other := range rv.items {
+			if other.Proc != arch.ProcID(p) || rv.starts[k] != other.Start() || ctx.processed[other.ID] || other == ctx.bl {
+				t.Fatalf("block %d: reservation index of P%d holds block %d (P%d, start %d) under key %d",
+					ctx.bl.ID, p, other.ID, other.Proc, other.Start(), rv.starts[k])
+			}
+		}
+		pending -= len(rv.items)
+	}
+	if pending != 0 {
+		t.Fatalf("block %d: reservation indexes miss %d unprocessed blocks", ctx.bl.ID, pending)
+	}
+
+	for p := arch.ProcID(0); int(p) < ctx.ar.Procs; p++ {
+		gotMoved, gotCons := ctx.depBounds(p)
+		wantMoved, wantCons := refDepBounds(ctx, p)
+		if gotMoved != wantMoved || gotCons != wantCons {
+			t.Fatalf("block %d on P%d: depBounds = (%d, %d), linear scan (%d, %d)",
+				ctx.bl.ID, p, gotMoved, gotCons, wantMoved, wantCons)
+		}
+		if wantMoved > 0 {
+			tally.movedProducers++
+		}
+
+		for _, s := range starts {
+			got := ctx.conflictFree(p, s)
+			want, wrapped, shifted := refConflictFree(ctx, p, s)
+			if got != want {
+				t.Fatalf("block %d on P%d start %d (old start %d): conflictFree = %v, linear scan %v",
+					ctx.bl.ID, p, s, sOld, got, want)
+			}
+			switch {
+			case want && s > sOld:
+				tally.negGainFrees++
+			case !want && s > sOld:
+				tally.negGainConflicts++
+			}
+			if want {
+				tally.frees++
+			} else {
+				tally.conflicts++
+			}
+			if wrapped {
+				tally.wrapped++
+			}
+			if shifted {
+				tally.shifted++
+			}
+		}
+
+		lb := max(wantMoved, wantCons, 0)
+		windows := [][2]model.Time{{lb, sOld}, {0, sOld}, {0, h}, {h - span, h + span}, {-span, span}, {sOld / 2, sOld}}
+		for _, w := range windows {
+			got, gotOK := ctx.earliestConflictFree(p, w[0], w[1])
+			want, wantOK := refEarliestConflictFree(ctx, p, w[0], w[1])
+			if got != want || gotOK != wantOK {
+				t.Fatalf("block %d on P%d window [%d, %d]: earliestConflictFree = (%d, %v), linear scan (%d, %v)",
+					ctx.bl.ID, p, w[0], w[1], got, gotOK, want, wantOK)
+			}
+			if wantOK {
+				tally.fits++
+			} else {
+				tally.noFits++
+			}
+		}
+	}
+}
+
+type diffConfig struct {
+	gen   gen.Config
+	procs int
+	comm  model.Time
+}
+
+// TestPlacementQueriesMatchLinearScan drives real balancing passes and,
+// at every placement step, checks the indexed conflict, earliest-fit and
+// dependence-bound queries against the linear-scan references for every
+// processor — across seeds, 2–8 processors, all policies and both
+// propagation modes.
+func TestPlacementQueriesMatchLinearScan(t *testing.T) {
+	var tally diffTally
+	runs := 0
+	var configs []diffConfig
+	for seed := int64(1); seed <= 4; seed++ {
+		for _, procs := range []int{2, 3, 5, 8} {
+			configs = append(configs, diffConfig{
+				gen.Config{Seed: seed*31 + int64(procs), Tasks: 10 + 5*procs, Utilization: 0.55 * float64(procs)}, procs, 1})
+		}
+	}
+	// A short period ladder with C ≥ 2 leaves gaps inside blocks that are
+	// long against the periods, so later instances of a block's tasks can
+	// sit inside its window and shift along with a gain (the envelope
+	// widening of conflictFree).
+	short := []model.Time{4, 8, 16}
+	for _, c := range []struct {
+		seed  int64
+		procs int
+		util  float64
+		comm  model.Time
+	}{{21, 3, 0.3, 2}, {4, 2, 0.3, 3}, {12, 4, 0.5, 3}, {13, 4, 0.3, 3}, {20, 4, 0.5, 3}} {
+		configs = append(configs, diffConfig{
+			gen.Config{Seed: c.seed, Tasks: 6 + 4*c.procs, Utilization: c.util * float64(c.procs), Periods: short, EdgeProb: 0.6},
+			c.procs, c.comm})
+	}
+
+	for _, cfg := range configs {
+		ts, err := gen.Generate(cfg.gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar := arch.MustNew(cfg.procs, cfg.comm)
+		s, err := sched.NewScheduler(ts, ar).Run()
+		if err != nil {
+			continue // unschedulable input: nothing to balance
+		}
+		is := sched.FromSchedule(s)
+		for _, policy := range []Policy{PolicyLexicographic, PolicyRatio, PolicyMemoryOnly} {
+			for _, conservative := range []bool{false, true} {
+				b := &Balancer{Policy: policy}
+				b.probe = func(ctx pctx) { checkPlacementQueries(t, &ctx, &tally) }
+				if _, err := b.runPass(is, conservative); err != nil {
+					t.Fatalf("%+v M=%d %v conservative=%v: %v", cfg.gen, cfg.procs, policy, conservative, err)
+				}
+				runs++
+			}
+		}
+	}
+	t.Logf("%d passes, %+v", runs, tally)
+	if runs < 24 || tally.wrapped == 0 || tally.shifted == 0 || tally.negGainConflicts == 0 || tally.negGainFrees == 0 ||
+		tally.fits == 0 || tally.noFits == 0 || tally.movedProducers == 0 {
+		t.Fatalf("differential coverage too thin: %d passes, %+v", runs, tally)
+	}
+}
+
+// TestTimeIndexWindow checks the index against brute force under random
+// insertions and removals: every obstacle intersecting a window lies in
+// the returned range, and the range stays sorted by start.
+func TestTimeIndexWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	x := newTimeIndex[int](4)
+	type obstacle struct{ start, end model.Time }
+	live := map[int]obstacle{}
+	var ids []int
+	for id := 0; id < 400; id++ {
+		if len(ids) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(ids))
+			victim := ids[k]
+			x.remove(live[victim].start, victim)
+			delete(live, victim)
+			ids = slices.Delete(ids, k, k+1)
+		}
+		start := model.Time(rng.Intn(60) - 10)
+		o := obstacle{start, start + model.Time(rng.Intn(9)+1)}
+		x.insert(o.start, o.end, id)
+		live[id] = o
+		ids = append(ids, id)
+		if len(x.starts) != len(live) || !slices.IsSorted(x.starts) {
+			t.Fatalf("index holds %d obstacles (sorted %v), want %d", len(x.starts), slices.IsSorted(x.starts), len(live))
+		}
+		lo := model.Time(rng.Intn(70) - 15)
+		hi := lo + model.Time(rng.Intn(12))
+		i, j := x.window(lo, hi)
+		for other, o := range live {
+			if o.start < hi && o.end > lo {
+				k := slices.Index(x.items, other)
+				if k < i || k >= j {
+					t.Fatalf("obstacle [%d, %d) intersects [%d, %d) but lies outside window range [%d, %d)",
+						o.start, o.end, lo, hi, i, j)
+				}
+			}
+		}
+	}
+}

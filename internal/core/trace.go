@@ -20,9 +20,9 @@ type TraceSummary struct {
 	Forced     int // blocks no processor could take (kept in place)
 	RelaxedLCM int // blocks placed only after relaxing eq. (4)
 
-	// Candidate accounting, non-zero only when the balancer ran with
-	// RecordCandidates: every (block, processor) evaluation is counted,
-	// split by feasibility.
+	// Candidate accounting: every (block, processor) evaluation of the
+	// policy pass is counted, split by feasibility. The counts come from
+	// Move.FeasibleProcs, so they do not need RecordCandidates.
 	CandEvals    int
 	CandFeasible int
 
@@ -45,12 +45,8 @@ func (r *Result) Trace() TraceSummary {
 		if mv.Gain > s.GainMax {
 			s.GainMax = mv.Gain
 		}
-		s.CandEvals += len(mv.Candidates)
-		for _, c := range mv.Candidates {
-			if c.Feasible {
-				s.CandFeasible++
-			}
-		}
+		s.CandFeasible += mv.FeasibleProcs
 	}
+	s.CandEvals = len(r.Moves) * r.Schedule.Arch.Procs
 	return s
 }

@@ -26,9 +26,27 @@ func paperScaleConfig() (gen.Config, int) {
 	}, 16
 }
 
+// upperPaperScaleConfig is the upper regime of the paper-phase sweep:
+// 600 tasks at U 12 on 32 processors (≈2200 instances). The balancer's
+// placement queries scale with the blocks per processor, so this case
+// shows what the 300×16 one understates.
+func upperPaperScaleConfig() (gen.Config, int) {
+	return gen.Config{
+		Seed:        1,
+		Tasks:       600,
+		Utilization: 12,
+		Periods:     []model.Time{10, 20, 40, 80},
+	}, 32
+}
+
 func paperScaleInput(tb testing.TB) (*model.TaskSet, *arch.Architecture) {
 	tb.Helper()
 	cfg, procs := paperScaleConfig()
+	return scaleInput(tb, cfg, procs)
+}
+
+func scaleInput(tb testing.TB, cfg gen.Config, procs int) (*model.TaskSet, *arch.Architecture) {
+	tb.Helper()
 	ts, err := gen.Generate(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -106,22 +124,26 @@ func BenchmarkTrial(b *testing.B) {
 			}
 		}
 	})
-	b.Run("balancer", func(b *testing.B) {
-		ts, ar := paperScaleInput(b)
-		s, err := sched.NewScheduler(ts, ar).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		is := sched.FromSchedule(s)
-		b.ReportMetric(float64(ts.TotalInstances()), "instances")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := (&core.Balancer{}).Run(is); err != nil {
+	balancer := func(cfg gen.Config, procs int) func(b *testing.B) {
+		return func(b *testing.B) {
+			ts, ar := scaleInput(b, cfg, procs)
+			s, err := sched.NewScheduler(ts, ar).Run()
+			if err != nil {
 				b.Fatal(err)
 			}
+			is := sched.FromSchedule(s)
+			b.ReportMetric(float64(ts.TotalInstances()), "instances")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := (&core.Balancer{}).Run(is); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	})
+	}
+	b.Run("balancer", balancer(paperScaleConfig()))
+	b.Run("balancer-600x32", balancer(upperPaperScaleConfig()))
 	b.Run("end-to-end", func(b *testing.B) {
 		cfg, procs := paperScaleConfig()
 		trial := campaign.Trial{Cell: "bench", Gen: cfg, Procs: procs, Comm: 1}
