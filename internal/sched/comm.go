@@ -1,8 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/model"
@@ -22,35 +23,42 @@ import (
 // the earliest free slot after its producer completes. An error is
 // returned if some transfer cannot meet its consumer under either model.
 func (s *Schedule) DeriveComms() error {
-	cross := s.CrossDeps()
 	c := s.Arch.CommTime
 
-	// Deterministic EDF processing order (deadline, then ready time).
-	sort.Slice(cross, func(i, j int) bool {
-		a, b := cross[i], cross[j]
-		ad := s.InstanceStart(a.Dst.Task, a.Dst.K)
-		bd := s.InstanceStart(b.Dst.Task, b.Dst.K)
-		if ad != bd {
-			return ad < bd
+	// Deterministic EDF processing order: deadline, then ready time, then
+	// producer and consumer task. Distinct transfers never tie: equal
+	// consumer tasks and deadlines pin the consumer instance, equal
+	// producer tasks and ready times pin the producer instance.
+	keys := make([]commKey, 0, s.crossDepCount())
+	s.eachCrossDep(func(cm Comm) {
+		keys = append(keys, commKey{
+			deadline: s.InstanceStart(cm.Dst.Task, cm.Dst.K),
+			ready:    s.InstanceEnd(cm.Src.Task, cm.Src.K),
+			cm:       cm,
+		})
+	})
+	slices.SortFunc(keys, func(a, b commKey) int {
+		if a.deadline != b.deadline {
+			return cmp.Compare(a.deadline, b.deadline)
 		}
-		ae := s.InstanceEnd(a.Src.Task, a.Src.K)
-		be := s.InstanceEnd(b.Src.Task, b.Src.K)
-		if ae != be {
-			return ae < be
+		if a.ready != b.ready {
+			return cmp.Compare(a.ready, b.ready)
 		}
-		if a.Src.Task != b.Src.Task {
-			return a.Src.Task < b.Src.Task
+		if a.cm.Src.Task != b.cm.Src.Task {
+			return cmp.Compare(a.cm.Src.Task, b.cm.Src.Task)
 		}
-		return a.Dst.Task < b.Dst.Task
+		return cmp.Compare(a.cm.Dst.Task, b.cm.Dst.Task)
 	})
 
 	type slot struct{ start, end model.Time }
-	busy := make(map[arch.MediumID][]slot)
+	var busy map[arch.MediumID][]slot
+	if s.Arch.ContendedMedia {
+		busy = make(map[arch.MediumID][]slot)
+	}
 
-	s.comms = s.comms[:0]
-	for _, cm := range cross {
-		ready := s.InstanceEnd(cm.Src.Task, cm.Src.K)
-		deadline := s.InstanceStart(cm.Dst.Task, cm.Dst.K)
+	s.comms = slices.Grow(s.comms[:0], len(keys))
+	for _, k := range keys {
+		cm, ready, deadline := k.cm, k.ready, k.deadline
 		start := ready
 		if s.Arch.ContendedMedia {
 			// Shift past conflicting slots on the medium.
@@ -78,6 +86,12 @@ func (s *Schedule) DeriveComms() error {
 		s.comms = append(s.comms, cm)
 	}
 	return nil
+}
+
+// commKey is a cross dependence with its EDF sort key precomputed.
+type commKey struct {
+	deadline, ready model.Time
+	cm              Comm
 }
 
 func (s *Schedule) instName(iid model.InstanceID) string {

@@ -6,8 +6,8 @@ import (
 )
 
 // occupancy.go derives per-processor occupancy/idle-window statistics
-// from an instance-level schedule — the contention view of the
-// timelines the scheduler maintains internally. The campaign analyzers
+// from an instance-level schedule — the contention view of each
+// processor's occupancy. The campaign analyzers
 // consume it to explain *why* a balanced schedule wins: a gain shows up
 // here as fewer, shorter idle windows on the loaded processors.
 

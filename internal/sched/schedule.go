@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -55,13 +56,15 @@ type Schedule struct {
 	// Place.
 	tasksOn map[arch.ProcID][]model.TaskID
 
-	// occ[p] is the occupancy timeline of processor p: the wrapped
-	// (mod hyper-period) execution intervals of every instance placed
-	// there, sorted by start and pairwise disjoint for any feasible
-	// placement. EarliestStart and FitsAt binary-search it instead of
-	// re-testing every co-resident task. Maintained incrementally by
-	// Place.
-	occ [][]occIvl
+	// periods lists the task set's distinct periods and ringOf maps
+	// each task to its period's index there; both are immutable and
+	// shared by clones. rings[p*len(periods)+k] is processor p's
+	// occupancy folded modulo periods[k] (ring.go). EarliestStart and
+	// FitsAt read the ring of the probed task's period; Place folds every
+	// placed task into each ring of its processor.
+	periods []model.Time
+	ringOf  []int32
+	rings   []ring
 }
 
 // NewSchedule returns an empty schedule over the given frozen task set and
@@ -74,11 +77,19 @@ func NewSchedule(ts *model.TaskSet, a *arch.Architecture) (*Schedule, error) {
 		TS: ts, Arch: a,
 		place:   make([]Placement, ts.Len()),
 		tasksOn: make(map[arch.ProcID][]model.TaskID, a.Procs),
-		occ:     make([][]occIvl, a.Procs),
+		ringOf:  make([]int32, ts.Len()),
 	}
 	for i := range s.place {
 		s.place[i] = Placement{Proc: Unplaced}
+		period := ts.Task(model.TaskID(i)).Period
+		k := slices.Index(s.periods, period)
+		if k < 0 {
+			k = len(s.periods)
+			s.periods = append(s.periods, period)
+		}
+		s.ringOf[i] = int32(k)
 	}
+	s.rings = make([]ring, a.Procs*len(s.periods))
 	return s, nil
 }
 
@@ -103,14 +114,30 @@ func (s *Schedule) Place(id model.TaskID, p arch.ProcID, start model.Time) error
 	if start < 0 {
 		return fmt.Errorf("sched: Place %q: negative start %d", s.TS.Task(id).Name, start)
 	}
-	if prev := s.place[id]; prev.Proc != Unplaced {
-		delete(s.tasksOn, prev.Proc)
-		s.occRemove(prev.Proc, id)
-	}
+	prev := s.place[id]
 	s.place[id] = Placement{Proc: p, Start: start}
 	delete(s.tasksOn, p)
-	s.occInsert(p, id, start)
+	if prev.Proc != Unplaced {
+		delete(s.tasksOn, prev.Proc)
+		s.rebuildRings(prev.Proc)
+	}
+	if prev.Proc != p {
+		s.foldInto(p, id, start)
+	}
 	return nil
+}
+
+// reset unplaces every task and drops the derived comms, keeping every
+// buffer for the next pass (the scheduler's repair rounds).
+func (s *Schedule) reset() {
+	for i := range s.place {
+		s.place[i] = Placement{Proc: Unplaced}
+	}
+	s.comms = s.comms[:0]
+	clear(s.tasksOn)
+	for k := range s.rings {
+		s.rings[k] = s.rings[k][:0]
+	}
 }
 
 // MustPlace is Place that panics on error.
@@ -142,9 +169,19 @@ func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{TS: s.TS, Arch: s.Arch, tasksOn: make(map[arch.ProcID][]model.TaskID, s.Arch.Procs)}
 	c.place = append([]Placement(nil), s.place...)
 	c.comms = append([]Comm(nil), s.comms...)
-	c.occ = make([][]occIvl, len(s.occ))
-	for p := range s.occ {
-		c.occ[p] = append([]occIvl(nil), s.occ[p]...)
+	c.periods, c.ringOf = s.periods, s.ringOf
+	// One backing array for every ring; the capacity-capped subslices
+	// make a later fold reallocate instead of spilling into a neighbour.
+	n := 0
+	for _, r := range s.rings {
+		n += len(r)
+	}
+	buf := make([]span, 0, n)
+	c.rings = make([]ring, len(s.rings))
+	for k, r := range s.rings {
+		at := len(buf)
+		buf = append(buf, r...)
+		c.rings[k] = buf[at:len(buf):len(buf)]
 	}
 	return c
 }
@@ -243,29 +280,49 @@ func (s *Schedule) MaxMem() model.Mem {
 // CrossDeps enumerates the dependences whose endpoints sit on different
 // processors, expanded to instance granularity.
 func (s *Schedule) CrossDeps() []Comm {
-	var out []Comm
+	out := make([]Comm, 0, s.crossDepCount())
+	s.eachCrossDep(func(cm Comm) { out = append(out, cm) })
+	return out
+}
+
+// crosses reports whether dependence d links tasks placed on different
+// processors.
+func (s *Schedule) crosses(d model.Dependence) bool {
+	sp, dp := s.place[d.Src].Proc, s.place[d.Dst].Proc
+	return sp != Unplaced && dp != Unplaced && sp != dp
+}
+
+// crossDepCount bounds the number of comms eachCrossDep visits (exact
+// when every processor pair has a route): a dependence links
+// max(producer, consumer) instance pairs, its periods being harmonic.
+func (s *Schedule) crossDepCount() int {
+	n := 0
 	for _, d := range s.TS.Dependences() {
-		sp, dp := s.place[d.Src].Proc, s.place[d.Dst].Proc
-		if sp == Unplaced || dp == Unplaced || sp == dp {
+		if s.crosses(d) {
+			n += max(s.TS.Instances(d.Src), s.TS.Instances(d.Dst))
+		}
+	}
+	return n
+}
+
+// eachCrossDep calls fn for every comm CrossDeps lists, in its order,
+// with Start unset.
+func (s *Schedule) eachCrossDep(fn func(Comm)) {
+	for _, d := range s.TS.Dependences() {
+		if !s.crosses(d) {
 			continue
 		}
-		med, err := s.Arch.Route(sp, dp)
+		med, err := s.Arch.Route(s.place[d.Src].Proc, s.place[d.Dst].Proc)
 		if err != nil {
 			continue
 		}
 		for k := 0; k < s.TS.Instances(d.Dst); k++ {
-			for _, src := range model.InstanceDeps(s.TS, d.Dst, k) {
-				if src.Task != d.Src {
-					continue
+			dst := model.InstanceID{Task: d.Dst, K: k}
+			model.EachInstanceDep(s.TS, d.Dst, k, func(src model.InstanceID) {
+				if src.Task == d.Src {
+					fn(Comm{Src: src, Dst: dst, Medium: med, Data: d.Data})
 				}
-				out = append(out, Comm{
-					Src:    src,
-					Dst:    model.InstanceID{Task: d.Dst, K: k},
-					Medium: med,
-					Data:   d.Data,
-				})
-			}
+			})
 		}
 	}
-	return out
 }

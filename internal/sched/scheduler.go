@@ -40,12 +40,21 @@ func NewScheduler(ts *model.TaskSet, a *arch.Architecture) *Scheduler {
 // feasible start). When a placement fails, the scheduler retries from
 // scratch with the failing task boosted to the front of the ready set —
 // tasks that are hard to pack (long WCETs, tight dependence bounds) go
-// first while the timeline is still empty. Up to Retries rounds.
+// first while the processors are still empty. Up to Retries rounds; each
+// round resets the previous round's schedule and buffers rather than
+// allocating new ones.
 func (sc *Scheduler) Run() (*Schedule, error) {
-	boost := make([]int, sc.TS.Len())
+	s, err := NewSchedule(sc.TS, sc.Arch)
+	if err != nil {
+		return nil, err
+	}
+	ps := sc.newPass()
 	var lastErr error
 	for attempt := 0; attempt <= sc.Retries; attempt++ {
-		s, failed, err := sc.runOnce(boost)
+		if attempt > 0 {
+			s.reset()
+		}
+		failed, err := sc.runOnce(s, ps)
 		if err == nil {
 			return s, nil
 		}
@@ -57,7 +66,7 @@ func (sc *Scheduler) Run() (*Schedule, error) {
 		// enter the ready set once its producers are placed, so they must
 		// come early too.
 		for _, id := range sc.ancestry(failed) {
-			boost[id]++
+			ps.ready.boost[id]++
 		}
 	}
 	return nil, lastErr
@@ -82,59 +91,86 @@ func (sc *Scheduler) ancestry(id model.TaskID) []model.TaskID {
 	return out
 }
 
-// runOnce is one greedy pass. On placement failure it returns the task
-// that could not be placed.
-func (sc *Scheduler) runOnce(boost []int) (*Schedule, model.TaskID, error) {
-	s, err := NewSchedule(sc.TS, sc.Arch)
-	if err != nil {
-		return nil, -1, err
-	}
-	order := sc.order(boost)
-	util := make([]model.Time, sc.Arch.Procs) // busy time per hyper-period
-	memUsed := make([]model.Mem, sc.Arch.Procs)
-	lbs := make([]model.Time, sc.Arch.Procs) // dependence bounds, reused per task
+// pass holds the buffers of one greedy pass, reused by every repair
+// round of a Run.
+type pass struct {
+	ready   readyHeap
+	indeg   []int
+	order   []model.TaskID
+	util    []model.Time // busy time per hyper-period, per processor
+	memUsed []model.Mem
+	lbs     []model.Time // dependence bounds, reused per task
+}
 
-	for _, id := range order {
+func (sc *Scheduler) newPass() *pass {
+	n := sc.TS.Len()
+	ps := &pass{
+		ready: readyHeap{
+			ids:    make([]model.TaskID, 0, n),
+			boost:  make([]int, n),
+			period: make([]model.Time, n),
+			busy:   make([]model.Time, n),
+		},
+		indeg:   make([]int, n),
+		order:   make([]model.TaskID, 0, n),
+		util:    make([]model.Time, sc.Arch.Procs),
+		memUsed: make([]model.Mem, sc.Arch.Procs),
+		lbs:     make([]model.Time, sc.Arch.Procs),
+	}
+	for i := 0; i < n; i++ {
+		t := sc.TS.Task(model.TaskID(i))
+		ps.ready.period[i] = t.Period
+		ps.ready.busy[i] = model.Time(sc.TS.Instances(model.TaskID(i))) * t.WCET
+	}
+	return ps
+}
+
+// runOnce is one greedy pass over an empty schedule. On placement
+// failure it returns the task that could not be placed.
+func (sc *Scheduler) runOnce(s *Schedule, ps *pass) (model.TaskID, error) {
+	clear(ps.util)
+	clear(ps.memUsed)
+	for _, id := range sc.order(ps) {
 		t := sc.TS.Task(id)
-		busy := model.Time(sc.TS.Instances(id)) * t.WCET
+		busy := ps.ready.busy[id]
 		// Per-instance memory accounting (paper: data of distinct
 		// instances cannot share storage, figure 1).
 		need := t.Mem * model.Mem(sc.TS.Instances(id))
 
-		s.DepLowerBounds(id, lbs)
+		s.DepLowerBounds(id, ps.lbs)
 		best := arch.ProcID(-1)
 		var bestStart model.Time
 		for p := arch.ProcID(0); int(p) < sc.Arch.Procs; p++ {
-			if cap := sc.Arch.MemCapacity; cap > 0 && memUsed[p]+need > cap {
+			if cap := sc.Arch.MemCapacity; cap > 0 && ps.memUsed[p]+need > cap {
 				continue
 			}
 			// A start beyond the incumbent best cannot win (ties go to the
 			// tie-breaks, strictly later starts lose), so bound the search.
-			bound := lbs[p] + sc.TS.HyperPeriod()
+			bound := ps.lbs[p] + sc.TS.HyperPeriod()
 			if best >= 0 && bestStart < bound {
 				bound = bestStart
 			}
-			start, ok := s.earliestStartIn(id, p, lbs[p], bound)
+			start, ok := s.earliestStartIn(id, p, ps.lbs[p], bound)
 			if !ok {
 				continue
 			}
-			if best < 0 || sc.better(s, id, p, start, best, bestStart, util) {
+			if best < 0 || sc.better(s, id, p, start, best, bestStart, ps.util) {
 				best, bestStart = p, start
 			}
 		}
 		if best < 0 {
-			return nil, id, fmt.Errorf("sched: cannot place task %q: no processor has feasible time and memory", t.Name)
+			return id, fmt.Errorf("sched: cannot place task %q: no processor has feasible time and memory", t.Name)
 		}
 		if err := s.Place(id, best, bestStart); err != nil {
-			return nil, -1, err
+			return -1, err
 		}
-		util[best] += busy
-		memUsed[best] += need
+		ps.util[best] += busy
+		ps.memUsed[best] += need
 	}
 	if err := s.DeriveComms(); err != nil {
-		return nil, -1, err
+		return -1, err
 	}
-	return s, -1, nil
+	return -1, nil
 }
 
 // better reports whether candidate (p, start) beats the incumbent
@@ -169,59 +205,90 @@ func (sc *Scheduler) hostsProducer(s *Schedule, id model.TaskID, p arch.ProcID) 
 // dependence DAG in which ready tasks are taken by boost count (repair
 // rounds push hard-to-pack tasks first), then increasing period (the fast
 // tasks that impose rates come first), then decreasing total busy time
-// (longest processing time first within a period class), then ID.
-func (sc *Scheduler) order(boost []int) []model.TaskID {
-	n := sc.TS.Len()
-	indeg := make([]int, n)
+// (longest processing time first within a period class), then ID. The
+// result aliases ps.order.
+func (sc *Scheduler) order(ps *pass) []model.TaskID {
+	indeg := ps.indeg
+	clear(indeg)
 	for _, d := range sc.TS.Dependences() {
 		indeg[d.Dst]++
 	}
-	ready := make([]model.TaskID, 0, n)
-	for i := 0; i < n; i++ {
+	h := &ps.ready
+	h.ids = h.ids[:0]
+	for i := range indeg {
 		if indeg[i] == 0 {
-			ready = append(ready, model.TaskID(i))
+			h.push(model.TaskID(i))
 		}
 	}
-	// Precomputed sort keys: the comparator runs O(n) times per round.
-	period := make([]model.Time, n)
-	busy := make([]model.Time, n)
-	for i := 0; i < n; i++ {
-		t := sc.TS.Task(model.TaskID(i))
-		period[i] = t.Period
-		busy[i] = model.Time(sc.TS.Instances(model.TaskID(i))) * t.WCET
-	}
-	less := func(a, b model.TaskID) bool {
-		if boost[a] != boost[b] {
-			return boost[a] > boost[b]
-		}
-		if period[a] != period[b] {
-			return period[a] < period[b]
-		}
-		if busy[a] != busy[b] {
-			return busy[a] > busy[b]
-		}
-		return a < b
-	}
-	out := make([]model.TaskID, 0, n)
-	for len(ready) > 0 {
-		// Extract the minimum (the ready set holds no meaningful order, so
-		// a linear scan replaces re-sorting the whole set every round).
-		mi := 0
-		for i := 1; i < len(ready); i++ {
-			if less(ready[i], ready[mi]) {
-				mi = i
-			}
-		}
-		id := ready[mi]
-		ready[mi] = ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
+	out := ps.order[:0]
+	for len(h.ids) > 0 {
+		id := h.pop()
 		out = append(out, id)
 		for _, s := range sc.TS.Successors(id) {
 			indeg[s]--
 			if indeg[s] == 0 {
-				ready = append(ready, s)
+				h.push(s)
 			}
 		}
 	}
+	ps.order = out
 	return out
+}
+
+// readyHeap is a binary min-heap of ready task IDs under the placement
+// order's key. The key is a strict total order (ties fall back to the
+// ID), so the pop sequence is fully determined.
+type readyHeap struct {
+	ids          []model.TaskID
+	boost        []int
+	period, busy []model.Time
+}
+
+func (h *readyHeap) less(a, b model.TaskID) bool {
+	if h.boost[a] != h.boost[b] {
+		return h.boost[a] > h.boost[b]
+	}
+	if h.period[a] != h.period[b] {
+		return h.period[a] < h.period[b]
+	}
+	if h.busy[a] != h.busy[b] {
+		return h.busy[a] > h.busy[b]
+	}
+	return a < b
+}
+
+func (h *readyHeap) push(id model.TaskID) {
+	h.ids = append(h.ids, id)
+	for i := len(h.ids) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !h.less(h.ids[i], h.ids[up]) {
+			break
+		}
+		h.ids[i], h.ids[up] = h.ids[up], h.ids[i]
+		i = up
+	}
+}
+
+func (h *readyHeap) pop() model.TaskID {
+	ids := h.ids
+	top := ids[0]
+	last := len(ids) - 1
+	ids[0] = ids[last]
+	ids = ids[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < last && h.less(ids[l], ids[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < last && h.less(ids[r], ids[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		ids[i], ids[m] = ids[m], ids[i]
+		i = m
+	}
+	h.ids = ids
+	return top
 }

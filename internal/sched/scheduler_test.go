@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -155,5 +158,114 @@ func TestDepLowerBound(t *testing.T) {
 	}
 	if lb := s.DepLowerBound(ids[1], 1); lb != 5 {
 		t.Errorf("cross-proc lower bound = %d, want 5", lb)
+	}
+}
+
+// refOrder is the placement order's former linear-scan extraction: the
+// ready set is unordered and each round takes its minimum.
+func refOrder(sc *Scheduler, boost []int) []model.TaskID {
+	n := sc.TS.Len()
+	indeg := make([]int, n)
+	for _, d := range sc.TS.Dependences() {
+		indeg[d.Dst]++
+	}
+	var ready []model.TaskID
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			ready = append(ready, model.TaskID(i))
+		}
+	}
+	key := sc.newPass().ready
+	key.boost = boost
+	var out []model.TaskID
+	for len(ready) > 0 {
+		mi := 0
+		for i := 1; i < len(ready); i++ {
+			if key.less(ready[i], ready[mi]) {
+				mi = i
+			}
+		}
+		id := ready[mi]
+		ready[mi] = ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		out = append(out, id)
+		for _, s := range sc.TS.Successors(id) {
+			if indeg[s]--; indeg[s] == 0 {
+				ready = append(ready, s)
+			}
+		}
+	}
+	return out
+}
+
+// TestOrderMatchesLinearScan checks the heap-ordered ready set against
+// the linear scan it replaced, with and without repair boosts (boosts
+// create many ties on the boost count, so the later keys decide).
+func TestOrderMatchesLinearScan(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		ts := gen.MustGenerate(gen.Config{Seed: seed, Tasks: 10 + int(seed)*15, Utilization: 3})
+		sc := NewScheduler(ts, arch.MustNew(4, 1))
+		ps := sc.newPass()
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 4; round++ {
+			if round > 0 {
+				for i := range ps.ready.boost {
+					ps.ready.boost[i] = rng.Intn(3)
+				}
+			}
+			want := refOrder(sc, ps.ready.boost)
+			if got := sc.order(ps); !slices.Equal(got, want) {
+				t.Fatalf("seed %d round %d: heap order %v, linear scan %v", seed, round, got, want)
+			}
+		}
+	}
+}
+
+// TestRepairRoundsMatchFreshSchedules checks that a Run whose repair
+// rounds reset and reuse one schedule ends exactly where rounds on
+// fresh schedules end: the same placements, or the same error.
+func TestRepairRoundsMatchFreshSchedules(t *testing.T) {
+	var repaired, failed int
+	for seed := int64(0); seed < 30; seed++ {
+		ts := gen.MustGenerate(gen.Config{Seed: seed, Tasks: 40, Utilization: 4.5})
+		ar := arch.MustNew(5, 1)
+		sc := NewScheduler(ts, ar)
+
+		var want *Schedule
+		var wantErr error
+		rounds := 0
+		ps := sc.newPass()
+		for attempt := 0; attempt <= sc.Retries; attempt++ {
+			rounds++
+			s := MustNewSchedule(ts, ar)
+			id, err := sc.runOnce(s, ps)
+			if err == nil {
+				want, wantErr = s, nil
+				break
+			}
+			wantErr = err
+			for _, a := range sc.ancestry(id) {
+				ps.ready.boost[a]++
+			}
+		}
+		if rounds > 1 && wantErr == nil {
+			repaired++ // placed after at least one reset
+		}
+
+		got, err := sc.Run()
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("seed %d: Run error %v, fresh-schedule rounds %v", seed, err, wantErr)
+		}
+		if err != nil {
+			failed++
+			continue
+		}
+		if !slices.Equal(got.place, want.place) || !slices.Equal(got.Comms(), want.Comms()) {
+			t.Fatalf("seed %d: Run placements differ from fresh-schedule rounds", seed)
+		}
+		checkRingsFresh(t, fmt.Sprintf("seed %d", seed), got)
+	}
+	if repaired == 0 || failed == 0 {
+		t.Fatalf("coverage: %d seeds placed after a repair, %d failed every round", repaired, failed)
 	}
 }

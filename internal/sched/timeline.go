@@ -2,142 +2,61 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/model"
 )
 
-// timeline.go maintains the per-processor occupancy timelines and
-// answers the scheduler's feasibility queries from them.
+// timeline.go answers the scheduler's feasibility queries from the
+// per-processor occupancy rings (ring.go).
 //
-// Every placed task contributes the wrapped (mod hyper-period) execution
-// intervals of its instances to its processor's timeline; the intervals
-// are kept sorted by start and — for any feasible placement — pairwise
-// disjoint, so both "does this image overlap anything" and "what is the
-// minimal forward shift that clears the conflict" are binary searches.
-// This replaces the per-query pairwise compatibility sweep over every
-// co-resident task (the representation the profile showed dominating
-// single-trial cost) with O(images · log occupancy) per probe.
-//
-// Steady-state equivalence: a candidate start conflicts with the
-// repeating pattern iff one of its hyper-period images overlaps an
-// occupied interval on the [0, H) ring, which is exactly the pairwise
-// strict-periodicity test of the paper's reference [1] (model.Compatible)
-// expanded to instances. The timeline and the modulo-gcd formulation
-// agree on every query; the property test in timeline_test.go checks
-// them against each other.
+// Every processor keeps one ring per distinct period of the task set.
+// Place folds the new task into each ring of its processor, so a probe
+// for a task of period T reads only the ring of period T: one binary
+// search and a forward walk over its gaps. The property tests in
+// timeline_test.go check the rings against the pairwise modulo-gcd
+// formulation (model.Compatible) and against an image-by-image search
+// over the unfolded hyper-period.
 
-// occIvl is one occupied interval on a processor timeline, tagged with
-// the task owning it so queries can ignore the task being (re)placed.
-type occIvl struct {
-	start, end model.Time
-	task       model.TaskID
-}
-
-// occInsert adds every wrapped instance image of task id, starting at
-// start, to processor p's timeline.
-func (s *Schedule) occInsert(p arch.ProcID, id model.TaskID, start model.Time) {
+// foldInto adds task id, placed at start, to every ring of processor p.
+func (s *Schedule) foldInto(p arch.ProcID, id model.TaskID, start model.Time) {
 	t := s.TS.Task(id)
-	h := s.TS.HyperPeriod()
-	n := s.TS.Instances(id)
-	for k := 0; k < n; k++ {
-		r := model.Mod(start+model.Time(k)*t.Period, h)
-		if e := r + t.WCET; e <= h {
-			s.occAdd(p, occIvl{r, e, id})
-		} else { // image wraps the hyper-period boundary: split
-			s.occAdd(p, occIvl{r, h, id})
-			s.occAdd(p, occIvl{0, e - h, id})
+	base := int(p) * len(s.periods)
+	for k, period := range s.periods {
+		s.rings[base+k] = s.rings[base+k].fold(period, start, t.Period, t.WCET)
+	}
+}
+
+// rebuildRings refolds processor p's rings from the placements (used
+// when a placed task is re-placed: folded spans cannot be unfolded).
+func (s *Schedule) rebuildRings(p arch.ProcID) {
+	base := int(p) * len(s.periods)
+	for k := range s.periods {
+		s.rings[base+k] = s.rings[base+k][:0]
+	}
+	for i, pl := range s.place {
+		if pl.Proc == p {
+			s.foldInto(p, model.TaskID(i), pl.Start)
 		}
 	}
 }
 
-// occAdd inserts one interval keeping the timeline sorted by start.
-func (s *Schedule) occAdd(p arch.ProcID, iv occIvl) {
-	occ := s.occ[p]
-	i := sort.Search(len(occ), func(j int) bool { return occ[j].start >= iv.start })
-	occ = append(occ, occIvl{})
-	copy(occ[i+1:], occ[i:])
-	occ[i] = iv
-	s.occ[p] = occ
-}
-
-// occRemove drops every interval of task id from processor p's timeline
-// (used when a task is re-placed).
-func (s *Schedule) occRemove(p arch.ProcID, id model.TaskID) {
-	occ := s.occ[p]
-	keep := occ[:0]
-	for _, iv := range occ {
-		if iv.task != id {
-			keep = append(keep, iv)
-		}
-	}
-	s.occ[p] = keep
-}
-
-// occConflict reports whether the image part [x, y) ⊂ [0, H) overlaps an
-// interval of a task other than id on the timeline, and if so returns
-// the end of the latest-ending such interval. Because the timeline is
-// sorted by start and disjoint, ends are sorted too: the only candidates
-// are the intervals just before the first one starting at or beyond y.
-func occConflict(occ []occIvl, id model.TaskID, x, y model.Time) (model.Time, bool) {
-	lo, hi := 0, len(occ)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if occ[mid].start >= y {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	for i := lo - 1; i >= 0 && occ[i].end > x; i-- {
-		if occ[i].task != id {
-			return occ[i].end, true
-		}
-	}
-	return 0, false
-}
-
-// imageConflict returns the minimal forward shift of the candidate start
-// that clears every detected conflict of one instance image wrapped to
-// r ∈ [0, H), or 0 when the image is conflict-free.
-func imageConflict(occ []occIvl, id model.TaskID, r, wcet, h model.Time) model.Time {
-	var bump model.Time
-	e := r + wcet
-	y := e
-	if y > h {
-		y = h
-	}
-	if end, hit := occConflict(occ, id, r, y); hit {
-		bump = end - r
-	}
-	if e > h { // wrapped tail [0, e−h)
-		if end, hit := occConflict(occ, id, 0, e-h); hit {
-			if d := end - r + h; d > bump {
-				bump = d
-			}
-		}
-	}
-	return bump
-}
-
-// EarliestStart searches for the smallest start time ≥ lower such that
-// every instance of task id (strictly periodic at its period) fits on
+// EarliestStart returns the smallest start time ≥ lower such that every
+// instance of task id (strictly periodic at its period) fits on
 // processor p without overlapping any instance already placed there — in
 // steady state, i.e. including the wrap-around images of the repeating
-// hyper-period pattern.
-//
-// The search hops along the occupancy timeline: each round binary-
-// searches the conflict of every candidate image and advances the start
-// by the largest shift any conflict demands (a shift below that provably
-// keeps its conflict, so no feasible start is skipped). It returns an
-// error when no feasible start exists within one hyper-period above the
-// lower bound (the joint pattern repeats with a period dividing the
-// hyper-period, so searching further cannot help).
+// hyper-period pattern. It returns an error when no start in
+// [lower, lower+H] is feasible (feasibility depends only on the start
+// modulo the period, so searching further cannot help), and when id is
+// itself already placed on p: the rings hold its occupancy and cannot
+// tell it apart from its neighbours'.
 func (s *Schedule) EarliestStart(id model.TaskID, p arch.ProcID, lower model.Time) (model.Time, error) {
+	t := s.TS.Task(id)
+	if s.place[id].Proc == p {
+		return 0, fmt.Errorf("sched: EarliestStart: %q is already placed on %s", t.Name, s.Arch.ProcName(p))
+	}
 	start, ok := s.earliestStartIn(id, p, lower, lower+s.TS.HyperPeriod())
 	if !ok {
-		t := s.TS.Task(id)
 		return 0, fmt.Errorf("sched: no feasible start for %q on %s above %d", t.Name, s.Arch.ProcName(p), lower)
 	}
 	return start, nil
@@ -150,48 +69,32 @@ func (s *Schedule) EarliestStart(id model.TaskID, p arch.ProcID, lower model.Tim
 // boolean, not a formatted error, because abandonment is the common case
 // on the hot path.
 func (s *Schedule) earliestStartIn(id model.TaskID, p arch.ProcID, lower, bound model.Time) (model.Time, bool) {
-	t := s.TS.Task(id)
-	h := s.TS.HyperPeriod()
-	occ := s.occ[p]
-	n := s.TS.Instances(id)
-	limit := lower + h
+	if s.place[id].Proc == p {
+		return 0, false
+	}
+	limit := lower + s.TS.HyperPeriod()
 	if bound < limit {
 		limit = bound
 	}
-
-	// The images of a candidate start are exactly the residues congruent
-	// to start modulo the period: {Mod(start, T) + j·T, j = 0..n−1}. One
-	// Mod per round enumerates them all in increasing order.
-	for start := lower; start <= limit; {
-		var bump model.Time
-		base := model.Mod(start, t.Period)
-		for j := 0; j < n; j++ {
-			if d := imageConflict(occ, id, base+model.Time(j)*t.Period, t.WCET, h); d > bump {
-				bump = d
-			}
-		}
-		if bump == 0 {
-			return start, true
-		}
-		start += bump
+	if limit < lower {
+		return 0, false
 	}
-	return 0, false
+	t := s.TS.Task(id)
+	r0 := model.Mod(lower, t.Period)
+	r := s.rings[int(p)*len(s.periods)+int(s.ringOf[id])]
+	x, ok := r.firstFit(t.Period, r0, t.WCET, limit-lower)
+	if !ok {
+		return 0, false
+	}
+	return lower + x - r0, true
 }
 
 // FitsAt reports whether the task could be placed at (p, start) without
-// overlap against the current placement, in steady state.
+// overlap against the current placement, in steady state. It reports
+// false when id is itself already placed on p (see EarliestStart).
 func (s *Schedule) FitsAt(id model.TaskID, p arch.ProcID, start model.Time) bool {
-	t := s.TS.Task(id)
-	h := s.TS.HyperPeriod()
-	occ := s.occ[p]
-	n := s.TS.Instances(id)
-	base := model.Mod(start, t.Period)
-	for j := 0; j < n; j++ {
-		if imageConflict(occ, id, base+model.Time(j)*t.Period, t.WCET, h) > 0 {
-			return false
-		}
-	}
-	return true
+	_, ok := s.earliestStartIn(id, p, start, start)
+	return ok
 }
 
 // DepLowerBound returns the earliest start of task id permitted by its

@@ -39,6 +39,17 @@ func upperPaperScaleConfig() (gen.Config, int) {
 	}, 32
 }
 
+// unschedulableConfig is N=600/U=12 on 16 processors at seed 0, a
+// paper-phase grid point that uses every repair round and still fails.
+func unschedulableConfig() (gen.Config, int) {
+	return gen.Config{
+		Seed:        0,
+		Tasks:       600,
+		Utilization: 12,
+		Periods:     []model.Time{10, 20, 40, 80},
+	}, 16
+}
+
 func paperScaleInput(tb testing.TB) (*model.TaskSet, *arch.Architecture) {
 	tb.Helper()
 	cfg, procs := paperScaleConfig()
@@ -113,17 +124,28 @@ func TestTrialAllocNeutral(t *testing.T) {
 // stage. The end-to-end case is exactly what one campaign worker runs
 // per trial, so its latency bounds every sweep's throughput.
 func BenchmarkTrial(b *testing.B) {
-	b.Run("scheduler", func(b *testing.B) {
-		ts, ar := paperScaleInput(b)
-		b.ReportMetric(float64(ts.TotalInstances()), "instances")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sched.NewScheduler(ts, ar).Run(); err != nil {
-				b.Fatal(err)
+	scheduler := func(cfg gen.Config, procs int, schedulable bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			ts, ar := scaleInput(b, cfg, procs)
+			b.ReportMetric(float64(ts.TotalInstances()), "instances")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.NewScheduler(ts, ar).Run(); (err == nil) != schedulable {
+					b.Fatalf("schedulable %v, got err %v", schedulable, err)
+				}
 			}
 		}
-	})
+	}
+	cfg, procs := paperScaleConfig()
+	b.Run("scheduler", scheduler(cfg, procs, true))
+	cfg, procs = upperPaperScaleConfig()
+	b.Run("scheduler-600x32", scheduler(cfg, procs, true))
+	// A paper-phase grid point the greedy substrate cannot schedule: all
+	// 9 passes (Retries = 8 repair rounds) fail. Such points are 37 of
+	// the sweep's 80 and a large share of its scheduler time.
+	cfg, procs = unschedulableConfig()
+	b.Run("scheduler-unschedulable", scheduler(cfg, procs, false))
 	balancer := func(cfg gen.Config, procs int) func(b *testing.B) {
 		return func(b *testing.B) {
 			ts, ar := scaleInput(b, cfg, procs)
