@@ -4,27 +4,27 @@ package coord
 // campaign's control plane: every lease transition, liveness decision,
 // retry, speculation, and landing appends one structured record, so a
 // chaotic multi-host run can be reconstructed — and asserted on —
-// after the fact. Records use the journal framing idiom
-// (`<length:8 hex> <crc32c:8 hex> <payload JSON>\n`) for the same
-// reason journals do: a coordinator killed mid-append leaves at most
-// one torn tail record, which the reader drops, while corruption
-// anywhere earlier is reported as a hard error rather than silently
-// skipped. The first record is the EventLogHeader binding the file to
-// a campaign; the log opens in append mode, so a restarted coordinator
-// extends the history instead of erasing it.
+// after the fact. It is a journal.RecordLog, the trial journal's
+// format (docs/journal.md): a coordinator killed mid-append leaves at
+// most one torn tail record, which the reader drops and a reopening
+// coordinator truncates, while corruption anywhere earlier is a hard
+// error rather than silently skipped. The first record is the
+// EventLogHeader binding the file to a campaign; a restarted
+// coordinator extends the history instead of erasing it, and the
+// writer holds the file exclusively, so two coordinators cannot
+// interleave their sequence numbers.
 //
 // The log sits outside the artifact byte-identity contract, like every
 // sidecar: it records wall-clock decisions that legitimately differ
 // between byte-identical runs.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"strconv"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 const (
@@ -37,9 +37,6 @@ const (
 	// <campaign>+EventLogSuffix next to the journal dir.
 	EventLogSuffix = ".events.jsonl"
 )
-
-// eventCastagnoli matches the journal's CRC-32C polynomial.
-var eventCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // EventType names one kind of control-plane event. The catalogue is
 // closed: ValidateEvents rejects unknown types, so consumers can
@@ -132,63 +129,40 @@ type Event struct {
 // a loud log line, not an aborted sweep — callers check Err at the end.
 type EventLog struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *journal.RecordLog
 	seq  int64
 	err  error
 	path string
 }
 
-// frameEvent renders one framed record line.
-func frameEvent(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+19)
-	out = fmt.Appendf(out, "%08x %08x ", len(payload), crc32.Checksum(payload, eventCastagnoli))
-	out = append(out, payload...)
-	return append(out, '\n')
-}
-
 // OpenEventLog opens (or creates) the event log at path for the given
-// campaign. A new file gets the header record; an existing file is
-// read back first — its header must match the campaign, and the writer
-// continues the Seq sequence after the last intact record, so a
-// coordinator restart extends the history.
+// campaign. A file with an intact header must match the campaign, and
+// the writer continues the Seq sequence after the last intact record,
+// so a coordinator restart extends the history; a torn final record is
+// truncated first. A new file, or one whose header never reached disk,
+// starts a fresh log.
 func OpenEventLog(path, name, specHash string, splits int) (*EventLog, error) {
+	hdr, err := json.Marshal(EventLogHeader{Magic: EventLogMagic, Version: EventLogVersion, Name: name, SpecHash: specHash, Splits: splits})
+	if err != nil {
+		return nil, err
+	}
 	e := &EventLog{path: path}
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		hdr, events, rerr := decodeEventLog(path, data)
-		if rerr != nil {
-			return nil, fmt.Errorf("coord: reopening event log: %w — delete the file to start a fresh log", rerr)
+	e.log, err = journal.OpenRecordLog(path, hdr, func(records [][]byte, _ bool) error {
+		old, events, err := decodeEventLog(path, records)
+		if err != nil {
+			return fmt.Errorf("%w — delete the file to start a fresh log", err)
 		}
-		if hdr.SpecHash != specHash {
-			return nil, fmt.Errorf("coord: event log %s carries spec %.12s…, campaign is %.12s… — delete it to start a fresh log", path, hdr.SpecHash, specHash)
+		if old.SpecHash != specHash {
+			return fmt.Errorf("coord: event log %s carries spec %.12s…, campaign is %.12s… — delete it to start a fresh log", path, old.SpecHash, specHash)
 		}
 		if n := len(events); n > 0 {
 			e.seq = events[n-1].Seq
 		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		e.f = f
-		return e, nil
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("coord: opening event log: %w", err)
 	}
-	hdr := EventLogHeader{Magic: EventLogMagic, Version: EventLogVersion, Name: name, SpecHash: specHash, Splits: splits}
-	payload, err := json.Marshal(hdr)
-	if err == nil {
-		_, err = f.Write(frameEvent(payload))
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, fmt.Errorf("coord: creating event log: %w", err)
-	}
-	e.f = f
 	return e, nil
 }
 
@@ -209,10 +183,7 @@ func (e *EventLog) Append(ev Event) {
 	ev.Seq = e.seq
 	payload, err := json.Marshal(ev)
 	if err == nil {
-		_, err = e.f.Write(frameEvent(payload))
-	}
-	if err == nil {
-		err = e.f.Sync()
+		err = e.log.Append(payload, 1, nil)
 	}
 	if err != nil {
 		e.err = fmt.Errorf("coord: appending event log: %w", err)
@@ -237,112 +208,59 @@ func (e *EventLog) Path() string {
 	return e.path
 }
 
-// Close syncs and closes the log.
+// Close syncs and closes the log, returning the sticky append error
+// first.
 func (e *EventLog) Close() error {
 	if e == nil {
 		return nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.f == nil {
-		return e.err
+	if err := e.log.Close(nil); e.err == nil {
+		e.err = err
 	}
-	serr := e.f.Sync()
-	cerr := e.f.Close()
-	e.f = nil
-	if e.err != nil {
-		return e.err
-	}
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return e.err
 }
 
 // ReadEventLog parses an event log: header plus every intact event in
 // order. A torn final record (the signature of a killed writer) is
-// dropped; any earlier framing or checksum violation is a hard error.
+// dropped; any earlier damage is a hard error.
 func ReadEventLog(path string) (EventLogHeader, []Event, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return EventLogHeader{}, nil, err
 	}
-	return decodeEventLog(path, data)
+	records, _, err := journal.ScanRecords(data)
+	if err != nil {
+		return EventLogHeader{}, nil, fmt.Errorf("coord: %s: %w", path, err)
+	}
+	return decodeEventLog(path, records)
 }
 
-// decodeEventLog is ReadEventLog over bytes already in hand. The torn
-// rule matches the journal's: a final record that fails to frame or
-// decode — with nothing after it — is a killed writer's tail and is
-// dropped; the same failure anywhere earlier is corruption and errors.
-func decodeEventLog(name string, data []byte) (EventLogHeader, []Event, error) {
+// decodeEventLog interprets an event log's verified record payloads.
+// A payload that verified but does not decode is corruption — a torn
+// write cannot produce a verified frame.
+func decodeEventLog(name string, records [][]byte) (EventLogHeader, []Event, error) {
 	var hdr EventLogHeader
-	var events []Event
-	recno := 0
-	for len(data) > 0 {
-		var line []byte
-		torn := false
-		if nl := bytes.IndexByte(data, '\n'); nl < 0 {
-			line, data, torn = data, nil, true
-		} else {
-			line, data = data[:nl], data[nl+1:]
-			torn = len(data) == 0
-		}
-		payload, err := unframeEvent(line)
-		if err != nil {
-			if torn && recno > 0 {
-				break // torn tail: writer died mid-append
-			}
-			return hdr, nil, fmt.Errorf("coord: %s record %d: %w", name, recno, err)
-		}
-		if recno == 0 {
-			if err := json.Unmarshal(payload, &hdr); err != nil {
-				return hdr, nil, fmt.Errorf("coord: %s: decoding header: %w", name, err)
-			}
-			if hdr.Magic != EventLogMagic {
-				return hdr, nil, fmt.Errorf("coord: %s is not an event log (magic %q)", name, hdr.Magic)
-			}
-			if hdr.Version != EventLogVersion {
-				return hdr, nil, fmt.Errorf("coord: %s is event log version %d, this build reads %d", name, hdr.Version, EventLogVersion)
-			}
-		} else {
-			var ev Event
-			if err := json.Unmarshal(payload, &ev); err != nil {
-				if torn {
-					break
-				}
-				return hdr, nil, fmt.Errorf("coord: %s record %d: decoding event: %w", name, recno, err)
-			}
-			events = append(events, ev)
-		}
-		recno++
+	if len(records) == 0 {
+		return hdr, nil, fmt.Errorf("coord: %s: no intact event log header", name)
 	}
-	if recno == 0 {
-		return hdr, nil, fmt.Errorf("coord: %s: empty event log", name)
+	if err := json.Unmarshal(records[0], &hdr); err != nil {
+		return hdr, nil, fmt.Errorf("coord: %s: decoding header: %w", name, err)
+	}
+	if hdr.Magic != EventLogMagic {
+		return hdr, nil, fmt.Errorf("coord: %s is not an event log (magic %q)", name, hdr.Magic)
+	}
+	if hdr.Version != EventLogVersion {
+		return hdr, nil, fmt.Errorf("coord: %s is event log version %d, this build reads %d", name, hdr.Version, EventLogVersion)
+	}
+	events := make([]Event, len(records)-1)
+	for i, payload := range records[1:] {
+		if err := json.Unmarshal(payload, &events[i]); err != nil {
+			return hdr, nil, fmt.Errorf("coord: %s record %d: decoding event: %w", name, i+1, err)
+		}
 	}
 	return hdr, events, nil
-}
-
-// unframeEvent validates one framed line and returns its payload.
-func unframeEvent(line []byte) ([]byte, error) {
-	if len(line) < 18 || line[8] != ' ' || line[17] != ' ' {
-		return nil, fmt.Errorf("malformed frame")
-	}
-	length, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("malformed length: %w", err)
-	}
-	sum, err := strconv.ParseUint(string(line[9:17]), 16, 32)
-	if err != nil {
-		return nil, fmt.Errorf("malformed checksum: %w", err)
-	}
-	payload := line[18:]
-	if uint64(len(payload)) != length {
-		return nil, fmt.Errorf("length %d, frame says %d", len(payload), length)
-	}
-	if uint64(crc32.Checksum(payload, eventCastagnoli)) != sum {
-		return nil, fmt.Errorf("checksum mismatch")
-	}
-	return payload, nil
 }
 
 // ValidateEvents checks a decoded log against the record schema: known

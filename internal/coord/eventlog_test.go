@@ -217,3 +217,140 @@ func TestRangeHistory(t *testing.T) {
 		t.Error("history of an unknown range should be empty")
 	}
 }
+
+// A coordinator killed mid-append leaves half a frame behind. The
+// restarted coordinator must truncate it before appending: otherwise
+// its first event merges into the torn line and is lost, its second
+// turns the file into mid-file corruption, and the next restart
+// refuses the log.
+func TestEventLogReopenTruncatesTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c"+EventLogSuffix)
+	e, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Append(Event{Type: EvRegistered, Worker: "w1"})
+	e.Append(rangeEv(EvDispatch, "w1"))
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`0000003c 1234abcd {"seq":3,"mono_`); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.Append(Event{Type: EvReRegistered, Worker: "w1"})
+	e2.Append(rangeEv(EvShardLanded, "w1"))
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, events, err := ReadEventLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 4 {
+		t.Fatalf("got %d events, want 4", len(events))
+	}
+	for i, ev := range events {
+		if ev.Seq != int64(i+1) {
+			t.Errorf("event %d has seq %d, want %d", i, ev.Seq, i+1)
+		}
+	}
+	if err := ValidateEvents(hdr, events); err != nil {
+		t.Error(err)
+	}
+	e3, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatalf("third open: %v", err)
+	}
+	if err := e3.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A log whose header never fully reached disk holds no history worth
+// keeping; reopening it starts a fresh log, as a beheaded journal does.
+func TestEventLogReopenHeaderlessStartsFresh(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c"+EventLogSuffix)
+	e, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatalf("reopening a headerless log: %v", err)
+	}
+	e2.Append(Event{Type: EvRegistered, Worker: "w1"})
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	hdr, events, err := ReadEventLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.SpecHash != "deadbeef" || len(events) != 1 || events[0].Seq != 1 {
+		t.Fatalf("fresh log: header %+v, %d events", hdr, len(events))
+	}
+}
+
+// The event log fixture (shared with internal/journal, which pins its
+// framing) decodes to its eight events under the current schema.
+func TestEventLogFixture(t *testing.T) {
+	hdr, events, err := ReadEventLog("../journal/testdata/v1.events.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.Name != "fixture" || hdr.Splits != 2 || len(events) != 8 {
+		t.Fatalf("header %+v, %d events; want fixture/2 with 8 events", hdr, len(events))
+	}
+	if err := ValidateEvents(hdr, events); err != nil {
+		t.Error(err)
+	}
+	if h := RangeHistory(events, 1); len(h) != 2 || h[1].Type != EvRequeue || h[1].BackoffNS != 100000000 {
+		t.Errorf("range 1 history = %+v", h)
+	}
+}
+
+// Two coordinators on one event log would interleave their sequence
+// numbers; the second open must fail while the first holds the log.
+func TestEventLogExclusive(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "c"+EventLogSuffix)
+	e, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenEventLog(path, "chaos", "deadbeef", 2); err == nil {
+		t.Fatal("second open of a live event log succeeded")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := OpenEventLog(path, "chaos", "deadbeef", 2)
+	if err != nil {
+		t.Fatalf("open after close: %v", err)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

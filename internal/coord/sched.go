@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"time"
@@ -281,9 +280,9 @@ func (c *Coordinator) detach(leaseIdx int, id, reason string) {
 
 // collect fetches each done job's journal, validates it byte-for-byte
 // (decode, header check, completeness) before trusting it, lands it
-// under the shard path via tmp+rename, and seats the lease as
-// journaled. The slower twin of a speculated range loses the race here
-// and is discarded and canceled.
+// under the shard path via journal.WriteFileAtomic, and seats the lease
+// as journaled. The slower twin of a speculated range loses the race
+// here and is discarded and canceled.
 func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 	for _, f := range fetches {
 		cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
@@ -338,15 +337,10 @@ func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 		}
 		c.mu.Unlock()
 
-		// Land outside the lock: tmp+rename so a coordinator crash can
-		// never leave a half-written shard to poison recovery.
-		tmp := path + ".tmp"
-		err = os.WriteFile(tmp, data, 0o644)
-		if err == nil {
-			err = os.Rename(tmp, path)
-		}
-		if err != nil {
-			os.Remove(tmp)
+		// Land outside the lock, atomically and durably: the landed
+		// shards are the lease table a restarted coordinator recovers,
+		// and recovery refuses a half-written one.
+		if err := journal.WriteFileAtomic(path, data); err != nil {
 			c.mu.Lock()
 			c.fatal = fmt.Errorf("coord: landing %s: %w", filepath.Base(path), err)
 			ev := c.rangeEvent(EvFatal, l)

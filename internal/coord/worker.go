@@ -219,20 +219,13 @@ func (s *WorkerServer) runJob(j *workerJob) error {
 			j.job.Range.Lo, j.job.Range.Hi, j.job.Range.Index+1, j.job.Range.Count, hdr.Lo, hdr.Hi)
 	}
 
-	var (
-		w    *journal.Writer
-		done []campaign.TrialResult
-	)
-	if _, serr := os.Stat(j.path); serr == nil {
-		w, done, err = journal.Resume(j.path, hdr)
-		if err == nil && len(done) > 0 {
-			s.cfg.Logf("job %s: resuming journal, %d of %d trials already done", j.job.ID, len(done), j.total)
-		}
-	} else {
-		w, err = journal.Create(j.path, hdr)
-	}
+	// Resume starts a fresh journal when none survives on disk.
+	w, done, err := journal.Resume(j.path, hdr)
 	if err != nil {
 		return err
+	}
+	if len(done) > 0 {
+		s.cfg.Logf("job %s: resuming journal, %d of %d trials already done", j.job.ID, len(done), j.total)
 	}
 	w.Obs = s.cfg.Obs.Aux()
 	j.done.Store(int64(len(done)))

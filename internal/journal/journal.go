@@ -2,42 +2,28 @@
 // a killed multi-hour sweep resumes instead of restarting and a sweep
 // split across hosts can be merged back into one artifact.
 //
-// A journal is an append-only stream of length-framed, checksummed
-// JSONL records:
-//
-//	<length:8 hex> <crc32c:8 hex> <payload JSON>\n
-//
+// A journal is a record log (see recordlog.go and docs/journal.md):
+// length-framed, CRC-32C-checksummed JSON records, appended with one
+// write call each and fsynced every SyncEvery records and on Close.
 // The first record's payload is the Header, which binds the file to a
 // campaign (the SHA-256 of the normalised spec), a shard of its trial
 // enumeration ([Lo,Hi) of Total), and the spec itself, so a journal is
 // self-describing: the merge tool rebuilds the full Result from shard
 // files alone. Every following record is one campaign.TrialResult, in
-// completion order.
-//
-// Durability and recovery follow the append-only audit-log pattern: a
-// record is written with a single write call and the file is fsynced
-// every SyncEvery records (and on Close), so after a SIGKILL or power
-// loss the file holds a clean prefix of the stream plus at most one
-// torn record. The reader distinguishes the two failure shapes: a
-// partial final record (no trailing newline, short payload, or a
-// checksum mismatch with nothing after it) is a torn tail and is
-// dropped — the trial simply re-runs on resume — while any framing or
-// checksum violation before the end of the file means the journal was
-// corrupted in place and is reported as a hard error, never silently
-// skipped.
+// completion order. After a SIGKILL or power loss the file holds a
+// clean prefix of the stream plus at most one torn record, which is
+// dropped (the trial re-runs on resume); damage anywhere earlier is
+// corruption and a hard error, never silently skipped.
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
@@ -60,10 +46,6 @@ const (
 	// resume); lower it for precious sweeps, raise it for fast ones.
 	DefaultSyncEvery = 32
 )
-
-// castagnoli is the CRC-32C table (the polynomial used by ext4, iSCSI —
-// chosen over IEEE for its better burst-error detection).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Header is the first record of every journal. It pins the campaign
 // identity (SpecHash plus the normalised spec itself) and the shard of
@@ -220,26 +202,12 @@ func analyzerList(names []string) string {
 	return strings.Join(names, ",")
 }
 
-// frame renders one record: payload length and CRC-32C in fixed-width
-// hex, a space-separated prefix, the payload, and the terminating
-// newline. json.Marshal never emits a raw newline byte, so the
-// terminator is unambiguous.
-func frame(payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+19)
-	out = fmt.Appendf(out, "%08x %08x ", len(payload), crc32.Checksum(payload, castagnoli))
-	out = append(out, payload...)
-	return append(out, '\n')
-}
-
 // Writer appends checksummed trial records to a journal file. Append is
 // safe for concurrent use (the campaign engine's sink is called from
 // every worker).
 type Writer struct {
-	mu        sync.Mutex
-	f         *os.File
+	log       *RecordLog
 	hdr       Header
-	unlock    func() // releases the writer-exclusion lock (flock or lease sidecar)
-	unsynced  int
 	SyncEvery int // records between fsyncs; set before first Append
 
 	// Obs, when non-nil, receives journal telemetry: append and fsync
@@ -261,46 +229,27 @@ type Writer struct {
 // either resumed or deliberately deleted, never clobbered — and holds
 // an exclusive advisory lock on the file for the writer's lifetime.
 func Create(path string, hdr Header) (*Writer, error) {
+	payload, err := headerPayload(hdr)
+	if err != nil {
+		return nil, err
+	}
+	log, err := openRecordLog(path, os.O_CREATE|os.O_EXCL, payload, nil)
+	if errors.Is(err, fs.ErrExist) {
+		return nil, fmt.Errorf("journal: %s already exists — resume it or delete it first", path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Writer{log: log, hdr: hdr, SyncEvery: DefaultSyncEvery}, nil
+}
+
+// headerPayload validates hdr and encodes it as a journal's first
+// record.
+func headerPayload(hdr Header) ([]byte, error) {
 	if err := hdr.check(); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			return nil, fmt.Errorf("journal: %s already exists — resume it or delete it first", path)
-		}
-		return nil, err
-	}
-	unlock, err := lockFile(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: locking %s: %w", path, err)
-	}
-	if err := initJournal(f, hdr); err != nil {
-		unlock()
-		f.Close()
-		return nil, err
-	}
-	return &Writer{f: f, hdr: hdr, SyncEvery: DefaultSyncEvery, unlock: unlock}, nil
-}
-
-// initJournal resets f to a header-only journal: truncated, the header
-// frame written and synced.
-func initJournal(f *os.File, hdr Header) error {
-	payload, err := json.Marshal(hdr)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := f.Write(frame(payload)); err != nil {
-		return fmt.Errorf("journal: writing header: %w", err)
-	}
-	return f.Sync()
+	return json.Marshal(hdr)
 }
 
 // Append journals one completed trial and fsyncs every SyncEvery
@@ -314,63 +263,18 @@ func (w *Writer) Append(r campaign.TrialResult) error {
 	if err != nil {
 		return err
 	}
-	rec := frame(payload)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("journal: append after close")
-	}
-	if _, err := w.f.Write(rec); err != nil {
+	if err := w.log.Append(payload, w.SyncEvery, w.Obs); err != nil {
 		return fmt.Errorf("journal: appending trial %d: %w", r.Index, err)
-	}
-	w.Obs.Add(obs.CounterJournalRecords, 1)
-	w.Obs.Add(obs.CounterJournalBytes, int64(len(rec)))
-	w.unsynced++
-	if every := w.SyncEvery; every > 0 && w.unsynced >= every {
-		ts := w.Obs.Clock()
-		err := w.f.Sync()
-		w.Obs.Stamp(obs.StageJournalFsync, ts)
-		w.Obs.Add(obs.CounterJournalFsyncs, 1)
-		if err != nil {
-			return err
-		}
-		w.unsynced = 0
 	}
 	w.Obs.Stamp(obs.StageJournalAppend, t0)
 	return nil
 }
 
 // Sync forces the journal to stable storage.
-func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	w.unsynced = 0
-	w.Obs.Add(obs.CounterJournalFsyncs, 1)
-	return w.f.Sync()
-}
+func (w *Writer) Sync() error { return w.log.Sync(w.Obs) }
 
 // Close syncs and closes the journal, releasing writer exclusion.
-func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	f := w.f
-	w.f = nil
-	if w.unlock != nil {
-		defer w.unlock()
-	}
-	w.Obs.Add(obs.CounterJournalFsyncs, 1)
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (w *Writer) Close() error { return w.log.Close(w.Obs) }
 
 // Journal is the decoded content of one journal file.
 type Journal struct {
@@ -382,9 +286,6 @@ type Journal struct {
 	// Create) — Header and Rows are then zero.
 	Torn     bool
 	HeaderOK bool
-	// clean is the byte offset of the recovered prefix; resume
-	// truncates the file here before appending.
-	clean int64
 }
 
 // Complete reports whether the journal covers its whole shard range.
@@ -404,7 +305,7 @@ func Read(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decode(path, data)
+	return DecodeBytes(path, data)
 }
 
 // DecodeBytes parses journal content already held in memory — the
@@ -412,86 +313,51 @@ func Read(path string) (*Journal, error) {
 // trusting a byte of them — with exactly Read's semantics; name labels
 // errors in place of a file path.
 func DecodeBytes(name string, data []byte) (*Journal, error) {
-	return decode(name, data)
-}
-
-// decode parses journal bytes (see Read for the semantics).
-func decode(path string, data []byte) (*Journal, error) {
-	j := &Journal{}
-	seen := map[int]bool{}
-	off := 0
-	for rec := 0; off < len(data); rec++ {
-		payload, end, ok := parseFrame(data[off:])
-		if !ok {
-			// A bad frame with nothing after it is the torn tail a kill
-			// leaves behind — usually a strict prefix with no newline,
-			// but a power loss can also persist an append's sectors out
-			// of order, leaving a newline-terminated final record with a
-			// hole. Either way the tail is dropped and the trial re-runs
-			// on resume. A bad frame *followed by more data* cannot come
-			// from an interrupted append: that is in-place corruption.
-			if end < 0 || off+end == len(data) {
-				j.Torn = true
-				break
-			}
-			return nil, fmt.Errorf("journal: %s: corrupt record %d at offset %d", path, rec, off)
-		}
-		if rec == 0 {
-			if err := json.Unmarshal(payload, &j.Header); err != nil {
-				return nil, fmt.Errorf("journal: %s: decoding header: %w", path, err)
-			}
-			if err := j.Header.check(); err != nil {
-				return nil, fmt.Errorf("%w (%s)", err, path)
-			}
-			j.HeaderOK = true
-		} else {
-			var r campaign.TrialResult
-			if err := json.Unmarshal(payload, &r); err != nil {
-				return nil, fmt.Errorf("journal: %s: decoding record %d: %w", path, rec, err)
-			}
-			if r.Index < j.Header.Lo || r.Index >= j.Header.Hi {
-				return nil, fmt.Errorf("journal: %s: record %d holds trial %d outside shard range [%d,%d)",
-					path, rec, r.Index, j.Header.Lo, j.Header.Hi)
-			}
-			if seen[r.Index] {
-				return nil, fmt.Errorf("journal: %s: trial %d journaled twice", path, r.Index)
-			}
-			seen[r.Index] = true
-			j.Rows = append(j.Rows, r)
-		}
-		off += end
-		j.clean = int64(off)
+	records, clean, err := ScanRecords(data)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %s: %w", name, err)
 	}
+	j, err := decodeRecords(name, records)
+	if err != nil {
+		return nil, err
+	}
+	j.Torn = clean < len(data)
 	return j, nil
 }
 
-// parseFrame decodes one record from the front of data. It returns the
-// payload, the number of bytes consumed (frame through its newline),
-// and whether the frame verified. On failure, end is the extent of the
-// bad frame when it is newline-terminated — letting the caller tell a
-// mid-file corruption (more data follows) from a torn tail — or -1
-// when the data ends without a newline.
-func parseFrame(data []byte) (payload []byte, end int, ok bool) {
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, -1, false
+// decodeRecords interprets a journal's verified record payloads: the
+// header, then trial rows inside its shard range with no index twice.
+// A payload that verified but does not decode is corruption — a torn
+// write cannot produce a verified frame.
+func decodeRecords(name string, records [][]byte) (*Journal, error) {
+	j := &Journal{}
+	if len(records) == 0 {
+		return j, nil
 	}
-	line := data[:nl]
-	end = nl + 1
-	// "llllllll cccccccc " + payload
-	if len(line) < 18 || line[8] != ' ' || line[17] != ' ' {
-		return nil, end, false
+	if err := json.Unmarshal(records[0], &j.Header); err != nil {
+		return nil, fmt.Errorf("journal: %s: decoding header: %w", name, err)
 	}
-	length, err1 := strconv.ParseUint(string(line[:8]), 16, 32)
-	sum, err2 := strconv.ParseUint(string(line[9:17]), 16, 32)
-	if err1 != nil || err2 != nil {
-		return nil, end, false
+	if err := j.Header.check(); err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, name)
 	}
-	payload = line[18:]
-	if uint64(len(payload)) != length || uint64(crc32.Checksum(payload, castagnoli)) != sum {
-		return nil, end, false
+	j.HeaderOK = true
+	seen := map[int]bool{}
+	for rec, payload := range records[1:] {
+		var r campaign.TrialResult
+		if err := json.Unmarshal(payload, &r); err != nil {
+			return nil, fmt.Errorf("journal: %s: decoding record %d: %w", name, rec+1, err)
+		}
+		if r.Index < j.Header.Lo || r.Index >= j.Header.Hi {
+			return nil, fmt.Errorf("journal: %s: record %d holds trial %d outside shard range [%d,%d)",
+				name, rec+1, r.Index, j.Header.Lo, j.Header.Hi)
+		}
+		if seen[r.Index] {
+			return nil, fmt.Errorf("journal: %s: trial %d journaled twice", name, r.Index)
+		}
+		seen[r.Index] = true
+		j.Rows = append(j.Rows, r)
 	}
-	return payload, end, true
+	return j, nil
 }
 
 // Resume opens the journal at path for continuation of the run
@@ -499,7 +365,7 @@ func parseFrame(data []byte) (payload []byte, end int, ok bool) {
 // truncates any torn tail, and returns an append-positioned writer
 // together with the recovered rows (the trials a resumed engine run
 // must not redo). A missing file — or one whose header never made it
-// to disk — starts fresh.
+// to disk — starts fresh. A refused journal is left untouched.
 //
 // The file is exclusively locked before it is even read, and the lock
 // is held for the writer's lifetime: resuming a journal whose original
@@ -507,50 +373,25 @@ func parseFrame(data []byte) (payload []byte, end int, ok bool) {
 // loudly instead of letting two writers interleave rows and poison the
 // file with duplicate trial indices.
 func Resume(path string, want Header) (*Writer, []campaign.TrialResult, error) {
-	if err := want.check(); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	payload, err := headerPayload(want)
 	if err != nil {
 		return nil, nil, err
 	}
-	unlock, err := lockFile(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("journal: locking %s: %w — is another run still writing it?", path, err)
-	}
-	// Every failure from here must drop both the lock and the file.
-	bail := func(err error) (*Writer, []campaign.TrialResult, error) {
-		unlock()
-		f.Close()
-		return nil, nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return bail(err)
-	}
-	j, err := decode(path, data)
-	if err != nil {
-		return bail(err)
-	}
-	if !j.HeaderOK {
-		// A brand-new (or empty) file, or one beheaded mid-Create:
-		// nothing trustworthy on disk. Start over in place.
-		if err := initJournal(f, want); err != nil {
-			return bail(err)
+	w := &Writer{hdr: want, SyncEvery: DefaultSyncEvery}
+	var rows []campaign.TrialResult
+	w.log, err = OpenRecordLog(path, payload, func(records [][]byte, torn bool) error {
+		j, err := decodeRecords(path, records)
+		if err != nil {
+			return err
 		}
-		return &Writer{f: f, hdr: want, SyncEvery: DefaultSyncEvery, unlock: unlock}, nil, nil
-	}
-	if err := j.Header.compatible(want); err != nil {
-		return bail(fmt.Errorf("%w (%s)", err, path))
-	}
-	if j.Torn {
-		if err := f.Truncate(j.clean); err != nil {
-			return bail(err)
+		if err := j.Header.compatible(want); err != nil {
+			return fmt.Errorf("%w (%s)", err, path)
 		}
+		w.hdr, rows, w.RepairedTorn = j.Header, j.Rows, torn
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if _, err := f.Seek(j.clean, io.SeekStart); err != nil {
-		return bail(err)
-	}
-	return &Writer{f: f, hdr: j.Header, SyncEvery: DefaultSyncEvery, RepairedTorn: j.Torn, unlock: unlock}, j.Rows, nil
+	return w, rows, nil
 }

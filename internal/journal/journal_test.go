@@ -27,7 +27,7 @@ func testSpec() *campaign.Spec {
 
 // runJournaled executes the spec (or a shard of it) with the journal at
 // path as the engine sink and returns the run's rows.
-func runJournaled(t *testing.T, path string, workers, shardIdx, shardCnt int) []campaign.TrialResult {
+func runJournaled(t testing.TB, path string, workers, shardIdx, shardCnt int) []campaign.TrialResult {
 	t.Helper()
 	spec := testSpec()
 	hdr, err := NewHeader(spec, shardIdx, shardCnt)
@@ -186,7 +186,7 @@ func TestTamperedSpecDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl := bytes.IndexByte(data, '\n')
-	tampered := append(frame(payload), data[nl+1:]...)
+	tampered := append(appendFrame(nil, payload), data[nl+1:]...)
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestV2Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, frame(payload), 0o644); err != nil {
+	if err := os.WriteFile(path, appendFrame(nil, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -56,7 +56,7 @@ func TestOldVersionRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, frame(payload), 0o644); err != nil {
+	if err := os.WriteFile(path, appendFrame(nil, payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

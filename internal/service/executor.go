@@ -72,16 +72,8 @@ func (e *LocalExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	path := e.journalPath(req.ID)
-	var (
-		w    *journal.Writer
-		done []campaign.TrialResult
-	)
-	if _, serr := os.Stat(path); serr == nil {
-		w, done, err = journal.Resume(path, hdr)
-	} else {
-		w, err = journal.Create(path, hdr)
-	}
+	// Resume starts a fresh journal when none survives on disk.
+	w, done, err := journal.Resume(e.journalPath(req.ID), hdr)
 	if err != nil {
 		return nil, err
 	}

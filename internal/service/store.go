@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/journal"
 )
 
 // Artifact kinds in the content-addressed cache. Kind names are the
@@ -187,7 +188,7 @@ func (s *FSStore) PutRecord(rec Record) error {
 		return err
 	}
 	path := filepath.Join(s.campaignDir(), rec.ID+".json")
-	if err := writeAtomic(path, data); err != nil {
+	if err := journal.WriteFileAtomic(path, data); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -223,13 +224,13 @@ func (s *FSStore) PutArtifacts(hash string, files map[string][]byte) error {
 		if err != nil {
 			return err
 		}
-		if err := writeAtomic(filepath.Join(s.artifactDir(), name), data); err != nil {
+		if err := journal.WriteFileAtomic(filepath.Join(s.artifactDir(), name), data); err != nil {
 			return err
 		}
 		kinds = append(kinds, kind)
 	}
 	sort.Strings(kinds)
-	if err := writeAtomic(filepath.Join(s.artifactDir(), hash+".ok"), []byte(strings.Join(kinds, " ")+"\n")); err != nil {
+	if err := journal.WriteFileAtomic(filepath.Join(s.artifactDir(), hash+".ok"), []byte(strings.Join(kinds, " ")+"\n")); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -272,26 +273,4 @@ func (s *FSStore) ArtifactKinds(hash string) []string {
 	out := make([]string, len(kinds))
 	copy(out, kinds)
 	return out
-}
-
-// writeAtomic writes data to path through a same-directory temp file,
-// fsync, and rename — the usual crash-safe publish.
-func writeAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
