@@ -11,7 +11,7 @@
 //	lbfarm -spec sweep.json -workers 16 -out artifacts
 //	lbfarm -spec sweep.json -journal journals/sweep.jsonl -resume -progress
 //	lbfarm -spec sweep.json -shard 2/3   # then lbmerge the shard journals
-//	lbfarm -worker -coord http://head:8700 -worker-dir /scratch/jobs
+//	lbfarm -worker -coord http://head:8800 -worker-dir /scratch/jobs
 //	lbfarm -tasks 100 -analyzers schedulability,moves,contention,reuse
 //	lbfarm -tasks 100 -analyzers contention,reuse -analyzer-phases before,after
 //
@@ -37,11 +37,13 @@
 // trials finish and reach the journal, the journal tail is synced, and
 // the process exits with code 3 after printing the resume command.
 //
-// With -worker, lbfarm serves jobs from an lbcoord coordinator instead
-// of running its own sweep: each job carries its spec and shard range,
-// is journaled under -worker-dir, and is collected by the coordinator
-// over HTTP (the worker also serves /debug/vars on its job port for the
-// coordinator's straggler detector). See docs/distributed.md.
+// With -worker, lbfarm serves jobs from an lbfarmd -fleet daemon instead
+// of running its own sweep: it registers with the daemon at -coord, and
+// each job carries its spec and shard range, is journaled under
+// -worker-dir, and is collected by the daemon's per-campaign
+// coordinator over HTTP (the worker also serves /debug/vars on its job
+// port for the coordinator's straggler detector). See
+// docs/distributed.md.
 //
 // Artifacts: <out>/<name>.json (spec + per-cell aggregates + trials)
 // and <out>/<name>.csv (long-form aggregate table); the text summary
@@ -127,10 +129,10 @@ func main() {
 		runinfoPath = flag.String("runinfo", "", "write the telemetry sidecar to this path (default <out>/<name>"+obs.RunInfoSuffix+", or next to the shard journal)")
 		debugAddr   = flag.String("debug-addr", "", "serve live debug endpoints (expvar /debug/vars with the obs snapshot, net/http/pprof /debug/pprof/) on this host:port; port 0 picks one")
 
-		workerMode = flag.Bool("worker", false, "serve mode: take jobs from an lbcoord coordinator instead of running a sweep (the grid/spec flags are ignored; the spec arrives with each job)")
+		workerMode = flag.Bool("worker", false, "serve mode: take jobs from an lbfarmd -fleet daemon instead of running a sweep (the grid/spec flags are ignored; the spec arrives with each job)")
 		listen     = flag.String("listen", "127.0.0.1:0", "worker mode: serve the job API on this host:port (port 0 picks one)")
 		advertise  = flag.String("advertise", "", "worker mode: address to register with the coordinator (default: the bound -listen address, with this host's name when unspecified)")
-		coordURL   = flag.String("coord", "", "worker mode: coordinator base URL to register with and heartbeat (empty = wait to be dialed directly)")
+		coordURL   = flag.String("coord", "", "worker mode: lbfarmd -fleet base URL to register with and heartbeat (jobs arrive only after registering)")
 		workerDir  = flag.String("worker-dir", "worker-journals", "worker mode: directory for per-job shard journals")
 		workerID   = flag.String("worker-id", "", "worker mode: stable worker identity (default host:pid)")
 		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "worker mode: heartbeat interval to -coord")

@@ -8,7 +8,9 @@ package main
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -18,8 +20,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/coord"
+	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // TestMain lets the test binary impersonate the lbfarm CLI: a child
@@ -129,11 +134,12 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 }
 
 // TestDistributedWorkerSIGKILL is the acceptance scenario end to end: a
-// 3-worker campaign with one worker SIGKILLed mid-range must finish
-// unattended on the survivors and produce a merged result
+// 3-worker fleet campaign with one worker SIGKILLed mid-range must
+// finish unattended on the survivors and produce artifacts
 // byte-identical to a single-host run. Workers are real re-exec'd
-// lbfarm -worker processes joining over real HTTP; the coordinator runs
-// in-process so the test can watch its lease table.
+// lbfarm -worker processes registering over real HTTP against the mux
+// lbfarmd -fleet serves; the daemon runs in-process so the test can
+// watch the campaign's live lease table.
 func TestDistributedWorkerSIGKILL(t *testing.T) {
 	spec := &campaign.Spec{
 		Name:        "dist",
@@ -151,24 +157,40 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var refCSV bytes.Buffer
+	if err := ref.WriteCSV(&refCSV); err != nil {
+		t.Fatal(err)
+	}
 
-	c, err := coord.New(coord.Config{
-		Spec:            spec,
-		Splits:          4,
-		JournalDir:      t.TempDir(),
-		LivenessTimeout: 400 * time.Millisecond,
-		Poll:            25 * time.Millisecond,
-		RPCTimeout:      5 * time.Second,
-		MaxAttempts:     8,
-		Backoff:         coord.Backoff{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond},
-		Straggler:       coord.StragglerPolicy{Disabled: true},
-		Logf:            t.Logf,
+	opts := coord.DefaultOptions()
+	opts.Splits = 4
+	opts.Liveness = 400 * time.Millisecond
+	opts.Poll = 25 * time.Millisecond
+	opts.MaxAttempts = 8
+	opts.BackoffBase = 20 * time.Millisecond
+	opts.BackoffMax = 100 * time.Millisecond
+	opts.BackoffJitter = 0
+	opts.NoSpeculate = true
+	dir := t.TempDir()
+	store, err := service.OpenFSStore(filepath.Join(dir, "data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journals := filepath.Join(dir, "journals")
+	reg := coord.NewRegistry(nil, t.Logf)
+	d, err := service.New(service.Config{
+		Store:      store,
+		JournalDir: journals,
+		Executor:   service.NewFleetExecutor(reg, opts, journals, t.Logf),
+		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(c.Handler())
+	defer d.Close()
+	hs := httptest.NewServer(d.Handler())
 	defer hs.Close()
+	d.Start()
 
 	workers := map[string]*exec.Cmd{}
 	for _, id := range []string{"w1", "w2", "w3"} {
@@ -188,23 +210,30 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 			}
 		})
 	}
-	waitUntil(t, "3 registered workers", func() bool { return c.Workers() == 3 })
+	waitUntil(t, "3 registered workers", func() bool { return reg.Size() == 3 })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	done := make(chan struct{})
-	var res *campaign.Result
-	var runErr error
-	go func() {
-		defer close(done)
-		res, runErr = c.Run(ctx)
-	}()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, code := httpDo(t, http.MethodPost, hs.URL+"/v1/campaigns", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202: %s", code, resp)
+	}
+	var st api.CampaignStatus
+	if err := json.Unmarshal(resp, &st); err != nil {
+		t.Fatal(err)
+	}
 
 	// SIGKILL the first worker seen mid-range: it has journaled at least
 	// one trial of its lease and is nowhere near done.
 	var victim string
 	waitUntil(t, "a worker mid-range", func() bool {
-		for _, w := range c.Status().Workers {
+		cur, ok := d.Status(st.ID)
+		if !ok || cur.Fleet == nil {
+			return false
+		}
+		for _, w := range cur.Fleet.Workers {
 			if w.State == string(coord.JobRunning) && w.Done >= 1 && w.Done < w.Total {
 				victim = w.ID
 				return true
@@ -217,22 +246,54 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 	}
 	t.Logf("SIGKILLed %s mid-range", victim)
 
-	<-done
-	if runErr != nil {
-		t.Fatal(runErr)
+	waitUntil(t, "the campaign to finish", func() bool {
+		cur, ok := d.Status(st.ID)
+		return ok && cur.State.Terminal()
+	})
+	fin, _ := d.Status(st.ID)
+	if fin.State != api.CampaignDone {
+		t.Fatalf("final state = %s (%s)", fin.State, fin.Error)
 	}
-	gotJSON, err := res.JSON()
+	artifact := func(kind string) []byte {
+		data, code := httpDo(t, http.MethodGet, hs.URL+fin.Artifacts[kind], nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s artifact fetch = %d: %s", kind, code, data)
+		}
+		return data
+	}
+	for kind, want := range map[string][]byte{service.KindJSON: refJSON, service.KindCSV: refCSV.Bytes()} {
+		if !bytes.Equal(artifact(kind), want) {
+			t.Fatalf("fleet %s artifact differs from the single-host run", kind)
+		}
+	}
+	var fi obs.FleetInfo
+	if err := json.Unmarshal(artifact(service.KindFleetInfo), &fi); err != nil {
+		t.Fatal(err)
+	}
+	if fi.Coord["workers_dead"] != 1 {
+		t.Errorf("dead workers = %d, want 1", fi.Coord["workers_dead"])
+	}
+	if fi.Coord["requeues"] < 1 {
+		t.Errorf("requeues = %d, want >= 1", fi.Coord["requeues"])
+	}
+}
+
+// httpDo sends body (nil for none) and returns the response body and
+// status code.
+func httpDo(t *testing.T, method, url string, body []byte) ([]byte, int) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotJSON, refJSON) {
-		t.Fatal("merged artifact differs from the single-host run")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := c.Stats()
-	if st.DeadWorkers != 1 {
-		t.Errorf("dead workers = %d, want 1", st.DeadWorkers)
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Requeues < 1 {
-		t.Errorf("requeues = %d, want >= 1", st.Requeues)
-	}
+	return data, resp.StatusCode
 }

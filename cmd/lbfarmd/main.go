@@ -16,19 +16,20 @@
 //
 // Execution is pluggable. By default campaigns run on the in-process
 // engine; with -fleet they dispatch to a registered worker fleet
-// through an embedded per-campaign coordinator — the same lifecycle
-// cmd/lbcoord wraps — and produce byte-identical artifacts either way:
+// through an embedded per-campaign coordinator, and produce
+// byte-identical artifacts either way. -fleet is the one automated
+// distributed path (lbfarm -shard + lbmerge is the offline one):
 //
 //	lbfarmd -listen :8800 -data /var/lib/lbfarmd -fleet
 //	lbfarm -worker -listen :9001 -coord http://daemonhost:8800
 //
 // Workers register against the daemon itself (or against a separate
 // -coord-listen address) and serve every campaign it admits; the
-// shared coordinator knobs (-splits, -liveness, -backoff-*, …) carry
-// the lbcoord semantics. A running fleet campaign's status report
-// embeds the live lease table and worker pool under "fleet", and its
-// artifact set gains the merged fleet telemetry as
-// <hash>.fleetinfo.json.
+// coordinator flags (-splits, -liveness, -backoff-*, …) tune leasing
+// and retries. A running fleet campaign's status report embeds the live
+// lease table and worker pool under "fleet", its event log lands at
+// <journal-dir>/<hash>.fleet/<name>.events.jsonl, and its artifact set
+// gains the merged fleet telemetry as <hash>.fleetinfo.json.
 //
 // Durability: every campaign transition is persisted under -data, and
 // every running campaign journals each trial (locally, or as fetched
@@ -44,9 +45,10 @@
 // them), 0 otherwise.
 //
 // GET /metrics serves lbfarmd_ control series plus the merged
-// telemetry of everything running (and the lbfleet_ families in fleet
-// mode); GET /debug/vars and /debug/pprof/ are the usual live-debug
-// surface. See docs/observability.md.
+// telemetry of everything running (and, in fleet mode, the lbfleet_
+// families plus the lbcoord_ lease gauge and fault counters); GET
+// /debug/vars and /debug/pprof/ are the usual live-debug surface. See
+// docs/observability.md.
 package main
 
 import (

@@ -8,8 +8,7 @@ import (
 
 // ---------------------------------------------------------------------
 // Worker dialect: the coordinator ↔ worker job API (served by
-// lbfarm -worker, driven by lbcoord and — via ROADMAP item 2 — by
-// lbfarmd's fleet dispatch).
+// lbfarm -worker, driven by lbfarmd's fleet dispatch).
 
 // Job is one dispatched unit of work: run shard Range.Index of
 // Range.Count of Spec, journal it, and hold the journal for collection.
@@ -79,11 +78,10 @@ type HeartbeatAck struct {
 }
 
 // ---------------------------------------------------------------------
-// Coordinator status dialect: the control-plane snapshot a coordinator
-// publishes — on lbcoord's /v1/status and, since the campaign service
-// grew a fleet executor, embedded in CampaignStatus.Fleet. The types
-// live here so both dialects share one wire shape; internal/coord
-// aliases them under its domain names (Stats, WorkerView, …).
+// Coordinator status dialect: the control-plane snapshot a fleet
+// campaign's coordinator publishes, embedded in CampaignStatus.Fleet.
+// internal/coord aliases these types under its domain names (Stats,
+// WorkerView, …).
 
 // CoordStats counts a coordinator's fault-handling events.
 type CoordStats struct {

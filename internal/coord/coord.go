@@ -65,10 +65,6 @@ type Config struct {
 	// disables the periodic loop (stragglers then scrape on demand).
 	ScrapeInterval time.Duration
 
-	// Dial builds a Worker handle from a registration (default: the
-	// HTTP Client). Tests inject fault-wrapped handles here.
-	Dial func(id, addr string) Worker
-
 	// OnShard, when non-nil, receives every shard's validated trial rows
 	// the moment the shard becomes durable: once per recovered journal
 	// during New (recovered=true) and once per landed journal during Run
@@ -97,8 +93,8 @@ type Stats = api.CoordStats
 // type api.CoordWorker).
 type WorkerView = api.CoordWorker
 
-// StatusSnapshot is the coordinator's full observable state, served on
-// /v1/status and published on the expvar surface (wire type
+// StatusSnapshot is the coordinator's full observable state, embedded
+// in a running fleet campaign's status report (wire type
 // api.CoordStatus).
 type StatusSnapshot = api.CoordStatus
 
@@ -117,8 +113,8 @@ type workerState struct {
 }
 
 // Coordinator owns the lease table and drives the campaign to a merged
-// result. Construct with New, feed it workers via Register/AddWorker
-// (typically through the HTTP Server), then Run.
+// result. Construct with New, feed it workers via AddWorker (typically
+// through an attached Registry), then Run.
 type Coordinator struct {
 	cfg      Config
 	specHash string
@@ -181,9 +177,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Backoff == (Backoff{}) {
 		cfg.Backoff = DefaultBackoff()
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(id, addr string) Worker { return NewClient(id, addr) }
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -301,16 +294,10 @@ func (c *Coordinator) verifyShard(j *journal.Journal, r Range, name string) erro
 	return nil
 }
 
-// Register adds (or replaces) a worker from a registration: the handle
-// is built by cfg.Dial. A re-registration under a known ID replaces the
-// handle — the worker restarted or moved — and any lease the old
-// incarnation held is re-queued by the next status poll, which will
-// find the job gone.
-func (c *Coordinator) Register(id, addr string) {
-	c.AddWorker(c.cfg.Dial(id, addr))
-}
-
-// AddWorker registers a ready-made worker handle.
+// AddWorker registers a worker handle. A re-registration under a known
+// ID replaces the handle — the worker restarted or moved — and any
+// lease the old incarnation held is re-queued by the next status poll,
+// which will find the job gone.
 func (c *Coordinator) AddWorker(w Worker) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -5,9 +5,9 @@ package coord
 // on the worker's state, and merges the cache into one live campaign
 // snapshot (obs.MergeSnapshots — the same order-independent bucket-sum
 // semantics Set.Snapshot uses one level down). The cache is the single
-// scrape path: the /metrics endpoint and the end-of-run fleetinfo
-// sidecar read it, and the straggler detector reuses it instead of
-// running its own parallel scraper.
+// scrape path: the fleet executor's /metrics families and the
+// end-of-run fleetinfo sidecar read it, and the straggler detector
+// reuses it instead of running its own parallel scraper.
 
 import (
 	"context"
@@ -123,7 +123,7 @@ func (c *Coordinator) FleetInfo(ctx context.Context) *obs.FleetInfo {
 		c.scrapeWorker(ctx, t.id, t.w)
 	}
 
-	fi := obs.NewFleetInfo("lbcoord")
+	fi := obs.NewFleetInfo("lbfarmd")
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fi.Name = c.cfg.Spec.Name
@@ -145,7 +145,8 @@ func (c *Coordinator) FleetInfo(ctx context.Context) *obs.FleetInfo {
 }
 
 // statsMap projects the fault counters through their JSON tags, so the
-// fleetinfo "coord" block uses the same names as /v1/status.
+// fleetinfo "coord" block uses the same names as the campaign status's
+// fleet.stats block.
 func statsMap(s Stats) map[string]int64 {
 	data, err := json.Marshal(s)
 	if err != nil {

@@ -126,20 +126,21 @@ func TestFleetInfoSumsWorkers(t *testing.T) {
 		t.Errorf("fleetinfo coord counters = %v, stats = %+v", fi.Coord, c.Stats())
 	}
 
-	// And the snapshot the /metrics endpoint renders from must agree.
+	// And the merged snapshot must render as the lbfleet_ families the
+	// fleet executor's /metrics serves.
 	var buf bytes.Buffer
-	if err := c.WriteMetrics(&buf); err != nil {
+	p := obs.NewPromWriter(&buf)
+	p.Snapshot("lbfleet_", c.FleetSnapshot())
+	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# TYPE lbcoord_workers gauge",
-		"lbcoord_dispatches_total",
 		"lbfleet_trials_accepted_total",
 		"# TYPE lbfleet_stage_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("coordinator /metrics output missing %q", want)
+			t.Errorf("fleet snapshot exposition missing %q", want)
 		}
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"time"
 )
 
-// Options is the coordinator knob set shared by every entry point that
-// embeds one — cmd/lbcoord and lbfarmd -fleet bind the same flags with
-// the same names and defaults via Bind, so operating either feels the
-// same. The zero value is NOT usable; start from DefaultOptions.
+// Options is the coordinator knob set of the fleet executor; lbfarmd
+// -fleet binds it as flags via Bind. The zero value is NOT usable;
+// start from DefaultOptions.
 type Options struct {
 	// Splits is how many shard ranges to cut a sweep into; 0 auto-sizes
 	// to 4 per registered worker (minimum 8), capped at the trial count.
@@ -22,11 +21,6 @@ type Options struct {
 	BackoffBase   time.Duration
 	BackoffMax    time.Duration
 	BackoffJitter float64
-
-	// EventLog is the checksummed JSONL event-log path; "" means the
-	// per-campaign default <journal-dir>/<name>.events.jsonl, "none"
-	// disables logging.
-	EventLog string
 
 	ScrapeInterval time.Duration
 
@@ -64,7 +58,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.DurationVar(&o.BackoffBase, "backoff-base", o.BackoffBase, "first retry delay for a failed range (doubles per failure)")
 	fs.DurationVar(&o.BackoffMax, "backoff-max", o.BackoffMax, "retry delay ceiling")
 	fs.Float64Var(&o.BackoffJitter, "backoff-jitter", o.BackoffJitter, "symmetric random jitter fraction on retry delays")
-	fs.StringVar(&o.EventLog, "eventlog", o.EventLog, "append every lease transition to this checksummed JSONL event log (default <journal-dir>/<name>"+EventLogSuffix+"; 'none' disables)")
 	fs.DurationVar(&o.ScrapeInterval, "scrape", o.ScrapeInterval, "scrape worker telemetry snapshots this often for the live fleet view (negative disables)")
 	fs.BoolVar(&o.NoSpeculate, "no-speculate", o.NoSpeculate, "disable speculative re-issue of straggling ranges")
 	fs.Float64Var(&o.SlowFactor, "slow-factor", o.SlowFactor, "speculate a range projected past this multiple of the median completed-range duration")

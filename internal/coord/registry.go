@@ -14,9 +14,6 @@ import (
 // campaign. This is what lets lbfarmd accept worker registrations
 // continuously while coordinators come and go per campaign — the
 // registry outlives them all.
-//
-// A standalone lbcoord uses it too (one coordinator, attached for the
-// whole process), so both entry points share one registration path.
 type Registry struct {
 	dial func(id, addr string) Worker
 	logf func(format string, args ...any)
@@ -110,17 +107,6 @@ func (r *Registry) Size() int {
 	return len(r.workers)
 }
 
-// Addrs returns the registered workers as a sorted id → addr map copy.
-func (r *Registry) Addrs() map[string]string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]string, len(r.workers))
-	for id, addr := range r.workers {
-		out[id] = addr
-	}
-	return out
-}
-
 // attachedLocked snapshots the attached coordinators; caller holds
 // r.mu. Forwarding happens outside the lock so a coordinator's own
 // locking never nests inside the registry's.
@@ -132,9 +118,9 @@ func (r *Registry) attachedLocked() []*Coordinator {
 	return cs
 }
 
-// Routes mounts the worker-facing registration API on mux — the same
-// two endpoints lbcoord has always served, now shared by lbfarmd
-// -fleet:
+// Routes mounts the worker-facing registration API on mux (lbfarmd
+// -fleet serves it on its campaign API listener, and on -coord-listen
+// when set):
 //
 //	POST /v1/register   body: api.Registration {id, addr} — join (or
 //	                    rejoin) the pool

@@ -21,7 +21,7 @@ import (
 // first fatal error (a range out of attempts, or ctx canceled).
 //
 // Run may be called with zero workers registered; it waits for
-// registrations (typically arriving through the HTTP Server) and adapts
+// registrations (typically forwarded by an attached Registry) and adapts
 // as the pool grows and shrinks.
 func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 	tick := time.NewTicker(c.cfg.Poll)

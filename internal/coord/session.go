@@ -3,14 +3,11 @@ package coord
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/campaign"
@@ -18,39 +15,34 @@ import (
 )
 
 // SessionConfig parameterises one fleet campaign run through Session —
-// the library entry point shared by cmd/lbcoord and the campaign
-// service's fleet executor.
+// the library entry point behind the campaign service's fleet executor
+// (lbfarmd -fleet).
 type SessionConfig struct {
 	// Spec is the campaign to run (required; normalised in place).
 	Spec *campaign.Spec
-	// Options carries the shared coordinator knobs (zero value: the
+	// Options carries the coordinator knobs (zero value: the
 	// DefaultOptions defaults are applied field-wise by Coordinator
 	// validation; Splits 0 auto-sizes against the registry pool).
 	Options Options
-	// JournalDir receives the fetched shard journals and the event log —
-	// the campaign's durable state. Per-campaign directories keep
-	// concurrent sessions from colliding (required).
+	// JournalDir receives the fetched shard journals and the event log
+	// <JournalDir>/<name>.events.jsonl — the campaign's durable state.
+	// Per-campaign directories keep sessions from colliding (required).
 	JournalDir string
 	// Registry, when non-nil, feeds the session its worker pool: the
 	// session attaches at construction and detaches at Close.
 	Registry *Registry
 	// OnShard forwards to Config.OnShard — rows of every durable shard.
 	OnShard func(rng Range, rows []campaign.TrialResult, recovered bool)
-	// Dial forwards to Config.Dial (test seam).
-	Dial func(id, addr string) Worker
 	// Logf receives the coordinator's log (nil = silent).
 	Logf func(format string, args ...any)
 }
 
-// Session is one campaign's coordinator lifecycle, packaged so it can
-// run per-process (lbcoord) or per-campaign in-process (lbfarmd
-// -fleet): construct → workers flow in from the registry → Run →
-// FleetInfo → Close. Journal recovery happens in NewSession, so a
-// session over a previously interrupted JournalDir resumes instead of
-// re-running.
+// Session is one campaign's coordinator lifecycle, packaged so the
+// campaign service can run one per admitted campaign (lbfarmd -fleet):
+// construct → workers flow in from the registry → Run → FleetInfo →
+// Close. Journal recovery happens in NewSession, so a session over a
+// previously interrupted JournalDir resumes instead of re-running.
 type Session struct {
-	spec   *campaign.Spec
-	reg    *Registry
 	coord  *Coordinator
 	elog   *EventLog
 	elogAt string
@@ -83,23 +75,17 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	}
 	splits := AutoSplits(cfg.Options.Splits, pool, len(trials))
 
-	s := &Session{spec: cfg.Spec, reg: cfg.Registry, splits: splits}
+	s := &Session{splits: splits}
 	// The event log lives with the shard journals: both are durable
 	// fault-tolerance records, and both survive an interrupted run for
 	// the next session over the same directory to extend.
-	if cfg.Options.EventLog != "none" {
-		path := cfg.Options.EventLog
-		if path == "" {
-			path = filepath.Join(cfg.JournalDir, cfg.Spec.Name+EventLogSuffix)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return nil, err
-		}
-		s.elog, err = OpenEventLog(path, cfg.Spec.Name, hash, splits)
-		if err != nil {
-			return nil, err
-		}
-		s.elogAt = path
+	s.elogAt = filepath.Join(cfg.JournalDir, cfg.Spec.Name+EventLogSuffix)
+	if err := os.MkdirAll(filepath.Dir(s.elogAt), 0o755); err != nil {
+		return nil, err
+	}
+	s.elog, err = OpenEventLog(s.elogAt, cfg.Spec.Name, hash, splits)
+	if err != nil {
+		return nil, err
 	}
 
 	c, err := New(Config{
@@ -114,7 +100,6 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		Straggler:       cfg.Options.straggler(),
 		EventLog:        s.elog,
 		ScrapeInterval:  cfg.Options.ScrapeInterval,
-		Dial:            cfg.Dial,
 		OnShard:         cfg.OnShard,
 		Logf:            cfg.Logf,
 	})
@@ -152,7 +137,7 @@ func (s *Session) Close() error {
 // Splits is the resolved shard count (after auto-sizing).
 func (s *Session) Splits() int { return s.splits }
 
-// EventLogPath is where the event log landed ("" when disabled).
+// EventLogPath is where the event log landed.
 func (s *Session) EventLogPath() string { return s.elogAt }
 
 // Status snapshots the embedded coordinator's control-plane state.
@@ -170,39 +155,9 @@ func (s *Session) FleetInfo(ctx context.Context) *obs.FleetInfo {
 	return s.coord.FleetInfo(ctx)
 }
 
-// WriteMetrics renders the embedded coordinator's Prometheus
-// exposition.
-func (s *Session) WriteMetrics(w io.Writer) error {
-	return s.coord.WriteMetrics(w)
-}
-
-// Handler serves the session's control API — registration (through the
-// registry, so workers joining mid-campaign reach this and every other
-// attached session), /v1/status, /metrics, and the debug surface. This
-// is lbcoord's server; lbfarmd mounts the same registry routes on its
-// campaign API mux instead.
-func (s *Session) Handler() http.Handler {
-	mux := http.NewServeMux()
-	if s.reg != nil {
-		s.reg.Routes(mux)
-	}
-	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, s.Status())
-	})
-	obs.RegisterDebug(mux, s.coord.WriteMetrics, map[string]func() any{
-		"obs":     func() any { return s.FleetSnapshot() },
-		"lbcoord": func() any { return s.Status() },
-	})
-	return mux
-}
-
 // SignalContext is the shared CLI signal plumbing: a context canceled
 // on SIGINT/SIGTERM, restoring default signal handling once cancel is
 // called (so a second signal kills a stuck drain).
 func SignalContext(parent context.Context) (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
 }
-
-// Drain is the shared interrupted-exit deadline: how long an entry
-// point waits for servers to shut down after a drain.
-const Drain = 5 * time.Second

@@ -1,15 +1,14 @@
 package coord
 
-// Registry + Session are the library seam lbcoord and lbfarmd -fleet
-// share: these tests pin the pool semantics (seed on attach, forward
-// while attached, stop at detach) and the session lifecycle (auto
-// splits, default event-log placement, recovery through OnShard).
+// Registry + Session are the library seam lbfarmd -fleet runs on: these
+// tests pin the pool semantics (seed on attach, forward while attached,
+// stop at detach) and the session lifecycle (auto splits, event-log
+// placement, recovery through OnShard).
 
 import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -112,7 +111,7 @@ func TestRegistryAttachSeedForwardDetach(t *testing.T) {
 
 // TestRegistryRoutes: the HTTP registration passthrough feeds attached
 // coordinators — the exact path lbfarm -worker -coord exercises against
-// both lbcoord and lbfarmd -fleet.
+// lbfarmd -fleet.
 func TestRegistryRoutes(t *testing.T) {
 	reg := NewRegistry(func(id, addr string) Worker { return &fakeWorker{id: id} }, t.Logf)
 	c, err := New(testConfig(t, 4))
@@ -321,30 +320,5 @@ func TestSessionResume(t *testing.T) {
 	}
 	if recEvents < 2 {
 		t.Errorf("event log records %d shard recoveries, want >= 2", recEvents)
-	}
-}
-
-// TestSessionEventLogDisabled: Options.EventLog "none" runs without a
-// log file.
-func TestSessionEventLogDisabled(t *testing.T) {
-	opts := testOptions(2)
-	opts.EventLog = "none"
-	dir := t.TempDir()
-	sess, err := NewSession(SessionConfig{Spec: testSpec(), Options: opts, JournalDir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if sess.EventLogPath() != "" {
-		t.Errorf("event log path = %q, want empty", sess.EventLogPath())
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), EventLogSuffix) {
-			t.Errorf("unexpected event log %s", e.Name())
-		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // RegisterDebug mounts the shared live-debug surface on mux — the one
 // route family every server in the repo (lbfarm's -debug-addr, lbmerge,
-// the lbcoord control API, the lbfarmd daemon, lbfarm -worker) serves,
+// the lbfarmd daemon, lbfarm -worker) serves,
 // wired here once instead of hand-rolled per CLI:
 //
 //	GET /debug/vars    one JSON object, one key per vars entry, each

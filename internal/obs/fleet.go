@@ -36,9 +36,9 @@ type FleetWorker struct {
 
 // FleetInfo is the campaign-level sidecar: identity, the merged
 // cross-fleet telemetry snapshot, per-worker contribution stubs, and
-// the coordinator's own fault counters (keyed by their /v1/status JSON
-// names, e.g. "workers_dead", "requeues", "speculations") so one file
-// answers both "where did fleet time go" and "what went wrong".
+// the coordinator's own fault counters (keyed by their campaign-status
+// JSON names, e.g. "workers_dead", "requeues", "speculations") so one
+// file answers both "where did fleet time go" and "what went wrong".
 type FleetInfo struct {
 	Schema   int              `json:"schema"`
 	Tool     string           `json:"tool"`

@@ -153,7 +153,7 @@ func TestMergeSnapshotsNilAndEmpty(t *testing.T) {
 // TestFleetInfoRoundTrip: Write then ReadFleetInfo preserves identity,
 // worker stubs (sorted by ID), and the merged snapshot.
 func TestFleetInfoRoundTrip(t *testing.T) {
-	fi := NewFleetInfo("lbcoord")
+	fi := NewFleetInfo("lbfarmd")
 	fi.Name = "campaign"
 	fi.SpecHash = "cafebabe"
 	fi.Shards = 4

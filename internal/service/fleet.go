@@ -17,13 +17,12 @@ import (
 )
 
 // FleetExecutor runs campaigns on a registered worker fleet: each
-// Execute embeds one coord.Session — the same coordinator lifecycle
-// cmd/lbcoord wraps — over a per-campaign journal directory, dispatches
-// shard ranges to the workers pooled in Registry, and folds the fetched
-// shard journals into the same byte-identical artifacts the local
-// engine produces. Workers register once against the daemon
-// (lbfarm -worker -coord http://daemon) and serve every campaign it
-// admits.
+// Execute embeds one coord.Session over a per-campaign journal
+// directory, dispatches shard ranges to the workers pooled in Registry,
+// and folds the fetched shard journals into the same byte-identical
+// artifacts the local engine produces. Workers register once against
+// the daemon (lbfarm -worker -coord http://daemon) and serve every
+// campaign it admits.
 //
 // Durability matches the local path shape-for-shape: landed shard
 // journals are the resume state (a drained campaign re-queues and its
@@ -33,12 +32,12 @@ import (
 type FleetExecutor struct {
 	// Registry is the daemon-lifetime worker pool (required).
 	Registry *coord.Registry
-	// Options carries the shared coordinator knobs (zero value: library
+	// Options carries the coordinator knobs (zero value: library
 	// defaults).
 	Options coord.Options
 	// Dir is the root for per-campaign coordinator state: campaign id →
 	// <Dir>/<id>.fleet/ holding shard journals and the event log
-	// (required).
+	// <name>.events.jsonl (required).
 	Dir string
 	// Logf receives the embedded coordinators' logs (nil = silent).
 	Logf func(format string, args ...any)
@@ -204,9 +203,11 @@ func (e *FleetExecutor) Routes(mux *http.ServeMux) {
 	e.Registry.Routes(mux)
 }
 
-// WriteMetrics appends the lbfleet_ families to the daemon's /metrics
-// exposition: registry gauges plus the merged telemetry scraped from
-// the workers of every campaign currently executing on the fleet.
+// WriteMetrics appends the fleet families to the daemon's /metrics
+// exposition: registry gauges, the control-plane lease gauge and fault
+// counters under lbcoord_, and the merged telemetry scraped from the
+// workers, each summed over the campaigns currently executing on the
+// fleet (one at a time under lbfarmd -fleet).
 func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 	e.mu.Lock()
 	sessions := make([]*coord.Session, 0, len(e.sessions))
@@ -215,7 +216,14 @@ func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 	}
 	e.mu.Unlock()
 	var snaps []*obs.Snapshot
+	var stats []coord.Stats
+	leases := map[string]int{}
 	for _, s := range sessions {
+		st := s.Status()
+		stats = append(stats, st.Stats)
+		for _, l := range st.Leases {
+			leases[l.State]++
+		}
 		if snap := s.FleetSnapshot(); snap != nil {
 			snaps = append(snaps, snap)
 		}
@@ -227,6 +235,33 @@ func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 	p := obs.NewPromWriter(w)
 	p.Gauge("lbfleet_workers", "Workers registered with the daemon's fleet registry.", obs.Sample{Value: float64(e.Registry.Size())})
 	p.Gauge("lbfleet_campaigns_running", "Campaigns currently executing on the fleet.", obs.Sample{Value: float64(len(sessions))})
+	var leaseSamples []obs.Sample
+	for st := coord.StatePending; st <= coord.StateMerged; st++ {
+		leaseSamples = append(leaseSamples, obs.Sample{
+			Labels: []obs.Label{{Name: "state", Value: st.String()}},
+			Value:  float64(leases[st.String()]),
+		})
+	}
+	p.Gauge("lbcoord_leases", "Shard ranges by lease state.", leaseSamples...)
+	for _, m := range []struct {
+		name, help string
+		v          func(coord.Stats) int
+	}{
+		{"lbcoord_workers_registered_total", "Worker registrations accepted.", func(s coord.Stats) int { return s.Registered }},
+		{"lbcoord_workers_dead_total", "Workers declared dead by the liveness timeout.", func(s coord.Stats) int { return s.DeadWorkers }},
+		{"lbcoord_dispatches_total", "Range dispatches (speculative re-issues included).", func(s coord.Stats) int { return s.Dispatches }},
+		{"lbcoord_requeues_total", "Failed range attempts re-queued behind backoff.", func(s coord.Stats) int { return s.Requeues }},
+		{"lbcoord_speculations_total", "Speculative re-issues of straggling ranges.", func(s coord.Stats) int { return s.Speculations }},
+		{"lbcoord_duplicates_discarded_total", "Journals from slower twins discarded after the winner landed.", func(s coord.Stats) int { return s.DuplicatesDiscarded }},
+		{"lbcoord_ranges_journaled_total", "Ranges with a validated shard journal on disk.", func(s coord.Stats) int { return s.Journaled }},
+		{"lbcoord_recovered_journals_total", "Shard journals seated from disk at startup.", func(s coord.Stats) int { return s.RecoveredJournals }},
+	} {
+		n := 0
+		for _, st := range stats {
+			n += m.v(st)
+		}
+		p.Counter(m.name, m.help, obs.Sample{Value: float64(n)})
+	}
 	p.Snapshot("lbfleet_", merged)
 	return p.Err()
 }

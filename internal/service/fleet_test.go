@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -332,4 +334,111 @@ func TestFleetDrainResume(t *testing.T) {
 	if recovered < 1 {
 		t.Error("no shard_recovered events after the resume")
 	}
+}
+
+// TestFleetTwoCampaigns: one fleet executor runs two distinct campaigns
+// back to back. Each must finish byte-identical to the local engine with
+// its own valid event log under its own campaign directory, and while
+// each runs, the daemon's /metrics must carry the control-plane lease
+// gauge (summing to the split count) and the fault counters.
+func TestFleetTwoCampaigns(t *testing.T) {
+	reg := coord.NewRegistry(nil, t.Logf)
+	slow := func(campaign.TrialResult) { time.Sleep(5 * time.Millisecond) }
+	addWorker(t, reg, "w1", coord.Hooks{SinkDelay: slow})
+	addWorker(t, reg, "w2", coord.Hooks{SinkDelay: slow})
+
+	dir := t.TempDir()
+	d := newFleetDaemon(t, dir, reg, Hooks{})
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	d.Start()
+
+	second := fleetSpec()
+	second.Name = "svc-fleet-b"
+	second.Seeds = 4
+	for _, spec := range []*campaign.Spec{fleetSpec(), second} {
+		st, code := submit(t, srv, specBody(t, spec))
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d, want 202", spec.Name, code)
+		}
+
+		var sawLeases, sawDispatch bool
+		deadline := time.Now().Add(60 * time.Second)
+		for time.Now().Before(deadline) {
+			cur, ok := d.Status(st.ID)
+			if !ok {
+				t.Fatal("campaign vanished")
+			}
+			if cur.State.Terminal() {
+				break
+			}
+			if cur.State == api.CampaignRunning && cur.Fleet != nil {
+				data, _ := fetch(t, srv, "/metrics")
+				leases := 0.0
+				for state := coord.StatePending; state <= coord.StateMerged; state++ {
+					v, ok := promValue(data, `lbcoord_leases{state="`+state.String()+`"}`)
+					if !ok {
+						t.Fatalf("%s: /metrics lacks the %s lease sample:\n%s", spec.Name, state, data)
+					}
+					leases += v
+				}
+				sawLeases = sawLeases || leases == 4
+				if v, ok := promValue(data, "lbcoord_dispatches_total"); ok && v >= 1 {
+					sawDispatch = true
+				}
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if !sawLeases || !sawDispatch {
+			t.Errorf("%s: mid-run /metrics: leases summing to 4 seen %v, dispatches >= 1 seen %v", spec.Name, sawLeases, sawDispatch)
+		}
+
+		fin := waitDone(t, srv, st.ID)
+		if fin.State != api.CampaignDone {
+			t.Fatalf("%s: final state = %s (%s)", spec.Name, fin.State, fin.Error)
+		}
+		gotJSON, code := fetch(t, srv, fin.Artifacts[KindJSON])
+		if code != http.StatusOK {
+			t.Fatalf("%s: artifact fetch = %d", spec.Name, code)
+		}
+		res, err := (&campaign.Engine{Workers: 4}).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := res.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%s: fleet artifact differs from the local engine run", spec.Name)
+		}
+
+		elog := filepath.Join(dir, "journals", st.ID+".fleet", spec.Name+coord.EventLogSuffix)
+		hdr, events, err := coord.ReadEventLog(elog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.ValidateEvents(hdr, events); err != nil {
+			t.Fatal(err)
+		}
+		if hdr.Name != spec.Name || hdr.SpecHash != st.ID {
+			t.Errorf("%s: event log header = %+v, want name %s spec %s", spec.Name, hdr, spec.Name, st.ID)
+		}
+		if events[len(events)-1].Type != coord.EvMerged {
+			t.Errorf("%s: last event = %s, want merged", spec.Name, events[len(events)-1].Type)
+		}
+	}
+}
+
+// promValue returns the value of the exposition sample whose series
+// (name plus label set) is exactly series.
+func promValue(data []byte, series string) (float64, bool) {
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
+	}
+	return 0, false
 }
