@@ -47,7 +47,9 @@ func TestEvaluateAllocFree(t *testing.T) {
 	ctx := newPctx(ts, ar, bl, processed, st, false)
 	defer ctx.release()
 
-	// Warm the reusable scratch (the obstacle buffer grows once).
+	// One warm-up round first. The placement sweeps keep no scratch
+	// buffer (one cursor per sorted run, on the stack), so nothing needs
+	// to grow; the round only fills the once-per-block propagation cap.
 	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
 		b.evaluate(ctx, p, false)
 	}

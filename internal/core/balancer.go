@@ -86,14 +86,18 @@ type Balancer struct {
 	probe func(ctx pctx)
 }
 
-// ivl is one occupied interval on a processor timeline.
-type ivl struct{ start, end model.Time }
-
 // ownerRef locates one instance inside its owning block: the block plus
 // the member position, so member lookups are O(1) instead of a scan.
 type ownerRef struct {
 	bl *blocks.Block
 	mi int
+}
+
+// resvRef is one reservation: a member of an unprocessed block, with its
+// task copied out so the placement sweeps need not read the block.
+type resvRef struct {
+	ownerRef
+	task model.TaskID
 }
 
 // balState carries the per-processor incremental state of one run.
@@ -109,11 +113,14 @@ type balState struct {
 	memSum     []model.Mem  // Σ m of blocks moved there
 	anyMoved   []bool
 
-	// resv[p] holds the unprocessed blocks currently hosted on p, sorted
-	// by Start() — their members are the reservations conflict checks
-	// must honour. A block is removed when it is popped for placement,
-	// and repositioned whenever gain propagation shifts it.
-	resv []timeIndex[*blocks.Block]
+	// resv[p] holds the members of the unprocessed blocks currently
+	// hosted on p, sorted by member start: the reservations conflict
+	// checks must honour. A block's members are removed when it is
+	// popped for placement, and each member is repositioned whenever gain
+	// propagation shifts it. Indexing members rather than blocks keeps
+	// every run sorted by start even after propagation has reordered a
+	// block's members.
+	resv []timeIndex[resvRef]
 
 	// owner[i] locates the block member holding the instance with dense
 	// index i (static: block membership never changes during a run).
@@ -129,25 +136,23 @@ type balState struct {
 
 	// Scratch, reset after each block: shifted flags per task for the
 	// block being placed, seen flags per block ID for the propagation
-	// cap, the blocks touched by gain propagation, and the obstacle
-	// buffer of the earliest-fit sweep.
+	// cap, and the blocks touched by gain propagation.
 	shifted []bool
 	seen    []bool
 	touched []*blocks.Block
-	obst    []ivl
 }
 
 // newBalState builds the initial state of one pass over blks: nothing
 // moved yet, every block reserved on its current processor. Each index
-// is pre-sized from its processor's initial block count, so later
-// insertions rarely reallocate.
+// is pre-sized from its processor's initial block or member count, so
+// later insertions rarely reallocate.
 func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block) *balState {
 	st := &balState{
 		intervals:  make([]timeIndex[model.Time], ar.Procs),
 		firstStart: make([]model.Time, ar.Procs),
 		memSum:     make([]model.Mem, ar.Procs),
 		anyMoved:   make([]bool, ar.Procs),
-		resv:       make([]timeIndex[*blocks.Block], ar.Procs),
+		resv:       make([]timeIndex[resvRef], ar.Procs),
 		owner:      make([]ownerRef, ts.TotalInstances()),
 		taskBlocks: make([][]*blocks.Block, ts.Len()),
 		wcet:       make([]model.Time, ts.Len()),
@@ -157,19 +162,21 @@ func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block)
 	for i := range st.wcet {
 		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
 	}
-	perProc := make([]int, ar.Procs)
+	blocksOn, membersOn := make([]int, ar.Procs), make([]int, ar.Procs)
 	for _, bl := range blks {
-		perProc[bl.Proc]++
+		blocksOn[bl.Proc]++
+		membersOn[bl.Proc] += len(bl.Members)
 	}
-	for p, n := range perProc {
+	for p := range st.intervals {
 		st.firstStart[p] = -1
-		st.intervals[p] = newTimeIndex[model.Time](n)
-		st.resv[p] = newTimeIndex[*blocks.Block](n)
+		st.intervals[p] = newTimeIndex[model.Time](blocksOn[p])
+		st.resv[p] = newTimeIndex[resvRef](membersOn[p])
 	}
 	for _, bl := range blks {
-		st.resv[bl.Proc].insert(bl.Start(), bl.End(ts), bl)
 		for mi, m := range bl.Members {
-			st.owner[ts.InstanceIndex(m.Inst)] = ownerRef{bl: bl, mi: mi}
+			ref := ownerRef{bl: bl, mi: mi}
+			st.owner[ts.InstanceIndex(m.Inst)] = ref
+			st.resv[bl.Proc].insert(m.Start, m.Start+st.wcet[m.Inst.Task], resvRef{ref, m.Inst.Task})
 		}
 		for _, task := range bl.Tasks() {
 			st.taskBlocks[task] = append(st.taskBlocks[task], bl)
@@ -178,9 +185,12 @@ func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block)
 	return st
 }
 
-// removeResv drops a block from the reservation index once processed.
+// removeResv drops a block's members from the reservation index once it
+// is popped for placement.
 func (st *balState) removeResv(bl *blocks.Block) {
-	st.resv[bl.Proc].remove(bl.Start(), bl)
+	for mi, m := range bl.Members {
+		st.resv[bl.Proc].remove(m.Start, resvRef{ownerRef{bl, mi}, m.Inst.Task})
+	}
 }
 
 // Run balances the given instance-level schedule and returns the result.
@@ -575,20 +585,25 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 	}
 	for _, other := range st.touched {
 		st.seen[other.ID] = false
-		// Reposition the reservation: its sort key is the start, which
-		// the shift may change.
-		st.removeResv(other)
+		// Reposition the reservations of the members that shift: their
+		// sort key is their start.
+		rv := &st.resv[other.Proc]
 		changed := false
-		for i := range other.Members {
-			if st.shifted[other.Members[i].Inst.Task] {
-				other.Members[i].Start -= gain
-				changed = true
+		for mi := range other.Members {
+			m := &other.Members[mi]
+			task := m.Inst.Task
+			if !st.shifted[task] {
+				continue
 			}
+			ref := resvRef{ownerRef{other, mi}, task}
+			rv.remove(m.Start, ref)
+			m.Start -= gain
+			rv.insert(m.Start, m.Start+st.wcet[task], ref)
+			changed = true
 		}
 		if changed {
 			other.Recompute(ts)
 			q.push(other) // keep the queue key current
 		}
-		st.resv[other.Proc].insert(other.Start(), other.End(ts), other)
 	}
 }

@@ -34,7 +34,9 @@ func fuzzSeed(f *testing.F, seed int64, tasks, procs int, policy Policy, util fl
 // FuzzBalancerInvariants checks the paper's invariants on generated
 // systems: for every input the substrate scheduler accepts, the balanced
 // schedule is valid, Gtotal ≥ 0 (the makespan never grows), and every
-// instance is still placed exactly once. The seed corpus is the set of
+// instance is still placed exactly once. At every placement step it also
+// checks the indexed placement queries against their linear-scan
+// references (checkPlacementQueries). The seed corpus is the set of
 // configurations the fixed-case invariant and property tests use, so
 // plain `go test` runs it; `go test -fuzz FuzzBalancerInvariants`
 // explores beyond it.
@@ -70,7 +72,10 @@ func FuzzBalancerInvariants(f *testing.F) {
 		if err != nil {
 			return // unschedulable: nothing to balance
 		}
-		res, err := (&Balancer{Policy: pol}).Run(sched.FromSchedule(s))
+		b := &Balancer{Policy: pol}
+		var tally diffTally
+		b.probe = func(ctx pctx) { checkPlacementQueries(t, &ctx, &tally) }
+		res, err := b.Run(sched.FromSchedule(s))
 		if err != nil {
 			t.Fatalf("%+v M=%d %v: balancer: %v", cfg, m, pol, err)
 		}

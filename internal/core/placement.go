@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"repro/internal/arch"
 	"repro/internal/blocks"
 	"repro/internal/model"
@@ -161,11 +158,9 @@ func (c *pctx) conflictFree(p arch.ProcID, s model.Time) bool {
 	span := c.bl.End(c.ts) - sOld
 	end := s + span
 
-	// A reservation's envelope is its [Start−gain, End) span for gain ≥ 0
-	// and [Start, End−gain) otherwise: the widening covers members that
-	// would shift along. A block whose envelope misses the candidate
-	// window has no conflicting member, so the index is queried with the
-	// window widened the same way.
+	// A member that shifts along sits at its indexed start − gain, so the
+	// reservation walk widens the window by gain above it for gain ≥ 0
+	// and by −gain below it otherwise.
 	var below, above model.Time
 	if gain >= 0 {
 		below = gain
@@ -174,26 +169,19 @@ func (c *pctx) conflictFree(p arch.ProcID, s model.Time) bool {
 	}
 	mv, rv := &c.st.intervals[p], &c.st.resv[p]
 	for _, d := range [3]model.Time{0, h, -h} {
-		i, j := mv.window(s-d, end-d)
-		for k := i; k < j; k++ {
-			if s < mv.items[k]+d && mv.starts[k]+d < end {
+		for k := mv.from(s - d); k < len(mv.starts) && mv.starts[k]+d < end; k++ {
+			if s < mv.items[k]+d {
 				return false
 			}
 		}
-		i, j = rv.window(s-d-above, end-d+below)
-		for k := i; k < j; k++ {
-			other := rv.items[k]
-			if !(s < other.End(c.ts)+above+d && other.Start()-below+d < end) {
-				continue
+		for k := rv.from(s - d - above); k < len(rv.starts) && rv.starts[k]+d < end+below; k++ {
+			task := rv.items[k].task
+			pos := rv.starts[k]
+			if c.shifts(task) {
+				pos -= gain // sibling instance shifts along with the gain
 			}
-			for _, m := range other.Members {
-				pos := m.Start
-				if c.shifts(m.Inst.Task) {
-					pos -= gain // sibling instance shifts along with the gain
-				}
-				if s < pos+c.st.wcet[m.Inst.Task]+d && pos+d < end {
-					return false
-				}
+			if s < pos+c.st.wcet[task]+d && pos+d < end {
+				return false
 			}
 		}
 	}
@@ -237,51 +225,42 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 		}
 	}
 
-	// Fixed obstacles: collect the ±H images intersecting the search
-	// window [lb, cap+span) into scratch, sort once, and sweep forward —
-	// one pass instead of rescanning every obstacle per jump. Each image
-	// queries the indexes for the window shifted back by its offset.
-	wHi := cap + span
-	obst := st.obst[:0]
+	// Fixed obstacles: each (index, image) pair is a run already sorted
+	// by start, six in all. One cursor per run sweeps s forward: a run
+	// skips obstacles ending at or before s, jumps s past one overlapping
+	// [s, s+span), and stops at the first one starting at or after
+	// s+span. A jump in one run can bring an obstacle of a run already
+	// swept into the window, so rounds repeat until one moves nothing.
+	// Every jump skips only starts that overlap the obstacle jumped over,
+	// and a cursor passes only obstacles that end at or before s, which s
+	// never revisits: the fixpoint is the smallest conflict-free start.
+	offs := [3]model.Time{0, h, -h}
 	mv, rv := &st.intervals[p], &st.resv[p]
-	for _, d := range [3]model.Time{0, h, -h} {
-		i, j := mv.window(lb-d, wHi-d)
-		for k := i; k < j; k++ {
-			if start, end := mv.starts[k]+d, mv.items[k]+d; end > lb && start < wHi {
-				obst = append(obst, ivl{start: start, end: end})
+	var mc, rc [3]int
+	for i, d := range offs {
+		mc[i], rc[i] = mv.from(lb-d), rv.from(lb-d)
+	}
+	s := lb
+	for moved := true; moved && s <= cap; {
+		moved = false
+		for i, d := range offs {
+			k := mc[i]
+			for ; k < len(mv.starts) && mv.starts[k]+d < s+span; k++ {
+				if end := mv.items[k] + d; end > s {
+					s, moved = end, true // jump past the obstacle
+				}
 			}
-		}
-		i, j = rv.window(lb-d, wHi-d)
-		for k := i; k < j; k++ {
-			other := rv.items[k]
-			if !(other.End(c.ts)+d > lb && other.Start()+d < wHi) {
-				continue
-			}
-			for _, m := range other.Members {
-				if c.shifts(m.Inst.Task) {
+			mc[i] = k
+			for k = rc[i]; k < len(rv.starts) && rv.starts[k]+d < s+span; k++ {
+				task := rv.items[k].task
+				if c.shifts(task) {
 					continue
 				}
-				if start, end := m.Start+d, m.Start+st.wcet[m.Inst.Task]+d; end > lb && start < wHi {
-					obst = append(obst, ivl{start: start, end: end})
+				if end := rv.starts[k] + st.wcet[task] + d; end > s {
+					s, moved = end, true
 				}
 			}
-		}
-	}
-	slices.SortFunc(obst, func(a, b ivl) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.end, b.end)
-	})
-	st.obst = obst
-
-	s := lb
-	for _, ob := range obst {
-		if ob.start >= s+span {
-			break // sorted by start: nothing further can conflict
-		}
-		if ob.end > s {
-			s = ob.end // jump past the obstacle
+			rc[i] = k
 		}
 	}
 	if s <= cap {
@@ -335,34 +314,28 @@ func (c *pctx) propagationCap() model.Time {
 				mEnd := m.Start + c.ts.Task(m.Inst.Task).WCET
 				moved := &st.intervals[other.Proc]
 				for k, ivStart := range moved.starts {
-					iv := ivl{start: ivStart, end: moved.items[k]}
+					ivEnd := moved.items[k]
 					for _, d := range [3]model.Time{0, h, -h} {
-						if iv.end+d <= m.Start {
-							if g := m.Start - (iv.end + d); g < cap {
+						if ivEnd+d <= m.Start {
+							if g := m.Start - (ivEnd + d); g < cap {
 								cap = g
 							}
-						} else if iv.start+d < mEnd && m.Start < iv.end+d {
+						} else if ivStart+d < mEnd && m.Start < ivEnd+d {
 							cap = 0 // already touching; no room to shift
 						}
 					}
 				}
-				for _, nb := range st.resv[other.Proc].items {
-					if nb == c.bl {
-						continue
+				rv := &st.resv[other.Proc]
+				for k, nStart := range rv.starts {
+					task := rv.items[k].task
+					if st.shifted[task] {
+						continue // shifts along (m itself included); relative distance preserved
 					}
-					for _, nm := range nb.Members {
-						if st.shifted[nm.Inst.Task] {
-							continue // shifts along; relative distance preserved
-						}
-						if nb == other && nm.Inst == m.Inst {
-							continue
-						}
-						nEnd := nm.Start + c.ts.Task(nm.Inst.Task).WCET
-						for _, d := range [3]model.Time{0, h, -h} {
-							if nEnd+d <= m.Start {
-								if g := m.Start - (nEnd + d); g < cap {
-									cap = g
-								}
+					nEnd := nStart + st.wcet[task]
+					for _, d := range [3]model.Time{0, h, -h} {
+						if nEnd+d <= m.Start {
+							if g := m.Start - (nEnd + d); g < cap {
+								cap = g
 							}
 						}
 					}

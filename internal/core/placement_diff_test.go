@@ -7,16 +7,36 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/blocks"
 	"repro/internal/gen"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
 
 // The reference implementations below are the balancer's placement
-// queries as plain linear scans over every moved interval and every
-// reservation on the processor, with the producer bounds recomputed per
-// processor. The indexed production queries must agree with them on
-// every answer.
+// queries as plain linear scans over the processor's occupancy, read
+// from the static block lists rather than from the indexes under test:
+// every processed block on the processor is a moved interval, and every
+// member of another unprocessed block on it a reservation. Producer
+// bounds are recomputed per processor. The indexed production queries
+// must agree with them on every answer.
+
+// ivl is one occupied interval on a processor timeline.
+type ivl struct{ start, end model.Time }
+
+// eachBlockOn calls fn for every block on p except the one being placed,
+// with whether it is processed (a moved interval) or not (a reservation).
+// Each block is listed under every task it holds; it is visited once,
+// under the task of its first member.
+func eachBlockOn(c *pctx, p arch.ProcID, fn func(bl *blocks.Block, processed bool)) {
+	for t, list := range c.st.taskBlocks {
+		for _, bl := range list {
+			if bl.Members[0].Inst.Task == model.TaskID(t) && bl.Proc == p && bl != c.bl {
+				fn(bl, c.processed[bl.ID])
+			}
+		}
+	}
+}
 
 // refConflictFree also reports whether the conflict it found came from a
 // ±H image and whether it came from a member shifting along.
@@ -27,15 +47,20 @@ func refConflictFree(c *pctx, p arch.ProcID, s model.Time) (free, wrapped, shift
 	span := c.bl.End(c.ts) - sOld
 	end := s + span
 
-	mv := &c.st.intervals[p]
-	for k, start := range mv.starts {
-		for _, d := range [3]model.Time{0, h, -h} {
-			if s < mv.items[k]+d && start+d < end {
-				return false, d != 0, false
-			}
+	free = true
+	eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
+		if !free {
+			return
 		}
-	}
-	for _, other := range c.st.resv[p].items {
+		if processed {
+			for _, d := range [3]model.Time{0, h, -h} {
+				if s < other.End(c.ts)+d && other.Start()+d < end {
+					free, wrapped = false, d != 0
+					return
+				}
+			}
+			return
+		}
 		lo, hi := other.Start(), other.End(c.ts)
 		if gain >= 0 {
 			lo -= gain
@@ -50,7 +75,7 @@ func refConflictFree(c *pctx, p arch.ProcID, s model.Time) (free, wrapped, shift
 			}
 		}
 		if !overlapsEnvelope {
-			continue
+			return
 		}
 		for _, m := range other.Members {
 			pos := m.Start
@@ -60,87 +85,195 @@ func refConflictFree(c *pctx, p arch.ProcID, s model.Time) (free, wrapped, shift
 			w := c.st.wcet[m.Inst.Task]
 			for _, d := range [3]model.Time{0, h, -h} {
 				if s < pos+w+d && pos+d < end {
-					return false, d != 0, c.shifts(m.Inst.Task)
+					free, wrapped, shifted = false, d != 0, c.shifts(m.Inst.Task)
+					return
 				}
 			}
 		}
-	}
-	return true, false, false
+	})
+	return free, wrapped, shifted
 }
 
-func refEarliestConflictFree(c *pctx, p arch.ProcID, lb, cap model.Time) (model.Time, bool) {
+// fitTrace records what refEarliestConflictFree saw: whether a single
+// pass over the six runs (moved intervals and reservations, each at
+// offsets 0, +H and −H) would have stopped short of the answer, whether
+// the last jump came from a ±H image, and how many obstacles in the
+// window start at or beyond 2H.
+type fitTrace struct {
+	multiRound, wrapDecided bool
+	beyond2H                int
+}
+
+// tagged is one obstacle image with the run it belongs to: run = 3·i + j
+// for the index i (0 moved, 1 reserved) and the offset j of {0, +H, −H}.
+type tagged struct {
+	ivl
+	run int
+}
+
+func refEarliestConflictFree(c *pctx, p arch.ProcID, lb, cap model.Time) (model.Time, bool, fitTrace) {
+	var tr fitTrace
 	h := c.ts.HyperPeriod()
 	sOld := c.bl.Start()
 	span := c.bl.End(c.ts) - sOld
+	offs := [3]model.Time{0, h, -h}
 
 	if c.cat1 {
-		for _, other := range c.st.resv[p].items {
+		collides := false
+		eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
+			if processed {
+				return
+			}
 			for _, m := range other.Members {
 				if !c.st.shifted[m.Inst.Task] {
 					continue
 				}
 				w := c.ts.Task(m.Inst.Task).WCET
-				for _, d := range [3]model.Time{0, h, -h} {
+				for _, d := range offs {
 					if sOld < m.Start+w+d && m.Start+d < sOld+span {
-						return 0, false
+						collides = true
 					}
 				}
 			}
+		})
+		if collides {
+			return 0, false, tr
 		}
 	}
 
 	wHi := cap + span
-	var obst []ivl
-	add := func(start, end model.Time) {
-		for _, d := range [3]model.Time{0, h, -h} {
+	var obst []tagged
+	add := func(index int, start, end model.Time) {
+		for j, d := range offs {
 			if end+d > lb && start+d < wHi {
-				obst = append(obst, ivl{start: start + d, end: end + d})
+				obst = append(obst, tagged{ivl{start + d, end + d}, 3*index + j})
+				if start >= 2*h {
+					tr.beyond2H++
+				}
 			}
 		}
 	}
-	mv := &c.st.intervals[p]
-	for k, start := range mv.starts {
-		add(start, mv.items[k])
-	}
-	for _, other := range c.st.resv[p].items {
+	eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
+		if processed {
+			add(0, other.Start(), other.End(c.ts))
+			return
+		}
 		lo, hi := other.Start(), other.End(c.ts)
 		inWindow := false
-		for _, d := range [3]model.Time{0, h, -h} {
+		for _, d := range offs {
 			if hi+d > lb && lo+d < wHi {
 				inWindow = true
 				break
 			}
 		}
 		if !inWindow {
-			continue
+			return
 		}
 		for _, m := range other.Members {
 			if c.shifts(m.Inst.Task) {
 				continue
 			}
-			add(m.Start, m.Start+c.st.wcet[m.Inst.Task])
+			add(1, m.Start, m.Start+c.st.wcet[m.Inst.Task])
 		}
-	}
-	slices.SortFunc(obst, func(a, b ivl) int {
+	})
+	slices.SortFunc(obst, func(a, b tagged) int {
 		if c := cmp.Compare(a.start, b.start); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.end, b.end)
 	})
 
-	s := lb
+	s, lastRun := lb, -1
 	for _, ob := range obst {
 		if ob.start >= s+span {
 			break
 		}
 		if ob.end > s {
-			s = ob.end
+			s, lastRun = ob.end, ob.run
 		}
 	}
-	if s <= cap {
-		return s, true
+	tr.wrapDecided = lastRun >= 0 && lastRun%3 != 0
+
+	// One pass over the runs in sweep order, each run visited once.
+	one := lb
+	for run := 0; run < 6; run++ {
+		for _, ob := range obst {
+			if ob.run != run {
+				continue
+			}
+			if ob.start >= one+span {
+				break
+			}
+			if ob.end > one {
+				one = ob.end
+			}
+		}
 	}
-	return 0, false
+	tr.multiRound = one != s
+
+	if s <= cap {
+		return s, true, tr
+	}
+	return 0, false, tr
+}
+
+// refPropagationCap is propagationCap as a linear scan over the static
+// block lists.
+func refPropagationCap(c *pctx) model.Time {
+	if !c.cat1 {
+		return 0
+	}
+	h := c.ts.HyperPeriod()
+	cap := h
+	offs := [3]model.Time{0, h, -h}
+	for p := arch.ProcID(0); int(p) < c.ar.Procs; p++ {
+		eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
+			if processed {
+				return
+			}
+			for _, m := range other.Members {
+				if !c.st.shifted[m.Inst.Task] {
+					continue
+				}
+				model.EachInstanceDep(c.ts, m.Inst.Task, m.Inst.K, func(src model.InstanceID) {
+					if c.st.shifted[src.Task] {
+						return
+					}
+					ref := c.st.owner[c.ts.InstanceIndex(src)]
+					end := ref.bl.Members[ref.mi].Start + c.ts.Task(src.Task).WCET
+					if c.conservative {
+						end += c.ar.CommTime
+					}
+					cap = min(cap, m.Start-end)
+				})
+				mEnd := m.Start + c.ts.Task(m.Inst.Task).WCET
+				eachBlockOn(c, p, func(nb *blocks.Block, nbProcessed bool) {
+					if nbProcessed {
+						for _, d := range offs {
+							if nb.End(c.ts)+d <= m.Start {
+								cap = min(cap, m.Start-(nb.End(c.ts)+d))
+							} else if nb.Start()+d < mEnd && m.Start < nb.End(c.ts)+d {
+								cap = 0
+							}
+						}
+						return
+					}
+					for _, nm := range nb.Members {
+						if c.st.shifted[nm.Inst.Task] {
+							continue
+						}
+						nEnd := nm.Start + c.ts.Task(nm.Inst.Task).WCET
+						for _, d := range offs {
+							if nEnd+d <= m.Start {
+								cap = min(cap, m.Start-(nEnd+d))
+							}
+						}
+					}
+				})
+			}
+		})
+	}
+	return max(cap, 0)
 }
 
 func refDepBounds(c *pctx, p arch.ProcID) (movedLB, conservativeLB model.Time) {
@@ -176,7 +309,8 @@ func refDepBounds(c *pctx, p arch.ProcID) (movedLB, conservativeLB model.Time) {
 // can insist its coverage is not vacuous.
 type diffTally struct {
 	steps, conflicts, frees, wrapped, shifted, negGainConflicts, negGainFrees int
-	fits, noFits, movedProducers                                              int
+	fits, noFits, movedProducers, caps                                        int
+	multiRound, wrapDecided, beyond2H                                         int
 }
 
 // checkPlacementQueries compares every indexed query with its reference
@@ -186,33 +320,44 @@ func checkPlacementQueries(t *testing.T, ctx *pctx, tally *diffTally) {
 	h := ctx.ts.HyperPeriod()
 	sOld := ctx.bl.Start()
 	span := ctx.bl.End(ctx.ts) - sOld
-	capped := sOld - ctx.cachedPropagationCap()
+	gotCap, wantCap := ctx.propagationCap(), refPropagationCap(ctx)
+	if gotCap != wantCap {
+		t.Fatalf("block %d: propagationCap = %d, linear scan %d", ctx.bl.ID, gotCap, wantCap)
+	}
+	if wantCap > 0 {
+		tally.caps++
+	}
+	capped := sOld - wantCap
 	tally.steps++
 
 	starts := []model.Time{0, 1, capped, h - span, h - 1, h, -span + 1, -h, -h / 2, sOld - h/2, sOld + h/2, 2*h - span}
 	for d := model.Time(-8); d <= 4; d++ {
 		starts = append(starts, sOld+d) // d > 0: negative gain
 	}
-	// The reservation indexes hold exactly the other unprocessed blocks,
-	// each on its processor and keyed by its current start.
-	pending := -1 // ctx.bl is unprocessed but already popped
-	for _, done := range ctx.processed {
-		if !done {
-			pending++
-		}
-	}
+	// The reservation indexes hold exactly the members of the other
+	// unprocessed blocks, each once, on its block's processor and keyed by
+	// its current start.
 	for p := range ctx.st.resv {
 		rv := &ctx.st.resv[p]
-		for k, other := range rv.items {
-			if other.Proc != arch.ProcID(p) || rv.starts[k] != other.Start() || ctx.processed[other.ID] || other == ctx.bl {
-				t.Fatalf("block %d: reservation index of P%d holds block %d (P%d, start %d) under key %d",
-					ctx.bl.ID, p, other.ID, other.Proc, other.Start(), rv.starts[k])
+		want := 0
+		eachBlockOn(ctx, arch.ProcID(p), func(other *blocks.Block, processed bool) {
+			if !processed {
+				want += len(other.Members)
 			}
+		})
+		if len(rv.items) != want {
+			t.Fatalf("block %d: reservation index of P%d holds %d members, want %d", ctx.bl.ID, p, len(rv.items), want)
 		}
-		pending -= len(rv.items)
-	}
-	if pending != 0 {
-		t.Fatalf("block %d: reservation indexes miss %d unprocessed blocks", ctx.bl.ID, pending)
+		seen := make(map[ownerRef]bool, len(rv.items))
+		for k, it := range rv.items {
+			m := it.bl.Members[it.mi]
+			if it.bl.Proc != arch.ProcID(p) || ctx.processed[it.bl.ID] || it.bl == ctx.bl ||
+				rv.starts[k] != m.Start || it.task != m.Inst.Task || seen[it.ownerRef] {
+				t.Fatalf("block %d: reservation index of P%d holds member %d of block %d (P%d, start %d, task %d, repeated %v) under key %d, task %d",
+					ctx.bl.ID, p, it.mi, it.bl.ID, it.bl.Proc, m.Start, m.Inst.Task, seen[it.ownerRef], rv.starts[k], it.task)
+			}
+			seen[it.ownerRef] = true
+		}
 	}
 
 	for p := arch.ProcID(0); int(p) < ctx.ar.Procs; p++ {
@@ -256,11 +401,18 @@ func checkPlacementQueries(t *testing.T, ctx *pctx, tally *diffTally) {
 		windows := [][2]model.Time{{lb, sOld}, {0, sOld}, {0, h}, {h - span, h + span}, {-span, span}, {sOld / 2, sOld}}
 		for _, w := range windows {
 			got, gotOK := ctx.earliestConflictFree(p, w[0], w[1])
-			want, wantOK := refEarliestConflictFree(ctx, p, w[0], w[1])
+			want, wantOK, tr := refEarliestConflictFree(ctx, p, w[0], w[1])
 			if got != want || gotOK != wantOK {
 				t.Fatalf("block %d on P%d window [%d, %d]: earliestConflictFree = (%d, %v), linear scan (%d, %v)",
 					ctx.bl.ID, p, w[0], w[1], got, gotOK, want, wantOK)
 			}
+			if tr.multiRound {
+				tally.multiRound++
+			}
+			if tr.wrapDecided {
+				tally.wrapDecided++
+			}
+			tally.beyond2H += tr.beyond2H
 			if wantOK {
 				tally.fits++
 			} else {
@@ -277,10 +429,10 @@ type diffConfig struct {
 }
 
 // TestPlacementQueriesMatchLinearScan drives real balancing passes and,
-// at every placement step, checks the indexed conflict, earliest-fit and
-// dependence-bound queries against the linear-scan references for every
-// processor — across seeds, 2–8 processors, all policies and both
-// propagation modes.
+// at every placement step, checks the reservation indexes and the
+// indexed conflict, earliest-fit, propagation-cap and dependence-bound
+// queries against the linear-scan references for every processor —
+// across seeds, 2–8 processors, all policies and both propagation modes.
 func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 	var tally diffTally
 	runs := 0
@@ -331,14 +483,15 @@ func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 	}
 	t.Logf("%d passes, %+v", runs, tally)
 	if runs < 24 || tally.wrapped == 0 || tally.shifted == 0 || tally.negGainConflicts == 0 || tally.negGainFrees == 0 ||
-		tally.fits == 0 || tally.noFits == 0 || tally.movedProducers == 0 {
+		tally.fits == 0 || tally.noFits == 0 || tally.movedProducers == 0 || tally.caps == 0 ||
+		tally.multiRound == 0 || tally.wrapDecided == 0 || tally.beyond2H == 0 {
 		t.Fatalf("differential coverage too thin: %d passes, %+v", runs, tally)
 	}
 }
 
 // TestTimeIndexWindow checks the index against brute force under random
-// insertions and removals: every obstacle intersecting a window lies in
-// the returned range, and the range stays sorted by start.
+// insertions and removals: every obstacle intersecting a window lies at
+// or after the index from returns, and the index stays sorted by start.
 func TestTimeIndexWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := newTimeIndex[int](4)
@@ -363,13 +516,11 @@ func TestTimeIndexWindow(t *testing.T) {
 		}
 		lo := model.Time(rng.Intn(70) - 15)
 		hi := lo + model.Time(rng.Intn(12))
-		i, j := x.window(lo, hi)
+		i := x.from(lo)
 		for other, o := range live {
 			if o.start < hi && o.end > lo {
-				k := slices.Index(x.items, other)
-				if k < i || k >= j {
-					t.Fatalf("obstacle [%d, %d) intersects [%d, %d) but lies outside window range [%d, %d)",
-						o.start, o.end, lo, hi, i, j)
+				if k := slices.Index(x.items, other); k < i {
+					t.Fatalf("obstacle [%d, %d) intersects [%d, %d) but lies before the walk start %d", o.start, o.end, lo, hi, i)
 				}
 			}
 		}

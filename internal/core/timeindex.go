@@ -13,7 +13,8 @@ import (
 // and end of every obstacle ever inserted; they never shrink on removal,
 // since a stale bound only widens the candidate range and never hides an
 // obstacle. Obstacles with equal starts are kept in no particular order:
-// every caller either returns a yes/no answer or sorts what it collects.
+// every caller returns a yes/no answer, a minimum, or the smallest
+// conflict-free start, none of which depends on that order.
 type timeIndex[T comparable] struct {
 	starts []model.Time // ascending
 	items  []T          // items[i] is the obstacle starting at starts[i]
@@ -56,14 +57,15 @@ func (x *timeIndex[T]) remove(start model.Time, it T) {
 	panic("core: timeIndex.remove: obstacle not indexed at its start")
 }
 
-// window returns the index range [i, j) of the obstacles that may
-// intersect [lo, hi): those starting before hi and less than maxLen
-// before lo. Callers apply their exact overlap test to each of them.
-func (x *timeIndex[T]) window(lo, hi model.Time) (i, j int) {
-	if len(x.starts) == 0 || hi <= x.starts[0] || lo >= x.maxEnd {
-		return 0, 0
+// from returns the index of the first obstacle that may intersect
+// [lo, ∞): every obstacle starting less than maxLen before lo or later.
+// Callers walk forward from it, stop at the first start at or past the
+// upper end of their window, and apply their exact overlap test to each
+// obstacle on the way.
+func (x *timeIndex[T]) from(lo model.Time) int {
+	if lo >= x.maxEnd {
+		return len(x.starts)
 	}
-	i, _ = slices.BinarySearch(x.starts, lo-x.maxLen+1)
-	j, _ = slices.BinarySearch(x.starts[i:], hi)
-	return i, i + j
+	i, _ := slices.BinarySearch(x.starts, lo-x.maxLen+1)
+	return i
 }
