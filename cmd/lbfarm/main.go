@@ -454,7 +454,7 @@ func runWorker(listen, advertise, coordURL, dir, id string, workers int, heartbe
 	if err != nil {
 		fatal(err)
 	}
-	srv := &http.Server{Handler: ws.Handler()}
+	srv := obs.NewServer(ws.Handler())
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal(err)

@@ -167,10 +167,10 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 	opts.Liveness = 400 * time.Millisecond
 	opts.Poll = 25 * time.Millisecond
 	opts.MaxAttempts = 8
-	opts.BackoffBase = 20 * time.Millisecond
-	opts.BackoffMax = 100 * time.Millisecond
-	opts.BackoffJitter = 0
-	opts.NoSpeculate = true
+	opts.Backoff.Base = 20 * time.Millisecond
+	opts.Backoff.Max = 100 * time.Millisecond
+	opts.Backoff.Jitter = 0
+	opts.Straggler.Disabled = true
 	dir := t.TempDir()
 	store, err := service.OpenFSStore(filepath.Join(dir, "data"))
 	if err != nil {

@@ -59,9 +59,12 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 
 	"repro/internal/coord"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -128,7 +131,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: d.Handler()}
+	srv := obs.NewServer(d.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	mode := "local engine"
@@ -147,7 +150,7 @@ func main() {
 		}
 		cmux := http.NewServeMux()
 		reg.Routes(cmux)
-		csrv = &http.Server{Handler: cmux}
+		csrv = obs.NewServer(cmux)
 		go func() {
 			if err := csrv.Serve(cln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("coord-listen serve: %v", err)
@@ -158,7 +161,7 @@ func main() {
 
 	d.Start()
 
-	ctx, cancel := coord.SignalContext(context.Background())
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	select {
 	case <-ctx.Done():

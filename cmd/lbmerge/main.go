@@ -152,10 +152,7 @@ func main() {
 // without a sidecar simply contribute nothing; with none at all, no
 // fleetinfo is written.
 func writeFleetInfo(out, name, hash string, shardPaths []string) string {
-	fi := obs.NewFleetInfo("lbmerge")
-	fi.Name = name
-	fi.SpecHash = hash
-	fi.Shards = len(shardPaths)
+	fi := obs.NewFleetInfo("lbmerge", name, hash, len(shardPaths))
 	var snaps []*obs.Snapshot
 	for _, p := range shardPaths {
 		ri, err := obs.ReadRunInfo(strings.TrimSuffix(p, filepath.Ext(p)) + obs.RunInfoSuffix)

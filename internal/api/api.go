@@ -105,16 +105,28 @@ func WriteError(w http.ResponseWriter, status int, code, format string, args ...
 	WriteJSON(w, status, envelope{&Error{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// Decode parses a JSON request body into v, rejecting unknown fields —
-// a typoed spec key must fail the submission, not silently run the
-// default grid — and trailing garbage.
+// MaxBody caps every request body a server decodes. The largest
+// legitimate body, a campaign spec, is a few hundred bytes.
+const MaxBody = 1 << 20
+
+// Decode parses a JSON request body into v, rejecting bodies over
+// MaxBody, unknown fields — a typoed spec key must fail the
+// submission, not silently run the default grid — and trailing
+// garbage. It reads at most MaxBody+1 bytes of r.
 func Decode(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+	data, err := io.ReadAll(io.LimitReader(r, MaxBody+1))
+	if err != nil {
+		return err
+	}
+	if len(data) > MaxBody {
+		return fmt.Errorf("api: request body exceeds %d bytes", MaxBody)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("api: trailing data after JSON body")
 	}
 	return nil

@@ -72,6 +72,9 @@ func TestDecodeStrict(t *testing.T) {
 	if err := Decode(strings.NewReader(`{"a":1} trailing`), &v); err == nil {
 		t.Fatal("trailing data accepted")
 	}
+	if err := Decode(strings.NewReader(`{"a":1}]`), &v); err == nil {
+		t.Fatal("trailing bracket accepted")
+	}
 	if err := Decode(strings.NewReader(`{"a":1}`), &v); err != nil || v.A != 1 {
 		t.Fatalf("clean decode: %v, v=%+v", err, v)
 	}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -86,21 +87,38 @@ func newHTTPWorker(t *testing.T, id string, hooks Hooks, set *obs.Set) *Client {
 	return NewClient(id, hs.URL)
 }
 
-// testConfig is the fast-twitch knob set the chaos tests share.
+// testConfig is the fast-twitch campaign every coordinator test shares:
+// a fresh journal dir, speculation off, jitter-free backoff.
 func testConfig(t *testing.T, splits int) Config {
 	t.Helper()
-	return Config{
-		Spec:            testSpec(),
-		Splits:          splits,
-		JournalDir:      t.TempDir(),
-		LivenessTimeout: 300 * time.Millisecond,
-		Poll:            20 * time.Millisecond,
-		RPCTimeout:      5 * time.Second,
-		MaxAttempts:     8,
-		Backoff:         Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-		Straggler:       StragglerPolicy{Disabled: true},
-		Logf:            t.Logf,
+	o := DefaultOptions()
+	o.Splits = splits
+	o.Liveness = 300 * time.Millisecond
+	o.Poll = 20 * time.Millisecond
+	o.MaxAttempts = 8
+	o.Backoff = Backoff{Base: 10 * time.Millisecond, Max: 50 * time.Millisecond}
+	o.Straggler.Disabled = true
+	return Config{Options: o, Spec: testSpec(), JournalDir: t.TempDir(), Logf: t.Logf}
+}
+
+// mustNew builds a coordinator and closes it when the test ends.
+func mustNew(t *testing.T, cfg Config) *Coordinator {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Errorf("closing coordinator: %v", err)
+		}
+	})
+	return c
+}
+
+// eventLogPath is where New opens cfg's event log.
+func eventLogPath(cfg Config) string {
+	return filepath.Join(cfg.JournalDir, cfg.Spec.Name+EventLogSuffix)
 }
 
 // TestWorkerKilledMidRange: three workers, one dies (simulated SIGKILL:
@@ -110,10 +128,7 @@ func testConfig(t *testing.T, splits int) Config {
 // betray that anything happened.
 func TestWorkerKilledMidRange(t *testing.T) {
 	cfg := testConfig(t, 4)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew(t, cfg)
 	c.AddWorker(newHTTPWorker(t, "w1", Hooks{}, nil))
 	c.AddWorker(newHTTPWorker(t, "w2", Hooks{KillAfter: 2}, nil))
 	c.AddWorker(newHTTPWorker(t, "w3", Hooks{}, nil))
@@ -194,10 +209,7 @@ func (f *flakyWorker) Snapshot(ctx context.Context) (*obs.Snapshot, error) {
 // finish with a byte-identical artifact.
 func TestHeartbeatLostThenRecovered(t *testing.T) {
 	cfg := testConfig(t, 1)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew(t, cfg)
 	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(20 * time.Millisecond) }}
 	fw := &flakyWorker{w: newHTTPWorker(t, "w1", slow, nil)}
 	c.AddWorker(fw)
@@ -266,11 +278,8 @@ func (f *fakeWorker) Snapshot(context.Context) (*obs.Snapshot, error) { return n
 // merge must still be byte-identical.
 func TestDuplicateCompletionOfReissuedRange(t *testing.T) {
 	cfg := testConfig(t, 1)
-	elogPath := withEventLog(t, &cfg)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	elogPath := eventLogPath(cfg)
+	c := mustNew(t, cfg)
 
 	// The complete shard journal both fakes will hand back.
 	spec := testSpec()
@@ -355,10 +364,7 @@ func TestDuplicateCompletionOfReissuedRange(t *testing.T) {
 // from disk, re-issue only the missing ones, and finish byte-identical.
 func TestCoordinatorRestartOverHalfFinishedTable(t *testing.T) {
 	cfg := testConfig(t, 4)
-	c1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := mustNew(t, cfg)
 	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(5 * time.Millisecond) }}
 	c1.AddWorker(newHTTPWorker(t, "w1", slow, nil))
 
@@ -373,10 +379,11 @@ func TestCoordinatorRestartOverHalfFinishedTable(t *testing.T) {
 	<-done
 
 	recovered := c1.Stats().Journaled
-	c2, err := New(cfg) // same JournalDir: the durable lease table
-	if err != nil {
+	// The event log is held exclusively: close before reopening.
+	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	c2 := mustNew(t, cfg) // same JournalDir: the durable lease table
 	st := c2.Stats()
 	if st.RecoveredJournals < 2 {
 		t.Fatalf("recovered journals = %d, want >= 2", st.RecoveredJournals)
@@ -406,11 +413,8 @@ func TestCoordinatorRestartOverHalfFinishedTable(t *testing.T) {
 func TestStragglerSpeculativeReissue(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.Straggler = StragglerPolicy{MinCompleted: 1, SlowFactor: 2}
-	elogPath := withEventLog(t, &cfg)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	elogPath := eventLogPath(cfg)
+	c := mustNew(t, cfg)
 	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(75 * time.Millisecond) }}
 	// The slow worker carries telemetry so the speculation path exercises
 	// the snapshot scrape and classification.

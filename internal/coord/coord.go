@@ -14,56 +14,24 @@ import (
 	"repro/internal/obs"
 )
 
-// Config parameterises a Coordinator. Spec, Splits, and JournalDir are
-// required; every knob has a serviceable default.
+// Config parameterises one fleet campaign run through a Coordinator.
+// Spec and JournalDir are required; a zero Options runs on
+// DefaultOptions.
 type Config struct {
+	Options
+
 	// Spec is the campaign to run; it is normalised in place.
 	Spec *campaign.Spec
 
-	// Splits is how many shard ranges to cut the sweep into. More
-	// splits than workers is the point: small ranges re-issue cheaply
-	// and let the pool load-balance itself.
-	Splits int
-
-	// JournalDir receives the fetched shard journals — and doubles as
-	// the durable lease table: a restarted coordinator re-reads it and
-	// only re-issues ranges whose journal is missing.
+	// JournalDir receives the fetched shard journals and the event log
+	// <JournalDir>/<name>.events.jsonl — the campaign's durable state,
+	// and the lease table a later coordinator over the same directory
+	// recovers from. Per-campaign directories keep campaigns apart.
 	JournalDir string
 
-	// LivenessTimeout declares a worker dead when neither a push
-	// heartbeat nor a successful status poll has been seen for this
-	// long (default 10s).
-	LivenessTimeout time.Duration
-
-	// Poll is the scheduler tick: status polls, liveness checks,
-	// dispatch, and straggler checks happen each tick (default 1s).
-	Poll time.Duration
-
-	// RPCTimeout bounds each worker RPC (default 5s).
-	RPCTimeout time.Duration
-
-	// MaxAttempts is the per-range failure budget; exhausting it fails
-	// the campaign loudly (default 5).
-	MaxAttempts int
-
-	// Backoff is the re-queue delay curve (default DefaultBackoff).
-	Backoff Backoff
-
-	// Straggler is the speculative re-issue policy.
-	Straggler StragglerPolicy
-
-	// EventLog, when non-nil, receives the structured control-plane
-	// event stream (see eventlog.go). Append failures are sticky on the
-	// log, never campaign-fatal.
-	EventLog *EventLog
-
-	// ScrapeInterval is the fleet telemetry cadence: every interval the
-	// scheduler refreshes each worker's obs snapshot over the control
-	// API, feeding the live campaign snapshot (FleetSnapshot, /metrics)
-	// and the end-of-run fleetinfo sidecar. The straggler detector
-	// consumes the same cached scrapes. 0 defaults to 5s; negative
-	// disables the periodic loop (stragglers then scrape on demand).
-	ScrapeInterval time.Duration
+	// Registry, when non-nil, feeds the coordinator its worker pool and
+	// sizes auto splits: New attaches it, Close detaches.
+	Registry *Registry
 
 	// OnShard, when non-nil, receives every shard's validated trial rows
 	// the moment the shard becomes durable: once per recovered journal
@@ -75,12 +43,8 @@ type Config struct {
 	// within a call but shards land in completion order.
 	OnShard func(rng Range, rows []campaign.TrialResult, recovered bool)
 
-	// Logf receives the coordinator's event log (nil = silent).
+	// Logf receives the coordinator's log (nil = silent).
 	Logf func(format string, args ...any)
-
-	// jitter is the backoff jitter source; tests may zero Backoff.Jitter
-	// instead, so this stays unexported and defaults to math/rand.
-	jitter func() float64
 }
 
 // Stats counts the control plane's fault-handling events; the chaos
@@ -112,14 +76,19 @@ type workerState struct {
 	snapAt time.Time
 }
 
-// Coordinator owns the lease table and drives the campaign to a merged
-// result. Construct with New, feed it workers via AddWorker (typically
-// through an attached Registry), then Run.
+// Coordinator is one fleet campaign's control plane: it owns the lease
+// table and drives the campaign to a merged result. Lifecycle: New
+// (recovers the lease table, attaches the registry) → workers flow in
+// via AddWorker → Run → FleetInfo → Close. A Coordinator over a
+// previously interrupted JournalDir resumes instead of re-running.
 type Coordinator struct {
 	cfg      Config
 	specHash string
 	total    int
 	start    time.Time // the event log's monotonic time base
+	elog     *EventLog
+	unattach func()
+	closed   sync.Once
 
 	mu      sync.Mutex
 	leases  []*lease
@@ -134,8 +103,11 @@ type Coordinator struct {
 	gone       []obs.FleetWorker
 }
 
-// New validates the config, cuts the spec into ranges, and recovers the
-// lease table from any shard journals already in JournalDir.
+// New validates cfg, resolves its Options (auto-sizing Splits against
+// the registry pool), opens the event log, cuts the spec into ranges,
+// recovers the lease table from any shard journals already in
+// JournalDir, and attaches the registry. The caller must Close the
+// coordinator when done with it.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Spec == nil {
 		return nil, fmt.Errorf("coord: no spec")
@@ -151,44 +123,33 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Splits < 1 {
-		return nil, fmt.Errorf("coord: splits %d < 1", cfg.Splits)
-	}
-	if cfg.Splits > len(trials) {
-		return nil, fmt.Errorf("coord: %d splits over a %d-trial sweep leaves empty ranges — use at most %d", cfg.Splits, len(trials), len(trials))
-	}
 	if cfg.JournalDir == "" {
 		return nil, fmt.Errorf("coord: no journal directory")
 	}
-	if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
-		return nil, err
+	pool := 0
+	if cfg.Registry != nil {
+		pool = cfg.Registry.Size()
 	}
-	if cfg.LivenessTimeout <= 0 {
-		cfg.LivenessTimeout = 10 * time.Second
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = time.Second
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 5 * time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 5
-	}
-	if cfg.Backoff == (Backoff{}) {
-		cfg.Backoff = DefaultBackoff()
+	cfg.Options = cfg.Options.resolve()
+	cfg.Splits = AutoSplits(cfg.Splits, pool, len(trials))
+	if cfg.Splits < 1 {
+		return nil, fmt.Errorf("coord: splits %d < 1", cfg.Splits)
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.jitter == nil {
-		cfg.jitter = jitterDraw
-	}
-	if cfg.ScrapeInterval == 0 {
-		cfg.ScrapeInterval = 5 * time.Second
+	if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
+		return nil, err
 	}
 
 	c := &Coordinator{cfg: cfg, specHash: hash, total: len(trials), start: time.Now(), workers: map[string]*workerState{}}
+	// The event log lives with the shard journals: both are durable
+	// fault-tolerance records, and both survive an interrupted run for
+	// the next coordinator over the same directory to extend.
+	c.elog, err = OpenEventLog(filepath.Join(cfg.JournalDir, cfg.Spec.Name+EventLogSuffix), cfg.Spec.Name, hash, cfg.Splits)
+	if err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Splits; i++ {
 		lo, hi := journal.ShardRange(len(trials), i, cfg.Splits)
 		rng := Range{Index: i, Count: cfg.Splits, Lo: lo, Hi: hi}
@@ -199,17 +160,37 @@ func New(cfg Config) (*Coordinator, error) {
 		})
 	}
 	if err := c.recover(); err != nil {
+		c.Close()
 		return nil, err
+	}
+	if cfg.Registry != nil {
+		c.unattach = cfg.Registry.Attach(c)
 	}
 	return c, nil
 }
 
+// Close detaches the coordinator from its registry and closes the
+// event log. Idempotent; safe on a half-built coordinator.
+func (c *Coordinator) Close() error {
+	var err error
+	c.closed.Do(func() {
+		if c.unattach != nil {
+			c.unattach()
+		}
+		err = c.elog.Close()
+	})
+	return err
+}
+
+// Options returns the resolved knob set (Splits after auto-sizing).
+func (c *Coordinator) Options() Options { return c.cfg.Options }
+
 // event stamps the monotonic time base on ev and appends it to the
-// configured event log (a no-op when logging is disabled). Callers fill
+// event log. Callers fill
 // every other field; range-scoped callers should use rangeEvent.
 func (c *Coordinator) event(ev Event) {
 	ev.MonoNS = int64(time.Since(c.start))
-	c.cfg.EventLog.Append(ev)
+	c.elog.Append(ev)
 }
 
 // rangeEvent pre-fills the range-scoped fields (range, job, trace,
@@ -390,7 +371,7 @@ func (c *Coordinator) Status() StatusSnapshot {
 			Total:        ws.status.Total,
 			LastSeenMS:   now.Sub(ws.lastSeen).Milliseconds(),
 			RangeLeased:  ws.lease,
-			Unresponsive: now.Sub(ws.lastSeen) > c.cfg.LivenessTimeout/2,
+			Unresponsive: now.Sub(ws.lastSeen) > c.cfg.Liveness/2,
 		})
 	}
 	return s

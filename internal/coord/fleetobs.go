@@ -123,12 +123,9 @@ func (c *Coordinator) FleetInfo(ctx context.Context) *obs.FleetInfo {
 		c.scrapeWorker(ctx, t.id, t.w)
 	}
 
-	fi := obs.NewFleetInfo("lbfarmd")
+	fi := obs.NewFleetInfo("lbfarmd", c.cfg.Spec.Name, c.specHash, c.cfg.Splits)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	fi.Name = c.cfg.Spec.Name
-	fi.SpecHash = c.specHash
-	fi.Shards = c.cfg.Splits
 	fi.Coord = statsMap(c.stats)
 	fi.Workers = append([]obs.FleetWorker(nil), c.gone...)
 	snaps := make([]*obs.Snapshot, 0, len(c.workers))

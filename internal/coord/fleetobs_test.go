@@ -11,30 +11,12 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// withEventLog wires a fresh event log into cfg and returns its path.
-func withEventLog(t *testing.T, cfg *Config) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "chaos"+EventLogSuffix)
-	elog, err := OpenEventLog(path, cfg.Spec.Name, "testhash", cfg.Splits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := elog.Close(); err != nil {
-			t.Errorf("event log: %v", err)
-		}
-	})
-	cfg.EventLog = elog
-	return path
-}
 
 // mustReadEvents reads and schema-validates an event log.
 func mustReadEvents(t *testing.T, path string) (EventLogHeader, []Event) {
@@ -57,11 +39,7 @@ func TestFleetObsByteIdentity(t *testing.T) {
 		t.Run(map[int]string{1: "w1", 2: "w2", 8: "w8"}[workers], func(t *testing.T) {
 			cfg := testConfig(t, 4)
 			cfg.ScrapeInterval = 30 * time.Millisecond
-			withEventLog(t, &cfg)
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := mustNew(t, cfg)
 			for _, id := range []string{"w1", "w2"} {
 				ws, err := NewWorkerServer(WorkerConfig{
 					ID: id, Dir: t.TempDir(), Workers: workers, Obs: obs.NewSet(workers), Logf: t.Logf,
@@ -92,10 +70,7 @@ func TestFleetObsByteIdentity(t *testing.T) {
 func TestFleetInfoSumsWorkers(t *testing.T) {
 	cfg := testConfig(t, 4)
 	cfg.ScrapeInterval = 30 * time.Millisecond
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew(t, cfg)
 	c.AddWorker(newHTTPWorker(t, "w1", Hooks{}, obs.NewSet(2)))
 	c.AddWorker(newHTTPWorker(t, "w2", Hooks{}, obs.NewSet(2)))
 
@@ -151,11 +126,8 @@ func TestFleetInfoSumsWorkers(t *testing.T) {
 // backoff, re-dispatch, and the landing on a survivor.
 func TestEventLogKilledRange(t *testing.T) {
 	cfg := testConfig(t, 4)
-	path := withEventLog(t, &cfg)
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := eventLogPath(cfg)
+	c := mustNew(t, cfg)
 	c.AddWorker(newHTTPWorker(t, "w1", Hooks{}, nil))
 	c.AddWorker(newHTTPWorker(t, "w2", Hooks{KillAfter: 2}, nil))
 	c.AddWorker(newHTTPWorker(t, "w3", Hooks{}, nil))

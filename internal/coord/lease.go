@@ -47,12 +47,6 @@ type Backoff struct {
 	Jitter float64       `json:"jitter"`
 }
 
-// DefaultBackoff is the coordinator's retry curve: 500ms doubling to a
-// 15s ceiling, ±20% jitter.
-func DefaultBackoff() Backoff {
-	return Backoff{Base: 500 * time.Millisecond, Max: 15 * time.Second, Jitter: 0.2}
-}
-
 // Delay returns the wait before retry number `failures` (1-based: the
 // delay after the first failure is Base). rnd supplies the jitter draw
 // in [0,1); nil disables jitter, which is what the deterministic tests

@@ -5,80 +5,111 @@ import (
 	"time"
 )
 
-// Options is the coordinator knob set of the fleet executor; lbfarmd
-// -fleet binds it as flags via Bind. The zero value is NOT usable;
-// start from DefaultOptions.
+// Options is the coordinator's knob set: lbfarmd -fleet binds it as
+// flags via Bind, and Config carries it into New. DefaultOptions is the
+// one table of defaults; New resolves a zero Options to it, and a zero
+// knob whose zero value has no meaning of its own to its entry there.
 type Options struct {
 	// Splits is how many shard ranges to cut a sweep into; 0 auto-sizes
-	// to 4 per registered worker (minimum 8), capped at the trial count.
+	// to 4 per registered worker (minimum 8). Either way it is capped at
+	// the trial count (AutoSplits). More splits than workers is the
+	// point: small ranges re-issue cheaply and let the pool balance.
 	Splits int
 
-	Liveness    time.Duration // declare a worker dead after this silence
-	Poll        time.Duration // scheduler tick
-	RPCTimeout  time.Duration // per-RPC deadline
-	MaxAttempts int           // per-range failure budget
+	// Liveness declares a worker dead when neither a push heartbeat nor
+	// a successful status poll has been seen for this long.
+	Liveness time.Duration
+	// Poll is the scheduler tick: status polls, liveness checks,
+	// dispatch, and straggler checks happen each tick.
+	Poll time.Duration
+	// RPCTimeout bounds each worker RPC.
+	RPCTimeout time.Duration
+	// MaxAttempts is the per-range failure budget; exhausting it fails
+	// the campaign loudly.
+	MaxAttempts int
 
-	BackoffBase   time.Duration
-	BackoffMax    time.Duration
-	BackoffJitter float64
+	// Backoff is the re-queue delay curve of failed ranges.
+	Backoff Backoff
 
+	// ScrapeInterval is the fleet telemetry cadence: every interval the
+	// scheduler refreshes each worker's obs snapshot, feeding the live
+	// campaign snapshot (FleetSnapshot, /metrics) and the end-of-run
+	// fleetinfo sidecar; the straggler detector reuses the same cache.
+	// Negative disables the periodic loop (stragglers then scrape on
+	// demand).
 	ScrapeInterval time.Duration
 
-	NoSpeculate  bool
-	SlowFactor   float64
-	MinCompleted int
-	StallWindow  time.Duration
+	// Straggler is the speculative re-issue policy. A zero StallWindow
+	// disables the stall rule.
+	Straggler StragglerPolicy
 }
 
-// DefaultOptions mirrors the coordinator's built-in defaults.
+// DefaultOptions is the coordinator's one table of defaults.
 func DefaultOptions() Options {
 	return Options{
 		Liveness:       10 * time.Second,
 		Poll:           time.Second,
 		RPCTimeout:     5 * time.Second,
 		MaxAttempts:    5,
-		BackoffBase:    500 * time.Millisecond,
-		BackoffMax:     15 * time.Second,
-		BackoffJitter:  0.2,
+		Backoff:        Backoff{Base: 500 * time.Millisecond, Max: 15 * time.Second, Jitter: 0.2},
 		ScrapeInterval: 5 * time.Second,
-		SlowFactor:     2,
-		MinCompleted:   1,
-		StallWindow:    30 * time.Second,
+		Straggler:      StragglerPolicy{MinCompleted: 1, SlowFactor: 2, StallWindow: 30 * time.Second},
 	}
 }
 
-// Bind registers the shared coordinator flags on fs, with o's current
-// values as defaults. Call on a DefaultOptions copy before fs.Parse.
+// resolve fills o from DefaultOptions: all of it when o is zero,
+// otherwise each knob whose zero (or negative) value means nothing of
+// its own. Splits 0 (auto-size), a negative ScrapeInterval, a zero
+// StallWindow, and the Backoff fields (unless all zero) keep their
+// meanings. Splits is sized by AutoSplits separately.
+func (o Options) resolve() Options {
+	d := DefaultOptions()
+	if o == (Options{}) {
+		return d
+	}
+	if o.Liveness <= 0 {
+		o.Liveness = d.Liveness
+	}
+	if o.Poll <= 0 {
+		o.Poll = d.Poll
+	}
+	if o.RPCTimeout <= 0 {
+		o.RPCTimeout = d.RPCTimeout
+	}
+	if o.MaxAttempts <= 0 {
+		o.MaxAttempts = d.MaxAttempts
+	}
+	if o.Backoff == (Backoff{}) {
+		o.Backoff = d.Backoff
+	}
+	if o.ScrapeInterval == 0 {
+		o.ScrapeInterval = d.ScrapeInterval
+	}
+	if o.Straggler.MinCompleted <= 0 {
+		o.Straggler.MinCompleted = d.Straggler.MinCompleted
+	}
+	if o.Straggler.SlowFactor <= 0 {
+		o.Straggler.SlowFactor = d.Straggler.SlowFactor
+	}
+	return o
+}
+
+// Bind registers the coordinator flags on fs, with o's current values
+// as defaults. Call on a DefaultOptions copy before fs.Parse.
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Splits, "splits", o.Splits, "shard ranges to cut each sweep into (0 = 4 per registered worker, minimum 8; more splits than workers lets the pool load-balance and re-issue cheaply)")
 	fs.DurationVar(&o.Liveness, "liveness", o.Liveness, "declare a worker dead after this long without a heartbeat or successful poll")
 	fs.DurationVar(&o.Poll, "poll", o.Poll, "scheduler tick: status polls, dispatch, and straggler checks")
 	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", o.RPCTimeout, "per-RPC deadline for worker calls")
 	fs.IntVar(&o.MaxAttempts, "max-attempts", o.MaxAttempts, "per-range failure budget before the campaign fails loudly")
-	fs.DurationVar(&o.BackoffBase, "backoff-base", o.BackoffBase, "first retry delay for a failed range (doubles per failure)")
-	fs.DurationVar(&o.BackoffMax, "backoff-max", o.BackoffMax, "retry delay ceiling")
-	fs.Float64Var(&o.BackoffJitter, "backoff-jitter", o.BackoffJitter, "symmetric random jitter fraction on retry delays")
+	fs.DurationVar(&o.Backoff.Base, "backoff-base", o.Backoff.Base, "first retry delay for a failed range (doubles per failure)")
+	fs.DurationVar(&o.Backoff.Max, "backoff-max", o.Backoff.Max, "retry delay ceiling")
+	fs.Float64Var(&o.Backoff.Jitter, "backoff-jitter", o.Backoff.Jitter, "symmetric random jitter fraction on retry delays")
 	fs.DurationVar(&o.ScrapeInterval, "scrape", o.ScrapeInterval, "scrape worker telemetry snapshots this often for the live fleet view (negative disables)")
-	fs.BoolVar(&o.NoSpeculate, "no-speculate", o.NoSpeculate, "disable speculative re-issue of straggling ranges")
-	fs.Float64Var(&o.SlowFactor, "slow-factor", o.SlowFactor, "speculate a range projected past this multiple of the median completed-range duration")
-	fs.IntVar(&o.MinCompleted, "min-completed", o.MinCompleted, "completed ranges required before the straggler baseline is trusted")
-	fs.DurationVar(&o.StallWindow, "stall-window", o.StallWindow, "speculate a range whose worker's throughput timeline is flat for this long (0 disables the stall rule)")
-}
-
-// backoff projects the backoff knobs into the scheduler's policy type.
-func (o Options) backoff() Backoff {
-	return Backoff{Base: o.BackoffBase, Max: o.BackoffMax, Jitter: o.BackoffJitter}
-}
-
-// straggler projects the speculation knobs into the scheduler's policy
-// type.
-func (o Options) straggler() StragglerPolicy {
-	return StragglerPolicy{
-		Disabled:     o.NoSpeculate,
-		MinCompleted: o.MinCompleted,
-		SlowFactor:   o.SlowFactor,
-		StallWindow:  o.StallWindow,
-	}
+	fs.BoolVar(&o.Straggler.Disabled, "no-speculate", o.Straggler.Disabled, "disable speculative re-issue of straggling ranges")
+	fs.Float64Var(&o.Straggler.SlowFactor, "slow-factor", o.Straggler.SlowFactor, "speculate a range projected past this multiple of the median completed-range duration")
+	fs.IntVar(&o.Straggler.MinCompleted, "min-completed", o.Straggler.MinCompleted, "completed ranges required before the straggler baseline is trusted")
+	fs.DurationVar(&o.Straggler.StallWindow, "stall-window", o.Straggler.StallWindow, "speculate a range whose worker's throughput timeline is flat for this long (0 disables the stall rule)")
 }
 
 // AutoSplits is the shared auto-sizing rule behind Splits == 0: four

@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -64,7 +66,7 @@ func TestProjectTotal(t *testing.T) {
 }
 
 func TestShouldSpeculate(t *testing.T) {
-	p := StragglerPolicy{}
+	p := DefaultOptions().Straggler
 	base := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
 	if !p.ShouldSpeculate(5*time.Second, base) {
 		t.Error("5s projected vs 2s median should speculate")
@@ -78,7 +80,8 @@ func TestShouldSpeculate(t *testing.T) {
 	if (StragglerPolicy{Disabled: true}).ShouldSpeculate(time.Hour, base) {
 		t.Error("disabled policy speculated")
 	}
-	strict := StragglerPolicy{MinCompleted: 5}
+	strict := p
+	strict.MinCompleted = 5
 	if strict.ShouldSpeculate(time.Hour, base) {
 		t.Error("MinCompleted 5 with 3 samples speculated")
 	}
@@ -148,18 +151,104 @@ func TestStateString(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := New(Config{Splits: 1, JournalDir: dir}); err == nil {
+	if _, err := New(Config{JournalDir: dir}); err == nil {
 		t.Error("New without a spec succeeded")
 	}
-	if _, err := New(Config{Spec: testSpec(), Splits: 0, JournalDir: dir}); err == nil {
-		t.Error("New with 0 splits succeeded")
-	}
-	if _, err := New(Config{Spec: testSpec(), Splits: 1 << 20, JournalDir: dir}); err == nil {
-		t.Error("New with more splits than trials succeeded")
-	}
-	if _, err := New(Config{Spec: testSpec(), Splits: 2}); err == nil {
+	if _, err := New(Config{Spec: testSpec()}); err == nil {
 		t.Error("New without a journal dir succeeded")
 	}
+	// Splits 0 auto-sizes (an empty pool gets the floor of 8), and more
+	// splits than trials are capped at one range per trial.
+	for _, tc := range []struct{ splits, want int }{{0, 8}, {1 << 20, 24}} {
+		cfg := testConfig(t, tc.splits)
+		c := mustNew(t, cfg)
+		if got := c.Options().Splits; got != tc.want {
+			t.Errorf("New with %d splits resolved %d, want %d", tc.splits, got, tc.want)
+		}
+		if got := len(c.Status().Leases); got != tc.want {
+			t.Errorf("New with %d splits cut %d ranges, want %d", tc.splits, got, tc.want)
+		}
+	}
+}
+
+// TestDefaultsWrittenOnce: DefaultOptions is the one table of defaults.
+// The flag defaults, a zero knob set resolved by New, and the zero
+// knobs New fills all read from it; the zero values with a meaning of
+// their own (-stall-window 0, a negative -scrape) keep that meaning.
+func TestDefaultsWrittenOnce(t *testing.T) {
+	fs := flag.NewFlagSet("lbfarmd", flag.ContinueOnError)
+	bound := DefaultOptions()
+	bound.Bind(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if bound != DefaultOptions() {
+		t.Errorf("flag defaults = %+v, want DefaultOptions %+v", bound, DefaultOptions())
+	}
+
+	resolved := func(o Options) Options {
+		t.Helper()
+		c := mustNew(t, Config{Options: o, Spec: testSpec(), JournalDir: t.TempDir()})
+		return c.Options()
+	}
+	want := DefaultOptions()
+	want.Splits = 8 // Splits 0 auto-sizes against an empty pool
+	if got := resolved(Options{}); got != want {
+		t.Errorf("zero Options resolved to %+v, want %+v", got, want)
+	}
+	// A set knob keeps the rest of the zero knobs on the table, except
+	// where zero means something.
+	got := resolved(Options{Splits: 2})
+	want = DefaultOptions()
+	want.Splits = 2
+	want.Straggler.StallWindow = 0
+	if got != want {
+		t.Errorf("Options{Splits: 2} resolved to %+v, want %+v", got, want)
+	}
+
+	fs = flag.NewFlagSet("lbfarmd", flag.ContinueOnError)
+	bound = DefaultOptions()
+	bound.Bind(fs)
+	if err := fs.Parse([]string{"-stall-window", "0", "-scrape", "-1s"}); err != nil {
+		t.Fatal(err)
+	}
+	got = resolved(bound)
+	if got.Straggler.StallWindow != 0 {
+		t.Errorf("-stall-window 0 resolved to %v, want 0", got.Straggler.StallWindow)
+	}
+	if got.ScrapeInterval >= 0 {
+		t.Errorf("-scrape -1s resolved to %v, want negative", got.ScrapeInterval)
+	}
+	stale := &obs.Snapshot{ElapsedNS: int64(time.Hour), Timeline: obs.Timeline{WidthNS: int64(time.Second), Counts: []int64{1}}}
+	if got.Straggler.Stalled(stale) {
+		t.Error("-stall-window 0 still applies the stall rule")
+	}
+	if !DefaultOptions().Straggler.Stalled(stale) {
+		t.Error("the default stall window does not flag an hour-long flat timeline")
+	}
+	for _, tc := range []struct {
+		o    Options
+		want int
+	}{{DefaultOptions(), 1}, {bound, 0}} {
+		c := mustNew(t, Config{Options: tc.o, Spec: testSpec(), JournalDir: t.TempDir()})
+		w := &countingWorker{fakeWorker: fakeWorker{id: "w"}}
+		c.AddWorker(w)
+		c.scrape(context.Background())
+		if w.snapshots != tc.want {
+			t.Errorf("-scrape %v: %d scrapes on the first tick, want %d", tc.o.ScrapeInterval, w.snapshots, tc.want)
+		}
+	}
+}
+
+// countingWorker counts snapshot scrapes.
+type countingWorker struct {
+	fakeWorker
+	snapshots int
+}
+
+func (w *countingWorker) Snapshot(context.Context) (*obs.Snapshot, error) {
+	w.snapshots++
+	return nil, nil
 }
 
 // TestRecoverRejectsForeignJournal: a corrupt or foreign file sitting at
@@ -172,7 +261,7 @@ func TestRecoverRejectsForeignJournal(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("not a journal\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := New(Config{Spec: spec, Splits: 2, JournalDir: dir})
+	_, err := New(Config{Options: Options{Splits: 2}, Spec: spec, JournalDir: dir})
 	if err == nil || !strings.Contains(err.Error(), "delete the file") {
 		t.Fatalf("New over a foreign shard file: %v", err)
 	}

@@ -1,14 +1,15 @@
 package coord
 
-// Registry + Session are the library seam lbfarmd -fleet runs on: these
-// tests pin the pool semantics (seed on attach, forward while attached,
-// stop at detach) and the session lifecycle (auto splits, event-log
-// placement, recovery through OnShard).
+// Registry + Coordinator are the library seam lbfarmd -fleet runs on:
+// these tests pin the pool semantics (seed on attach, forward while
+// attached, stop at detach) and the registry-fed coordinator lifecycle
+// (auto splits, event-log placement, recovery through OnShard).
 
 import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -36,20 +37,6 @@ func newWorkerURL(t *testing.T, id string, hooks Hooks) string {
 	return hs.URL
 }
 
-// testOptions is testConfig's knob set projected onto Options — the
-// fast-twitch settings a Session-based test wants.
-func testOptions(splits int) Options {
-	o := DefaultOptions()
-	o.Splits = splits
-	o.Liveness = 300 * time.Millisecond
-	o.Poll = 20 * time.Millisecond
-	o.BackoffBase = 10 * time.Millisecond
-	o.BackoffMax = 50 * time.Millisecond
-	o.MaxAttempts = 8
-	o.NoSpeculate = true
-	return o
-}
-
 // TestRegistryAttachSeedForwardDetach: a coordinator attached to a
 // registry is seeded with the existing pool, receives later
 // registrations, and stops receiving them after detach.
@@ -69,10 +56,7 @@ func TestRegistryAttachSeedForwardDetach(t *testing.T) {
 		t.Fatalf("pool size = %d, want 2", reg.Size())
 	}
 
-	c, err := New(testConfig(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew(t, testConfig(t, 4))
 	detach := reg.Attach(c)
 	if got := c.Workers(); got != 2 {
 		t.Fatalf("seeded workers = %d, want 2", got)
@@ -114,10 +98,7 @@ func TestRegistryAttachSeedForwardDetach(t *testing.T) {
 // lbfarmd -fleet.
 func TestRegistryRoutes(t *testing.T) {
 	reg := NewRegistry(func(id, addr string) Worker { return &fakeWorker{id: id} }, t.Logf)
-	c, err := New(testConfig(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := mustNew(t, testConfig(t, 4))
 	defer reg.Attach(c)()
 
 	mux := http.NewServeMux()
@@ -185,49 +166,40 @@ func TestAutoSplits(t *testing.T) {
 	}
 }
 
-// TestSessionEndToEnd: a session over a registry-fed pool runs the
-// campaign to byte-identical artifacts, writes its event log at the
-// default per-campaign path, and reports rows through OnShard.
-func TestSessionEndToEnd(t *testing.T) {
+// TestCoordinatorEndToEnd: a coordinator over a registry-fed pool runs
+// the campaign to byte-identical artifacts, writes its event log at the
+// fixed per-campaign path, and reports rows through OnShard.
+func TestCoordinatorEndToEnd(t *testing.T) {
 	reg := NewRegistry(nil, t.Logf)
 	for _, id := range []string{"w1", "w2"} {
 		reg.Register(id, newWorkerURL(t, id, Hooks{}))
 	}
 
-	dir := t.TempDir()
 	var mu sync.Mutex
 	var live int
-	sess, err := NewSession(SessionConfig{
-		Spec:       testSpec(),
-		Options:    testOptions(4),
-		JournalDir: dir,
-		Registry:   reg,
-		OnShard: func(rng Range, rows []campaign.TrialResult, recovered bool) {
-			mu.Lock()
-			defer mu.Unlock()
-			if recovered {
-				t.Errorf("fresh run reported range %d as recovered", rng.Index)
-			}
-			live += len(rows)
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg := testConfig(t, 4)
+	cfg.Registry = reg
+	cfg.OnShard = func(rng Range, rows []campaign.TrialResult, recovered bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if recovered {
+			t.Errorf("fresh run reported range %d as recovered", rng.Index)
+		}
+		live += len(rows)
 	}
-	defer sess.Close()
+	c := mustNew(t, cfg)
 
-	if sess.Splits() != 4 {
-		t.Errorf("splits = %d, want 4", sess.Splits())
+	if got := c.Options().Splits; got != 4 {
+		t.Errorf("splits = %d, want 4", got)
 	}
-	wantLog := filepath.Join(dir, "chaos"+EventLogSuffix)
-	if sess.EventLogPath() != wantLog {
-		t.Errorf("event log at %s, want %s", sess.EventLogPath(), wantLog)
+	wantLog := filepath.Join(cfg.JournalDir, "chaos"+EventLogSuffix)
+	if _, err := os.Stat(wantLog); err != nil {
+		t.Errorf("event log not at %s: %v", wantLog, err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := sess.Run(ctx)
+	res, err := c.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +207,16 @@ func TestSessionEndToEnd(t *testing.T) {
 	if live != 24 {
 		t.Errorf("OnShard delivered %d live rows, want 24", live)
 	}
-	if st := sess.Status(); st.Stats.Journaled != 4 {
+	if st := c.Status(); st.Stats.Journaled != 4 {
 		t.Errorf("status journaled = %d, want 4", st.Stats.Journaled)
 	}
-	if err := sess.Close(); err != nil {
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// Close detached the registry: later registrations stay away.
+	reg.Register("late", "http://127.0.0.1:1")
+	if got := c.Workers(); got != 2 {
+		t.Errorf("workers after Close and a new registration = %d, want 2", got)
 	}
 	if _, events, err := ReadEventLog(wantLog); err != nil {
 		t.Fatal(err)
@@ -248,52 +225,41 @@ func TestSessionEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSessionResume: a second session over an interrupted session's
-// journal dir recovers the landed shards (reported through OnShard with
-// recovered=true), re-runs only the rest, and stays byte-identical —
-// the seam FleetExecutor's drain/resume rides on.
-func TestSessionResume(t *testing.T) {
+// TestCoordinatorResume: a second coordinator over an interrupted
+// one's journal dir recovers the landed shards (reported through
+// OnShard with recovered=true), re-runs only the rest, and stays
+// byte-identical — the seam FleetExecutor's drain/resume rides on.
+func TestCoordinatorResume(t *testing.T) {
 	reg := NewRegistry(nil, t.Logf)
 	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(5 * time.Millisecond) }}
 	reg.Register("w1", newWorkerURL(t, "w1", slow))
-	dir := t.TempDir()
+	cfg := testConfig(t, 4)
+	cfg.Registry = reg
 
-	s1, err := NewSession(SessionConfig{
-		Spec: testSpec(), Options: testOptions(4), JournalDir: dir, Registry: reg, Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c1 := mustNew(t, cfg)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _ = s1.Run(ctx1)
+		_, _ = c1.Run(ctx1)
 	}()
-	waitFor(t, func() bool { return s1.Stats().Journaled >= 2 })
+	waitFor(t, func() bool { return c1.Stats().Journaled >= 2 })
 	cancel1()
 	<-done
-	landed := s1.Stats().Journaled
-	if err := s1.Close(); err != nil {
+	landed := c1.Stats().Journaled
+	if err := c1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	var recovered int
-	s2, err := NewSession(SessionConfig{
-		Spec: testSpec(), Options: testOptions(4), JournalDir: dir, Registry: reg,
-		OnShard: func(rng Range, rows []campaign.TrialResult, rec bool) {
-			if rec {
-				recovered += len(rows)
-			}
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cfg.OnShard = func(rng Range, rows []campaign.TrialResult, rec bool) {
+		if rec {
+			recovered += len(rows)
+		}
 	}
-	defer s2.Close()
-	if got := s2.Stats().RecoveredJournals; got < landed {
-		t.Errorf("recovered journals = %d, first session landed %d", got, landed)
+	c2 := mustNew(t, cfg)
+	if got := c2.Stats().RecoveredJournals; got < landed {
+		t.Errorf("recovered journals = %d, first coordinator landed %d", got, landed)
 	}
 	if recovered < 2*6 {
 		t.Errorf("OnShard recovered %d rows, want >= 12 (2 shards of 6)", recovered)
@@ -301,14 +267,14 @@ func TestSessionResume(t *testing.T) {
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
-	res, err := s2.Run(ctx2)
+	res, err := c2.Run(ctx2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkArtifacts(t, res)
 
-	// The reopened event log extends the first session's history.
-	_, events, err := ReadEventLog(s2.EventLogPath())
+	// The reopened event log extends the first coordinator's history.
+	_, events, err := ReadEventLog(eventLogPath(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

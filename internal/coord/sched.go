@@ -192,7 +192,7 @@ func (c *Coordinator) transition() []fetchOrder {
 	now := time.Now()
 
 	for id, ws := range c.workers {
-		if now.Sub(ws.lastSeen) <= c.cfg.LivenessTimeout {
+		if now.Sub(ws.lastSeen) <= c.cfg.Liveness {
 			continue
 		}
 		c.stats.DeadWorkers++
@@ -267,7 +267,7 @@ func (c *Coordinator) detach(leaseIdx int, id, reason string) {
 		c.event(ev)
 		return
 	}
-	delay := c.cfg.Backoff.Delay(l.failures, c.cfg.jitter)
+	delay := c.cfg.Backoff.Delay(l.failures, jitterDraw)
 	l.state = StatePending
 	l.notBefore = time.Now().Add(delay)
 	c.stats.Requeues++

@@ -12,20 +12,20 @@ import (
 // twin. Speculation only ever runs on otherwise-idle workers after the
 // pending queue is empty, so its cost is capacity that would have been
 // wasted anyway — determinism makes the duplicate free (first complete
-// journal wins).
+// journal wins). Its defaults live in DefaultOptions; New resolves a
+// zero MinCompleted or SlowFactor to them.
 type StragglerPolicy struct {
 	// Disabled turns speculation off entirely.
 	Disabled bool
 	// MinCompleted is how many ranges must have completed before the
-	// median baseline means anything (default 1).
+	// median baseline means anything.
 	MinCompleted int
 	// SlowFactor speculates a range whose projected total duration
-	// exceeds this multiple of the median completed-range duration
-	// (default 2).
+	// exceeds this multiple of the median completed-range duration.
 	SlowFactor float64
 	// StallWindow speculates a range whose worker's throughput
 	// timeline shows no trial completions for this long, regardless of
-	// projection (default: disabled when zero). This is the scrape-side
+	// projection (disabled when zero). This is the scrape-side
 	// signal: a wedged worker that still answers heartbeats projects
 	// nothing useful, but its timeline goes flat.
 	StallWindow time.Duration
@@ -60,22 +60,14 @@ func (p StragglerPolicy) ShouldSpeculate(projected time.Duration, completed []ti
 	if p.Disabled || projected <= 0 {
 		return false
 	}
-	min := p.MinCompleted
-	if min <= 0 {
-		min = 1
-	}
-	if len(completed) < min {
+	if len(completed) < p.MinCompleted {
 		return false
-	}
-	factor := p.SlowFactor
-	if factor <= 0 {
-		factor = 2
 	}
 	med := medianDuration(completed)
 	if med <= 0 {
 		return false
 	}
-	return float64(projected) > factor*float64(med)
+	return float64(projected) > p.SlowFactor*float64(med)
 }
 
 // Stalled applies the scrape rule: the worker's throughput timeline

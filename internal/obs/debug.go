@@ -6,7 +6,31 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// The timeouts every listener in the repo runs with. ReadTimeout
+// bounds reading one request, headers and body; net/http lifts it once
+// the body is consumed, so it never cuts a response short. There is
+// deliberately no write timeout: SSE event streams and shard-journal
+// fetches are long-lived responses.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewServer is the one http.Server constructor: the campaign API, the
+// worker registration listener, the worker job API, and the debug
+// surface all serve through it.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // RegisterDebug mounts the shared live-debug surface on mux — the one
 // route family every server in the repo (lbfarm's -debug-addr, lbmerge,
@@ -82,7 +106,7 @@ func Serve(addr string, snap func() *Snapshot, vars map[string]func() any) (boun
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := NewServer(mux)
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

@@ -51,11 +51,11 @@ type FleetInfo struct {
 	Obs      *Snapshot        `json:"obs"`
 }
 
-// NewFleetInfo starts a fleetinfo sidecar for the named tool with the
-// coordinator-host facts filled in.
-func NewFleetInfo(tool string) *FleetInfo {
-	ri := NewRunInfo(tool)
-	return &FleetInfo{Schema: FleetInfoSchema, Tool: tool, Host: ri.Host}
+// NewFleetInfo starts the fleetinfo sidecar of one campaign, written by
+// the named tool, with the writing host's facts filled in. Both writers
+// (the coordinator's live fleet, lbmerge's shard sidecars) start here.
+func NewFleetInfo(tool, name, specHash string, shards int) *FleetInfo {
+	return &FleetInfo{Schema: FleetInfoSchema, Tool: tool, Name: name, SpecHash: specHash, Shards: shards, Host: NewRunInfo(tool).Host}
 }
 
 // JSON renders the sidecar, indented, newline-terminated, with the

@@ -153,10 +153,7 @@ func TestMergeSnapshotsNilAndEmpty(t *testing.T) {
 // TestFleetInfoRoundTrip: Write then ReadFleetInfo preserves identity,
 // worker stubs (sorted by ID), and the merged snapshot.
 func TestFleetInfoRoundTrip(t *testing.T) {
-	fi := NewFleetInfo("lbfarmd")
-	fi.Name = "campaign"
-	fi.SpecHash = "cafebabe"
-	fi.Shards = 4
+	fi := NewFleetInfo("lbfarmd", "campaign", "cafebabe", 4)
 	fi.Workers = []FleetWorker{
 		{ID: "w2", Alive: true, ElapsedNS: 500},
 		{ID: "w1", Alive: false, ElapsedNS: 300},

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/campaign"
@@ -17,7 +16,7 @@ import (
 )
 
 // FleetExecutor runs campaigns on a registered worker fleet: each
-// Execute embeds one coord.Session over a per-campaign journal
+// Execute embeds one coord.Coordinator over a per-campaign journal
 // directory, dispatches shard ranges to the workers pooled in Registry,
 // and folds the fetched shard journals into the same byte-identical
 // artifacts the local engine produces. Workers register once against
@@ -26,14 +25,14 @@ import (
 //
 // Durability matches the local path shape-for-shape: landed shard
 // journals are the resume state (a drained campaign re-queues and its
-// next session recovers them), and the per-campaign event log plus the
-// end-of-run fleetinfo artifact carry the fault-tolerance story into
-// the observability surface.
+// next coordinator recovers them), and the per-campaign event log plus
+// the end-of-run fleetinfo artifact carry the fault-tolerance story
+// into the observability surface.
 type FleetExecutor struct {
 	// Registry is the daemon-lifetime worker pool (required).
 	Registry *coord.Registry
-	// Options carries the coordinator knobs (zero value: library
-	// defaults).
+	// Options carries the coordinator knobs (zero value:
+	// coord.DefaultOptions).
 	Options coord.Options
 	// Dir is the root for per-campaign coordinator state: campaign id →
 	// <Dir>/<id>.fleet/ holding shard journals and the event log
@@ -43,7 +42,7 @@ type FleetExecutor struct {
 	Logf func(format string, args ...any)
 
 	mu        sync.Mutex
-	sessions  map[string]*coord.Session
+	coords    map[string]*coord.Coordinator
 	fleetinfo map[string][]byte
 }
 
@@ -57,7 +56,7 @@ func NewFleetExecutor(reg *coord.Registry, opts coord.Options, dir string, logf 
 		Options:   opts,
 		Dir:       dir,
 		Logf:      logf,
-		sessions:  map[string]*coord.Session{},
+		coords:    map[string]*coord.Coordinator{},
 		fleetinfo: map[string][]byte{},
 	}
 }
@@ -67,19 +66,19 @@ func (e *FleetExecutor) campaignDir(id string) string {
 	return filepath.Join(e.Dir, id+".fleet")
 }
 
-// Execute implements Executor: one coordinator session per campaign,
+// Execute implements Executor: one coordinator per campaign,
 // recovered shards reported through OnResume, landed shards fanned into
 // Sink, a closed Stop drained into campaign.ErrInterrupted.
 func (e *FleetExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 	var resumed []campaign.TrialResult
-	sess, err := coord.NewSession(coord.SessionConfig{
-		Spec:       req.Spec,
+	c, err := coord.New(coord.Config{
 		Options:    e.Options,
+		Spec:       req.Spec,
 		JournalDir: e.campaignDir(req.ID),
 		Registry:   e.Registry,
 		OnShard: func(rng coord.Range, rows []campaign.TrialResult, recovered bool) {
 			if recovered {
-				// NewSession is still running: accumulate for OnResume.
+				// New is still running: accumulate for OnResume.
 				resumed = append(resumed, rows...)
 				return
 			}
@@ -95,13 +94,13 @@ func (e *FleetExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 		return nil, err
 	}
 	e.mu.Lock()
-	e.sessions[req.ID] = sess
+	e.coords[req.ID] = c
 	e.mu.Unlock()
 	defer func() {
 		e.mu.Lock()
-		delete(e.sessions, req.ID)
+		delete(e.coords, req.ID)
 		e.mu.Unlock()
-		sess.Close()
+		c.Close()
 	}()
 	req.OnResume(resumed)
 
@@ -116,13 +115,13 @@ func (e *FleetExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 		}
 	}()
 
-	res, runErr := sess.Run(ctx)
+	res, runErr := c.Run(ctx)
 	if runErr != nil {
 		if errors.Is(runErr, context.Canceled) {
 			select {
 			case <-req.Stop:
 				// Drained: landed shards stay under the campaign dir for
-				// the next session to recover — the fleet twin of the
+				// the next coordinator to recover — the fleet twin of the
 				// local journal resume.
 				return nil, campaign.ErrInterrupted
 			default:
@@ -134,12 +133,8 @@ func (e *FleetExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 	// One last scrape of the surviving workers on a fresh context (the
 	// run context may already be dead): the fleetinfo sidecar becomes an
 	// extra artifact next to json/csv/runinfo.
-	rpc := e.Options.RPCTimeout
-	if rpc <= 0 {
-		rpc = 5 * time.Second
-	}
-	fctx, fcancel := context.WithTimeout(context.Background(), rpc)
-	fi := sess.FleetInfo(fctx)
+	fctx, fcancel := context.WithTimeout(context.Background(), c.Options().RPCTimeout)
+	fi := c.FleetInfo(fctx)
 	fcancel()
 	if data, err := fi.JSON(); err == nil {
 		e.mu.Lock()
@@ -188,12 +183,12 @@ func (e *FleetExecutor) ExtraArtifacts(id string) map[string][]byte {
 // CampaignStatus.Fleet block.
 func (e *FleetExecutor) FleetStatus(id string) *api.CoordStatus {
 	e.mu.Lock()
-	sess := e.sessions[id]
+	c := e.coords[id]
 	e.mu.Unlock()
-	if sess == nil {
+	if c == nil {
 		return nil
 	}
-	st := sess.Status()
+	st := c.Status()
 	return &st
 }
 
@@ -210,21 +205,21 @@ func (e *FleetExecutor) Routes(mux *http.ServeMux) {
 // fleet (one at a time under lbfarmd -fleet).
 func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 	e.mu.Lock()
-	sessions := make([]*coord.Session, 0, len(e.sessions))
-	for _, s := range e.sessions {
-		sessions = append(sessions, s)
+	coords := make([]*coord.Coordinator, 0, len(e.coords))
+	for _, c := range e.coords {
+		coords = append(coords, c)
 	}
 	e.mu.Unlock()
 	var snaps []*obs.Snapshot
 	var stats []coord.Stats
 	leases := map[string]int{}
-	for _, s := range sessions {
-		st := s.Status()
+	for _, c := range coords {
+		st := c.Status()
 		stats = append(stats, st.Stats)
 		for _, l := range st.Leases {
 			leases[l.State]++
 		}
-		if snap := s.FleetSnapshot(); snap != nil {
+		if snap := c.FleetSnapshot(); snap != nil {
 			snaps = append(snaps, snap)
 		}
 	}
@@ -234,7 +229,7 @@ func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 	}
 	p := obs.NewPromWriter(w)
 	p.Gauge("lbfleet_workers", "Workers registered with the daemon's fleet registry.", obs.Sample{Value: float64(e.Registry.Size())})
-	p.Gauge("lbfleet_campaigns_running", "Campaigns currently executing on the fleet.", obs.Sample{Value: float64(len(sessions))})
+	p.Gauge("lbfleet_campaigns_running", "Campaigns currently executing on the fleet.", obs.Sample{Value: float64(len(coords))})
 	var leaseSamples []obs.Sample
 	for st := coord.StatePending; st <= coord.StateMerged; st++ {
 		leaseSamples = append(leaseSamples, obs.Sample{

@@ -42,10 +42,10 @@ func fleetOpts() coord.Options {
 	o.Splits = 4
 	o.Liveness = 300 * time.Millisecond
 	o.Poll = 20 * time.Millisecond
-	o.BackoffBase = 10 * time.Millisecond
-	o.BackoffMax = 50 * time.Millisecond
+	o.Backoff.Base = 10 * time.Millisecond
+	o.Backoff.Max = 50 * time.Millisecond
 	o.MaxAttempts = 8
-	o.NoSpeculate = true
+	o.Straggler.Disabled = true
 	o.ScrapeInterval = 50 * time.Millisecond
 	return o
 }
@@ -247,7 +247,7 @@ func TestFleetEndToEnd(t *testing.T) {
 
 // TestFleetDrainResume pins the fleet twin of the local journal resume:
 // a daemon drained mid-campaign re-queues it, and the next daemon's
-// session recovers the landed shard journals, re-runs only the missing
+// coordinator recovers the landed shard journals, re-runs only the missing
 // ranges, and finishes byte-identical. trialsExecuted counts only
 // durable (landed) rows, so the two daemons' counts partition the sweep
 // exactly — the same invariant the local restart test pins.

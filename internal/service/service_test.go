@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // testSpec is a small, fast sweep: one cell, `seeds` trials.
@@ -525,5 +526,41 @@ func TestMetrics(t *testing.T) {
 	}
 	if _, ok := v["lbfarmd"]; !ok {
 		t.Fatalf("/debug/vars missing lbfarmd: %s", vars)
+	}
+}
+
+// TestServerLimits serves the daemon through obs.NewServer with its
+// read timeout cut to 100ms: a body one byte over api.MaxBody is
+// refused with the bad_request envelope, and an event stream outlives
+// the read deadline (its campaign only starts after the deadline).
+func TestServerLimits(t *testing.T) {
+	d := newDaemon(t, t.TempDir(), Hooks{})
+	defer d.Close()
+	srv := httptest.NewUnstartedServer(nil)
+	srv.Config = obs.NewServer(d.Handler())
+	srv.Config.ReadTimeout = 100 * time.Millisecond
+	srv.Start()
+	defer srv.Close()
+
+	body := specBody(t, testSpec(4))
+	big := append(body, bytes.Repeat([]byte(" "), api.MaxBody+1-len(body))...)
+	resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ae := api.ReadError(resp.StatusCode, data); resp.StatusCode != http.StatusBadRequest || ae.Code != api.CodeBadRequest || !strings.Contains(ae.Message, "exceeds") {
+		t.Fatalf("oversize body = %d %s", resp.StatusCode, data)
+	}
+
+	st, code := submit(t, srv, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d", code)
+	}
+	time.AfterFunc(300*time.Millisecond, d.Start)
+	evs := readSSE(t, srv, st.ID)
+	if last := evs[len(evs)-1].Status; last.State != api.CampaignDone {
+		t.Fatalf("stream ended in state %s", last.State)
 	}
 }
