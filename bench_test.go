@@ -75,12 +75,11 @@ func BenchmarkMultiRateBuffer(b *testing.B) {
 			is := sched.FromSchedule(s)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rep, err := (&sim.Runner{}).Run(is)
-				if err != nil {
+				if _, err := (&sim.Runner{}).Run(is); err != nil {
 					b.Fatal(err)
 				}
-				if rep.Procs[1].BufferPeak != model.Mem(n) {
-					b.Fatalf("peak %d, want %d", rep.Procs[1].BufferPeak, n)
+				if peak := sim.BufferPeaks(is)[1]; peak != model.Mem(n) {
+					b.Fatalf("peak %d, want %d", peak, n)
 				}
 			}
 		})

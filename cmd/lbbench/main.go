@@ -106,11 +106,11 @@ func e2(int) {
 		s := sched.MustNewSchedule(ts, ar)
 		s.MustPlace(a, 0, 0)
 		s.MustPlace(b, 1, 3*(n-1)+2)
-		rep, err := (&sim.Runner{}).Run(sched.FromSchedule(s))
-		if err != nil {
+		is := sched.FromSchedule(s)
+		if _, err := (&sim.Runner{}).Run(is); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("%4d %12d %12d\n", n, rep.Procs[1].BufferPeak, n)
+		fmt.Printf("%4d %12d %12d\n", n, sim.BufferPeaks(is)[1], n)
 	}
 	fmt.Println("shape: linear in n — no memory reuse between the n data (paper §1, figure 1)")
 }

@@ -114,8 +114,9 @@ func main() {
 			log.Fatalf("simulation: %v", err)
 		}
 		fmt.Printf("execution: mean idle %.0f%%\n", rep.IdleRatio*100)
+		peaks := sim.BufferPeaks(res.Schedule)
 		for p, st := range rep.Procs {
-			fmt.Printf("  P%d: busy %d, resident %d, buffer peak %d\n", p+1, st.Busy, st.ResidentMem, st.BufferPeak)
+			fmt.Printf("  P%d: busy %d, resident %d, buffer peak %d\n", p+1, st.Busy, st.ResidentMem, peaks[p])
 		}
 	}
 

@@ -99,9 +99,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Execution over one hyper-period (multi-rate buffering per figure 1):")
+	peaks := repro.BufferPeaks(res.Schedule)
 	for p, st := range rep.Procs {
 		fmt.Printf("  P%d: busy %3d  idle %3d  resident mem %3d  receive-buffer peak %2d  total demand %3d\n",
-			p+1, st.Busy, st.Idle, st.ResidentMem, st.BufferPeak, st.TotalDemand)
+			p+1, st.Busy, st.Idle, st.ResidentMem, peaks[p], st.ResidentMem+peaks[p])
 	}
 	fmt.Printf("mean idle ratio %.0f%%\n", rep.IdleRatio*100)
 }

@@ -70,7 +70,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("mean idle ratio %.0f%%; per-processor demand (resident+buffers):\n", rep.IdleRatio*100)
+	peaks := repro.BufferPeaks(res.Schedule)
 	for p, st := range rep.Procs {
-		fmt.Printf("  P%d: busy %d, resident %d, buffer peak %d\n", p+1, st.Busy, st.ResidentMem, st.BufferPeak)
+		fmt.Printf("  P%d: busy %d, resident %d, buffer peak %d\n", p+1, st.Busy, st.ResidentMem, peaks[p])
 	}
 }

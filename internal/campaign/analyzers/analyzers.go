@@ -63,6 +63,9 @@ type Input struct {
 
 	Sched *sched.InstSchedule // the phase's schedule
 	Rep   *sim.Report         // simulation of the phase's schedule
+	// Reuse is sim.MinMemoryWithReuse of Sched when the caller already
+	// computed it; nil makes the reuse analyzer compute it.
+	Reuse *sim.MemReuseReport
 
 	Balance *core.Result // balancing outcome: moves, blocks, balanced schedule
 	Before  *sim.Report  // simulation of the initial (pre-balance) schedule

@@ -33,7 +33,10 @@ func init() {
 }
 
 func runReuse(in *Input) []float64 {
-	rep := sim.MinMemoryWithReuse(in.Sched)
+	rep := in.Reuse
+	if rep == nil {
+		rep = sim.MinMemoryWithReuse(in.Sched)
+	}
 	var paperTotal, paperMax, reuseTotal, reuseMax float64
 	for i := range rep.Paper {
 		p, u := float64(rep.Paper[i]), float64(rep.Reuse[i])

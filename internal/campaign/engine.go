@@ -507,6 +507,7 @@ func finishTrial(t Trial, is *sched.InstSchedule, repBefore *sim.Report, preExtr
 
 		Sched: res.Schedule,
 		Rep:   repAfter,
+		Reuse: reuse,
 
 		Balance: res,
 		Before:  repBefore,

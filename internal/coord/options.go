@@ -28,7 +28,8 @@ type Options struct {
 	// the campaign loudly.
 	MaxAttempts int
 
-	// Backoff is the re-queue delay curve of failed ranges.
+	// Backoff is the re-queue delay curve of failed ranges. A zero Base
+	// retries at once.
 	Backoff Backoff
 
 	// ScrapeInterval is the fleet telemetry cadence: every interval the
@@ -60,8 +61,8 @@ func DefaultOptions() Options {
 // resolve fills o from DefaultOptions: all of it when o is zero,
 // otherwise each knob whose zero (or negative) value means nothing of
 // its own. Splits 0 (auto-size), a negative ScrapeInterval, a zero
-// StallWindow, and the Backoff fields (unless all zero) keep their
-// meanings. Splits is sized by AutoSplits separately.
+// StallWindow, and a zero Backoff (retry at once) keep their meanings.
+// Splits is sized by AutoSplits separately.
 func (o Options) resolve() Options {
 	d := DefaultOptions()
 	if o == (Options{}) {
@@ -78,9 +79,6 @@ func (o Options) resolve() Options {
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = d.MaxAttempts
-	}
-	if o.Backoff == (Backoff{}) {
-		o.Backoff = d.Backoff
 	}
 	if o.ScrapeInterval == 0 {
 		o.ScrapeInterval = d.ScrapeInterval
@@ -102,7 +100,7 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.DurationVar(&o.Poll, "poll", o.Poll, "scheduler tick: status polls, dispatch, and straggler checks")
 	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", o.RPCTimeout, "per-RPC deadline for worker calls")
 	fs.IntVar(&o.MaxAttempts, "max-attempts", o.MaxAttempts, "per-range failure budget before the campaign fails loudly")
-	fs.DurationVar(&o.Backoff.Base, "backoff-base", o.Backoff.Base, "first retry delay for a failed range (doubles per failure)")
+	fs.DurationVar(&o.Backoff.Base, "backoff-base", o.Backoff.Base, "first retry delay for a failed range (doubles per failure; 0 retries at once)")
 	fs.DurationVar(&o.Backoff.Max, "backoff-max", o.Backoff.Max, "retry delay ceiling")
 	fs.Float64Var(&o.Backoff.Jitter, "backoff-jitter", o.Backoff.Jitter, "symmetric random jitter fraction on retry delays")
 	fs.DurationVar(&o.ScrapeInterval, "scrape", o.ScrapeInterval, "scrape worker telemetry snapshots this often for the live fleet view (negative disables)")

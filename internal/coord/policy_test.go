@@ -197,11 +197,12 @@ func TestDefaultsWrittenOnce(t *testing.T) {
 		t.Errorf("zero Options resolved to %+v, want %+v", got, want)
 	}
 	// A set knob keeps the rest of the zero knobs on the table, except
-	// where zero means something.
+	// where zero means something: no stall rule, no retry delay.
 	got := resolved(Options{Splits: 2})
 	want = DefaultOptions()
 	want.Splits = 2
 	want.Straggler.StallWindow = 0
+	want.Backoff = Backoff{}
 	if got != want {
 		t.Errorf("Options{Splits: 2} resolved to %+v, want %+v", got, want)
 	}
@@ -209,10 +210,17 @@ func TestDefaultsWrittenOnce(t *testing.T) {
 	fs = flag.NewFlagSet("lbfarmd", flag.ContinueOnError)
 	bound = DefaultOptions()
 	bound.Bind(fs)
-	if err := fs.Parse([]string{"-stall-window", "0", "-scrape", "-1s"}); err != nil {
+	if err := fs.Parse([]string{"-stall-window", "0", "-scrape", "-1s",
+		"-backoff-base", "0", "-backoff-max", "0", "-backoff-jitter", "0"}); err != nil {
 		t.Fatal(err)
 	}
 	got = resolved(bound)
+	if d := got.Backoff.Delay(1, nil); d != 0 {
+		t.Errorf("-backoff-base 0 -backoff-max 0 -backoff-jitter 0: first retry after %v, want 0", d)
+	}
+	if d := DefaultOptions().Backoff.Delay(1, nil); d == 0 {
+		t.Error("the default backoff retries at once")
+	}
 	if got.Straggler.StallWindow != 0 {
 		t.Errorf("-stall-window 0 resolved to %v, want 0", got.Straggler.StallWindow)
 	}

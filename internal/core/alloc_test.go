@@ -51,7 +51,8 @@ func TestEvaluateAllocFree(t *testing.T) {
 	// buffer (one cursor per sorted run, on the stack), so nothing needs
 	// to grow; the round only fills the once-per-block propagation cap.
 	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-		b.evaluate(ctx, p, false)
+		b.evaluate(ctx, p, true)
+		b.land(ctx, p)
 	}
 	moved := 0
 	for p := range st.intervals {
@@ -63,10 +64,11 @@ func TestEvaluateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		ctx.depsOnce = false // recompute the per-block bounds every round
 		for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-			c := b.evaluate(ctx, p, false)
+			c, _, _ := b.evaluate(ctx, p, true)
 			if int(c.Proc) != int(p) {
 				t.Fatalf("candidate proc %d, want %d", c.Proc, p)
 			}
+			b.land(ctx, p) // the relaxed pass's deferred probe
 		}
 	})
 	if allocs != 0 {

@@ -140,6 +140,17 @@ type balState struct {
 	shifted []bool
 	seen    []bool
 	touched []*blocks.Block
+
+	// deferred holds, for the block being placed, the processors eq. (4)
+	// refused before their probe (see relaxedPick).
+	deferred []deferral
+}
+
+// deferral is a processor eq. (4) refused before its probe, with the
+// lower bound on the block's landing there.
+type deferral struct {
+	p   arch.ProcID
+	low model.Time
 }
 
 // newBalState builds the initial state of one pass over blks: nothing
@@ -158,6 +169,7 @@ func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block)
 		wcet:       make([]model.Time, ts.Len()),
 		shifted:    make([]bool, ts.Len()),
 		seen:       make([]bool, len(blks)),
+		deferred:   make([]deferral, 0, ar.Procs),
 	}
 	for i := range st.wcet {
 		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
@@ -354,8 +366,15 @@ func (q *blockQueue) pop(processed []bool) *blocks.Block {
 	return nil
 }
 
-// placeBlock evaluates all processors for bl, applies the policy, commits
-// the move, and propagates gains to later-instance blocks.
+// placeBlock evaluates every processor for bl, applies the policy,
+// commits the move, and propagates gains to later-instance blocks.
+//
+// Each processor is probed at most once. evaluate settles a processor
+// without its probe whenever a cheaper check already rejects it, and a
+// processor eq. (4) rejected that way is probed only if the relaxed
+// pass — eq. (4) left the block with no processor — may still pick it
+// (relaxedPick). The outcome is the one of evaluating every processor
+// in full, then again without eq. (4) when none passed.
 func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *blocks.Block,
 	processed []bool, st *balState, q *blockQueue,
 	conservative bool, want *arch.ProcID) (Move, error) {
@@ -365,73 +384,72 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 	if b.RecordCandidates {
 		cands = make([]Candidate, 0, ar.Procs)
 	}
-	var best *Candidate
-	var bestVal Candidate
 	ctx := newPctx(ts, ar, bl, processed, st, conservative)
 	defer ctx.release()
 	if b.probe != nil {
 		b.probe(*ctx)
 	}
 
-	relaxed := false
+	// eq. (4) is a timing filter: IgnoreTiming drops it with the others.
+	lcm := !b.DisableLCMCondition && !b.IgnoreTiming
+	// best is the policy's pick; over is the best landing that only
+	// eq. (4) refuses, where a relaxed pass starts.
+	var best, over Candidate
+	haveBest, haveOver := false, false
 	feasible := 0
+	st.deferred = st.deferred[:0]
 	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-		c := b.evaluate(ctx, p, b.DisableLCMCondition)
-		if c.Feasible {
+		c, v, s := b.evaluate(ctx, p, lcm)
+		switch v {
+		case fits:
 			feasible++
-			c.Lambda = lambda(b.Policy, c.Gain, st.memSum[p])
-			if best == nil || better(b.Policy, c, bestVal) {
-				bestVal = c
-				best = &bestVal
+			if !haveBest || better(b.Policy, c, best) {
+				best, haveBest = c, true
 			}
+		case overLCM:
+			if o := b.landingOn(ctx, p, s); !haveOver || better(b.Policy, o, over) {
+				over, haveOver = o, true
+			}
+		case deferred:
+			st.deferred = append(st.deferred, deferral{p, s})
 		}
 		if b.RecordCandidates {
 			cands = append(cands, c)
 		}
 	}
-	if best == nil && !b.DisableLCMCondition {
+	relaxed := false
+	if !haveBest && lcm && want == nil {
 		// eq. (4) left the block with no processor; retry with the exact
 		// wrap-around check only.
-		relaxed = true
-		for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-			c := b.evaluate(ctx, p, true)
-			if c.Feasible {
-				c.Lambda = lambda(b.Policy, c.Gain, st.memSum[p])
-				if best == nil || better(b.Policy, c, bestVal) {
-					bestVal = c
-					best = &bestVal
-				}
-			}
-		}
+		best, haveBest = b.relaxedPick(ctx, over, haveOver)
+		relaxed = haveBest
 	}
 
 	// Scripted decision: override the policy with the forced processor,
 	// failing the whole pass when it is infeasible at this step.
 	if want != nil {
-		best = nil
-		c := b.evaluate(ctx, *want, b.DisableLCMCondition)
-		if !c.Feasible {
-			c = b.evaluate(ctx, *want, true)
-			relaxed = c.Feasible
+		c, v, s := b.evaluate(ctx, *want, lcm)
+		if v == deferred { // probe it now; eq. (4) still refuses it
+			if s, c.Reason = b.land(ctx, *want); c.Reason == "" {
+				v = overLCM
+			}
+		}
+		if v == overLCM {
+			c, relaxed = b.landingOn(ctx, *want, s), true
 		}
 		if !c.Feasible {
 			return Move{}, fmt.Errorf("core: scripted placement of block %d on P%d infeasible: %s",
 				bl.ID, int(*want)+1, c.Reason)
 		}
-		c.Lambda = lambda(b.Policy, c.Gain, st.memSum[*want])
-		bestVal = c
-		best = &bestVal
+		best, haveBest = c, true
 	}
 
 	mv := Move{BlockID: bl.ID, From: bl.Proc, OldStart: sOld, Category: bl.Category, FeasibleProcs: feasible}
 	if b.RecordCandidates {
 		mv.Candidates = cands
 	}
-	if best != nil && relaxed {
-		mv.RelaxedLCM = true
-	}
 
-	if best == nil {
+	if !haveBest {
 		// No processor feasible: keep the block where it is (recorded as
 		// forced; final validation reports any resulting inconsistency).
 		mv.To, mv.NewStart, mv.Gain, mv.Forced = bl.Proc, sOld, 0, true
@@ -439,51 +457,102 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 		return mv, nil
 	}
 
-	mv.To, mv.NewStart, mv.Gain = best.Proc, best.NewStart, best.Gain
+	mv.To, mv.NewStart, mv.Gain, mv.RelaxedLCM = best.Proc, best.NewStart, best.Gain, relaxed
 	b.commit(ts, bl, processed, st, q, best.Proc, best.NewStart)
 	return mv, nil
 }
 
+// verdict is what evaluate learned about one processor.
+type verdict uint8
+
+const (
+	fits     verdict = iota // the candidate is feasible
+	excluded                // infeasible even with eq. (4) relaxed
+	overLCM                 // lands at the returned start, which eq. (4) refuses
+	deferred                // not probed: eq. (4) refuses the returned lower bound
+)
+
+// Candidate rejection reasons used in more than one place.
+const (
+	reasonLCM   = "LCM condition"
+	reasonNoFit = "no conflict-free start within dependence bounds"
+)
+
 // evaluate computes the candidate record for moving the context block to
-// processor p. With relaxLCM the Block Condition (eq. 4) is skipped; the
-// exact wrap-around interval and reservation checks always apply.
-func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, relaxLCM bool) Candidate {
-	ts, ar, bl, st := ctx.ts, ctx.ar, ctx.bl, ctx.st
+// processor p, with the Block Condition, eq. (4), applied when lcm is
+// set. The checks that need no probe run first, in order: memory
+// capacity, the moved producers of a pinned block, and eq. (4) at the
+// lowest start the probe can return. That bound is the start itself for
+// a pinned block; a first-category block lands at or above its producer
+// bound, or at its current start when that bound lies beyond it (see
+// earliestOn), and a capped gain only raises the landing. Only a
+// processor that passes all three is probed (land).
+//
+// The verdict and the returned start carry what a relaxed pass needs:
+// the landing of a probed processor eq. (4) refuses (overLCM), or the
+// lower bound of one it refused before the probe (deferred).
+func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, lcm bool) (Candidate, verdict, model.Time) {
+	bl, st := ctx.bl, ctx.st
 	c := Candidate{Proc: p, MemSum: st.memSum[p]}
-	sOld := bl.Start()
-
-	if cap := ar.MemCapacity; cap > 0 && st.memSum[p]+bl.Mem() > cap {
+	if cap := ctx.ar.MemCapacity; cap > 0 && st.memSum[p]+bl.Mem() > cap {
 		c.Reason = "memory capacity"
-		return c
+		return c, excluded, 0
 	}
 
+	sOld := bl.Start()
+	low := sOld
+	if !b.IgnoreTiming {
+		movedLB, consLB := ctx.depBounds(p)
+		switch {
+		case bl.Category == 1:
+			low = min(max(movedLB, consLB, 0), sOld)
+		case movedLB > sOld:
+			c.Reason = "moved producers finish too late for the pinned start"
+			return c, excluded, 0
+		}
+	}
+	if lcm && !ctx.meetsLCM(p, low) {
+		c.Reason = reasonLCM
+		return c, deferred, low
+	}
+
+	s, reason := b.land(ctx, p)
+	switch {
+	case reason != "":
+		c.Reason = reason
+		return c, excluded, 0
+	case lcm && !ctx.meetsLCM(p, s):
+		c.Reason = reasonLCM
+		return c, overLCM, s
+	}
+	c.Feasible, c.NewStart, c.Gain = true, s, sOld-s
+	c.Lambda = lambda(b.Policy, c.Gain, c.MemSum)
+	return c, fits, s
+}
+
+// land is the probe: the start at which the context block lands on p,
+// eq. (4) aside, or why it cannot land there. It assumes p passed
+// evaluate's memory and moved-producer checks.
+func (b *Balancer) land(ctx *pctx, p arch.ProcID) (model.Time, string) {
+	sOld := ctx.bl.Start()
 	if b.IgnoreTiming {
-		c.Feasible, c.NewStart, c.Gain = true, sOld, 0
-		return c
+		return sOld, ""
 	}
 
-	movedLB, conservativeLB := ctx.depBounds(p)
-
-	var newStart model.Time
-	if bl.Category == 2 {
+	newStart := sOld
+	if ctx.bl.Category == 2 {
 		// Pinned by strict periodicity: the block cannot shift on its own.
 		// Unprocessed producers are safe at the unchanged start (the
 		// current schedule satisfies them and their ends only decrease),
-		// so only moved producers and occupancy are checked.
-		if movedLB > sOld {
-			c.Reason = "moved producers finish too late for the pinned start"
-			return c
-		}
+		// and evaluate checked the moved ones, so only occupancy is left.
 		if !ctx.conflictFree(p, sOld) {
-			c.Reason = "no room at the pinned start"
-			return c
+			return 0, "no room at the pinned start"
 		}
-		newStart = sOld
 	} else {
-		s, ok := b.earliestOn(ctx, p, movedLB, conservativeLB)
+		movedLB, consLB := ctx.depBounds(p)
+		s, ok := b.earliestOn(ctx, p, movedLB, consLB)
 		if !ok {
-			c.Reason = "no conflict-free start within dependence bounds"
-			return c
+			return 0, reasonNoFit
 		}
 		newStart = s
 	}
@@ -495,24 +564,44 @@ func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, relaxLCM bool) Candidate {
 			newStart = sOld - maxG
 			if !ctx.conflictFree(p, newStart) {
 				// The capped position may conflict; fall back to staying put.
-				if ctx.conflictFree(p, sOld) {
-					newStart = sOld
-				} else {
-					c.Reason = "no conflict-free start within dependence bounds"
-					return c
+				if !ctx.conflictFree(p, sOld) {
+					return 0, reasonNoFit
 				}
+				newStart = sOld
 			}
 		}
 	}
+	return newStart, ""
+}
 
-	// Block (LCM) Condition, eq. (4).
-	if !relaxLCM && st.firstStart[p] >= 0 && newStart+bl.Exec() > st.firstStart[p]+ts.HyperPeriod() {
-		c.Reason = "LCM condition"
-		return c
+// landingOn is the feasible candidate of the context block landing on p
+// at start s.
+func (b *Balancer) landingOn(ctx *pctx, p arch.ProcID, s model.Time) Candidate {
+	gain, memSum := ctx.bl.Start()-s, ctx.st.memSum[p]
+	return Candidate{Proc: p, Feasible: true, NewStart: s, Gain: gain, MemSum: memSum,
+		Lambda: lambda(b.Policy, gain, memSum)}
+}
+
+// relaxedPick is the pass without eq. (4): the best landing over every
+// processor, starting from inc (ok: inc is set), the best landing the
+// first pass probed. The processors eq. (4) refused before their probe
+// wait in st.deferred. A landing at the lower bound is the optimistic
+// candidate of one: λ never decreases with the gain (memory-only
+// ignores it), so no real landing there beats it. A deferred processor
+// is probed only when the incumbent does not beat its optimistic
+// candidate.
+func (b *Balancer) relaxedPick(ctx *pctx, inc Candidate, ok bool) (Candidate, bool) {
+	for _, d := range ctx.st.deferred {
+		if ok && better(b.Policy, inc, b.landingOn(ctx, d.p, d.low)) {
+			continue
+		}
+		if s, reason := b.land(ctx, d.p); reason == "" {
+			if c := b.landingOn(ctx, d.p, s); !ok || better(b.Policy, c, inc) {
+				inc, ok = c, true
+			}
+		}
 	}
-
-	c.Feasible, c.NewStart, c.Gain = true, newStart, sOld-newStart
-	return c
+	return inc, ok
 }
 
 // earliestOn returns the earliest start of a first-category block on p

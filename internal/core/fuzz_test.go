@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/arch"
@@ -36,10 +37,12 @@ func fuzzSeed(f *testing.F, seed int64, tasks, procs int, policy Policy, util fl
 // schedule is valid, Gtotal ≥ 0 (the makespan never grows), and every
 // instance is still placed exactly once. At every placement step it also
 // checks the indexed placement queries against their linear-scan
-// references (checkPlacementQueries). The seed corpus is the set of
-// configurations the fixed-case invariant and property tests use, so
-// plain `go test` runs it; `go test -fuzz FuzzBalancerInvariants`
-// explores beyond it.
+// references (checkPlacementQueries), and every pass of the default,
+// eq. (4)-free and untimed balancers against the evaluate-everything
+// placement loop (checkPlacementMatchesReference). The seed corpus is
+// the set of configurations the fixed-case invariant and property tests
+// use, so plain `go test` runs it; `go test -fuzz
+// FuzzBalancerInvariants` explores beyond it.
 func FuzzBalancerInvariants(f *testing.F) {
 	for seed := int64(0); seed < 25; seed++ {
 		fuzzSeed(f, seed, 30, 5, PolicyLexicographic, 2.5, 0) // TestBalancedSchedulesStayValid
@@ -91,6 +94,14 @@ func FuzzBalancerInvariants(f *testing.F) {
 		}
 		if placed != ts.TotalInstances() {
 			t.Fatalf("%+v M=%d %v: %d instances placed after balancing, want %d", cfg, m, pol, placed, ts.TotalInstances())
+		}
+		var pruned pruneTally
+		for _, v := range balancerVariants(pol) {
+			for _, conservative := range []bool{false, true} {
+				checkPlacementMatchesReference(t, &v, sched.FromSchedule(s), conservative, &pruned,
+					fmt.Sprintf("%+v M=%d %v disableLCM=%v ignoreTiming=%v conservative=%v",
+						cfg, m, pol, v.DisableLCMCondition, v.IgnoreTiming, conservative))
+			}
 		}
 	})
 }

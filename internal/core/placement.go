@@ -148,6 +148,14 @@ func (c *pctx) computeDeps() {
 	}
 }
 
+// meetsLCM reports whether the context block, landing at start s on p,
+// satisfies the Block (LCM) Condition, eq. (4): it must end within one
+// hyper-period of the first block moved to p.
+func (c *pctx) meetsLCM(p arch.ProcID, s model.Time) bool {
+	first := c.st.firstStart[p]
+	return first < 0 || s+c.bl.Exec() <= first+c.ts.HyperPeriod()
+}
+
 // conflictFree reports whether the candidate block, placed at start s on
 // processor p (implying gain = sOld − s for category-1 blocks), overlaps
 // neither a moved interval nor a reservation on p.

@@ -428,14 +428,10 @@ type diffConfig struct {
 	comm  model.Time
 }
 
-// TestPlacementQueriesMatchLinearScan drives real balancing passes and,
-// at every placement step, checks the reservation indexes and the
-// indexed conflict, earliest-fit, propagation-cap and dependence-bound
-// queries against the linear-scan references for every processor —
-// across seeds, 2–8 processors, all policies and both propagation modes.
-func TestPlacementQueriesMatchLinearScan(t *testing.T) {
-	var tally diffTally
-	runs := 0
+// diffConfigs are the input families of the differential placement
+// tests: seeds across 2–8 processors, and short-ladder systems with
+// C ≥ 2.
+func diffConfigs() []diffConfig {
 	var configs []diffConfig
 	for seed := int64(1); seed <= 4; seed++ {
 		for _, procs := range []int{2, 3, 5, 8} {
@@ -458,8 +454,18 @@ func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 			gen.Config{Seed: c.seed, Tasks: 6 + 4*c.procs, Utilization: c.util * float64(c.procs), Periods: short, EdgeProb: 0.6},
 			c.procs, c.comm})
 	}
+	return configs
+}
 
-	for _, cfg := range configs {
+// TestPlacementQueriesMatchLinearScan drives real balancing passes and,
+// at every placement step, checks the reservation indexes and the
+// indexed conflict, earliest-fit, propagation-cap and dependence-bound
+// queries against the linear-scan references for every processor —
+// across seeds, 2–8 processors, all policies and both propagation modes.
+func TestPlacementQueriesMatchLinearScan(t *testing.T) {
+	var tally diffTally
+	runs := 0
+	for _, cfg := range diffConfigs() {
 		ts, err := gen.Generate(cfg.gen)
 		if err != nil {
 			t.Fatal(err)

@@ -182,3 +182,76 @@ func peakLive(lts []lifetime, h model.Time) model.Mem {
 func ReuseByProc(is *sched.InstSchedule) []model.Mem {
 	return MinMemoryWithReuse(is).Reuse
 }
+
+// BufferPeaks returns each processor's receive-buffer high-watermark over
+// the schedule's one pass: every datum arriving from another processor
+// occupies the consumer side's buffer from its arrival (producer end
+// + C) until the consuming instance completes. Data produced by n
+// instances of a faster producer must all be stored there until the
+// consumer runs, so no reuse between them is possible (figure 1).
+// Unplaced instances are skipped; Runner.Run is the executability check.
+func BufferPeaks(is *sched.InstSchedule) []model.Mem {
+	ts, ar := is.TS, is.Arch
+	buffers := make([][]arrival, ar.Procs)
+	for i := 0; i < ts.Len(); i++ {
+		dst := model.TaskID(i)
+		for k := 0; k < ts.Instances(dst); k++ {
+			ci := model.InstanceID{Task: dst, K: k}
+			cpl, ok := is.Placement(ci)
+			if !ok {
+				continue
+			}
+			model.EachInstanceDepData(ts, dst, k, func(src model.InstanceID, data model.Mem) {
+				if spl, ok := is.Placement(src); ok && spl.Proc != cpl.Proc {
+					buffers[cpl.Proc] = append(buffers[cpl.Proc], arrival{
+						at:   is.End(src) + ar.CommTime,
+						data: data,
+						free: cpl.Start + ts.Task(dst).WCET,
+					})
+				}
+			})
+		}
+	}
+	peaks := make([]model.Mem, ar.Procs)
+	for p := range buffers {
+		peaks[p] = peakOccupancy(buffers[p])
+	}
+	return peaks
+}
+
+// arrival is one datum landing in a processor's receive buffer: it
+// occupies the buffer from its arrival until the consumer instance that
+// uses it completes.
+type arrival struct {
+	at   model.Time
+	data model.Mem
+	free model.Time // consumer end: buffer slot released
+}
+
+type occEvent struct {
+	at    model.Time
+	delta model.Mem
+}
+
+// peakOccupancy computes the maximum simultaneous buffer occupancy given
+// arrival intervals [at, free).
+func peakOccupancy(arrivals []arrival) model.Mem {
+	evs := make([]occEvent, 0, 2*len(arrivals))
+	for _, a := range arrivals {
+		evs = append(evs, occEvent{a.at, a.data}, occEvent{a.free, -a.data})
+	}
+	slices.SortFunc(evs, func(a, b occEvent) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.delta, b.delta) // frees before arrivals at the same tick
+	})
+	var cur, peak model.Mem
+	for _, e := range evs {
+		cur += e.delta
+		if cur > peak {
+			peak = cur
+		}
+	}
+	return peak
+}

@@ -34,20 +34,20 @@ func TestReuseCannotBeatMultiRateCoexistence(t *testing.T) {
 func TestReuseProducerSideShipsDataAway(t *testing.T) {
 	// Figure 1 cross-processor: the producer's buffers leave with each
 	// transfer, so the producer side reuses one slot; the coexistence
-	// cost moves to the consumer's receive buffer (Runner.BufferPeak).
+	// cost moves to the consumer's receive buffer (BufferPeaks).
 	is := fig1Schedule(t, 4)
 	rep := MinMemoryWithReuse(is)
 	if rep.Reuse[0] != 1 {
 		t.Errorf("producer-side reuse peak = %d, want 1 (each datum ships before the next)", rep.Reuse[0])
 	}
-	run, err := (&Runner{}).Run(is)
-	if err != nil {
+	if _, err := (&Runner{}).Run(is); err != nil {
 		t.Fatal(err)
 	}
 	// Reuse-aware total demand on the consumer side: local tasks (1) +
 	// the 4-datum receive buffer = 5 — no lower than the paper's total.
-	total := rep.Reuse[1] + run.Procs[1].BufferPeak
-	paper := rep.Paper[1] + run.Procs[1].BufferPeak
+	peak := BufferPeaks(is)[1]
+	total := rep.Reuse[1] + peak
+	paper := rep.Paper[1] + peak
 	if total != 5 || paper != 5 {
 		t.Errorf("consumer-side demand: reuse-aware %d, paper %d, want both 5", total, paper)
 	}

@@ -6,16 +6,15 @@
 //
 //   - per-processor busy and idle time (the §1 motivation: "over 65% of
 //     processors are idle at any given time");
-//   - per-processor receive-buffer high-watermark: data produced by n
-//     instances of a faster producer must all be stored on the consumer
-//     side until the consumer runs — memory reuse is impossible between
-//     them (figure 1).
+//   - per-processor resident task memory (the paper's accounting).
+//
+// The memory a schedule needs beyond that is measured apart from the
+// replay (reuse.go): the receive-buffer high-watermark (BufferPeaks) and
+// the peak of live buffers under perfect reuse (MinMemoryWithReuse).
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/arch"
@@ -37,9 +36,7 @@ type ProcStats struct {
 	Busy        model.Time
 	Idle        model.Time
 	Instances   int
-	BufferPeak  model.Mem // receive-buffer high-watermark
 	ResidentMem model.Mem // per-instance task memory (paper accounting)
-	TotalDemand model.Mem // ResidentMem + BufferPeak
 }
 
 // Report is the outcome of one simulation run.
@@ -67,9 +64,7 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 	horizon := is.Makespan()
 	rep := &Report{Horizon: horizon, Makespan: horizon, Procs: make([]ProcStats, ar.Procs)}
 
-	buffers := make([][]arrival, ar.Procs)
-
-	// Verify executability and collect arrivals.
+	// Verify executability.
 	var depErr error
 	for i := 0; i < ts.Len(); i++ {
 		dst := model.TaskID(i)
@@ -79,7 +74,7 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 			if !ok {
 				return nil, fmt.Errorf("sim: instance %v not placed", ci)
 			}
-			model.EachInstanceDepData(ts, dst, k, func(src model.InstanceID, data model.Mem) {
+			model.EachInstanceDep(ts, dst, k, func(src model.InstanceID) {
 				if depErr != nil {
 					return
 				}
@@ -97,19 +92,11 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 						ts.Task(dst).Name, k+1, cpl.Start, ts.Task(src.Task).Name, src.K+1, end)
 					return
 				}
-				if spl.Proc != cpl.Proc {
-					buffers[cpl.Proc] = append(buffers[cpl.Proc], arrival{
-						at:   end,
-						data: data,
-						used: cpl.Start,
-						free: cpl.Start + ts.Task(dst).WCET,
-					})
-					if r.LogEvents {
-						rep.Events = append(rep.Events,
-							Event{Time: is.End(src), Kind: "send", Inst: src, Proc: spl.Proc},
-							Event{Time: end, Kind: "recv", Inst: ci, Proc: cpl.Proc,
-								Note: fmt.Sprintf("from %s#%d", ts.Task(src.Task).Name, src.K+1)})
-					}
+				if r.LogEvents && spl.Proc != cpl.Proc {
+					rep.Events = append(rep.Events,
+						Event{Time: is.End(src), Kind: "send", Inst: src, Proc: spl.Proc},
+						Event{Time: end, Kind: "recv", Inst: ci, Proc: cpl.Proc,
+							Note: fmt.Sprintf("from %s#%d", ts.Task(src.Task).Name, src.K+1)})
 				}
 			})
 			if depErr != nil {
@@ -136,12 +123,6 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 		}
 	}
 
-	// Buffer high-watermark per processor: sweep arrival/free events.
-	for p := range buffers {
-		rep.Procs[p].BufferPeak = peakOccupancy(buffers[p])
-		rep.Procs[p].TotalDemand = rep.Procs[p].ResidentMem + rep.Procs[p].BufferPeak
-	}
-
 	idleSum := 0.0
 	for p := range rep.Procs {
 		rep.Procs[p].Idle = horizon - rep.Procs[p].Busy
@@ -155,42 +136,4 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 		sort.SliceStable(rep.Events, func(i, j int) bool { return rep.Events[i].Time < rep.Events[j].Time })
 	}
 	return rep, nil
-}
-
-// arrival is one datum landing in a processor's receive buffer: it
-// occupies the buffer from its arrival until the consumer instance that
-// uses it completes.
-type arrival struct {
-	at   model.Time
-	data model.Mem
-	used model.Time // consumer start
-	free model.Time // consumer end: buffer slot released
-}
-
-type occEvent struct {
-	at    model.Time
-	delta model.Mem
-}
-
-// peakOccupancy computes the maximum simultaneous buffer occupancy given
-// arrival intervals [at, free).
-func peakOccupancy(arrivals []arrival) model.Mem {
-	evs := make([]occEvent, 0, 2*len(arrivals))
-	for _, a := range arrivals {
-		evs = append(evs, occEvent{a.at, a.data}, occEvent{a.free, -a.data})
-	}
-	slices.SortFunc(evs, func(a, b occEvent) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.delta, b.delta) // frees before arrivals at the same tick
-	})
-	var cur, peak model.Mem
-	for _, e := range evs {
-		cur += e.delta
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
 }

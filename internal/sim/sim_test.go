@@ -33,16 +33,17 @@ func fig1Schedule(t *testing.T, n model.Time) *sched.InstSchedule {
 
 func TestFig1BufferGrowsLinearly(t *testing.T) {
 	for n := model.Time(1); n <= 8; n++ {
-		rep, err := (&Runner{}).Run(fig1Schedule(t, n))
-		if err != nil {
+		is := fig1Schedule(t, n)
+		if _, err := (&Runner{}).Run(is); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		// All n data must be resident on P2 simultaneously right before b
 		// executes: the peak is exactly n (figure 1's point).
-		if got := rep.Procs[1].BufferPeak; got != model.Mem(n) {
+		peaks := BufferPeaks(is)
+		if got := peaks[1]; got != model.Mem(n) {
 			t.Errorf("n=%d: consumer buffer peak = %d, want %d", n, got, n)
 		}
-		if rep.Procs[0].BufferPeak != 0 {
+		if peaks[0] != 0 {
 			t.Errorf("n=%d: producer side should need no receive buffer", n)
 		}
 	}
@@ -58,11 +59,11 @@ func TestBufferScalesWithDataSize(t *testing.T) {
 	s := sched.MustNewSchedule(ts, ar)
 	s.MustPlace(a, 0, 0)
 	s.MustPlace(b, 1, 11)
-	rep, err := (&Runner{}).Run(sched.FromSchedule(s))
-	if err != nil {
+	is := sched.FromSchedule(s)
+	if _, err := (&Runner{}).Run(is); err != nil {
 		t.Fatal(err)
 	}
-	if got := rep.Procs[1].BufferPeak; got != 20 { // 4 instances × 5
+	if got := BufferPeaks(is)[1]; got != 20 { // 4 instances × 5
 		t.Errorf("buffer peak = %d, want 20", got)
 	}
 }
@@ -77,12 +78,12 @@ func TestCoLocationNeedsNoBuffer(t *testing.T) {
 	s := sched.MustNewSchedule(ts, ar)
 	s.MustPlace(a, 0, 0)
 	s.MustPlace(b, 0, 10)
-	rep, err := (&Runner{}).Run(sched.FromSchedule(s))
-	if err != nil {
+	is := sched.FromSchedule(s)
+	if _, err := (&Runner{}).Run(is); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Procs[0].BufferPeak != 0 {
-		t.Errorf("co-located transfer buffered: peak %d", rep.Procs[0].BufferPeak)
+	if peak := BufferPeaks(is)[0]; peak != 0 {
+		t.Errorf("co-located transfer buffered: peak %d", peak)
 	}
 }
 
@@ -146,7 +147,8 @@ func TestEventLogOrdered(t *testing.T) {
 }
 
 func TestResidentAndTotalDemand(t *testing.T) {
-	rep, err := (&Runner{}).Run(fig1Schedule(t, 4))
+	is := fig1Schedule(t, 4)
+	rep, err := (&Runner{}).Run(is)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestResidentAndTotalDemand(t *testing.T) {
 	if rep.Procs[0].ResidentMem != 4 {
 		t.Errorf("P1 resident = %d, want 4", rep.Procs[0].ResidentMem)
 	}
-	if rep.Procs[1].TotalDemand != 1+4 {
-		t.Errorf("P2 total demand = %d, want 5", rep.Procs[1].TotalDemand)
+	if total := rep.Procs[1].ResidentMem + BufferPeaks(is)[1]; total != 1+4 {
+		t.Errorf("P2 total demand = %d, want 5", total)
 	}
 }

@@ -120,10 +120,16 @@ func Balance(s *InitialSchedule) (*Result, error) {
 func BalanceWith(s *InstSchedule, b *Balancer) (*Result, error) { return b.Run(s) }
 
 // Simulate replays an instance-level schedule over one hyper-period and
-// reports busy/idle time and buffer high-watermarks.
+// reports busy/idle time and resident memory, failing when the schedule
+// is not executable.
 func Simulate(is *InstSchedule) (*SimReport, error) {
 	return (&sim.Runner{}).Run(is)
 }
+
+// BufferPeaks returns each processor's receive-buffer high-watermark:
+// the data of inter-processor transfers waiting for their consumers
+// (figure 1).
+func BufferPeaks(is *InstSchedule) []Mem { return sim.BufferPeaks(is) }
 
 // Generate synthesises a random task system with the paper's structural
 // assumptions (few harmonic periods, harmonic dependences).

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -71,10 +72,10 @@ func scaleInput(tb testing.TB, cfg gen.Config, procs int) (*model.TaskSet, *arch
 // TestTrialAllocNeutral pins the zero-analyzer fast path of the
 // pipeline BenchmarkTrial measures: a trial with no analyzers attached
 // must neither record balancer candidates nor build an extras payload,
-// so its allocation count stays where the PR-2 optimisation left it.
-// The cap carries ~15% headroom over the measured 616 allocs/trial for
-// this configuration; an analyzer-plumbing regression (candidate slices
-// on by default, eager extras maps) blows well past it.
+// so its allocation count stays where the optimisations left it. The
+// cap carries ~15% headroom over the measured 453 allocs/trial for this
+// configuration; an analyzer-plumbing regression (candidate slices on
+// by default, eager extras maps) blows well past it.
 func TestTrialAllocNeutral(t *testing.T) {
 	trial := campaign.Trial{Cell: "alloc", Gen: gen.Config{Seed: 3, Tasks: 12, Utilization: 1.5}, Procs: 3, Comm: 1}
 	if r, err := campaign.RunTrial(trial); err != nil || r.Outcome != campaign.OutcomeOK || r.Extras != nil {
@@ -85,7 +86,7 @@ func TestTrialAllocNeutral(t *testing.T) {
 			t.Fatalf("outcome %q err %v", r.Outcome, err)
 		}
 	})
-	const maxAllocs = 710
+	const maxAllocs = 521
 	if allocs > maxAllocs {
 		t.Fatalf("zero-analyzer trial allocates %.0f objects, cap %d — analyzer plumbing leaked into the fast path", allocs, maxAllocs)
 	}
@@ -117,6 +118,33 @@ func TestTrialAllocNeutral(t *testing.T) {
 	}
 	if r, err := campaign.RunTrial(trials[0]); err != nil || r.Outcome != campaign.OutcomeOK || len(r.Extras) == 0 {
 		t.Fatalf("analyzer trial: outcome %q, %d extras, err %v", r.Outcome, len(r.Extras), err)
+	}
+}
+
+// TestTrialBytesAtPaperScale caps the bytes one zero-analyzer trial
+// allocates in the BenchmarkTrial/end-to-end configuration (1094
+// instances, 16 processors). The cap carries ~15% headroom over the
+// measured 1.89 MB/trial; the simulator's receive-buffer arrays alone
+// (sim.BufferPeaks, which campaigns do not read) would add ~1.1 MB.
+func TestTrialBytesAtPaperScale(t *testing.T) {
+	cfg, procs := paperScaleConfig()
+	trial := campaign.Trial{Cell: "bytes", Gen: cfg, Procs: procs, Comm: 1}
+	run := func() {
+		if r, err := campaign.RunTrial(trial); err != nil || r.Outcome != campaign.OutcomeOK {
+			t.Fatalf("outcome %q err %v", r.Outcome, err)
+		}
+	}
+	run() // warm-up
+	const trials = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range trials {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	const maxBytes = 2_175_000
+	if perTrial := (after.TotalAlloc - before.TotalAlloc) / trials; perTrial > maxBytes {
+		t.Fatalf("paper-scale trial allocates %d bytes, cap %d — something unread is back on the trial path", perTrial, maxBytes)
 	}
 }
 
