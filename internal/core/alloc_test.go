@@ -55,8 +55,12 @@ func TestEvaluateAllocFree(t *testing.T) {
 		b.land(ctx, p)
 	}
 	moved := 0
-	for p := range st.intervals {
-		moved += len(st.intervals[p].starts)
+	for p := range st.occ {
+		for _, it := range st.occ[p].items {
+			if it.task < 0 {
+				moved++
+			}
+		}
 	}
 	if moved == 0 {
 		t.Fatal("no moved intervals: the queries would not be exercised")

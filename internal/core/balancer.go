@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/blocks"
@@ -93,34 +94,23 @@ type ownerRef struct {
 	mi int
 }
 
-// resvRef is one reservation: a member of an unprocessed block, with its
-// task copied out so the placement sweeps need not read the block.
-type resvRef struct {
-	ownerRef
-	task model.TaskID
-}
-
 // balState carries the per-processor incremental state of one run.
 // Everything is indexed by dense IDs (processor, task, block, instance)
 // — the balancer's inner loops run millions of lookups per trial and
 // map overhead used to dominate them.
 type balState struct {
-	// intervals[p] indexes the blocks moved to p as [start, end)
-	// intervals (the item is the end), sorted by start so placement
-	// queries visit only the intervals near their window.
-	intervals  []timeIndex[model.Time]
+	// occ[p] indexes, folded modulo H, the obstacles on p that placement
+	// queries must honour: the blocks moved to p as [start, end)
+	// intervals, and the members of the unprocessed blocks currently
+	// hosted on p — their reservations. A block's members are removed
+	// when it is popped for placement, and each member is repositioned
+	// whenever gain propagation shifts it. Indexing members rather than
+	// blocks keeps the run sorted by start even after propagation has
+	// reordered a block's members.
+	occ        []foldIndex
 	firstStart []model.Time // start of first block moved there (-1 = none)
 	memSum     []model.Mem  // Σ m of blocks moved there
 	anyMoved   []bool
-
-	// resv[p] holds the members of the unprocessed blocks currently
-	// hosted on p, sorted by member start: the reservations conflict
-	// checks must honour. A block's members are removed when it is
-	// popped for placement, and each member is repositioned whenever gain
-	// propagation shifts it. Indexing members rather than blocks keeps
-	// every run sorted by start even after propagation has reordered a
-	// block's members.
-	resv []timeIndex[resvRef]
 
 	// owner[i] locates the block member holding the instance with dense
 	// index i (static: block membership never changes during a run).
@@ -154,16 +144,13 @@ type deferral struct {
 }
 
 // newBalState builds the initial state of one pass over blks: nothing
-// moved yet, every block reserved on its current processor. Each index
-// is pre-sized from its processor's initial block or member count, so
-// later insertions rarely reallocate.
+// moved yet, every block reserved on its current processor.
 func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block) *balState {
 	st := &balState{
-		intervals:  make([]timeIndex[model.Time], ar.Procs),
+		occ:        make([]foldIndex, ar.Procs),
 		firstStart: make([]model.Time, ar.Procs),
 		memSum:     make([]model.Mem, ar.Procs),
 		anyMoved:   make([]bool, ar.Procs),
-		resv:       make([]timeIndex[resvRef], ar.Procs),
 		owner:      make([]ownerRef, ts.TotalInstances()),
 		taskBlocks: make([][]*blocks.Block, ts.Len()),
 		wcet:       make([]model.Time, ts.Len()),
@@ -174,34 +161,38 @@ func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block)
 	for i := range st.wcet {
 		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
 	}
-	blocksOn, membersOn := make([]int, ar.Procs), make([]int, ar.Procs)
+	// Pre-size each index for its members and one moved block per block,
+	// so later insertions rarely reallocate.
+	room := make([]int, ar.Procs)
 	for _, bl := range blks {
-		blocksOn[bl.Proc]++
-		membersOn[bl.Proc] += len(bl.Members)
+		room[bl.Proc] += len(bl.Members) + 1
 	}
-	for p := range st.intervals {
+	h := ts.HyperPeriod()
+	for p := range st.occ {
 		st.firstStart[p] = -1
-		st.intervals[p] = newTimeIndex[model.Time](blocksOn[p])
-		st.resv[p] = newTimeIndex[resvRef](membersOn[p])
+		st.occ[p] = newFoldIndex(h, room[p])
 	}
 	for _, bl := range blks {
 		for mi, m := range bl.Members {
 			ref := ownerRef{bl: bl, mi: mi}
 			st.owner[ts.InstanceIndex(m.Inst)] = ref
-			st.resv[bl.Proc].insert(m.Start, m.Start+st.wcet[m.Inst.Task], resvRef{ref, m.Inst.Task})
+			st.occ[bl.Proc].insert(m.Start, m.Start+st.wcet[m.Inst.Task], obstacle{task: m.Inst.Task, ref: ref}, false)
 		}
 		for _, task := range bl.Tasks() {
 			st.taskBlocks[task] = append(st.taskBlocks[task], bl)
 		}
 	}
+	for p := range st.occ {
+		sort.Sort(&st.occ[p])
+	}
 	return st
 }
 
-// removeResv drops a block's members from the reservation index once it
+// removeResv drops a block's members from the obstacle index once it
 // is popped for placement.
 func (st *balState) removeResv(bl *blocks.Block) {
 	for mi, m := range bl.Members {
-		st.resv[bl.Proc].remove(m.Start, resvRef{ownerRef{bl, mi}, m.Inst.Task})
+		st.occ[bl.Proc].remove(m.Start, m.Start+st.wcet[m.Inst.Task], ownerRef{bl, mi})
 	}
 }
 
@@ -647,7 +638,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 			st.anyMoved[p] = true
 			st.firstStart[p] = newStart
 		}
-		st.intervals[p].insert(newStart, bl.End(ts), bl.End(ts))
+		st.occ[p].insert(newStart, bl.End(ts), obstacle{task: -1}, true)
 	}
 	st.memSum[p] += bl.Mem()
 
@@ -676,7 +667,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 		st.seen[other.ID] = false
 		// Reposition the reservations of the members that shift: their
 		// sort key is their start.
-		rv := &st.resv[other.Proc]
+		x := &st.occ[other.Proc]
 		changed := false
 		for mi := range other.Members {
 			m := &other.Members[mi]
@@ -684,10 +675,10 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 			if !st.shifted[task] {
 				continue
 			}
-			ref := resvRef{ownerRef{other, mi}, task}
-			rv.remove(m.Start, ref)
+			ref, w := ownerRef{other, mi}, st.wcet[task]
+			x.remove(m.Start, m.Start+w, ref)
 			m.Start -= gain
-			rv.insert(m.Start, m.Start+st.wcet[task], ref)
+			x.insert(m.Start, m.Start+w, obstacle{task: task, ref: ref}, true)
 			changed = true
 		}
 		if changed {

@@ -32,10 +32,31 @@ func fuzzSeed(f *testing.F, seed int64, tasks, procs int, policy Policy, util fl
 	f.Add(seed, uint8(tasks-1), uint8(procs-2), uint8(policy), uint8(util*10+0.5)-1, uint8(ladder))
 }
 
+// foldCollision is the brute-force full-fold oracle: it tries every pair
+// of instances on one processor at every image k·H that can reach the
+// first's window (imageHit), and returns the first colliding pair.
+func foldCollision(is *sched.InstSchedule) (string, bool) {
+	h := is.TS.HyperPeriod()
+	for p := arch.ProcID(0); int(p) < is.Arch.Procs; p++ {
+		ids := is.InstancesOn(p)
+		for i, a := range ids {
+			pa, _ := is.Placement(a)
+			for _, b := range ids[i+1:] {
+				pb, _ := is.Placement(b)
+				if hit, k := imageHit(pa.Start, is.End(a), pb.Start, is.End(b), h); hit {
+					return fmt.Sprintf("%v at %d and %v at %d collide on P%d at image %d·H", a, pa.Start, b, pb.Start, p+1, k), true
+				}
+			}
+		}
+	}
+	return "", false
+}
+
 // FuzzBalancerInvariants checks the paper's invariants on generated
 // systems: for every input the substrate scheduler accepts, the balanced
-// schedule is valid, Gtotal ≥ 0 (the makespan never grows), and every
-// instance is still placed exactly once. At every placement step it also
+// schedule is valid, also by the full-fold oracle (foldCollision),
+// Gtotal ≥ 0 (the makespan never grows), and every instance is still
+// placed exactly once. At every placement step it also
 // checks the indexed placement queries against their linear-scan
 // references (checkPlacementQueries), and every pass of the default,
 // eq. (4)-free and untimed balancers against the evaluate-everything
@@ -84,6 +105,9 @@ func FuzzBalancerInvariants(f *testing.F) {
 		}
 		if errs := res.Schedule.Validate(); len(errs) > 0 {
 			t.Fatalf("%+v M=%d %v: balanced schedule invalid (%d forced blocks): %v", cfg, m, pol, res.Forced, errs[0])
+		}
+		if msg, bad := foldCollision(res.Schedule); bad {
+			t.Fatalf("%+v M=%d %v: balanced schedule collides in steady state: %s", cfg, m, pol, msg)
 		}
 		if g := res.GainTotal(); g < 0 || res.MakespanAfter > res.MakespanBefore {
 			t.Fatalf("%+v M=%d %v: Gtotal %d, makespan %d → %d", cfg, m, pol, g, res.MakespanBefore, res.MakespanAfter)

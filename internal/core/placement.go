@@ -1,15 +1,18 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/arch"
 	"repro/internal/blocks"
 	"repro/internal/model"
 )
 
 // placement.go holds the feasibility machinery of the balancer: where a
-// block may land without breaking non-overlap (including the ±H images of
-// the repeating hyper-period pattern), honouring both the blocks already
-// moved and the *reservations* of blocks not yet processed.
+// block may land without breaking non-overlap in steady state (the
+// pattern repeats every hyper-period H, so occupancy is folded modulo H;
+// see foldIndex), honouring both the blocks already moved and the
+// *reservations* of blocks not yet processed.
 //
 // Reservations are the sound generalisation the paper leaves implicit:
 // every unprocessed block currently occupies its slot on its current
@@ -84,9 +87,9 @@ func (c *pctx) release() {
 }
 
 // shifts reports whether instances of the task shift along with the
-// candidate block's gain.
+// candidate block's gain; a moved block (task < 0) never does.
 func (c *pctx) shifts(task model.TaskID) bool {
-	return c.cat1 && c.st.shifted[task]
+	return c.cat1 && task >= 0 && c.st.shifted[task]
 }
 
 // depBounds returns the producer lower bounds on the block start for a
@@ -157,61 +160,35 @@ func (c *pctx) meetsLCM(p arch.ProcID, s model.Time) bool {
 }
 
 // conflictFree reports whether the candidate block, placed at start s on
-// processor p (implying gain = sOld − s for category-1 blocks), overlaps
-// neither a moved interval nor a reservation on p.
+// processor p (implying gain = sOld − s for category-1 blocks), collides
+// in steady state with neither a moved interval nor a reservation on p.
 func (c *pctx) conflictFree(p arch.ProcID, s model.Time) bool {
-	h := c.ts.HyperPeriod()
-	sOld := c.bl.Start()
-	gain := sOld - s
-	span := c.bl.End(c.ts) - sOld
-	end := s + span
-
-	// A member that shifts along sits at its indexed start − gain, so the
-	// reservation walk widens the window by gain above it for gain ≥ 0
-	// and by −gain below it otherwise.
-	var below, above model.Time
-	if gain >= 0 {
-		below = gain
-	} else {
-		above = -gain
-	}
-	mv, rv := &c.st.intervals[p], &c.st.resv[p]
-	for _, d := range [3]model.Time{0, h, -h} {
-		for k := mv.from(s - d); k < len(mv.starts) && mv.starts[k]+d < end; k++ {
-			if s < mv.items[k]+d {
-				return false
-			}
-		}
-		for k := rv.from(s - d - above); k < len(rv.starts) && rv.starts[k]+d < end+below; k++ {
-			task := rv.items[k].task
-			pos := rv.starts[k]
-			if c.shifts(task) {
-				pos -= gain // sibling instance shifts along with the gain
-			}
-			if s < pos+c.st.wcet[task]+d && pos+d < end {
-				return false
-			}
-		}
-	}
-	return true
+	_, ok := c.earliestConflictFree(p, s, s)
+	return ok
 }
 
-// earliestConflictFree finds the smallest conflict-free start in
-// [lb, cap] on p.
+// earliestConflictFree finds the smallest start in [lb, cap] on p at
+// which the candidate collides with no obstacle in steady state.
 //
 // Obstacles split into two kinds. Members that shift along with the
 // candidate's gain keep a constant offset relative to the candidate, so
-// their conflict status is independent of s: one check decides
-// feasibility for every s. Fixed obstacles (moved intervals and
-// non-shifting reservations) admit the classic jump-to-the-end search.
+// their conflict status is independent of s: one check at s = sOld
+// decides feasibility for every s. Fixed obstacles (moved intervals and
+// non-shifting reservations) repeat every H, so the folded index is one
+// circular run sorted by start: a cursor from the first piece that can
+// reach lb skips pieces ending at or before s, jumps s past one
+// overlapping [s, s+span), and stops at the first piece starting at or
+// after s+span, adding H each time it wraps. Every jump skips only starts
+// that overlap the obstacle jumped over, and every piece passed ends at
+// or before s, which never decreases: the first stop is the answer.
 func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Time, bool) {
 	h := c.ts.HyperPeriod()
 	sOld := c.bl.Start()
 	span := c.bl.End(c.ts) - sOld
-
-	// Relative (shift-along) obstacles: evaluate once at s = sOld. They
-	// are members of the shifting tasks in unprocessed blocks on p.
 	st := c.st
+
+	// Relative (shift-along) obstacles: the members of the shifting
+	// tasks in unprocessed blocks on p.
 	if c.cat1 {
 		for _, bm := range c.bl.Members {
 			for _, other := range st.taskBlocks[bm.Inst.Task] {
@@ -219,60 +196,30 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 					continue
 				}
 				for _, m := range other.Members {
-					if !st.shifted[m.Inst.Task] {
-						continue
-					}
-					w := st.wcet[m.Inst.Task]
-					for _, d := range [3]model.Time{0, h, -h} {
-						if sOld < m.Start+w+d && m.Start+d < sOld+span {
-							return 0, false // constant-offset collision at every s
-						}
+					if st.shifted[m.Inst.Task] && model.FoldOverlap(sOld, span, m.Start, st.wcet[m.Inst.Task], h) {
+						return 0, false // constant-offset collision at every s
 					}
 				}
 			}
 		}
 	}
 
-	// Fixed obstacles: each (index, image) pair is a run already sorted
-	// by start, six in all. One cursor per run sweeps s forward: a run
-	// skips obstacles ending at or before s, jumps s past one overlapping
-	// [s, s+span), and stops at the first one starting at or after
-	// s+span. A jump in one run can bring an obstacle of a run already
-	// swept into the window, so rounds repeat until one moves nothing.
-	// Every jump skips only starts that overlap the obstacle jumped over,
-	// and a cursor passes only obstacles that end at or before s, which s
-	// never revisits: the fixpoint is the smallest conflict-free start.
-	offs := [3]model.Time{0, h, -h}
-	mv, rv := &st.intervals[p], &st.resv[p]
-	var mc, rc [3]int
-	for i, d := range offs {
-		mc[i], rc[i] = mv.from(lb-d), rv.from(lb-d)
+	x := &st.occ[p]
+	if len(x.starts) == 0 && lb <= cap {
+		return lb, true
 	}
-	s := lb
-	for moved := true; moved && s <= cap; {
-		moved = false
-		for i, d := range offs {
-			k := mc[i]
-			for ; k < len(mv.starts) && mv.starts[k]+d < s+span; k++ {
-				if end := mv.items[k] + d; end > s {
-					s, moved = end, true // jump past the obstacle
-				}
-			}
-			mc[i] = k
-			for k = rc[i]; k < len(rv.starts) && rv.starts[k]+d < s+span; k++ {
-				task := rv.items[k].task
-				if c.shifts(task) {
-					continue
-				}
-				if end := rv.starts[k] + st.wcet[task] + d; end > s {
-					s, moved = end, true
-				}
-			}
-			rc[i] = k
+	r := model.Mod(lb, h)
+	i, off := x.from(r), lb-r
+	for s := lb; s <= cap; i++ {
+		if i == len(x.starts) {
+			i, off = 0, off+h // next lap of the ring
 		}
-	}
-	if s <= cap {
-		return s, true
+		if x.starts[i]+off >= s+span {
+			return s, true
+		}
+		if it := x.items[i]; it.end+off > s && !c.shifts(it.task) {
+			s = it.end + off // jump past the obstacle
+		}
 	}
 	return 0, false
 }
@@ -282,14 +229,12 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 // sits: producers that do not shift must still complete in time
 // (optimistically assuming eventual co-location, as the paper's step 6
 // does, or conservatively with +C in the safe pass), and the shifted
-// member must not slide into its unshifted left neighbours (moved
-// intervals or other reservations on its processor).
+// member must not slide into a fixed obstacle on its processor (leftRoom).
 func (c *pctx) propagationCap() model.Time {
 	if !c.cat1 {
 		return 0
 	}
-	h := c.ts.HyperPeriod()
-	cap := h // effectively unbounded
+	cap := c.ts.HyperPeriod() // effectively unbounded
 	st := c.st
 
 	for _, bm := range c.bl.Members {
@@ -317,37 +262,7 @@ func (c *pctx) propagationCap() model.Time {
 						cap = g
 					}
 				})
-				// Non-overlap against unshifted left neighbours on the same
-				// processor (direct and wrapped images).
-				mEnd := m.Start + c.ts.Task(m.Inst.Task).WCET
-				moved := &st.intervals[other.Proc]
-				for k, ivStart := range moved.starts {
-					ivEnd := moved.items[k]
-					for _, d := range [3]model.Time{0, h, -h} {
-						if ivEnd+d <= m.Start {
-							if g := m.Start - (ivEnd + d); g < cap {
-								cap = g
-							}
-						} else if ivStart+d < mEnd && m.Start < ivEnd+d {
-							cap = 0 // already touching; no room to shift
-						}
-					}
-				}
-				rv := &st.resv[other.Proc]
-				for k, nStart := range rv.starts {
-					task := rv.items[k].task
-					if st.shifted[task] {
-						continue // shifts along (m itself included); relative distance preserved
-					}
-					nEnd := nStart + st.wcet[task]
-					for _, d := range [3]model.Time{0, h, -h} {
-						if nEnd+d <= m.Start {
-							if g := m.Start - (nEnd + d); g < cap {
-								cap = g
-							}
-						}
-					}
-				}
+				cap = c.leftRoom(other.Proc, m.Start, st.wcet[m.Inst.Task], cap)
 			}
 		}
 	}
@@ -361,4 +276,52 @@ func (c *pctx) propagationCap() model.Time {
 		cap = 0
 	}
 	return cap
+}
+
+// leftRoom returns how far a shifted member occupying [ms, ms+w) on p may
+// move left before it meets a fixed obstacle in steady state, at most
+// limit: 0 when it already collides with one, else the distance from its
+// folded start back to the nearest folded obstacle end. Shifting members
+// (the member itself included) keep their relative distance and are
+// skipped.
+func (c *pctx) leftRoom(p arch.ProcID, ms, w, limit model.Time) model.Time {
+	x := &c.st.occ[p]
+	n := len(x.starts)
+	if n == 0 || limit <= 0 {
+		return limit
+	}
+	h := c.ts.HyperPeriod()
+	r := model.Mod(ms, h)
+	at, _ := slices.BinarySearch(x.starts, r)
+	// A piece starting inside [r, r+w) collides.
+	for i, off := at, model.Time(0); ; i++ {
+		if i == n {
+			i, off = 0, off+h
+		}
+		if x.starts[i]+off >= r+w {
+			break
+		}
+		if !c.shifts(x.items[i].task) {
+			return 0
+		}
+	}
+	// Walk left from r: a piece ending past r collides, and the walk ends
+	// once no piece further left can end within limit of r.
+	for i, off := at-1, model.Time(0); ; i-- {
+		if i < 0 {
+			i, off = n-1, off-h
+		}
+		if x.starts[i]+off+x.maxLen <= r-limit {
+			return limit
+		}
+		it := x.items[i]
+		if c.shifts(it.task) {
+			continue
+		}
+		if e := it.end + off; e > r {
+			return 0
+		} else if r-e < limit {
+			limit = r - e
+		}
+	}
 }

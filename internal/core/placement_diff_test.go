@@ -15,14 +15,35 @@ import (
 
 // The reference implementations below are the balancer's placement
 // queries as plain linear scans over the processor's occupancy, read
-// from the static block lists rather than from the indexes under test:
+// from the static block lists rather than from the index under test:
 // every processed block on the processor is a moved interval, and every
-// member of another unprocessed block on it a reservation. Producer
-// bounds are recomputed per processor. The indexed production queries
-// must agree with them on every answer.
+// member of another unprocessed block on it a reservation. Each obstacle
+// is tried at every image k·H that can reach the window (imageHit), with
+// no folding. Producer bounds are recomputed per processor. The indexed
+// production queries must agree with them on every answer.
 
-// ivl is one occupied interval on a processor timeline.
-type ivl struct{ start, end model.Time }
+// floorDiv is ⌊a / b⌋ for b > 0.
+func floorDiv(a, b model.Time) model.Time {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
+// imageHit reports whether some image [b0+k·h, b1+k·h) meets [a0, a1),
+// and the smallest |k| of one that does.
+func imageHit(a0, a1, b0, b1, h model.Time) (hit bool, near model.Time) {
+	for k := floorDiv(a0-b1, h); b0+k*h < a1; k++ {
+		if b1+k*h > a0 && a1 > a0 && b1 > b0 {
+			if !hit || max(k, -k) < near {
+				near = max(k, -k)
+			}
+			hit = true
+		}
+	}
+	return hit, near
+}
 
 // eachBlockOn calls fn for every block on p except the one being placed,
 // with whether it is processed (a moved interval) or not (a reservation).
@@ -38,194 +59,121 @@ func eachBlockOn(c *pctx, p arch.ProcID, fn func(bl *blocks.Block, processed boo
 	}
 }
 
-// refConflictFree also reports whether the conflict it found came from a
-// ±H image and whether it came from a member shifting along.
-func refConflictFree(c *pctx, p arch.ProcID, s model.Time) (free, wrapped, shifted bool) {
-	h := c.ts.HyperPeriod()
-	sOld := c.bl.Start()
-	gain := sOld - s
-	span := c.bl.End(c.ts) - sOld
-	end := s + span
-
-	free = true
+// eachObstacleOn calls fn for every fixed obstacle on p, as [start, end):
+// moved blocks, and the members of unprocessed blocks that do not shift
+// along with the context block.
+func eachObstacleOn(c *pctx, p arch.ProcID, fn func(start, end model.Time)) {
 	eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
-		if !free {
-			return
-		}
 		if processed {
-			for _, d := range [3]model.Time{0, h, -h} {
-				if s < other.End(c.ts)+d && other.Start()+d < end {
-					free, wrapped = false, d != 0
-					return
-				}
-			}
-			return
-		}
-		lo, hi := other.Start(), other.End(c.ts)
-		if gain >= 0 {
-			lo -= gain
-		} else {
-			hi -= gain
-		}
-		overlapsEnvelope := false
-		for _, d := range [3]model.Time{0, h, -h} {
-			if s < hi+d && lo+d < end {
-				overlapsEnvelope = true
-				break
-			}
-		}
-		if !overlapsEnvelope {
+			fn(other.Start(), other.End(c.ts))
 			return
 		}
 		for _, m := range other.Members {
-			pos := m.Start
-			if c.shifts(m.Inst.Task) {
-				pos -= gain
-			}
-			w := c.st.wcet[m.Inst.Task]
-			for _, d := range [3]model.Time{0, h, -h} {
-				if s < pos+w+d && pos+d < end {
-					free, wrapped, shifted = false, d != 0, c.shifts(m.Inst.Task)
-					return
-				}
+			if !c.shifts(m.Inst.Task) {
+				fn(m.Start, m.Start+c.st.wcet[m.Inst.Task])
 			}
 		}
 	})
-	return free, wrapped, shifted
 }
 
-// fitTrace records what refEarliestConflictFree saw: whether a single
-// pass over the six runs (moved intervals and reservations, each at
-// offsets 0, +H and −H) would have stopped short of the answer, whether
-// the last jump came from a ±H image, and how many obstacles in the
-// window start at or beyond 2H.
+// shiftCollides reports whether a member shifting along with the context
+// block collides with it at some image: the verdict for every start.
+func shiftCollides(c *pctx, p arch.ProcID) bool {
+	h := c.ts.HyperPeriod()
+	sOld := c.bl.Start()
+	span := c.bl.End(c.ts) - sOld
+	collides := false
+	eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
+		for _, m := range other.Members {
+			if !processed && c.shifts(m.Inst.Task) {
+				hit, _ := imageHit(sOld, sOld+span, m.Start, m.Start+c.st.wcet[m.Inst.Task], h)
+				collides = collides || hit
+			}
+		}
+	})
+	return collides
+}
+
+// refConflictFree also reports whether the conflict it found needs an
+// image k ≠ 0, and whether it came from a member shifting along.
+func refConflictFree(c *pctx, p arch.ProcID, s model.Time) (free, wrapped, shifted bool) {
+	if shiftCollides(c, p) {
+		return false, false, true
+	}
+	h := c.ts.HyperPeriod()
+	end := s + c.bl.End(c.ts) - c.bl.Start()
+	near := model.Time(-1)
+	eachObstacleOn(c, p, func(start, e model.Time) {
+		if hit, k := imageHit(s, end, start, e, h); hit && (near < 0 || k < near) {
+			near = k
+		}
+	})
+	return near < 0, near > 0, false
+}
+
+// fitTrace records what refEarliestConflictFree saw: whether the answer's
+// window crosses a multiple of H, whether the last jump came from an
+// image at |k| ≥ 2, and how many obstacles in the window start at or
+// beyond 2H.
 type fitTrace struct {
-	multiRound, wrapDecided bool
-	beyond2H                int
+	wrapWindow, farDecided bool
+	beyond2H               int
 }
 
-// tagged is one obstacle image with the run it belongs to: run = 3·i + j
-// for the index i (0 moved, 1 reserved) and the offset j of {0, +H, −H}.
-type tagged struct {
-	ivl
-	run int
+// image is one obstacle image and the |k| of its offset k·H.
+type image struct {
+	start, end, k model.Time
 }
 
 func refEarliestConflictFree(c *pctx, p arch.ProcID, lb, cap model.Time) (model.Time, bool, fitTrace) {
 	var tr fitTrace
 	h := c.ts.HyperPeriod()
-	sOld := c.bl.Start()
-	span := c.bl.End(c.ts) - sOld
-	offs := [3]model.Time{0, h, -h}
-
-	if c.cat1 {
-		collides := false
-		eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
-			if processed {
-				return
-			}
-			for _, m := range other.Members {
-				if !c.st.shifted[m.Inst.Task] {
-					continue
-				}
-				w := c.ts.Task(m.Inst.Task).WCET
-				for _, d := range offs {
-					if sOld < m.Start+w+d && m.Start+d < sOld+span {
-						collides = true
-					}
-				}
-			}
-		})
-		if collides {
-			return 0, false, tr
-		}
+	span := c.bl.End(c.ts) - c.bl.Start()
+	if shiftCollides(c, p) {
+		return 0, false, tr
 	}
 
 	wHi := cap + span
-	var obst []tagged
-	add := func(index int, start, end model.Time) {
-		for j, d := range offs {
-			if end+d > lb && start+d < wHi {
-				obst = append(obst, tagged{ivl{start + d, end + d}, 3*index + j})
+	var obst []image
+	eachObstacleOn(c, p, func(start, end model.Time) {
+		for k := floorDiv(lb-end, h); start+k*h < wHi; k++ {
+			if end+k*h > lb {
+				obst = append(obst, image{start + k*h, end + k*h, max(k, -k)})
 				if start >= 2*h {
 					tr.beyond2H++
 				}
 			}
 		}
-	}
-	eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
-		if processed {
-			add(0, other.Start(), other.End(c.ts))
-			return
-		}
-		lo, hi := other.Start(), other.End(c.ts)
-		inWindow := false
-		for _, d := range offs {
-			if hi+d > lb && lo+d < wHi {
-				inWindow = true
-				break
-			}
-		}
-		if !inWindow {
-			return
-		}
-		for _, m := range other.Members {
-			if c.shifts(m.Inst.Task) {
-				continue
-			}
-			add(1, m.Start, m.Start+c.st.wcet[m.Inst.Task])
-		}
 	})
-	slices.SortFunc(obst, func(a, b tagged) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.end, b.end)
+	slices.SortFunc(obst, func(a, b image) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end))
 	})
 
-	s, lastRun := lb, -1
+	s, lastK := lb, model.Time(0)
 	for _, ob := range obst {
 		if ob.start >= s+span {
 			break
 		}
 		if ob.end > s {
-			s, lastRun = ob.end, ob.run
+			s, lastK = ob.end, ob.k
 		}
 	}
-	tr.wrapDecided = lastRun >= 0 && lastRun%3 != 0
-
-	// One pass over the runs in sweep order, each run visited once.
-	one := lb
-	for run := 0; run < 6; run++ {
-		for _, ob := range obst {
-			if ob.run != run {
-				continue
-			}
-			if ob.start >= one+span {
-				break
-			}
-			if ob.end > one {
-				one = ob.end
-			}
-		}
-	}
-	tr.multiRound = one != s
-
+	tr.farDecided = lastK >= 2
 	if s <= cap {
+		tr.wrapWindow = floorDiv(s, h) != floorDiv(s+span-1, h)
 		return s, true, tr
 	}
 	return 0, false, tr
 }
 
 // refPropagationCap is propagationCap as a linear scan over the static
-// block lists.
+// block lists, each obstacle at every image near the shifted member.
 func refPropagationCap(c *pctx) model.Time {
 	if !c.cat1 {
 		return 0
 	}
 	h := c.ts.HyperPeriod()
 	cap := h
-	offs := [3]model.Time{0, h, -h}
 	for p := arch.ProcID(0); int(p) < c.ar.Procs; p++ {
 		eachBlockOn(c, p, func(other *blocks.Block, processed bool) {
 			if processed {
@@ -247,26 +195,12 @@ func refPropagationCap(c *pctx) model.Time {
 					cap = min(cap, m.Start-end)
 				})
 				mEnd := m.Start + c.ts.Task(m.Inst.Task).WCET
-				eachBlockOn(c, p, func(nb *blocks.Block, nbProcessed bool) {
-					if nbProcessed {
-						for _, d := range offs {
-							if nb.End(c.ts)+d <= m.Start {
-								cap = min(cap, m.Start-(nb.End(c.ts)+d))
-							} else if nb.Start()+d < mEnd && m.Start < nb.End(c.ts)+d {
-								cap = 0
-							}
-						}
-						return
-					}
-					for _, nm := range nb.Members {
-						if c.st.shifted[nm.Inst.Task] {
-							continue
-						}
-						nEnd := nm.Start + c.ts.Task(nm.Inst.Task).WCET
-						for _, d := range offs {
-							if nEnd+d <= m.Start {
-								cap = min(cap, m.Start-(nEnd+d))
-							}
+				eachObstacleOn(c, p, func(start, end model.Time) {
+					for k := floorDiv(m.Start-h-end, h); start+k*h < mEnd; k++ {
+						if end+k*h <= m.Start {
+							cap = min(cap, m.Start-(end+k*h))
+						} else {
+							cap = 0 // collides already; no room to shift
 						}
 					}
 				})
@@ -310,7 +244,76 @@ func refDepBounds(c *pctx, p arch.ProcID) (movedLB, conservativeLB model.Time) {
 type diffTally struct {
 	steps, conflicts, frees, wrapped, shifted, negGainConflicts, negGainFrees int
 	fits, noFits, movedProducers, caps                                        int
-	multiRound, wrapDecided, beyond2H                                         int
+	wrapWindows, farDecided, beyond2H                                         int
+}
+
+// foldPieces folds [a, e) into its pieces of [0, h).
+func foldPieces(a, e, h model.Time) [][2]model.Time {
+	if e-a >= h {
+		return [][2]model.Time{{0, h}}
+	}
+	s := a % h
+	if s < 0 {
+		s += h
+	}
+	if t := s + e - a; t > h {
+		return [][2]model.Time{{s, h}, {0, t - h}}
+	}
+	return [][2]model.Time{{s, s + e - a}}
+}
+
+// checkFoldIndex requires that the index of every processor holds exactly
+// the folded pieces of its moved blocks and of the members of its other
+// unprocessed blocks, each once and keyed by its current start.
+func checkFoldIndex(t *testing.T, ctx *pctx) {
+	t.Helper()
+	h := ctx.ts.HyperPeriod()
+	type piece struct {
+		start model.Time
+		ob    obstacle
+	}
+	key := func(a, b piece) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.ob.end, b.ob.end), cmp.Compare(a.ob.task, b.ob.task),
+			cmp.Compare(blockID(a.ob.ref.bl), blockID(b.ob.ref.bl)), cmp.Compare(a.ob.ref.mi, b.ob.ref.mi))
+	}
+	for p := range ctx.st.occ {
+		x := &ctx.st.occ[p]
+		var want, got []piece
+		eachBlockOn(ctx, arch.ProcID(p), func(other *blocks.Block, processed bool) {
+			if processed {
+				for _, pc := range foldPieces(other.Start(), other.End(ctx.ts), h) {
+					want = append(want, piece{pc[0], obstacle{end: pc[1], task: -1}})
+				}
+				return
+			}
+			for mi, m := range other.Members {
+				for _, pc := range foldPieces(m.Start, m.Start+ctx.st.wcet[m.Inst.Task], h) {
+					want = append(want, piece{pc[0], obstacle{pc[1], m.Inst.Task, ownerRef{other, mi}}})
+				}
+			}
+		})
+		for i, st := range x.starts {
+			got = append(got, piece{st, x.items[i]})
+			if x.items[i].end-st > x.maxLen {
+				t.Fatalf("block %d: P%d piece [%d, %d) longer than maxLen %d", ctx.bl.ID, p, st, x.items[i].end, x.maxLen)
+			}
+		}
+		if !slices.IsSorted(x.starts) {
+			t.Fatalf("block %d: P%d index not sorted by start", ctx.bl.ID, p)
+		}
+		slices.SortFunc(want, key)
+		slices.SortFunc(got, key)
+		if !slices.Equal(got, want) {
+			t.Fatalf("block %d: P%d index holds %d pieces %v, want %d %v", ctx.bl.ID, p, len(got), got, len(want), want)
+		}
+	}
+}
+
+func blockID(bl *blocks.Block) int {
+	if bl == nil {
+		return -1
+	}
+	return bl.ID
 }
 
 // checkPlacementQueries compares every indexed query with its reference
@@ -330,35 +333,11 @@ func checkPlacementQueries(t *testing.T, ctx *pctx, tally *diffTally) {
 	capped := sOld - wantCap
 	tally.steps++
 
-	starts := []model.Time{0, 1, capped, h - span, h - 1, h, -span + 1, -h, -h / 2, sOld - h/2, sOld + h/2, 2*h - span}
+	starts := []model.Time{0, 1, capped, h - span, h - 1, h, -span + 1, -h, -h / 2, sOld - h/2, sOld + h/2, 2*h - span, 3*h - 1}
 	for d := model.Time(-8); d <= 4; d++ {
 		starts = append(starts, sOld+d) // d > 0: negative gain
 	}
-	// The reservation indexes hold exactly the members of the other
-	// unprocessed blocks, each once, on its block's processor and keyed by
-	// its current start.
-	for p := range ctx.st.resv {
-		rv := &ctx.st.resv[p]
-		want := 0
-		eachBlockOn(ctx, arch.ProcID(p), func(other *blocks.Block, processed bool) {
-			if !processed {
-				want += len(other.Members)
-			}
-		})
-		if len(rv.items) != want {
-			t.Fatalf("block %d: reservation index of P%d holds %d members, want %d", ctx.bl.ID, p, len(rv.items), want)
-		}
-		seen := make(map[ownerRef]bool, len(rv.items))
-		for k, it := range rv.items {
-			m := it.bl.Members[it.mi]
-			if it.bl.Proc != arch.ProcID(p) || ctx.processed[it.bl.ID] || it.bl == ctx.bl ||
-				rv.starts[k] != m.Start || it.task != m.Inst.Task || seen[it.ownerRef] {
-				t.Fatalf("block %d: reservation index of P%d holds member %d of block %d (P%d, start %d, task %d, repeated %v) under key %d, task %d",
-					ctx.bl.ID, p, it.mi, it.bl.ID, it.bl.Proc, m.Start, m.Inst.Task, seen[it.ownerRef], rv.starts[k], it.task)
-			}
-			seen[it.ownerRef] = true
-		}
-	}
+	checkFoldIndex(t, ctx)
 
 	for p := arch.ProcID(0); int(p) < ctx.ar.Procs; p++ {
 		gotMoved, gotCons := ctx.depBounds(p)
@@ -398,7 +377,7 @@ func checkPlacementQueries(t *testing.T, ctx *pctx, tally *diffTally) {
 		}
 
 		lb := max(wantMoved, wantCons, 0)
-		windows := [][2]model.Time{{lb, sOld}, {0, sOld}, {0, h}, {h - span, h + span}, {-span, span}, {sOld / 2, sOld}}
+		windows := [][2]model.Time{{lb, sOld}, {0, sOld}, {0, h}, {h - span, h + span}, {-span, span}, {sOld / 2, sOld}, {2*h - span, 4 * h}}
 		for _, w := range windows {
 			got, gotOK := ctx.earliestConflictFree(p, w[0], w[1])
 			want, wantOK, tr := refEarliestConflictFree(ctx, p, w[0], w[1])
@@ -406,11 +385,11 @@ func checkPlacementQueries(t *testing.T, ctx *pctx, tally *diffTally) {
 				t.Fatalf("block %d on P%d window [%d, %d]: earliestConflictFree = (%d, %v), linear scan (%d, %v)",
 					ctx.bl.ID, p, w[0], w[1], got, gotOK, want, wantOK)
 			}
-			if tr.multiRound {
-				tally.multiRound++
+			if tr.wrapWindow {
+				tally.wrapWindows++
 			}
-			if tr.wrapDecided {
-				tally.wrapDecided++
+			if tr.farDecided {
+				tally.farDecided++
 			}
 			tally.beyond2H += tr.beyond2H
 			if wantOK {
@@ -441,8 +420,7 @@ func diffConfigs() []diffConfig {
 	}
 	// A short period ladder with C ≥ 2 leaves gaps inside blocks that are
 	// long against the periods, so later instances of a block's tasks can
-	// sit inside its window and shift along with a gain (the envelope
-	// widening of conflictFree).
+	// sit inside its window and shift along with a gain.
 	short := []model.Time{4, 8, 16}
 	for _, c := range []struct {
 		seed  int64
@@ -490,45 +468,90 @@ func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 	t.Logf("%d passes, %+v", runs, tally)
 	if runs < 24 || tally.wrapped == 0 || tally.shifted == 0 || tally.negGainConflicts == 0 || tally.negGainFrees == 0 ||
 		tally.fits == 0 || tally.noFits == 0 || tally.movedProducers == 0 || tally.caps == 0 ||
-		tally.multiRound == 0 || tally.wrapDecided == 0 || tally.beyond2H == 0 {
+		tally.wrapWindows == 0 || tally.farDecided == 0 || tally.beyond2H == 0 {
 		t.Fatalf("differential coverage too thin: %d passes, %+v", runs, tally)
 	}
 }
 
-// TestTimeIndexWindow checks the index against brute force under random
-// insertions and removals: every obstacle intersecting a window lies at
-// or after the index from returns, and the index stays sorted by start.
-func TestTimeIndexWindow(t *testing.T) {
+// TestFoldIndexWindow checks the index against brute force under random
+// insertions and removals: it stays sorted by start, and every piece
+// that reaches past a residue r lies at or after the index from returns.
+func TestFoldIndexWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	x := newTimeIndex[int](4)
-	type obstacle struct{ start, end model.Time }
-	live := map[int]obstacle{}
+	const h = 24
+	x := newFoldIndex(h, 4)
+	type span struct{ start, end model.Time }
+	live := map[int]span{}
 	var ids []int
+	ref := func(id int) ownerRef { return ownerRef{mi: id} }
 	for id := 0; id < 400; id++ {
 		if len(ids) > 0 && rng.Intn(3) == 0 {
 			k := rng.Intn(len(ids))
 			victim := ids[k]
-			x.remove(live[victim].start, victim)
+			x.remove(live[victim].start, live[victim].end, ref(victim))
 			delete(live, victim)
 			ids = slices.Delete(ids, k, k+1)
 		}
-		start := model.Time(rng.Intn(60) - 10)
-		o := obstacle{start, start + model.Time(rng.Intn(9)+1)}
-		x.insert(o.start, o.end, id)
+		start := model.Time(rng.Intn(4*h) - h)
+		o := span{start, start + model.Time(rng.Intn(h+4)+1)}
+		x.insert(o.start, o.end, obstacle{task: 0, ref: ref(id)}, true)
 		live[id] = o
 		ids = append(ids, id)
-		if len(x.starts) != len(live) || !slices.IsSorted(x.starts) {
-			t.Fatalf("index holds %d obstacles (sorted %v), want %d", len(x.starts), slices.IsSorted(x.starts), len(live))
+		want := 0
+		for _, o := range live {
+			want += len(foldPieces(o.start, o.end, h))
 		}
-		lo := model.Time(rng.Intn(70) - 15)
-		hi := lo + model.Time(rng.Intn(12))
-		i := x.from(lo)
-		for other, o := range live {
-			if o.start < hi && o.end > lo {
-				if k := slices.Index(x.items, other); k < i {
-					t.Fatalf("obstacle [%d, %d) intersects [%d, %d) but lies before the walk start %d", o.start, o.end, lo, hi, i)
-				}
+		if len(x.starts) != want || !slices.IsSorted(x.starts) {
+			t.Fatalf("index holds %d pieces (sorted %v), want %d", len(x.starts), slices.IsSorted(x.starts), want)
+		}
+		r := model.Time(rng.Intn(h))
+		i := x.from(r)
+		for k := range x.starts {
+			if x.items[k].end > r && k < i {
+				t.Fatalf("piece [%d, %d) reaches past %d but lies before the walk start %d", x.starts[k], x.items[k].end, r, i)
 			}
+		}
+	}
+}
+
+// TestLeftRoomFolds pins leftRoom on hand-built indexes (H = 12): the
+// room a shifted member has is the distance from its residue back to
+// the nearest folded obstacle end, 0 when a fixed obstacle already
+// collides with it — also one that starts inside it at image 2H — and
+// members that shift along do not count.
+func TestLeftRoomFolds(t *testing.T) {
+	ts := model.NewTaskSet()
+	ts.MustAddTask("s", 12, 2, 1) // shifts along
+	ts.MustAddTask("f", 12, 2, 1) // fixed reservation
+	ts.MustFreeze()
+	type obst struct {
+		start, end model.Time
+		task       model.TaskID
+	}
+	cases := []struct {
+		name      string
+		obstacles []obst
+		ms, limit model.Time
+		want      model.Time
+	}{
+		{"empty", nil, 30, 12, 12},
+		{"moved block to the left", []obst{{2, 4, -1}}, 30, 12, 2},
+		{"reservation at image 2H", []obst{{26, 28, 1}}, 6, 12, 2},
+		{"member wrapping onto an obstacle", []obst{{0, 1, 1}}, 11, 12, 0},
+		{"starts inside at image 2H", []obst{{2, 4, -1}, {31, 32, -1}}, 6, 12, 0},
+		{"ends past the member start", []obst{{17, 19, 1}}, 30, 12, 0},
+		{"shift-along member skipped", []obst{{2, 4, -1}, {4, 6, 0}, {7, 8, 0}}, 30, 12, 2},
+		{"piece wrapping H", []obst{{10, 14, -1}}, 15, 12, 1},
+		{"limit binds", []obst{{0, 1, 1}}, 10, 3, 3},
+	}
+	for _, tc := range cases {
+		st := &balState{occ: []foldIndex{newFoldIndex(12, 4)}, shifted: []bool{true, false}}
+		for i, o := range tc.obstacles {
+			st.occ[0].insert(o.start, o.end, obstacle{task: o.task, ref: ownerRef{mi: i}}, true)
+		}
+		c := &pctx{ts: ts, st: st, cat1: true}
+		if got := c.leftRoom(0, tc.ms, 2, tc.limit); got != tc.want {
+			t.Errorf("%s: leftRoom(%d) = %d, want %d", tc.name, tc.ms, got, tc.want)
 		}
 	}
 }

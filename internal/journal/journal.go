@@ -38,8 +38,12 @@ const (
 	// namespaces): version-2 journals predate the phase axis, so their
 	// rows cannot be validated against a phased spec and are refused
 	// rather than silently merged with after-only extras.
+	// Version 4 marks the steady-state fold: the balancer and Validate
+	// test collisions at every image k·H, not only 0 and ±H, so
+	// version-3 rows hold balanced numbers that this build would not
+	// produce and are refused rather than merged with them.
 	Magic   = "lbjournal"
-	Version = 3
+	Version = 4
 
 	// DefaultSyncEvery is the default fsync cadence in records. A crash
 	// loses at most this many journaled trials (they just re-run on
@@ -138,6 +142,8 @@ func (h Header) check() error {
 			hint = " — version 1 predates per-trial analyzers; re-run the sweep with this build"
 		case 2:
 			hint = " — version 2 predates the analyzer phase axis (before/delta extras); re-run the sweep with this build"
+		case 3:
+			hint = " — version 3 predates the steady-state fold (its balanced schedules were checked at the 0/±H images only); re-run the sweep with this build"
 		}
 		return fmt.Errorf("journal: unsupported version %d (want %d)%s", h.Version, Version, hint)
 	}

@@ -39,36 +39,40 @@ func journalSpec(t *testing.T, spec *campaign.Spec, path string, shardIdx, shard
 	}
 }
 
-// TestOldVersionRefused: a version-1 journal — the schema before the
-// analyzer binding — must be refused loudly by Read, Resume, and Merge,
-// never silently merged without its extras.
+// TestOldVersionRefused: journals of versions 1 and 3 — the schema
+// before the analyzer binding, and the rows from before the
+// steady-state fold — must be refused loudly by Read, Resume, and Merge,
+// naming what they predate, never silently merged. (Version 2 has its
+// own test, TestV2Refused.)
 func TestOldVersionRefused(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.jsonl")
-	hdr, err := NewHeader(testSpec(), 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hand-frame a v1 header: the version check must fire before any
-	// hash validation gets a chance to complain about something else.
-	old := hdr
-	old.Version = 1
-	payload, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, appendFrame(nil, payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for version, hint := range map[int]string{1: "per-trial analyzers", 3: "predates the steady-state fold"} {
+		path := filepath.Join(t.TempDir(), "old.jsonl")
+		hdr, err := NewHeader(testSpec(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Hand-frame an old header: the version check must fire before any
+		// hash validation gets a chance to complain about something else.
+		old := hdr
+		old.Version = version
+		payload, err := json.Marshal(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, appendFrame(nil, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	want := fmt.Sprintf("unsupported version 1 (want %d)", Version)
-	if _, err := Read(path); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Read of v1 journal: %v", err)
-	}
-	if _, _, err := Resume(path, hdr); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Resume of v1 journal: %v", err)
-	}
-	if _, err := Merge([]string{path}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Merge of v1 journal: %v", err)
+		want := fmt.Sprintf("unsupported version %d (want %d)", version, Version)
+		for label, got := range map[string]error{
+			"Read":   second(Read(path)),
+			"Resume": third(Resume(path, hdr)),
+			"Merge":  second(Merge([]string{path})),
+		} {
+			if got == nil || !strings.Contains(got.Error(), want) || !strings.Contains(got.Error(), hint) {
+				t.Fatalf("%s of v%d journal: %v", label, version, got)
+			}
+		}
 	}
 }
 

@@ -30,6 +30,16 @@ func Mod(x, m Time) Time {
 	return r
 }
 
+// FoldOverlap reports whether two occupancies of one processor collide
+// in the steady state of a pattern that repeats every h: whether
+// [a, a+ea) meets [b+k·h, b+k·h+eb) for some integer k. Folded onto the
+// ring [0, h), b starts d = (b − a) mod h after a, so they collide iff
+// b's start falls inside a's window or a's start inside b's.
+func FoldOverlap(a, ea, b, eb, h Time) bool {
+	d := Mod(b-a, h)
+	return ea > 0 && eb > 0 && (d < ea || h-d < eb)
+}
+
 // Compatible reports whether two strictly periodic non-preemptive tasks
 // can share a processor with the given first-instance start times and
 // never overlap: task i = (si, Ti, Ei), task j = (sj, Tj, Ej).

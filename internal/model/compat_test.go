@@ -126,3 +126,24 @@ func TestFirstCompatibleAtLeastProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFoldOverlapMatchesImages checks FoldOverlap against an explicit
+// walk over every image b + k·h that can reach a's window.
+func TestFoldOverlapMatchesImages(t *testing.T) {
+	f := func(a0, b0 int16, ea0, eb0, h0 uint8) bool {
+		h := Time(h0%20) + 1
+		a, b := Time(a0%200), Time(b0%200)
+		ea, eb := Time(ea0)%(h+2), Time(eb0)%(h+2)
+		want := false
+		base := (a - b) / h // images of b near a: k within a few of base
+		for k := base - 3; k <= base+3; k++ {
+			if bs := b + k*h; a < bs+eb && bs < a+ea && ea > 0 && eb > 0 {
+				want = true
+			}
+		}
+		return FoldOverlap(a, ea, b, eb, h) == want && FoldOverlap(b, eb, a, ea, h) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}

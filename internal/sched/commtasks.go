@@ -112,41 +112,51 @@ func MaterializeCommTasks(s *Schedule, overhead model.Time) ([]CommTask, error) 
 
 // checkCommTaskRoom verifies that every communication task fits on its
 // processor without overlapping task instances or other communication
-// tasks (steady state, ±H images).
+// tasks in steady state (foldConflicts), and reports the first
+// collision.
 func checkCommTaskRoom(s *Schedule, cts []CommTask) error {
-	h := s.TS.HyperPeriod()
-	for i, ct := range cts {
+	for _, ct := range cts {
 		if ct.Start < 0 {
 			return fmt.Errorf("sched: %s task for %s→%s would start at %d (before time zero)",
 				ct.Kind, s.instName(ct.Transfer.Src), s.instName(ct.Transfer.Dst), ct.Start)
 		}
-		for _, id := range s.TasksOn(ct.Proc) {
-			t := s.TS.Task(id)
-			for k := 0; k < s.TS.Instances(id); k++ {
-				is := s.InstanceStart(id, k)
-				for _, d := range [3]model.Time{0, h, -h} {
-					if ct.Start < is+t.WCET+d && is+d < ct.End() {
-						return fmt.Errorf("sched: %s task for %s→%s [%d,%d) overlaps %s#%d on %s",
-							ct.Kind, s.instName(ct.Transfer.Src), s.instName(ct.Transfer.Dst),
-							ct.Start, ct.End(), t.Name, k+1, s.Arch.ProcName(ct.Proc))
-					}
-				}
-			}
-		}
-		for j := i + 1; j < len(cts); j++ {
-			o := cts[j]
-			if o.Proc != ct.Proc {
-				continue
-			}
-			for _, d := range [3]model.Time{0, h, -h} {
-				if ct.Start < o.End()+d && o.Start+d < ct.End() {
-					return fmt.Errorf("sched: %s task [%d,%d) and %s task [%d,%d) overlap on %s",
-						ct.Kind, ct.Start, ct.End(), o.Kind, o.Start, o.End(), s.Arch.ProcName(ct.Proc))
-				}
-			}
-		}
 	}
-	return nil
+	h := s.TS.HyperPeriod()
+	var occs []occupancy
+	var iids []model.InstanceID
+	var err error
+	for p := arch.ProcID(0); int(p) < s.Arch.Procs && err == nil; p++ {
+		// ids below len(iids) are instances, the rest index cts.
+		occs, iids = occs[:0], iids[:0]
+		for _, id := range s.TasksOn(p) {
+			for k := 0; k < s.TS.Instances(id); k++ {
+				occs = append(occs, occupancy{s.InstanceStart(id, k), s.TS.Task(id).WCET, len(iids)})
+				iids = append(iids, model.InstanceID{Task: id, K: k})
+			}
+		}
+		n := len(iids)
+		for i, ct := range cts {
+			if ct.Proc == p {
+				occs = append(occs, occupancy{ct.Start, ct.Dur, n + i})
+			}
+		}
+		foldConflicts(h, occs, func(a, b int) {
+			if err != nil || b < n {
+				return // already failed, or two instances (Validate's business)
+			}
+			ct := cts[b-n]
+			if a < n {
+				err = fmt.Errorf("sched: %s task for %s→%s [%d,%d) overlaps %s on %s",
+					ct.Kind, s.instName(ct.Transfer.Src), s.instName(ct.Transfer.Dst),
+					ct.Start, ct.End(), s.instName(iids[a]), s.Arch.ProcName(p))
+				return
+			}
+			o := cts[a-n]
+			err = fmt.Errorf("sched: %s task [%d,%d) and %s task [%d,%d) overlap on %s",
+				o.Kind, o.Start, o.End(), ct.Kind, ct.Start, ct.End(), s.Arch.ProcName(p))
+		})
+	}
+	return err
 }
 
 // CommOverheadVector sums materialised communication-task time per

@@ -202,8 +202,8 @@ func (is *InstSchedule) MaxMem() model.Mem {
 //
 //   - completeness: every instance of every task is placed;
 //   - strict periodicity: start(t,k) = start(t,0) + k·T;
-//   - non-overlap on each processor within the hyper-period window
-//     (including the wrap-around images of the repeating pattern);
+//   - non-overlap on each processor in steady state: the pattern
+//     repeats every hyper-period H, so every image k·H counts;
 //   - precedence: producer end (+C when the two instances sit on
 //     different processors) ≤ consumer start, per instance pair;
 //   - memory capacity, per-instance accounting, when bounded.
@@ -242,19 +242,16 @@ func (is *InstSchedule) Validate() []ValidationError {
 	}
 
 	h := is.TS.HyperPeriod()
+	var occs []occupancy
 	for p := arch.ProcID(0); int(p) < is.Arch.Procs; p++ {
 		ids := is.InstancesOn(p)
-		for i := 0; i < len(ids); i++ {
-			a := ids[i]
-			as, ae := is.startOf(a), is.End(a)
-			for j := i + 1; j < len(ids); j++ {
-				b := ids[j]
-				bs, be := is.startOf(b), is.End(b)
-				if overlaps(as, ae, bs, be) || overlaps(as+h, ae+h, bs, be) || overlaps(as, ae, bs+h, be+h) {
-					add("overlap", "%s and %s overlap on %s", name(a), name(b), is.Arch.ProcName(p))
-				}
-			}
+		occs = occs[:0]
+		for i, iid := range ids {
+			occs = append(occs, occupancy{is.startOf(iid), is.TS.Task(iid.Task).WCET, i})
 		}
+		foldConflicts(h, occs, func(a, b int) {
+			add("overlap", "%s and %s overlap on %s", name(ids[a]), name(ids[b]), is.Arch.ProcName(p))
+		})
 	}
 
 	for i := 0; i < is.TS.Len(); i++ {

@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"repro/internal/arch"
 	"repro/internal/model"
 )
 
@@ -18,14 +19,10 @@ func (e ValidationError) Error() string { return "sched: " + e.Kind + ": " + e.M
 // Validate checks every constraint of the model on the schedule:
 //
 //   - every task is placed with a non-negative start time;
-//   - non-preemptive execution: no two instances overlap on a processor
-//     (checked over one hyper-period, which is sufficient because the
-//     whole pattern repeats with period LCM);
 //   - strict periodicity is structural (instance k = S + k·T) and needs no
 //     check beyond S ≥ 0;
-//   - precedence: every producer instance completes (plus C for
-//     inter-processor edges) before its consumer instance starts;
-//   - memory: per-processor required memory within capacity, if bounded;
+//   - non-overlap, precedence and memory capacity: those of the expanded
+//     instance schedule (InstSchedule.Validate);
 //   - media: derived transfers do not overlap on their medium and sit
 //     between producer end and consumer start.
 //
@@ -48,70 +45,7 @@ func (s *Schedule) Validate() []ValidationError {
 	if len(errs) > 0 {
 		return errs
 	}
-
-	// Non-overlap per processor over one hyper-period.
-	h := s.TS.HyperPeriod()
-	for p := arch.ProcID(0); int(p) < s.Arch.Procs; p++ {
-		ids := s.TasksOn(p)
-		type iv struct {
-			start, end model.Time
-			iid        model.InstanceID
-		}
-		var ivs []iv
-		for _, id := range ids {
-			t := s.TS.Task(id)
-			for k := 0; k < s.TS.Instances(id); k++ {
-				st := s.InstanceStart(id, k)
-				ivs = append(ivs, iv{st, st + t.WCET, model.InstanceID{Task: id, K: k}})
-			}
-		}
-		for i := 0; i < len(ivs); i++ {
-			for j := i + 1; j < len(ivs); j++ {
-				a, b := ivs[i], ivs[j]
-				// Compare both direct and one hyper-period-shifted images so
-				// wrap-around overlaps of the repeating pattern are caught.
-				if overlaps(a.start, a.end, b.start, b.end) ||
-					overlaps(a.start+h, a.end+h, b.start, b.end) ||
-					overlaps(a.start, a.end, b.start+h, b.end+h) {
-					add("overlap", "%s and %s overlap on %s",
-						s.instName(a.iid), s.instName(b.iid), s.Arch.ProcName(p))
-				}
-			}
-		}
-	}
-
-	// Precedence with communication delay.
-	for _, d := range s.TS.Dependences() {
-		sp, dp := s.place[d.Src].Proc, s.place[d.Dst].Proc
-		delay := model.Time(0)
-		if sp != dp {
-			delay = s.Arch.CommTime
-		}
-		for k := 0; k < s.TS.Instances(d.Dst); k++ {
-			for _, src := range model.InstanceDeps(s.TS, d.Dst, k) {
-				if src.Task != d.Src {
-					continue
-				}
-				end := s.InstanceEnd(src.Task, src.K) + delay
-				start := s.InstanceStart(d.Dst, k)
-				if end > start {
-					add("precedence", "%s must complete by %d but %s starts at %d",
-						s.instName(src), start, s.instName(model.InstanceID{Task: d.Dst, K: k}), start)
-					_ = end
-				}
-			}
-		}
-	}
-
-	// Memory capacity.
-	if cap := s.Arch.MemCapacity; cap > 0 {
-		for p, m := range s.MemVector() {
-			if m > cap {
-				add("memory", "%s needs %d memory units, capacity %d",
-					s.Arch.ProcName(arch.ProcID(p)), m, cap)
-			}
-		}
-	}
+	errs = FromSchedule(s).Validate()
 
 	// Medium slots: window check always; exclusivity only under the
 	// contended-media model.
@@ -142,3 +76,43 @@ func (s *Schedule) Validate() []ValidationError {
 func (s *Schedule) Valid() bool { return len(s.Validate()) == 0 }
 
 func overlaps(a0, a1, b0, b1 model.Time) bool { return a0 < b1 && b0 < a1 }
+
+// occupancy is one window [start, start+dur) of a processor, tagged with
+// the caller's index of its owner.
+type occupancy struct {
+	start, dur model.Time
+	id         int
+}
+
+// foldConflicts calls fn once for every pair of occupancies that collide
+// in the steady state of a pattern repeating every h (model.FoldOverlap),
+// smaller id first. It folds the starts modulo h in place, sorts them,
+// and walks from each occupancy forward around the ring over the starts
+// inside its window: O(n log n) plus one step per conflict. A pair whose
+// starts each lie inside the other's window is met from both ends; the
+// one that sorts first reports it.
+func foldConflicts(h model.Time, occs []occupancy, fn func(a, b int)) {
+	for i := range occs {
+		occs[i].start = model.Mod(occs[i].start, h)
+	}
+	slices.SortFunc(occs, func(x, y occupancy) int {
+		return cmp.Or(cmp.Compare(x.start, y.start), cmp.Compare(x.id, y.id))
+	})
+	for i, a := range occs {
+		j, off := i, model.Time(0)
+		for range len(occs) - 1 {
+			if j++; j == len(occs) {
+				j, off = 0, h // wrap: the next lap of the ring
+			}
+			b := occs[j]
+			d := b.start + off - a.start
+			if d >= a.dur {
+				break
+			}
+			if j < i && h-d < b.dur {
+				continue // a's start lies in b's window too, and b sorts first
+			}
+			fn(min(a.id, b.id), max(a.id, b.id))
+		}
+	}
+}

@@ -264,6 +264,63 @@ func TestDuplicateSubmitCached(t *testing.T) {
 	}
 }
 
+// TestStaleMarkerRecomputed: an artifact set whose .ok marker a build of
+// an older journal schema wrote (version 3 wrote the kind list alone) is
+// never served from the cache. The restarted daemon recomputes it, and a
+// re-submission is then answered from the fresh set.
+func TestStaleMarkerRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	body := specBody(t, testSpec(3))
+	d1 := newDaemon(t, dir, Hooks{})
+	d1.Start()
+	st, err := d1.Submit(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(d1.Handler())
+	waitDone(t, srv1, st.ID)
+	first, _ := fetch(t, srv1, "/v1/artifacts/"+st.ID+".json")
+	srv1.Close()
+	if err := d1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	marker := filepath.Join(dir, "data", "artifacts", st.ID+".ok")
+	data, err := os.ReadFile(marker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := strings.Fields(string(data))
+	if len(fields) < 2 || fields[0] != markerTag {
+		t.Fatalf("marker %q does not lead with %s", data, markerTag)
+	}
+	if err := os.WriteFile(marker, []byte(strings.Join(fields[1:], " ")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := newDaemon(t, dir, Hooks{})
+	defer d2.Close()
+	srv2 := httptest.NewServer(d2.Handler())
+	defer srv2.Close()
+	if _, code := fetch(t, srv2, "/v1/artifacts/"+st.ID+".json"); code != http.StatusNotFound {
+		t.Fatalf("stale set served before the re-run: status %d", code)
+	}
+	d2.Start()
+	if fin := waitDone(t, srv2, st.ID); fin.State != api.CampaignDone {
+		t.Fatalf("final state = %s (%s)", fin.State, fin.Error)
+	}
+	if got := d2.Stats().TrialsExecuted; got != 3 {
+		t.Fatalf("restarted daemon executed %d trials, want the 3 of the stale set", got)
+	}
+	st2, code := submit(t, srv2, body)
+	if code != http.StatusOK || !st2.Cached {
+		t.Fatalf("re-submission after the recompute = %d %+v, want a cache hit", code, st2)
+	}
+	if second, _ := fetch(t, srv2, st2.Artifacts[KindJSON]); !bytes.Equal(first, second) {
+		t.Fatal("recomputed artifact differs from the first run")
+	}
+}
+
 // TestRestartResume pins journal-backed durability: a daemon killed
 // mid-campaign restarts, resumes from the journal, executes only the
 // missing trials, and the final artifact is byte-identical to an

@@ -152,7 +152,9 @@ func OpenFSStore(dir string) (*FSStore, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.cached[hash] = kinds
+			if kinds != nil {
+				s.cached[hash] = kinds
+			}
 		}
 	}
 	return s, nil
@@ -161,14 +163,24 @@ func OpenFSStore(dir string) (*FSStore, error) {
 func (s *FSStore) campaignDir() string { return filepath.Join(s.dir, "campaigns") }
 func (s *FSStore) artifactDir() string { return filepath.Join(s.dir, "artifacts") }
 
+// markerTag heads every .ok marker: the journal schema version of the
+// build that computed the set. A set written under another version holds
+// numbers this build would not produce (journal.Version says why), so
+// the index leaves it out and a re-submission recomputes it.
+var markerTag = fmt.Sprintf("v%d", journal.Version)
+
 // verifySet confirms every kind named by the .ok marker exists and
-// returns the kind list.
+// returns the kind list, or nil for a set of another schema version.
 func (s *FSStore) verifySet(hash string) ([]string, error) {
 	data, err := os.ReadFile(filepath.Join(s.artifactDir(), hash+".ok"))
 	if err != nil {
 		return nil, err
 	}
 	kinds := strings.Fields(string(data))
+	if len(kinds) == 0 || kinds[0] != markerTag {
+		return nil, nil
+	}
+	kinds = kinds[1:]
 	for _, kind := range kinds {
 		name, err := artifactFile(hash, kind)
 		if err != nil {
@@ -230,7 +242,8 @@ func (s *FSStore) PutArtifacts(hash string, files map[string][]byte) error {
 		kinds = append(kinds, kind)
 	}
 	sort.Strings(kinds)
-	if err := journal.WriteFileAtomic(filepath.Join(s.artifactDir(), hash+".ok"), []byte(strings.Join(kinds, " ")+"\n")); err != nil {
+	marker := markerTag + " " + strings.Join(kinds, " ") + "\n"
+	if err := journal.WriteFileAtomic(filepath.Join(s.artifactDir(), hash+".ok"), []byte(marker)); err != nil {
 		return err
 	}
 	s.mu.Lock()
