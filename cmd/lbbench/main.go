@@ -231,11 +231,11 @@ func e5(seeds int) {
 				return trial{}
 			}
 			_, opt := partition.OptimalMaxMem(items, m)
-			a, err := analysis.AlphaRatio(res.Schedule.MaxMem(), opt)
+			a, err := analysis.AlphaRatio(metrics.MaxMem(res.MemAfter), opt)
 			if err != nil {
 				return trial{}
 			}
-			if analysis.CheckTheorem2(res.Schedule.MaxMem(), opt, m) != nil {
+			if analysis.CheckTheorem2(metrics.MaxMem(res.MemAfter), opt, m) != nil {
 				fatalf("Theorem 2 violated on seed %d, M=%d", seed, m)
 			}
 			return trial{ok: true, alpha: a}
@@ -338,7 +338,7 @@ func e7(seeds int) {
 		if err != nil {
 			return nil
 		}
-		out["heuristic"] = cell{res.Schedule.MaxMem(), 0, time.Since(t0)}
+		out["heuristic"] = cell{metrics.MaxMem(res.MemAfter), 0, time.Since(t0)}
 
 		t0 = time.Now()
 		lpt := partition.LPT(items, m)

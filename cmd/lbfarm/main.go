@@ -266,21 +266,18 @@ func main() {
 			fatal(err)
 		}
 		if *resume {
-			w, done, err = journal.Resume(path, hdr)
+			w, done, err = journal.Resume(path, hdr, set.Aux())
 			if err != nil {
 				fatal(err)
 			}
 			log.Printf("resuming %s: %d of %d trials already journaled", path, len(done), hi-lo)
-			if w.RepairedTorn {
-				set.Aux().Add(obs.CounterTornRepairs, 1)
-			}
 		} else {
 			w, err = journal.Create(path, hdr)
 			if err != nil {
 				fatal(err)
 			}
+			w.Obs = set.Aux()
 		}
-		w.Obs = set.Aux()
 	}
 
 	eng := &campaign.Engine{Workers: *workers, NoMemo: *noMemo, Done: done, Lo: lo, Hi: hi, Obs: set}

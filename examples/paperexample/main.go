@@ -42,7 +42,6 @@ func main() {
 	s.MustPlace(c, 1, 6)
 	s.MustPlace(d, 2, 13)
 	s.MustPlace(e, 2, 14)
-	must(s.DeriveComms())
 	if errs := s.Validate(); len(errs) > 0 {
 		log.Fatalf("initial schedule invalid: %v", errs)
 	}

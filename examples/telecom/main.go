@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("initial", initial, ar)
+	before := report("initial", initial, ar)
 
 	res, err := repro.Balance(initial)
 	if err != nil {
@@ -77,7 +77,6 @@ func main() {
 
 	// Count the transfers that survived balancing: co-location removes
 	// bus traffic entirely for merged chains.
-	before := len(initial.Comms())
 	after := 0
 	for i := 0; i < ts.Len(); i++ {
 		dst := repro.TaskID(i)
@@ -100,14 +99,20 @@ func main() {
 	}
 }
 
-func report(label string, s *repro.InitialSchedule, ar *repro.Architecture) {
+// report prints a schedule's summary and returns its bus transfer count.
+func report(label string, s *repro.InitialSchedule, ar *repro.Architecture) int {
+	cms, err := s.Comms()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s: makespan %d, memory %s, %d bus transfers\n",
-		label, s.Makespan(), metrics.FormatMemVector(s.MemVector()), len(s.Comms()))
+		label, s.Makespan(), metrics.FormatMemVector(s.MemVector()), len(cms))
 	cts, err := repro.MaterializeCommTasks(s, 1)
 	if err != nil {
 		fmt.Printf("%s: communication tasks do NOT fit with overhead 1: %v\n", label, err)
-		return
+		return len(cms)
 	}
 	fmt.Printf("%s: %d send/recv tasks, CPU overhead per processor %v\n",
 		label, len(cts), sched.CommOverheadVector(ar.Procs, cts))
+	return len(cms)
 }

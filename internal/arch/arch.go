@@ -30,9 +30,12 @@ type Architecture struct {
 	// as the end-to-end time between the start of a send task and the
 	// completion of the matching receive task, and does not model bus
 	// contention; that latency-only model is the default. With
-	// ContendedMedia set, transfers additionally reserve exclusive,
-	// non-overlapping slots on their medium (EDF-packed), which is the
-	// stricter model a shared bus implies.
+	// ContendedMedia set, transfers additionally reserve exclusive slots
+	// on their medium, which is the stricter model a shared bus implies.
+	// Exclusivity holds in steady state: the schedule repeats every
+	// hyper-period H, so no two slots may meet at any image k·H. Slots
+	// are packed earliest-deadline-first, a heuristic that can refuse a
+	// transfer set some other packing would fit.
 	ContendedMedia bool
 
 	media []medium

@@ -220,14 +220,13 @@ func (s *WorkerServer) runJob(j *workerJob) error {
 	}
 
 	// Resume starts a fresh journal when none survives on disk.
-	w, done, err := journal.Resume(j.path, hdr)
+	w, done, err := journal.Resume(j.path, hdr, s.cfg.Obs.Aux())
 	if err != nil {
 		return err
 	}
 	if len(done) > 0 {
 		s.cfg.Logf("job %s: resuming journal, %d of %d trials already done", j.job.ID, len(done), j.total)
 	}
-	w.Obs = s.cfg.Obs.Aux()
 	j.done.Store(int64(len(done)))
 
 	kill := s.cfg.Hooks.KillAfter

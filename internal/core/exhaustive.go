@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/model"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -80,7 +80,7 @@ func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Re
 // better2 compares complete results under the objective.
 func better2(obj Objective, a, b *Result) bool {
 	am, bm := a.MakespanAfter, b.MakespanAfter
-	ax, bx := maxMem(a.MemAfter), maxMem(b.MemAfter)
+	ax, bx := metrics.MaxMem(a.MemAfter), metrics.MaxMem(b.MemAfter)
 	switch obj {
 	case ObjectiveMaxMem:
 		if ax != bx {
@@ -93,16 +93,6 @@ func better2(obj Objective, a, b *Result) bool {
 		}
 		return ax < bx
 	}
-}
-
-func maxMem(v []model.Mem) model.Mem {
-	var m model.Mem
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // runScripted is runPass with forced choices: decision i sends the i-th

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
@@ -33,8 +34,8 @@ func TestExhaustiveNeverWorseThanGreedy(t *testing.T) {
 				t.Errorf("exhaustive makespan %d worse than greedy %d", best.MakespanAfter, greedy.MakespanAfter)
 			}
 		case ObjectiveMaxMem:
-			if maxMem(best.MemAfter) > maxMem(greedy.MemAfter) {
-				t.Errorf("exhaustive max-mem %d worse than greedy %d", maxMem(best.MemAfter), maxMem(greedy.MemAfter))
+			if metrics.MaxMem(best.MemAfter) > metrics.MaxMem(greedy.MemAfter) {
+				t.Errorf("exhaustive max-mem %d worse than greedy %d", metrics.MaxMem(best.MemAfter), metrics.MaxMem(greedy.MemAfter))
 			}
 		}
 		if errs := best.Schedule.Validate(); len(errs) > 0 {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/blocks"
 	"repro/internal/gen"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/sched"
@@ -107,7 +108,7 @@ func TestTheorem2AlphaApproximation(t *testing.T) {
 			}
 			items := partition.FromBlocks(blocks.Build(is))
 			_, opt := partition.OptimalMaxMem(items, m)
-			got := res.Schedule.MaxMem()
+			got := metrics.MaxMem(res.MemAfter)
 			if err := analysis.CheckTheorem2(got, opt, m); err != nil {
 				t.Errorf("seed %d m %d: %v", seed, m, err)
 			}

@@ -48,9 +48,6 @@ func paperInitial(t testing.TB) *sched.Schedule {
 	s.MustPlace(ids["c"], 1, 6)
 	s.MustPlace(ids["d"], 2, 13)
 	s.MustPlace(ids["e"], 2, 14)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatalf("DeriveComms: %v", err)
-	}
 	if errs := s.Validate(); len(errs) > 0 {
 		t.Fatalf("initial schedule invalid: %v", errs)
 	}

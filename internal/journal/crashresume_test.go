@@ -71,7 +71,7 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, done, err := Resume(path, hdr)
+		w, done, err := Resume(path, hdr, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: resume: %v", cut, err)
 		}
@@ -134,7 +134,7 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, done, err := Resume(path, hdr)
+	w, done, err := Resume(path, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

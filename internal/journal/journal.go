@@ -222,12 +222,6 @@ type Writer struct {
 	// a nil recorder is free. The journal bytes are identical either
 	// way — telemetry never touches the frame stream.
 	Obs *obs.Recorder
-
-	// RepairedTorn reports that Resume found and truncated a torn
-	// final record — the single repair a crash can require. It is
-	// informational (the dropped trial simply re-runs); callers
-	// surface it in run telemetry.
-	RepairedTorn bool
 }
 
 // Create starts a fresh journal at path, writing and syncing the
@@ -373,18 +367,23 @@ func decodeRecords(name string, records [][]byte) (*Journal, error) {
 // must not redo). A missing file — or one whose header never made it
 // to disk — starts fresh. A refused journal is left untouched.
 //
+// rec becomes the writer's Obs, and a torn tail the resume truncated —
+// the single repair a crash can require — counts once on it as
+// obs.CounterTornRepairs (the dropped trial simply re-runs).
+//
 // The file is exclusively locked before it is even read, and the lock
 // is held for the writer's lifetime: resuming a journal whose original
 // process is still alive (the classic believed-dead restart) fails
 // loudly instead of letting two writers interleave rows and poison the
 // file with duplicate trial indices.
-func Resume(path string, want Header) (*Writer, []campaign.TrialResult, error) {
+func Resume(path string, want Header, rec *obs.Recorder) (*Writer, []campaign.TrialResult, error) {
 	payload, err := headerPayload(want)
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &Writer{hdr: want, SyncEvery: DefaultSyncEvery}
+	w := &Writer{hdr: want, SyncEvery: DefaultSyncEvery, Obs: rec}
 	var rows []campaign.TrialResult
+	var repaired bool
 	w.log, err = OpenRecordLog(path, payload, func(records [][]byte, torn bool) error {
 		j, err := decodeRecords(path, records)
 		if err != nil {
@@ -393,11 +392,14 @@ func Resume(path string, want Header) (*Writer, []campaign.TrialResult, error) {
 		if err := j.Header.compatible(want); err != nil {
 			return fmt.Errorf("%w (%s)", err, path)
 		}
-		w.hdr, rows, w.RepairedTorn = j.Header, j.Rows, torn
+		w.hdr, rows, repaired = j.Header, j.Rows, torn
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	if repaired {
+		rec.Add(obs.CounterTornRepairs, 1)
 	}
 	return w, rows, nil
 }

@@ -149,7 +149,7 @@ func TestResumeRejectsForeignSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(path, hdr); err == nil || !strings.Contains(err.Error(), "spec hash") {
+	if _, _, err := Resume(path, hdr, nil); err == nil || !strings.Contains(err.Error(), "spec hash") {
 		t.Fatalf("foreign spec resume: %v", err)
 	}
 }
@@ -161,7 +161,7 @@ func TestResumeRejectsForeignShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(path, hdr); err == nil || !strings.Contains(err.Error(), "does not match requested shard") {
+	if _, _, err := Resume(path, hdr, nil); err == nil || !strings.Contains(err.Error(), "does not match requested shard") {
 		t.Fatalf("foreign shard resume: %v", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestTornFinalRecordRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, done, err := Resume(path, hdr)
+	w, done, err := Resume(path, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +259,14 @@ func TestResumeRefusesLiveJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(path, hdr); err == nil || !strings.Contains(err.Error(), "another") {
+	if _, _, err := Resume(path, hdr, nil); err == nil || !strings.Contains(err.Error(), "another") {
 		t.Fatalf("resume of a live journal: %v", err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// Once the writer is gone the lock is released and resume proceeds.
-	w2, done, err := Resume(path, hdr)
+	w2, done, err := Resume(path, hdr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,8 +103,8 @@ func TestWriterObsByteIdentity(t *testing.T) {
 }
 
 // TestResumeReportsTornRepair: the truncated-tail repair that Resume
-// performs is surfaced on the writer so the CLI can count it
-// (torn_repairs in the runinfo sidecar).
+// performs counts once on the recorder it is handed (torn_repairs in
+// the runinfo sidecar), and a clean resume counts nothing.
 func TestResumeReportsTornRepair(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trial.jsonl")
 	runJournaled(t, path, 2, 0, 1)
@@ -121,26 +121,20 @@ func TestResumeReportsTornRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, _, err := Resume(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !w.RepairedTorn {
-		t.Fatal("Resume repaired a torn tail but did not report it")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A clean resume must not claim a repair.
-	w2, _, err := Resume(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w2.RepairedTorn {
-		t.Fatal("clean resume reported a torn repair")
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
+	for _, want := range []int64{1, 0} { // torn, then clean
+		set := obs.NewSet(1)
+		w, _, err := Resume(path, hdr, set.Aux())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Obs != set.Aux() {
+			t.Fatal("Resume did not attach the recorder to the writer")
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := set.Snapshot().Counters[obs.CounterTornRepairs.String()]; got != want {
+			t.Fatalf("torn_repairs = %d, want %d", got, want)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func TestV2Refused(t *testing.T) {
 	want := fmt.Sprintf("unsupported version 2 (want %d)", Version)
 	for label, got := range map[string]error{
 		"Read":   second(Read(path)),
-		"Resume": third(Resume(path, hdr)),
+		"Resume": third(Resume(path, hdr, nil)),
 		"Merge":  second(Merge([]string{path})),
 	} {
 		if got == nil || !strings.Contains(got.Error(), want) {
@@ -69,7 +69,7 @@ func TestResumeRefusesMixedPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = third(Resume(phasedPath, afterHdr))
+	err = third(Resume(phasedPath, afterHdr, nil))
 	if err == nil || !strings.Contains(err.Error(), "written with analyzer phases before,after") ||
 		!strings.Contains(err.Error(), "-analyzer-phases") {
 		t.Fatalf("resume phased journal with after-only run: %v", err)
@@ -81,7 +81,7 @@ func TestResumeRefusesMixedPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = third(Resume(afterPath, phasedHdr))
+	err = third(Resume(afterPath, phasedHdr, nil))
 	if err == nil || !strings.Contains(err.Error(), "written with analyzer phases after") {
 		t.Fatalf("resume after-only journal with phased run: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestCrashResumeWithPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, done, err := Resume(path, hdr)
+		w, done, err := Resume(path, hdr, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}

@@ -284,7 +284,7 @@ func TestRecordLogRefusalLeavesFileUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(path, hdr); err == nil {
+	if _, _, err := Resume(path, hdr, nil); err == nil {
 		t.Fatal("resume with a foreign spec succeeded")
 	}
 	untouched("a refused Resume")

@@ -66,7 +66,7 @@ func TestOldVersionRefused(t *testing.T) {
 		want := fmt.Sprintf("unsupported version %d (want %d)", version, Version)
 		for label, got := range map[string]error{
 			"Read":   second(Read(path)),
-			"Resume": third(Resume(path, hdr)),
+			"Resume": third(Resume(path, hdr, nil)),
 			"Merge":  second(Merge([]string{path})),
 		} {
 			if got == nil || !strings.Contains(got.Error(), want) || !strings.Contains(got.Error(), hint) {
@@ -88,7 +88,7 @@ func TestResumeRefusesDifferentAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(withPath, plainHdr); err == nil || !strings.Contains(err.Error(), "written with analyzers") {
+	if _, _, err := Resume(withPath, plainHdr, nil); err == nil || !strings.Contains(err.Error(), "written with analyzers") {
 		t.Fatalf("resume analyzer journal without analyzers: %v", err)
 	}
 
@@ -98,7 +98,7 @@ func TestResumeRefusesDifferentAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(plainPath, anaHdr); err == nil || !strings.Contains(err.Error(), "written with analyzers none") {
+	if _, _, err := Resume(plainPath, anaHdr, nil); err == nil || !strings.Contains(err.Error(), "written with analyzers none") {
 		t.Fatalf("resume plain journal with analyzers: %v", err)
 	}
 
@@ -109,7 +109,7 @@ func TestResumeRefusesDifferentAnalyzers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Resume(withPath, subHdr); err == nil || !strings.Contains(err.Error(), "written with analyzers") {
+	if _, _, err := Resume(withPath, subHdr, nil); err == nil || !strings.Contains(err.Error(), "written with analyzers") {
 		t.Fatalf("resume with analyzer subset: %v", err)
 	}
 }
@@ -155,7 +155,7 @@ func TestCrashResumeWithAnalyzers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, done, err := Resume(path, hdr)
+		w, done, err := Resume(path, hdr, nil)
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}

@@ -9,9 +9,10 @@ import (
 	"repro/internal/model"
 )
 
-// DeriveComms computes the inter-processor communications implied by the
-// current placement and assigns each a slot on its medium. It replaces
-// any previously derived comms.
+// Comms derives the inter-processor transfers implied by the current
+// placement, each with a slot on its medium, in earliest-deadline-first
+// order. Nothing is stored: every call derives the transfers afresh, so
+// they always match the placement.
 //
 // In the default latency-only model (the paper's: C is the time between
 // the start of the send task and the completion of the receive task, with
@@ -19,90 +20,78 @@ import (
 // completes and must finish by its consumer's start.
 //
 // With Architecture.ContendedMedia set, transfers on the same medium must
-// not overlap; they are packed in earliest-deadline-first order, each at
-// the earliest free slot after its producer completes. An error is
-// returned if some transfer cannot meet its consumer under either model.
-func (s *Schedule) DeriveComms() error {
+// not overlap in steady state: the pattern repeats every hyper-period H,
+// so each medium is a ring of period H (ring.go). Transfers are packed
+// in EDF order, each at the earliest slot after its producer completes
+// that misses every folded slot already taken. A transfer longer than H
+// collides with its own next image. An error is returned if some
+// transfer cannot meet its consumer under either model.
+func (s *Schedule) Comms() ([]Comm, error) {
 	c := s.Arch.CommTime
 
 	// Deterministic EDF processing order: deadline, then ready time, then
 	// producer and consumer task. Distinct transfers never tie: equal
 	// consumer tasks and deadlines pin the consumer instance, equal
 	// producer tasks and ready times pin the producer instance.
-	keys := make([]commKey, 0, s.crossDepCount())
-	s.eachCrossDep(func(cm Comm) {
-		keys = append(keys, commKey{
-			deadline: s.InstanceStart(cm.Dst.Task, cm.Dst.K),
-			ready:    s.InstanceEnd(cm.Src.Task, cm.Src.K),
-			cm:       cm,
-		})
-	})
-	slices.SortFunc(keys, func(a, b commKey) int {
-		if a.deadline != b.deadline {
-			return cmp.Compare(a.deadline, b.deadline)
-		}
-		if a.ready != b.ready {
-			return cmp.Compare(a.ready, b.ready)
-		}
-		if a.cm.Src.Task != b.cm.Src.Task {
-			return cmp.Compare(a.cm.Src.Task, b.cm.Src.Task)
-		}
-		return cmp.Compare(a.cm.Dst.Task, b.cm.Dst.Task)
+	var cms []Comm
+	s.eachCrossDep(func(cm Comm) { cms = append(cms, cm) })
+	readyOf := func(cm Comm) model.Time { return s.InstanceEnd(cm.Src.Task, cm.Src.K) }
+	deadlineOf := func(cm Comm) model.Time { return s.InstanceStart(cm.Dst.Task, cm.Dst.K) }
+	slices.SortFunc(cms, func(a, b Comm) int {
+		return cmp.Or(cmp.Compare(deadlineOf(a), deadlineOf(b)), cmp.Compare(readyOf(a), readyOf(b)),
+			cmp.Compare(a.Src.Task, b.Src.Task), cmp.Compare(a.Dst.Task, b.Dst.Task))
 	})
 
-	type slot struct{ start, end model.Time }
-	var busy map[arch.MediumID][]slot
-	if s.Arch.ContendedMedia {
-		busy = make(map[arch.MediumID][]slot)
+	// busy[m] is medium m's occupancy folded modulo H; a zero-length
+	// transfer occupies nothing.
+	h := s.TS.HyperPeriod()
+	var busy []ring
+	if s.Arch.ContendedMedia && c > 0 {
+		busy = make([]ring, s.Arch.Media())
 	}
 
-	s.comms = slices.Grow(s.comms[:0], len(keys))
-	for _, k := range keys {
-		cm, ready, deadline := k.cm, k.ready, k.deadline
-		start := ready
-		if s.Arch.ContendedMedia {
-			// Shift past conflicting slots on the medium.
-			for {
-				moved := false
-				for _, sl := range busy[cm.Medium] {
-					if start < sl.end && sl.start < start+c {
-						start = sl.end
-						moved = true
-					}
-				}
-				if !moved {
-					break
-				}
+	for i := range cms {
+		cm := &cms[i]
+		ready, deadline := readyOf(*cm), deadlineOf(*cm)
+		start, ok := ready, ready+c <= deadline
+		if ok && busy != nil {
+			if c > h {
+				return nil, fmt.Errorf("sched: transfer %s→%s occupies %s for C %d, longer than the hyper-period %d",
+					s.instName(cm.Src), s.instName(cm.Dst), s.Arch.MediumName(cm.Medium), c, h)
 			}
+			r0 := model.Mod(ready, h)
+			var x model.Time
+			x, ok = busy[cm.Medium].firstFit(h, r0, c, deadline-c-ready)
+			start = ready + x - r0
 		}
-		if start+c > deadline {
-			return fmt.Errorf("sched: transfer %s→%s cannot complete by consumer start %d (ready %d, C %d, medium %s)",
+		if !ok {
+			return nil, fmt.Errorf("sched: transfer %s→%s cannot complete by consumer start %d (ready %d, C %d, medium %s)",
 				s.instName(cm.Src), s.instName(cm.Dst), deadline, ready, c, s.Arch.MediumName(cm.Medium))
 		}
-		if s.Arch.ContendedMedia {
-			busy[cm.Medium] = append(busy[cm.Medium], slot{start, start + c})
+		if busy != nil {
+			busy[cm.Medium] = busy[cm.Medium].fold(h, start, h, c)
 		}
 		cm.Start = start
-		s.comms = append(s.comms, cm)
 	}
-	return nil
-}
-
-// commKey is a cross dependence with its EDF sort key precomputed.
-type commKey struct {
-	deadline, ready model.Time
-	cm              Comm
+	return cms, nil
 }
 
 func (s *Schedule) instName(iid model.InstanceID) string {
 	return fmt.Sprintf("%s#%d", s.TS.Task(iid.Task).Name, iid.K+1)
 }
 
-// CommLoad returns, per medium, the total busy time of derived transfers.
-func (s *Schedule) CommLoad() map[arch.MediumID]model.Time {
-	out := make(map[arch.MediumID]model.Time)
-	for _, cm := range s.comms {
-		out[cm.Medium] += s.Arch.CommTime
+// mediaConflicts calls fn once for every pair of transfers in cms that
+// share a medium in steady state (foldConflicts with period H).
+func (s *Schedule) mediaConflicts(cms []Comm, fn func(a, b Comm)) {
+	h := s.TS.HyperPeriod()
+	var occs []occupancy
+	for m := arch.MediumID(0); int(m) < s.Arch.Media(); m++ {
+		occs = occs[:0]
+		for i, cm := range cms {
+			if cm.Medium == m {
+				occs = append(occs, occupancy{cm.Start, s.Arch.CommTime, i})
+			}
+		}
+		foldConflicts(h, occs, func(a, b int) { fn(cms[a], cms[b]) })
 	}
-	return out
 }

@@ -55,12 +55,13 @@ type CommTask struct {
 // End returns the completion time of the communication task.
 func (ct CommTask) End() model.Time { return ct.Start + ct.Dur }
 
-// MaterializeCommTasks expands every derived transfer of the schedule
+// MaterializeCommTasks expands every transfer of the schedule (Comms)
 // into its send/receive task pair with the given per-task processor
-// overhead. DeriveComms must have been called. It returns an error when
-// overhead > 0 and some communication task would overlap a task instance
-// or another communication task on its processor — the schedule then has
-// no room for explicit communication handling and needs more slack.
+// overhead. It returns an error when the transfers cannot be derived,
+// or when overhead > 0 and some communication task would overlap a task
+// instance or another communication task on its processor — the schedule
+// then has no room for explicit communication handling and needs more
+// slack.
 func MaterializeCommTasks(s *Schedule, overhead model.Time) ([]CommTask, error) {
 	if overhead < 0 {
 		return nil, fmt.Errorf("sched: negative communication overhead %d", overhead)
@@ -69,8 +70,12 @@ func MaterializeCommTasks(s *Schedule, overhead model.Time) ([]CommTask, error) 
 		return nil, fmt.Errorf("sched: overhead %d exceeds the end-to-end communication time %d",
 			overhead, s.Arch.CommTime)
 	}
+	cms, err := s.Comms()
+	if err != nil {
+		return nil, err
+	}
 	var out []CommTask
-	for _, cm := range s.Comms() {
+	for _, cm := range cms {
 		srcProc := s.Placement(cm.Src.Task).Proc
 		dstProc := s.Placement(cm.Dst.Task).Proc
 		out = append(out,

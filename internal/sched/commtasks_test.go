@@ -21,9 +21,6 @@ func spacedPair(t *testing.T, c, slack model.Time) *Schedule {
 	s := MustNewSchedule(ts, ar)
 	s.MustPlace(a, 0, 0)
 	s.MustPlace(b, 1, 2+c+slack)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatal(err)
-	}
 	return s
 }
 
@@ -76,9 +73,6 @@ func TestMaterializeDetectsInstanceCollision(t *testing.T) {
 	s.MustPlace(a, 0, 0)
 	s.MustPlace(x, 0, 2) // occupies [2,4): exactly the send slot
 	s.MustPlace(b, 1, 4)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatal(err)
-	}
 	_, err := MaterializeCommTasks(s, 1)
 	if err == nil || !strings.Contains(err.Error(), "overlaps") {
 		t.Fatalf("send/instance collision not detected: %v", err)
@@ -128,9 +122,6 @@ func TestMaterializeOnPaperExample(t *testing.T) {
 	s.MustPlace(c, 1, 6)
 	s.MustPlace(d, 2, 13)
 	s.MustPlace(e, 2, 14)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatal(err)
-	}
 	cts, err := MaterializeCommTasks(s, 0)
 	if err != nil {
 		t.Fatal(err)

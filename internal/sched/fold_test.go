@@ -116,9 +116,6 @@ func TestCommTaskRoomFolds(t *testing.T) {
 	s.MustPlace(a, 0, 0)  // send slot [2, 3)
 	s.MustPlace(x, 0, 26) // [26, 27) ≡ [2, 3) mod 12
 	s.MustPlace(b, 1, 4)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatal(err)
-	}
 	_, err := MaterializeCommTasks(s, 1)
 	if err == nil || !strings.Contains(err.Error(), "send task for a#1→b#1 [2,3) overlaps x#1 on P1") {
 		t.Fatalf("send/instance collision at 2H: %v", err)

@@ -187,17 +187,6 @@ func (is *InstSchedule) MemVector() []model.Mem {
 	return v
 }
 
-// MaxMem returns the maximum entry of MemVector (ω of Theorem 2).
-func (is *InstSchedule) MaxMem() model.Mem {
-	var m model.Mem
-	for _, v := range is.MemVector() {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Validate checks the instance-level constraints:
 //
 //   - completeness: every instance of every task is placed;
@@ -289,6 +278,3 @@ func commNote(cross bool, c model.Time) string {
 	}
 	return ""
 }
-
-// Valid reports whether Validate finds no violation.
-func (is *InstSchedule) Valid() bool { return len(is.Validate()) == 0 }

@@ -83,9 +83,6 @@ func TestInstMemVectorPerInstance(t *testing.T) {
 	if v[0] != 8 || v[1] != 2 {
 		t.Errorf("mem vector = %v, want [8 2]", v)
 	}
-	if is.MaxMem() != 8 {
-		t.Errorf("max mem = %d", is.MaxMem())
-	}
 }
 
 func TestInstCloneIsDeep(t *testing.T) {

@@ -43,14 +43,13 @@ func (c Comm) End(a *arch.Architecture) model.Time { return c.Start + a.CommTime
 
 // Schedule is a full placement of a task set onto an architecture.
 // Construct one with NewSchedule and Place (manual placement, used by the
-// worked-example reproduction), or with Scheduler.Run. After all tasks are
-// placed, DeriveComms fills in medium slots.
+// worked-example reproduction), or with Scheduler.Run. Transfers are a
+// view of the placement, not state: Comms derives them on each call.
 type Schedule struct {
 	TS   *model.TaskSet
 	Arch *arch.Architecture
 
 	place []Placement
-	comms []Comm
 
 	// tasksOn caches TasksOn per processor; entries are invalidated by
 	// Place.
@@ -102,8 +101,8 @@ func MustNewSchedule(ts *model.TaskSet, a *arch.Architecture) *Schedule {
 	return s
 }
 
-// Place assigns a task. It does not validate; call Validate (or
-// DeriveComms + Validate) after all placements.
+// Place assigns a task. It does not validate; call Validate after all
+// placements.
 func (s *Schedule) Place(id model.TaskID, p arch.ProcID, start model.Time) error {
 	if int(id) < 0 || int(id) >= s.TS.Len() {
 		return fmt.Errorf("sched: Place: unknown task %d", id)
@@ -127,13 +126,12 @@ func (s *Schedule) Place(id model.TaskID, p arch.ProcID, start model.Time) error
 	return nil
 }
 
-// reset unplaces every task and drops the derived comms, keeping every
-// buffer for the next pass (the scheduler's repair rounds).
+// reset unplaces every task, keeping every buffer for the next pass (the
+// scheduler's repair rounds).
 func (s *Schedule) reset() {
 	for i := range s.place {
 		s.place[i] = Placement{Proc: Unplaced}
 	}
-	s.comms = s.comms[:0]
 	clear(s.tasksOn)
 	for k := range s.rings {
 		s.rings[k] = s.rings[k][:0]
@@ -160,15 +158,11 @@ func (s *Schedule) Placed() bool {
 	return true
 }
 
-// Comms returns the derived inter-processor communications.
-func (s *Schedule) Comms() []Comm { return s.comms }
-
 // Clone returns a deep copy sharing the immutable task set and
 // architecture.
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{TS: s.TS, Arch: s.Arch, tasksOn: make(map[arch.ProcID][]model.TaskID, s.Arch.Procs)}
 	c.place = append([]Placement(nil), s.place...)
-	c.comms = append([]Comm(nil), s.comms...)
 	c.periods, c.ringOf = s.periods, s.ringOf
 	// One backing array for every ring; the capacity-capped subslices
 	// make a later fold reallocate instead of spilling into a neighbour.
@@ -237,23 +231,11 @@ func (s *Schedule) Makespan() model.Time {
 	return m
 }
 
-// MemOn returns the required memory on p. Following the paper's
-// accounting (its worked example counts 16 units for four instances of a
-// task with m=4), every instance of a task contributes the task's memory
-// amount: data produced by distinct instances cannot be reused (fig. 1).
-func (s *Schedule) MemOn(p arch.ProcID) model.Mem {
-	var m model.Mem
-	for i, pl := range s.place {
-		if pl.Proc == p {
-			id := model.TaskID(i)
-			m += s.TS.Task(id).Mem * model.Mem(s.TS.Instances(id))
-		}
-	}
-	return m
-}
-
-// MemVector returns the per-processor memory amounts (per-instance
-// accounting, see MemOn), index = processor.
+// MemVector returns the per-processor memory amounts, index =
+// processor. Following the paper's accounting (its worked example counts
+// 16 units for four instances of a task with m=4), every instance of a
+// task contributes the task's memory amount: data produced by distinct
+// instances cannot be reused (fig. 1).
 func (s *Schedule) MemVector() []model.Mem {
 	v := make([]model.Mem, s.Arch.Procs)
 	for i, pl := range s.place {
@@ -265,26 +247,6 @@ func (s *Schedule) MemVector() []model.Mem {
 	return v
 }
 
-// MaxMem returns the maximum per-processor memory amount (the ω of
-// Theorem 2).
-func (s *Schedule) MaxMem() model.Mem {
-	var m model.Mem
-	for _, v := range s.MemVector() {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// CrossDeps enumerates the dependences whose endpoints sit on different
-// processors, expanded to instance granularity.
-func (s *Schedule) CrossDeps() []Comm {
-	out := make([]Comm, 0, s.crossDepCount())
-	s.eachCrossDep(func(cm Comm) { out = append(out, cm) })
-	return out
-}
-
 // crosses reports whether dependence d links tasks placed on different
 // processors.
 func (s *Schedule) crosses(d model.Dependence) bool {
@@ -292,21 +254,9 @@ func (s *Schedule) crosses(d model.Dependence) bool {
 	return sp != Unplaced && dp != Unplaced && sp != dp
 }
 
-// crossDepCount bounds the number of comms eachCrossDep visits (exact
-// when every processor pair has a route): a dependence links
-// max(producer, consumer) instance pairs, its periods being harmonic.
-func (s *Schedule) crossDepCount() int {
-	n := 0
-	for _, d := range s.TS.Dependences() {
-		if s.crosses(d) {
-			n += max(s.TS.Instances(d.Src), s.TS.Instances(d.Dst))
-		}
-	}
-	return n
-}
-
-// eachCrossDep calls fn for every comm CrossDeps lists, in its order,
-// with Start unset.
+// eachCrossDep calls fn, with Start unset, for every dependence whose
+// endpoints sit on different processors, expanded to instance
+// granularity: dependence by dependence, then by consumer instance.
 func (s *Schedule) eachCrossDep(fn func(Comm)) {
 	for _, d := range s.TS.Dependences() {
 		if !s.crosses(d) {

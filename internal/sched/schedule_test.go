@@ -62,9 +62,6 @@ func TestMakespanAndMemVector(t *testing.T) {
 	if v[0] != 8 || v[1] != 2 {
 		t.Errorf("mem vector = %v, want [8 2]", v)
 	}
-	if s.MaxMem() != 8 {
-		t.Errorf("max mem = %d, want 8", s.MaxMem())
-	}
 }
 
 func TestValidateCatchesOverlap(t *testing.T) {
@@ -131,21 +128,22 @@ func TestValidateWrapAroundOverlap(t *testing.T) {
 	}
 }
 
-func TestDeriveCommsCreatesExpectedTransfers(t *testing.T) {
+func TestCommsCreatesExpectedTransfers(t *testing.T) {
 	ts, ids := chainSystem(t)
 	ar := arch.MustNew(2, 1)
 	s := MustNewSchedule(ts, ar)
 	s.MustPlace(ids[0], 0, 0)
 	s.MustPlace(ids[1], 1, 5)
 	s.MustPlace(ids[2], 1, 6)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatalf("DeriveComms: %v", err)
+	cms, err := s.Comms()
+	if err != nil {
+		t.Fatalf("Comms: %v", err)
 	}
 	// a→b crosses: b#1 needs a#1 and a#2: 2 transfers. b→c stays on P2.
-	if n := len(s.Comms()); n != 2 {
+	if n := len(cms); n != 2 {
 		t.Fatalf("%d transfers, want 2", n)
 	}
-	for _, c := range s.Comms() {
+	for _, c := range cms {
 		if c.Src.Task != ids[0] || c.Dst.Task != ids[1] {
 			t.Errorf("unexpected transfer %v→%v", c.Src, c.Dst)
 		}
@@ -158,14 +156,14 @@ func TestDeriveCommsCreatesExpectedTransfers(t *testing.T) {
 	}
 }
 
-func TestDeriveCommsFailsWhenTooTight(t *testing.T) {
+func TestCommsFailsWhenTooTight(t *testing.T) {
 	ts, ids := chainSystem(t)
 	ar := arch.MustNew(2, 3) // C=3: a#2 ends at 4, b#1 at 5 cannot receive in time
 	s := MustNewSchedule(ts, ar)
 	s.MustPlace(ids[0], 0, 0)
 	s.MustPlace(ids[1], 1, 5)
 	s.MustPlace(ids[2], 1, 8)
-	err := s.DeriveComms()
+	_, err := s.Comms()
 	if err == nil || !strings.Contains(err.Error(), "cannot complete") {
 		t.Fatalf("expected transfer failure, got %v", err)
 	}

@@ -35,14 +35,14 @@ func NewScheduler(ts *model.TaskSet, a *arch.Architecture) *Scheduler {
 	return &Scheduler{TS: ts, Arch: a, CoLocate: true, Retries: 8}
 }
 
-// Run produces a complete schedule, with communications derived, or an
-// error when a task cannot be placed (memory exhausted everywhere or no
-// feasible start). When a placement fails, the scheduler retries from
-// scratch with the failing task boosted to the front of the ready set —
-// tasks that are hard to pack (long WCETs, tight dependence bounds) go
-// first while the processors are still empty. Up to Retries rounds; each
-// round resets the previous round's schedule and buffers rather than
-// allocating new ones.
+// Run produces a complete schedule, or an error when a task cannot be
+// placed (memory exhausted everywhere or no feasible start) or, under
+// contended media, its transfers cannot be packed. When a placement
+// fails, the scheduler retries from scratch with the failing task
+// boosted to the front of the ready set — tasks that are hard to pack
+// (long WCETs, tight dependence bounds) go first while the processors
+// are still empty. Up to Retries rounds; each round resets the previous
+// round's schedule and buffers rather than allocating new ones.
 func (sc *Scheduler) Run() (*Schedule, error) {
 	s, err := NewSchedule(sc.TS, sc.Arch)
 	if err != nil {
@@ -167,8 +167,13 @@ func (sc *Scheduler) runOnce(s *Schedule, ps *pass) (model.TaskID, error) {
 		ps.util[best] += busy
 		ps.memUsed[best] += need
 	}
-	if err := s.DeriveComms(); err != nil {
-		return -1, err
+	// Only contention can make the transfers fail: in the latency-only
+	// model DepLowerBounds already starts every consumer at least C
+	// after each remote producer.
+	if sc.Arch.ContendedMedia {
+		if _, err := s.Comms(); err != nil {
+			return -1, err
+		}
 	}
 	return -1, nil
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/model"
 )
@@ -23,8 +24,11 @@ func (e ValidationError) Error() string { return "sched: " + e.Kind + ": " + e.M
 //     check beyond S ≥ 0;
 //   - non-overlap, precedence and memory capacity: those of the expanded
 //     instance schedule (InstSchedule.Validate);
-//   - media: derived transfers do not overlap on their medium and sit
-//     between producer end and consumer start.
+//   - media, under the contended model only: Comms packs every transfer
+//     between its producer's end and its consumer's start, and no two
+//     transfers meet on their medium at any image k·H. In the
+//     latency-only model a transfer's window is exactly the +C precedence
+//     check above, so nothing is derived.
 //
 // It returns all violations found (nil means valid).
 func (s *Schedule) Validate() []ValidationError {
@@ -47,38 +51,24 @@ func (s *Schedule) Validate() []ValidationError {
 	}
 	errs = FromSchedule(s).Validate()
 
-	// Medium slots: window check always; exclusivity only under the
-	// contended-media model.
-	for i, cm := range s.comms {
-		ready := s.InstanceEnd(cm.Src.Task, cm.Src.K)
-		deadline := s.InstanceStart(cm.Dst.Task, cm.Dst.K)
-		if cm.Start < ready || cm.End(s.Arch) > deadline {
-			add("medium", "transfer %s→%s slot [%d,%d) outside window [%d,%d]",
-				s.instName(cm.Src), s.instName(cm.Dst), cm.Start, cm.End(s.Arch), ready, deadline)
+	if s.Arch.ContendedMedia {
+		cms, err := s.Comms()
+		if err != nil {
+			add("medium", "%s", strings.TrimPrefix(err.Error(), "sched: "))
 		}
-		if !s.Arch.ContendedMedia {
-			continue
-		}
-		for j := i + 1; j < len(s.comms); j++ {
-			o := s.comms[j]
-			if o.Medium == cm.Medium && overlaps(cm.Start, cm.End(s.Arch), o.Start, o.End(s.Arch)) {
-				add("medium", "transfers %s→%s and %s→%s overlap on %s",
-					s.instName(cm.Src), s.instName(cm.Dst), s.instName(o.Src), s.instName(o.Dst),
-					s.Arch.MediumName(cm.Medium))
-			}
-		}
+		s.mediaConflicts(cms, func(a, b Comm) {
+			add("medium", "transfers %s→%s and %s→%s overlap on %s",
+				s.instName(a.Src), s.instName(a.Dst), s.instName(b.Src), s.instName(b.Dst), s.Arch.MediumName(a.Medium))
+		})
 	}
-
 	return errs
 }
 
 // Valid reports whether Validate finds no violation.
 func (s *Schedule) Valid() bool { return len(s.Validate()) == 0 }
 
-func overlaps(a0, a1, b0, b1 model.Time) bool { return a0 < b1 && b0 < a1 }
-
-// occupancy is one window [start, start+dur) of a processor, tagged with
-// the caller's index of its owner.
+// occupancy is one window [start, start+dur) of a processor or medium,
+// tagged with the caller's index of its owner.
 type occupancy struct {
 	start, dur model.Time
 	id         int

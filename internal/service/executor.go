@@ -73,11 +73,10 @@ func (e *LocalExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 		return nil, err
 	}
 	// Resume starts a fresh journal when none survives on disk.
-	w, done, err := journal.Resume(e.journalPath(req.ID), hdr)
+	w, done, err := journal.Resume(e.journalPath(req.ID), hdr, req.Obs.Aux())
 	if err != nil {
 		return nil, err
 	}
-	w.Obs = req.Obs.Aux()
 	req.OnResume(done)
 
 	eng := &campaign.Engine{

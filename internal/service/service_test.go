@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/campaign"
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -415,6 +416,89 @@ func TestRestartResume(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed artifact differs from an uninterrupted run")
+	}
+}
+
+// TestResumeTornJournal: a daemon that finds a campaign's journal cut
+// mid-record (the tail a crash leaves) truncates the torn record,
+// counts the repair in the campaign's runinfo (torn_repairs), re-runs
+// only the lost trial, and serves the bytes of an uninterrupted run.
+func TestResumeTornJournal(t *testing.T) {
+	dir := t.TempDir()
+	const seeds = 6
+	spec := testSpec(seeds)
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := journal.NewHeader(spec, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir := filepath.Join(dir, "journals")
+	if err := os.MkdirAll(jdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(jdir, id+".jsonl")
+	w, err := journal.Create(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&campaign.Engine{Workers: 2, Sink: w.Append}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := newDaemon(t, dir, Hooks{})
+	defer d.Close()
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	d.Start()
+	st, code := submit(t, srv, specBody(t, spec))
+	if code != http.StatusAccepted || st.ID != id {
+		t.Fatalf("submit = %d, id %s; want 202, id %s", code, st.ID, id)
+	}
+	fin := waitDone(t, srv, id)
+	if fin.State != api.CampaignDone {
+		t.Fatalf("final state = %s (%s)", fin.State, fin.Error)
+	}
+	if ran := d.Stats().TrialsExecuted; ran != 1 {
+		t.Fatalf("executed %d trials, want only the torn one", ran)
+	}
+	riData, code := fetch(t, srv, fin.Artifacts[KindRunInfo])
+	if code != http.StatusOK {
+		t.Fatalf("runinfo fetch = %d", code)
+	}
+	var ri obs.RunInfo
+	if err := json.Unmarshal(riData, &ri); err != nil {
+		t.Fatal(err)
+	}
+	if got := ri.Obs.Counters[obs.CounterTornRepairs.String()]; got != 1 {
+		t.Fatalf("runinfo torn_repairs = %d, want 1", got)
+	}
+	got, code := fetch(t, srv, fin.Artifacts[KindJSON])
+	if code != http.StatusOK {
+		t.Fatalf("artifact fetch = %d", code)
+	}
+	want, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("artifact after a torn-tail resume differs from an uninterrupted run")
 	}
 }
 

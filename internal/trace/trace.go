@@ -90,7 +90,10 @@ func CSV(w io.Writer, is *sched.InstSchedule) error {
 // Comms writes the derived transfers of a task-level schedule, one per
 // line, in the order they occupy the medium.
 func Comms(w io.Writer, s *sched.Schedule) error {
-	cms := append([]sched.Comm(nil), s.Comms()...)
+	cms, err := s.Comms()
+	if err != nil {
+		return err
+	}
 	sort.Slice(cms, func(i, j int) bool { return cms[i].Start < cms[j].Start })
 	for _, c := range cms {
 		srcName := s.TS.Task(c.Src.Task).Name

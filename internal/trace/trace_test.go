@@ -21,9 +21,6 @@ func sample(t *testing.T) *sched.Schedule {
 	s := sched.MustNewSchedule(ts, ar)
 	s.MustPlace(a, 0, 0)
 	s.MustPlace(b, 1, 5)
-	if err := s.DeriveComms(); err != nil {
-		t.Fatal(err)
-	}
 	return s
 }
 
