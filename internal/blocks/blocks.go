@@ -96,155 +96,149 @@ func (b *Block) HasInstance(iid model.InstanceID) bool {
 	return false
 }
 
-// Tasks returns the distinct task IDs present in the block. Blocks are
-// small (a handful of members), so the dedupe is a linear scan rather
-// than a map.
-func (b *Block) Tasks() []model.TaskID {
-	out := make([]model.TaskID, 0, len(b.Members))
-	for _, m := range b.Members {
-		dup := false
-		for _, t := range out {
-			if t == m.Inst.Task {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, m.Inst.Task)
-		}
+// Build constructs the blocks of an instance-level schedule, one set per
+// processor, and returns them sorted by (start time, processor, first
+// member). Block IDs are assigned in that order. The blocks are the
+// elements of one slice, and their members share one backing (see
+// BuildFlat).
+func Build(is *sched.InstSchedule) []*Block {
+	blks, _ := BuildFlat(is)
+	out := make([]*Block, len(blks))
+	for i := range blks {
+		out[i] = &blks[i]
 	}
 	return out
 }
 
-// Build constructs the blocks of an instance-level schedule, one set per
-// processor, and returns them sorted by (start time, processor, first
-// member). Block IDs are assigned in that order.
-func Build(is *sched.InstSchedule) []*Block {
+// BuildFlat is Build with the blocks stored flat: blks[i] is the block
+// with ID i, and backing holds every member, block by block in ID order,
+// so blks[i].Members is the backing window that starts after the members
+// of blocks 0…i−1. Each window is capped at its length, so an append to
+// one block's members cannot overwrite the next block's.
+func BuildFlat(is *sched.InstSchedule) (blks []Block, backing []Member) {
 	ts := is.TS
 	c := is.Arch.CommTime
-	var all []*Block
 
-	// pos maps the dense instance index to the position on the current
-	// processor (-1 = elsewhere); entries are reset per processor so the
-	// array is allocated once.
-	pos := make([]int, ts.TotalInstances())
-	for i := range pos {
-		pos[i] = -1
+	// One union-find forest over the dense instance indexes serves every
+	// processor: a dependence links two instances only when both sit on
+	// the processor being scanned.
+	n := ts.TotalInstances()
+	uf := make(unionFind, n)
+	for i := range uf {
+		uf[i] = int32(i)
 	}
-
+	placed := 0
 	for p := arch.ProcID(0); int(p) < is.Arch.Procs; p++ {
 		insts := is.InstancesOn(p)
-		if len(insts) == 0 {
-			continue
-		}
-		for i, iid := range insts {
-			pos[ts.InstanceIndex(iid)] = i
-		}
-		// Union instances linked by a dependence with slack < C.
-		uf := newUnionFind(len(insts))
-		for i, iid := range insts {
+		placed += len(insts)
+		for _, iid := range insts {
 			pl, _ := is.Placement(iid)
+			i := ts.InstanceIndex(iid)
+			// Union instances linked by a dependence with slack < C.
 			model.EachInstanceDep(ts, iid.Task, iid.K, func(src model.InstanceID) {
-				j := pos[ts.InstanceIndex(src)]
-				if j < 0 {
-					return
-				}
-				if pl.Start < is.End(src)+c {
-					uf.union(i, j)
+				if ps, ok := is.Placement(src); ok && ps.Proc == p && pl.Start < is.End(src)+c {
+					uf.union(i, ts.InstanceIndex(src))
 				}
 			})
 		}
-		groups := make([][]model.InstanceID, len(insts))
-		for i, iid := range insts {
-			r := uf.find(i)
-			groups[r] = append(groups[r], iid)
-		}
-		for _, g := range groups {
-			if len(g) > 0 {
-				all = append(all, newBlock(is, p, g))
+	}
+
+	// A group's first member is the first of its instances in the
+	// processor listing, which is sorted by (start, task, k) — the order
+	// of members inside a block. count[r] sizes the group of root r.
+	type group struct {
+		first Member
+		proc  int32
+		root  int32
+	}
+	ngroups := 0
+	for p := arch.ProcID(0); int(p) < is.Arch.Procs; p++ {
+		for _, iid := range is.InstancesOn(p) {
+			if i := int32(ts.InstanceIndex(iid)); uf.find(i) == i {
+				ngroups++
 			}
 		}
-		for _, iid := range insts {
-			pos[ts.InstanceIndex(iid)] = -1
+	}
+	groups := make([]group, 0, ngroups)
+	count := make([]int32, n)
+	for p := arch.ProcID(0); int(p) < is.Arch.Procs; p++ {
+		for _, iid := range is.InstancesOn(p) {
+			r := uf.find(int32(ts.InstanceIndex(iid)))
+			if count[r] == 0 {
+				pl, _ := is.Placement(iid)
+				groups = append(groups, group{first: Member{Inst: iid, Start: pl.Start}, proc: int32(p), root: r})
+			}
+			count[r]++
 		}
 	}
-
-	slices.SortFunc(all, func(a, b *Block) int {
-		if c := cmp.Compare(a.Start(), b.Start()); c != 0 {
+	slices.SortFunc(groups, func(a, b group) int {
+		if c := cmp.Compare(a.first.Start, b.first.Start); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+		if c := cmp.Compare(a.proc, b.proc); c != 0 {
 			return c
 		}
-		ai, bi := a.Members[0].Inst, b.Members[0].Inst
-		if c := cmp.Compare(ai.Task, bi.Task); c != 0 {
+		if c := cmp.Compare(a.first.Inst.Task, b.first.Inst.Task); c != 0 {
 			return c
 		}
-		return cmp.Compare(ai.K, bi.K)
+		return cmp.Compare(a.first.Inst.K, b.first.Inst.K)
 	})
-	for i, b := range all {
-		b.ID = i
-	}
-	return all
-}
 
-func newBlock(is *sched.InstSchedule, p arch.ProcID, g []model.InstanceID) *Block {
-	ts := is.TS
-	b := &Block{Proc: p, Category: 1}
-	for _, iid := range g {
-		pl, _ := is.Placement(iid)
-		b.Members = append(b.Members, Member{Inst: iid, Start: pl.Start})
-		b.exec += ts.Task(iid.Task).WCET
-		b.mem += ts.Task(iid.Task).Mem
+	// Lay the blocks out in ID order; count[r] becomes the next free
+	// member slot of root r's block.
+	blks = make([]Block, len(groups))
+	backing = make([]Member, placed)
+	off := int32(0)
+	for id, g := range groups {
+		size := count[g.root]
+		blks[id] = Block{ID: id, Proc: arch.ProcID(g.proc), Category: 1, Members: backing[off : off+size : off+size]}
+		count[g.root] = off
+		off += size
 	}
-	slices.SortFunc(b.Members, func(a, c Member) int {
-		if d := cmp.Compare(a.Start, c.Start); d != 0 {
-			return d
+	for p := arch.ProcID(0); int(p) < is.Arch.Procs; p++ {
+		for _, iid := range is.InstancesOn(p) {
+			r := uf.find(int32(ts.InstanceIndex(iid)))
+			pl, _ := is.Placement(iid)
+			backing[count[r]] = Member{Inst: iid, Start: pl.Start}
+			count[r]++
 		}
-		if d := cmp.Compare(a.Inst.Task, c.Inst.Task); d != 0 {
-			return d
+	}
+	for i := range blks {
+		b := &blks[i]
+		for _, m := range b.Members {
+			b.exec += ts.Task(m.Inst.Task).WCET
+			b.mem += ts.Task(m.Inst.Task).Mem
 		}
-		return cmp.Compare(a.Inst.K, c.Inst.K)
-	})
-	// Category 2 when the first member is a later instance of its task
-	// (§3.1: "a block whose the first task is another instance than the
-	// first instance of this task").
-	if b.Members[0].Inst.K > 0 {
-		b.Category = 2
+		// Category 2 when the first member is a later instance of its
+		// task (§3.1: "a block whose the first task is another instance
+		// than the first instance of this task").
+		if b.Members[0].Inst.K > 0 {
+			b.Category = 2
+		}
+		b.Recompute(ts)
 	}
-	b.Recompute(ts)
-	return b
+	return blks, backing
 }
 
-// unionFind is a minimal disjoint-set structure.
-type unionFind struct{ parent, rank []int }
+// unionFind is a minimal disjoint-set forest: uf[x] is the parent of
+// x, and a root is its own parent. Union links by index (the smaller root
+// wins), which with path halving keeps the trees shallow enough for the
+// few members a block holds.
+type unionFind []int32
 
-func newUnionFind(n int) *unionFind {
-	u := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range u.parent {
-		u.parent[i] = i
-	}
-	return u
-}
-
-func (u *unionFind) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
+func (uf unionFind) find(x int32) int32 {
+	for uf[x] != x {
+		uf[x] = uf[uf[x]]
+		x = uf[x]
 	}
 	return x
 }
 
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
+func (uf unionFind) union(a, b int) {
+	ra, rb := uf.find(int32(a)), uf.find(int32(b))
+	if ra < rb {
+		uf[rb] = ra
+	} else {
+		uf[ra] = rb
 	}
 }

@@ -113,9 +113,6 @@ func TestBlockAccessors(t *testing.T) {
 	if b.End(ts) != b.Start()+2 {
 		t.Errorf("End = %d, want start+2 (two chained unit tasks)", b.End(ts))
 	}
-	if got := len(b.Tasks()); got != 2 {
-		t.Errorf("Tasks() has %d entries, want 2", got)
-	}
 	if !b.HasInstance(b.Members[0].Inst) {
 		t.Error("HasInstance false for own member")
 	}

@@ -297,8 +297,8 @@ func (s Set) RunBefore(in *Input, out map[string]float64) (map[string]float64, e
 // the before phase on, the before.* values) into the result. When the
 // phase set enables the before phase, the delta.* keys are computed
 // here as after − before. The prefix map is copied, never retained or
-// mutated — memoised prefixes hand the same map to many concurrent
-// trials.
+// mutated — a shared prefix hands the same map to every policy cell of
+// its grid point.
 func (s Set) RunSuffix(in *Input, prefix map[string]float64, phases PhaseSet) (map[string]float64, error) {
 	var out map[string]float64
 	if len(prefix) > 0 {

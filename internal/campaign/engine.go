@@ -120,13 +120,15 @@ type Engine struct {
 	// Workers is the pool size; ≤ 0 means GOMAXPROCS.
 	Workers int
 
-	// NoMemo disables cross-policy prefix memoisation. By default the
-	// engine computes the generate→schedule→simulate prefix once per
-	// (generator config, processors, comm time) and hands every policy
-	// cell sharing it a cheap clone; trials then differ only in the
-	// balancing suffix. The memoised and unmemoised paths produce
-	// byte-identical artifacts (the prefix computation is deterministic
-	// and clones share nothing mutable) — the determinism test pins this.
+	// NoMemo disables cross-policy prefix sharing. By default a worker
+	// claims every pending trial of one (generator config, processors,
+	// comm time) point at once, computes the generate→schedule→simulate
+	// prefix and the balancer's plan once, and runs the point's policy
+	// cells one after another from them; trials then differ only in the
+	// balancing suffix. With NoMemo every trial is claimed alone and
+	// computes its own prefix. Both paths produce byte-identical
+	// artifacts (the prefix computation is deterministic and the cells
+	// share nothing they write) — the determinism test pins this.
 	NoMemo bool
 
 	// Sink, when non-nil, receives every live-completed trial the moment
@@ -225,14 +227,9 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 		}
 	}
 
-	// The memo cache is counted over the pending trials only: replayed
-	// rows never consume a prefix, so counting them would strand cache
-	// entries (and a resumed process has no memo state to reuse anyway —
-	// memo entries are per-process).
-	var cache *prefixCache
-	if !e.NoMemo {
-		cache = newPrefixCache(pending)
-	}
+	// Prefix groups are formed over the pending trials only: a replayed
+	// row needs no prefix.
+	groups := prefixGroups(pending, !e.NoMemo)
 
 	coll := newCollector(cellOrder(shard))
 	for i := range results {
@@ -257,50 +254,59 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 	e.Obs.Aux().Add(obs.CounterReplayedTrials, int64(len(e.Done)))
 	start := time.Now()
 	var interrupted atomic.Bool
-	live := mapWorkers(len(pending), workers, func(w, i int) TrialResult {
-		if aborted.Load() {
-			return TrialResult{Index: -1}
-		}
-		if e.Stop != nil {
-			select {
-			case <-e.Stop:
-				interrupted.Store(true)
-				return TrialResult{Index: -1}
-			default:
-			}
-		}
+	// A worker claims a whole prefix group and runs its trials in order;
+	// the abort and drain checks still come before every trial.
+	live := mapWorkers(len(groups), workers, func(w, g int) []TrialResult {
 		rec := e.Obs.Recorder(w)
-		var r TrialResult
-		var err error
-		if cache != nil {
-			r, err = cache.runTrial(pending[i], rec)
-		} else {
-			r, err = runTrial(pending[i], rec)
-		}
-		if err != nil {
-			// An analyzer produced an invalid (non-finite) extra: abort
-			// the sweep now, while the message can still name the trial,
-			// instead of letting the value poison the artifact encoding
-			// after every other trial has run.
-			fail(fmt.Errorf("trial %d: %w", pending[i].Index, err))
-			return TrialResult{Index: -1}
-		}
-		if r.Outcome == OutcomeOK {
-			rec.Add(obs.CounterTrialsAccepted, 1)
-		} else {
-			rec.Add(obs.CounterTrialsRejected, 1)
-		}
-		coll.observe(r)
-		if e.Sink != nil {
-			t0 := rec.Clock()
-			err := e.Sink(r)
-			rec.Stamp(obs.StageSinkWait, t0)
-			if err != nil {
-				fail(fmt.Errorf("sink: trial %d: %w", r.Index, err))
+		out := make([]TrialResult, 0, len(groups[g]))
+		var pre *trialPrefix
+		for _, t := range groups[g] {
+			if aborted.Load() {
+				break
 			}
+			if e.Stop != nil {
+				select {
+				case <-e.Stop:
+					interrupted.Store(true)
+					return out
+				default:
+				}
+			}
+			if pre == nil {
+				pre = runPrefix(t, rec)
+				if !e.NoMemo {
+					rec.Add(obs.CounterMemoMiss, 1)
+				}
+			} else {
+				rec.Add(obs.CounterMemoHit, 1)
+			}
+			r, err := pre.finish(t, rec)
+			if err != nil {
+				// An analyzer produced an invalid (non-finite) extra: abort
+				// the sweep now, while the message can still name the trial,
+				// instead of letting the value poison the artifact encoding
+				// after every other trial has run.
+				fail(fmt.Errorf("trial %d: %w", t.Index, err))
+				break
+			}
+			if r.Outcome == OutcomeOK {
+				rec.Add(obs.CounterTrialsAccepted, 1)
+			} else {
+				rec.Add(obs.CounterTrialsRejected, 1)
+			}
+			coll.observe(r)
+			if e.Sink != nil {
+				t0 := rec.Clock()
+				err := e.Sink(r)
+				rec.Stamp(obs.StageSinkWait, t0)
+				if err != nil {
+					fail(fmt.Errorf("sink: trial %d: %w", r.Index, err))
+				}
+			}
+			e.Obs.Tick()
+			out = append(out, r)
 		}
-		e.Obs.Tick()
-		return r
+		return out
 	})
 	if runErr != nil {
 		return nil, fmt.Errorf("campaign: %w", runErr)
@@ -308,8 +314,10 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 	if interrupted.Load() {
 		return nil, ErrInterrupted
 	}
-	for _, r := range live {
-		results[r.Index-lo] = r
+	for _, rs := range live {
+		for _, r := range rs {
+			results[r.Index-lo] = r
+		}
 	}
 	foldRec := e.Obs.Aux()
 	t0 := foldRec.Clock()
@@ -371,16 +379,19 @@ func matchExtras(expected []string, r TrialResult) error {
 // once, plus the policy-independent extras — the prefix-only analyzer
 // values and, with the before phase enabled, the before.* values of
 // the phase-sensitive analyzers over the initial schedule (computed
-// here so the policy cells sharing a memoised prefix share one screen
-// and one before-phase pass). A nil schedule carries the failure
-// outcome instead; err carries an analyzer validation failure, which
-// aborts the sweep rather than rejecting the trial.
+// here so the policy cells sharing a prefix share one screen and one
+// before-phase pass). A nil schedule carries the failure outcome
+// instead; err carries an analyzer validation failure, which aborts the
+// sweep rather than rejecting the trial. plan is the balancer's plan of
+// the initial schedule, built by the first suffix that balances and
+// reused by the rest.
 type trialPrefix struct {
 	is        *sched.InstSchedule
 	repBefore *sim.Report
 	preExtras map[string]float64 // read-only once published
 	outcome   string             // "" when the prefix succeeded
 	err       error              // non-finite analyzer extra in the prefix phases
+	plan      *core.Plan
 }
 
 // runPrefix computes generate → schedule → simulate(before) for one
@@ -392,23 +403,23 @@ type trialPrefix struct {
 //
 // rec, when non-nil, receives one latency observation per stage the
 // prefix reached (a rejected trial stops observing at the stage that
-// refused it). Under memoisation the observations land on whichever
-// worker computed the prefix — exactly once per grid point.
-func runPrefix(t Trial, rec *obs.Recorder) trialPrefix {
+// refused it). With prefix sharing they are observed once per grid
+// point.
+func runPrefix(t Trial, rec *obs.Recorder) *trialPrefix {
 	t0 := rec.Clock()
 	ts, err := gen.Generate(t.Gen)
 	t0 = rec.Stamp(obs.StageGenerate, t0)
 	if err != nil {
-		return trialPrefix{outcome: OutcomeGenError}
+		return &trialPrefix{outcome: OutcomeGenError}
 	}
 	ar, err := arch.New(t.Procs, t.Comm)
 	if err != nil {
-		return trialPrefix{outcome: OutcomeArchError}
+		return &trialPrefix{outcome: OutcomeArchError}
 	}
 	s, err := sched.NewScheduler(ts, ar).Run()
 	if err != nil {
 		rec.Stamp(obs.StageSchedule, t0)
-		return trialPrefix{outcome: OutcomeUnschedulable}
+		return &trialPrefix{outcome: OutcomeUnschedulable}
 	}
 	is := sched.FromSchedule(s)
 	t0 = rec.Stamp(obs.StageSchedule, t0)
@@ -416,15 +427,12 @@ func runPrefix(t Trial, rec *obs.Recorder) trialPrefix {
 	repBefore, err := (&sim.Runner{}).Run(is)
 	if err != nil {
 		rec.Stamp(obs.StageSimulate, t0)
-		return trialPrefix{outcome: OutcomeSimError}
+		return &trialPrefix{outcome: OutcomeSimError}
 	}
-	// Materialise the per-processor listings now so every clone inherits
-	// them instead of re-deriving its own.
-	is.InstancesOn(0)
 	t0 = rec.Stamp(obs.StageSimulate, t0)
 	pre, err := t.analyzers.RunPrefix(&analyzers.Input{TS: ts, Procs: ar.Procs, Comm: t.Comm})
 	if err != nil {
-		return trialPrefix{err: err}
+		return &trialPrefix{err: err}
 	}
 	if t.phases.ContainsBefore() {
 		pre, err = t.analyzers.RunBefore(&analyzers.Input{
@@ -437,27 +445,40 @@ func runPrefix(t Trial, rec *obs.Recorder) trialPrefix {
 			Before: repBefore,
 		}, pre)
 		if err != nil {
-			return trialPrefix{err: err}
+			return &trialPrefix{err: err}
 		}
 	}
 	rec.Stamp(obs.StageAnalyzeBefore, t0)
-	return trialPrefix{is: is, repBefore: repBefore, preExtras: pre}
+	return &trialPrefix{is: is, repBefore: repBefore, preExtras: pre}
 }
 
-// finishTrial runs the policy-specific suffix (balance → simulate(after)
-// → analyze) on a private schedule. preExtras carries the
-// policy-independent analyzer values — prefix-only and before-phase —
-// shared read-only across the policy cells of a memoised prefix. rec,
+// finish runs trial t's policy-specific suffix (balance →
+// simulate(after) → analyze) from the prefix, or returns the prefix's
+// rejection or analyzer error. The policy-independent analyzer values —
+// prefix-only and before-phase — are shared read-only by every cell of
+// the prefix. The first suffix that balances builds the plan, inside its
+// balance stage; the cells after it balance from the same plan. rec,
 // when non-nil, receives the suffix stage latencies.
-func finishTrial(t Trial, is *sched.InstSchedule, repBefore *sim.Report, preExtras map[string]float64, rec *obs.Recorder) (TrialResult, error) {
+func (pre *trialPrefix) finish(t Trial, rec *obs.Recorder) (TrialResult, error) {
+	if pre.err != nil {
+		return TrialResult{}, pre.err
+	}
 	r := TrialResult{Index: t.Index, Cell: t.Cell, Seed: t.Gen.Seed}
+	if pre.outcome != "" {
+		r.Outcome = pre.outcome
+		return r, nil
+	}
+	is, repBefore := pre.is, pre.repBefore
 
 	// Candidate recording costs allocations on the balancer's innermost
 	// loop, so it is on only when an active analyzer consumes the trace.
 	bal := core.Balancer{Policy: t.Policy, IgnoreTiming: t.ignoreTiming,
 		RecordCandidates: t.analyzers.NeedsCandidates()}
 	t0 := rec.Clock()
-	res, err := bal.Run(is)
+	if pre.plan == nil {
+		pre.plan = core.NewPlan(is)
+	}
+	res, err := bal.RunPlan(pre.plan)
 	t0 = rec.Stamp(obs.StageBalance, t0)
 	if err != nil {
 		r.Outcome = OutcomeBalanceError
@@ -512,7 +533,7 @@ func finishTrial(t Trial, is *sched.InstSchedule, repBefore *sim.Report, preExtr
 		Balance: res,
 		Before:  repBefore,
 		After:   repAfter,
-	}, preExtras, t.phases)
+	}, pre.preExtras, t.phases)
 	rec.Stamp(obs.StageAnalyzeAfter, t0)
 	if err != nil {
 		return TrialResult{}, err
@@ -520,8 +541,8 @@ func finishTrial(t Trial, is *sched.InstSchedule, repBefore *sim.Report, preExtr
 	return r, nil
 }
 
-// RunTrial executes the full pipeline for one trial, with no
-// memoisation. It touches no state outside the trial, so any number of
+// RunTrial executes the full pipeline for one trial, sharing nothing
+// with other trials. It touches no state outside the trial, so any number of
 // calls may run concurrently. A non-nil error means an analyzer
 // produced an invalid extra (the sweep should abort), never a rejected
 // trial — rejections are outcomes on the result.
@@ -539,16 +560,9 @@ func RunTrialObserved(t Trial, rec *obs.Recorder) (TrialResult, error) {
 }
 
 // runTrial is the recorder-threaded implementation shared by the
-// exported entry points and the engine's unmemoised path.
+// exported entry points.
 func runTrial(t Trial, rec *obs.Recorder) (TrialResult, error) {
-	pre := runPrefix(t, rec)
-	if pre.err != nil {
-		return TrialResult{}, pre.err
-	}
-	if pre.outcome != "" {
-		return TrialResult{Index: t.Index, Cell: t.Cell, Seed: t.Gen.Seed, Outcome: pre.outcome}, nil
-	}
-	return finishTrial(t, pre.is, pre.repBefore, pre.preExtras, rec)
+	return runPrefix(t, rec).finish(t, rec)
 }
 
 // summarize assembles the metrics.Summary for one distribution.

@@ -2,48 +2,31 @@ package campaign
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
-// memo.go memoises the policy-independent trial prefix across the policy
+// memo.go shares the policy-independent trial prefix across the policy
 // cells of a sweep. Every cell of a grid with P policies re-derives the
 // same generate→schedule→simulate prefix for each (generator config,
-// processors, comm) point; with memoisation the first trial to need a
-// prefix computes it once and the other P−1 receive a cheap clone of the
-// initial schedule (dense-slice copies, see sched.InstSchedule.Clone).
+// processors, comm) point, and the balancer builds the same blocks and
+// reservation index from it (core.Plan). A worker therefore claims a
+// whole prefix group — every pending trial sharing one prefix — computes
+// the prefix and the plan once, and runs the group's policy cells one
+// after another, each balancing from a private copy of the plan.
 //
-// Concurrency: the worker pool claims trials in arbitrary real-time
-// order, so the cache is keyed behind a mutex and each entry is filled
-// exactly once via sync.Once — a worker needing an in-flight prefix
-// blocks on the Once until it is ready. Results are byte-identical to
-// the unmemoised path because the prefix computation is deterministic
-// and nothing mutable is shared: the schedule is cloned per trial, the
-// before-report is read-only downstream, and the policy-independent
-// analyzer extras — the prefix-only values and, with the before phase
-// enabled, the before.* values instrumenting the initial schedule —
-// are copied into each trial's payload (analyzers.Set.RunSuffix copies
-// the shared map, never mutates it). Sharing the before-phase extras
-// is what keeps the phase axis cheap: the before analysis runs once
-// per grid point, not once per policy cell.
+// Results are byte-identical to the unshared path because the prefix
+// computation is deterministic and nothing a cell writes is shared: the
+// balancer reads the initial schedule only through the plan and copies
+// the plan per pass, the before-report is read-only downstream, and the
+// policy-independent analyzer extras — the prefix-only values and, with
+// the before phase enabled, the before.* values instrumenting the
+// initial schedule — are copied into each trial's payload
+// (analyzers.Set.RunSuffix copies the shared map, never mutates it).
+// Sharing the before-phase extras is what keeps the phase axis cheap:
+// the before analysis runs once per grid point, not once per policy
+// cell.
 //
-// Memory: entries are dropped as soon as every trial sharing the prefix
-// has consumed it (a per-entry countdown initialised during enumeration),
-// so the resident set stays proportional to the in-flight prefixes, not
-// the whole sweep.
-
-type prefixEntry struct {
-	once sync.Once
-	pre  trialPrefix
-	refs atomic.Int64
-}
-
-type prefixCache struct {
-	mu      sync.Mutex
-	entries map[string]*prefixEntry
-}
+// Memory: a group's prefix lives only while its worker runs the group,
+// so at most one prefix per worker is resident.
 
 // prefixKey identifies the policy-independent part of a trial: the full
 // generator configuration plus the architecture. The generator config is
@@ -54,63 +37,28 @@ func prefixKey(t Trial) string {
 	return fmt.Sprintf("%+v|%d|%d", t.Gen, t.Procs, t.Comm)
 }
 
-// newPrefixCache pre-counts how many trials share each prefix so entries
-// can be evicted the moment the last sharer is done.
-func newPrefixCache(trials []Trial) *prefixCache {
-	c := &prefixCache{entries: make(map[string]*prefixEntry)}
+// prefixGroups partitions trials into groups sharing one prefix, in
+// order of first appearance, each group in trial order. With share
+// unset every trial is a group of its own.
+func prefixGroups(trials []Trial, share bool) [][]Trial {
+	if !share {
+		groups := make([][]Trial, len(trials))
+		for i := range trials {
+			groups[i] = trials[i : i+1 : i+1]
+		}
+		return groups
+	}
+	at := make(map[string]int)
+	var groups [][]Trial
 	for _, t := range trials {
 		key := prefixKey(t)
-		e, ok := c.entries[key]
+		g, ok := at[key]
 		if !ok {
-			e = &prefixEntry{}
-			c.entries[key] = e
+			g = len(groups)
+			at[key] = g
+			groups = append(groups, nil)
 		}
-		e.refs.Add(1)
+		groups[g] = append(groups[g], t)
 	}
-	return c
-}
-
-// runTrial is the memoised equivalent of RunTrial. The prefix's
-// trialPrefix — including any analyzer validation error — is shared by
-// every trial of the grid point, so a non-finite before-phase extra
-// surfaces identically whether the prefix was computed by this trial
-// or replayed from the cache.
-//
-// rec, when non-nil, receives the telemetry: a memo-miss counter tick
-// (plus the prefix stage latencies) on the trial that computed the
-// prefix, a memo-hit tick on every trial that received the clone, and
-// the suffix stage latencies on all of them.
-func (c *prefixCache) runTrial(t Trial, rec *obs.Recorder) (TrialResult, error) {
-	key := prefixKey(t)
-	c.mu.Lock()
-	e := c.entries[key]
-	c.mu.Unlock()
-	if e == nil {
-		// Not enumerated up front (foreign trial): fall back to the
-		// unmemoised path rather than cache something never evicted.
-		return runTrial(t, rec)
-	}
-	computed := false
-	e.once.Do(func() {
-		computed = true
-		e.pre = runPrefix(t, rec)
-	})
-	if computed {
-		rec.Add(obs.CounterMemoMiss, 1)
-	} else {
-		rec.Add(obs.CounterMemoHit, 1)
-	}
-	pre := e.pre
-	if e.refs.Add(-1) == 0 {
-		c.mu.Lock()
-		delete(c.entries, key)
-		c.mu.Unlock()
-	}
-	if pre.err != nil {
-		return TrialResult{}, pre.err
-	}
-	if pre.outcome != "" {
-		return TrialResult{Index: t.Index, Cell: t.Cell, Seed: t.Gen.Seed, Outcome: pre.outcome}, nil
-	}
-	return finishTrial(t, pre.is.Clone(), pre.repBefore, pre.preExtras, rec)
+	return groups
 }

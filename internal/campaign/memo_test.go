@@ -2,14 +2,15 @@ package campaign
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
-// TestMemoDeterminism pins the memoisation contract: a memoised campaign
-// produces byte-identical JSON and CSV artifacts to the unmemoised path,
-// at 1, 2, and 8 workers. Running the suite under -race additionally
-// checks that concurrent trials sharing a prefix entry never touch
-// shared mutable state.
+// TestMemoDeterminism pins the prefix-sharing contract: a campaign whose
+// workers claim prefix groups produces byte-identical JSON and CSV
+// artifacts to the unshared path, at 1, 2, and 8 workers. Running the
+// suite under -race additionally checks that workers running different
+// groups never touch shared mutable state.
 func TestMemoDeterminism(t *testing.T) {
 	spec := smokeSpec()
 	ref, err := (&Engine{Workers: 1, NoMemo: true}).Run(spec)
@@ -48,29 +49,91 @@ func TestMemoDeterminism(t *testing.T) {
 	}
 }
 
-// TestMemoEviction checks that prefix entries are dropped once every
-// sharing trial has run — the cache must not retain a whole sweep's
-// schedules.
-func TestMemoEviction(t *testing.T) {
+// TestPrefixGroups pins what a worker claims: each group holds exactly
+// the P policy trials of one grid point and seed, in trial order, and
+// groups come in the order their first trial appears. NoMemo gives one
+// group per trial.
+func TestPrefixGroups(t *testing.T) {
 	spec := smokeSpec()
+	spec.Policies = []string{"lexicographic", "ratio", "memory-only"}
 	trials, err := spec.Trials()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newPrefixCache(trials)
-	distinct := len(cache.entries)
-	if distinct == 0 {
-		t.Fatal("no prefix entries")
+	groups := prefixGroups(trials, true)
+	policies := len(spec.Policies)
+	if want := len(trials) / policies; len(groups) != want {
+		t.Fatalf("%d groups, want one per grid point and seed (%d)", len(groups), want)
 	}
-	// Each (seed, procs) point is shared by the two policies of the
-	// smoke spec: half as many prefixes as trials.
-	if want := len(trials) / 2; distinct != want {
-		t.Fatalf("distinct prefixes: %d, want %d", distinct, want)
+	lastFirst := -1
+	for g, grp := range groups {
+		if len(grp) != policies {
+			t.Fatalf("group %d holds %d trials, want the %d policy cells", g, len(grp), policies)
+		}
+		if grp[0].Index <= lastFirst {
+			t.Fatalf("group %d starts at trial %d, after a group starting at %d: not in first-appearance order", g, grp[0].Index, lastFirst)
+		}
+		lastFirst = grp[0].Index
+		for i, tr := range grp {
+			if prefixKey(tr) != prefixKey(grp[0]) {
+				t.Fatalf("group %d mixes prefixes: %q and %q", g, prefixKey(tr), prefixKey(grp[0]))
+			}
+			if i > 0 && tr.Index <= grp[i-1].Index {
+				t.Fatalf("group %d out of trial order: %d after %d", g, tr.Index, grp[i-1].Index)
+			}
+			if tr.Policy != trials[grp[0].Index+i*spec.Seeds].Policy {
+				t.Fatalf("group %d cell %d is policy %v", g, i, tr.Policy)
+			}
+		}
 	}
-	for _, tr := range trials {
-		cache.runTrial(tr, nil)
+	single := prefixGroups(trials, false)
+	if len(single) != len(trials) {
+		t.Fatalf("NoMemo: %d groups, want one per trial (%d)", len(single), len(trials))
 	}
-	if n := len(cache.entries); n != 0 {
-		t.Fatalf("%d prefix entries survived the sweep, want 0", n)
+	for i, grp := range single {
+		if len(grp) != 1 || grp[0].Index != i {
+			t.Fatalf("NoMemo group %d = %v, want trial %d alone", i, grp, i)
+		}
+	}
+}
+
+// TestPrefixResidency checks that a sweep keeps at most one prefix per
+// worker: a group is open from its first completed trial to its last,
+// and the sink never sees more groups open than there are workers —
+// with one worker, each group's trials complete back to back.
+func TestPrefixResidency(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		spec := smokeSpec()
+		trials, err := spec.Trials()
+		if err != nil {
+			t.Fatal(err)
+		}
+		left := map[string]int{}
+		for _, tr := range trials {
+			left[prefixKey(tr)]++
+		}
+		var mu sync.Mutex
+		open := map[string]bool{}
+		peak := 0
+		eng := &Engine{Workers: workers, Sink: func(r TrialResult) error {
+			mu.Lock()
+			defer mu.Unlock()
+			key := prefixKey(trials[r.Index])
+			open[key] = true
+			peak = max(peak, len(open))
+			if left[key]--; left[key] == 0 {
+				delete(open, key)
+			}
+			return nil
+		}}
+		if _, err := eng.Run(spec); err != nil {
+			t.Fatal(err)
+		}
+		if peak > workers {
+			t.Fatalf("workers=%d: %d prefixes open at once", workers, peak)
+		}
+		if len(open) != 0 {
+			t.Fatalf("workers=%d: %d prefixes never finished", workers, len(open))
+		}
 	}
 }

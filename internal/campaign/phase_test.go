@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign/analyzers"
+	"repro/internal/core"
 )
 
 // phaseSpec is the full-analyzer smoke spec with the before phase
@@ -287,7 +288,8 @@ func badAnalyzerTrial(prefixOnly, afterOnly, withBefore bool) Trial {
 
 // TestAnalyzeErrorPropagates: a non-finite extra aborts the trial with
 // an error naming the analyzer and key — through the plain path, the
-// before phase (computed in the prefix), and the memoised path.
+// before phase (computed in the prefix), and a prefix shared by two
+// trials.
 func TestAnalyzeErrorPropagates(t *testing.T) {
 	for _, tc := range []struct {
 		label string
@@ -308,10 +310,15 @@ func TestAnalyzeErrorPropagates(t *testing.T) {
 			}
 		}
 
-		// The memoised path surfaces the same error.
-		cache := newPrefixCache([]Trial{tc.trial})
-		if _, err := cache.runTrial(tc.trial, nil); err == nil || !strings.Contains(err.Error(), "badcase") {
-			t.Fatalf("%s: memoised path lost the analyze error: %v", tc.label, err)
+		// A prefix shared by two policy cells surfaces the same error on
+		// both.
+		other := tc.trial
+		other.Index, other.Policy = tc.trial.Index+1, core.PolicyMemoryOnly
+		pre := runPrefix(tc.trial, nil)
+		for _, tr := range []Trial{tc.trial, other} {
+			if _, err := pre.finish(tr, nil); err == nil || !strings.Contains(err.Error(), "badcase") {
+				t.Fatalf("%s: shared prefix lost the analyze error on trial %d: %v", tc.label, tr.Index, err)
+			}
 		}
 	}
 }

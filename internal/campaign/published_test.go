@@ -81,7 +81,7 @@ func TestPaperPhaseBalancedSchedulesValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefixes := map[string]trialPrefix{}
+	prefixes := map[string]*trialPrefix{}
 	balanced := 0
 	for _, tr := range trials {
 		key := prefixKey(tr)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/blocks"
 	"repro/internal/gen"
 	"repro/internal/sched"
 )
@@ -12,8 +11,8 @@ import (
 // TestEvaluateAllocFree pins the balancer's per-candidate evaluation —
 // the innermost hot path, run blocks×processors times per trial — at
 // zero allocations once the run-wide scratch is warm, time-index queries
-// and the once-per-block dependence bounds included. Candidate slices in
-// particular must only appear under RecordCandidates.
+// and the once-per-block dependence bounds included. Candidate records and
+// slices in particular must only appear under RecordCandidates.
 func TestEvaluateAllocFree(t *testing.T) {
 	ts, err := gen.Generate(gen.Config{Seed: 7, Tasks: 40, Utilization: 3})
 	if err != nil {
@@ -26,8 +25,8 @@ func TestEvaluateAllocFree(t *testing.T) {
 	}
 	is := sched.FromSchedule(s)
 
-	blks := blocks.Build(is)
-	st := newBalState(ts, ar, blks)
+	st := NewPlan(is).newState()
+	blks := st.blks
 
 	// Place the first half of the blocks, so the queries below run
 	// against populated moved-interval and reservation indexes.
@@ -68,10 +67,7 @@ func TestEvaluateAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		ctx.depsOnce = false // recompute the per-block bounds every round
 		for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-			c, _, _ := b.evaluate(ctx, p, true)
-			if int(c.Proc) != int(p) {
-				t.Fatalf("candidate proc %d, want %d", c.Proc, p)
-			}
+			b.evaluate(ctx, p, true)
 			b.land(ctx, p) // the relaxed pass's deferred probe
 		}
 	})

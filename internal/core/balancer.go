@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/blocks"
@@ -87,18 +87,18 @@ type Balancer struct {
 	probe func(ctx pctx)
 }
 
-// ownerRef locates one instance inside its owning block: the block plus
-// the member position, so member lookups are O(1) instead of a scan.
-type ownerRef struct {
-	bl *blocks.Block
-	mi int
-}
-
-// balState carries the per-processor incremental state of one run.
-// Everything is indexed by dense IDs (processor, task, block, instance)
-// — the balancer's inner loops run millions of lookups per trial and
-// map overhead used to dominate them.
+// balState carries the per-processor incremental state of one pass,
+// over its own copy of the plan's blocks; the static tables are read
+// from the plan. Everything is indexed by dense IDs (processor, task,
+// block, instance) — the balancer's inner loops run millions of lookups
+// per trial and map overhead used to dominate them.
 type balState struct {
+	*Plan
+
+	// blks is this pass's copy of the plan's blocks: positions change as
+	// blocks move and gains propagate.
+	blks []blocks.Block
+
 	// occ[p] indexes, folded modulo H, the obstacles on p that placement
 	// queries must honour: the blocks moved to p as [start, end)
 	// intervals, and the members of the unprocessed blocks currently
@@ -111,18 +111,6 @@ type balState struct {
 	firstStart []model.Time // start of first block moved there (-1 = none)
 	memSum     []model.Mem  // Σ m of blocks moved there
 	anyMoved   []bool
-
-	// owner[i] locates the block member holding the instance with dense
-	// index i (static: block membership never changes during a run).
-	owner []ownerRef
-
-	// taskBlocks[t] indexes the blocks holding instances of task t
-	// (static like owner).
-	taskBlocks [][]*blocks.Block
-
-	// wcet[t] caches the WCET of task t: the conflict loops read it per
-	// member visit and a Task struct copy per read is measurable.
-	wcet []model.Time
 
 	// Scratch, reset after each block: shifted flags per task for the
 	// block being placed, seen flags per block ID for the propagation
@@ -143,77 +131,44 @@ type deferral struct {
 	low model.Time
 }
 
-// newBalState builds the initial state of one pass over blks: nothing
-// moved yet, every block reserved on its current processor.
-func newBalState(ts *model.TaskSet, ar *arch.Architecture, blks []*blocks.Block) *balState {
-	st := &balState{
-		occ:        make([]foldIndex, ar.Procs),
-		firstStart: make([]model.Time, ar.Procs),
-		memSum:     make([]model.Mem, ar.Procs),
-		anyMoved:   make([]bool, ar.Procs),
-		owner:      make([]ownerRef, ts.TotalInstances()),
-		taskBlocks: make([][]*blocks.Block, ts.Len()),
-		wcet:       make([]model.Time, ts.Len()),
-		shifted:    make([]bool, ts.Len()),
-		seen:       make([]bool, len(blks)),
-		deferred:   make([]deferral, 0, ar.Procs),
-	}
-	for i := range st.wcet {
-		st.wcet[i] = ts.Task(model.TaskID(i)).WCET
-	}
-	// Pre-size each index for its members and one moved block per block,
-	// so later insertions rarely reallocate.
-	room := make([]int, ar.Procs)
-	for _, bl := range blks {
-		room[bl.Proc] += len(bl.Members) + 1
-	}
-	h := ts.HyperPeriod()
-	for p := range st.occ {
-		st.firstStart[p] = -1
-		st.occ[p] = newFoldIndex(h, room[p])
-	}
-	for _, bl := range blks {
-		for mi, m := range bl.Members {
-			ref := ownerRef{bl: bl, mi: mi}
-			st.owner[ts.InstanceIndex(m.Inst)] = ref
-			st.occ[bl.Proc].insert(m.Start, m.Start+st.wcet[m.Inst.Task], obstacle{task: m.Inst.Task, ref: ref}, false)
-		}
-		for _, task := range bl.Tasks() {
-			st.taskBlocks[task] = append(st.taskBlocks[task], bl)
-		}
-	}
-	for p := range st.occ {
-		sort.Sort(&st.occ[p])
-	}
-	return st
+// member returns the current position of the block member ref names.
+func (st *balState) member(ref ownerRef) *blocks.Member {
+	return &st.blks[ref.blk].Members[ref.mi]
 }
 
 // removeResv drops a block's members from the obstacle index once it
 // is popped for placement.
 func (st *balState) removeResv(bl *blocks.Block) {
 	for mi, m := range bl.Members {
-		st.occ[bl.Proc].remove(m.Start, m.Start+st.wcet[m.Inst.Task], ownerRef{bl, mi})
+		st.occ[bl.Proc].remove(m.Start, m.Start+st.wcet[m.Inst.Task], ownerRef{int32(bl.ID), int32(mi)})
 	}
 }
 
-// Run balances the given instance-level schedule and returns the result.
-// The input schedule is not modified.
-//
-// Run is two-pass: the first pass caps gain propagation optimistically
-// (assuming shifted blocks can later co-locate with their producers, as
-// the paper's worked example does in its step 6). When that bet fails —
-// some block ends up with no feasible processor (Forced > 0) — the
-// balancer reruns with the conservative cap, under which every shift is
-// provably realisable and no block is ever forced.
+// Run balances the given instance-level schedule and returns the result:
+// RunPlan on the schedule's plan. The input schedule is not modified.
 func (b *Balancer) Run(input *sched.InstSchedule) (*Result, error) {
-	res, err := b.runPass(input, false)
+	return b.RunPlan(NewPlan(input))
+}
+
+// RunPlan balances the schedule the plan was built from and returns the
+// result. The plan is not modified, so one plan serves every policy.
+//
+// The run is two-pass: the first pass caps gain propagation
+// optimistically (assuming shifted blocks can later co-locate with their
+// producers, as the paper's worked example does in its step 6). When
+// that bet fails — some block ends up with no feasible processor
+// (Forced > 0) — the balancer reruns with the conservative cap, under
+// which every shift is provably realisable and no block is ever forced.
+// Each pass starts from its own copy of the plan.
+func (b *Balancer) RunPlan(pl *Plan) (*Result, error) {
+	res, err := b.runPass(pl, false)
 	if err != nil {
 		return nil, err
 	}
 	if res.Forced == 0 {
 		return res, nil
 	}
-	cons, err := b.runPass(input, true)
+	cons, err := b.runPass(pl, true)
 	if err != nil {
 		return nil, err
 	}
@@ -222,22 +177,25 @@ func (b *Balancer) Run(input *sched.InstSchedule) (*Result, error) {
 }
 
 // runPass is one full balancing pass.
-func (b *Balancer) runPass(input *sched.InstSchedule, conservative bool) (*Result, error) {
-	ts, ar := input.TS, input.Arch
-	blks := blocks.Build(input)
-	if len(blks) == 0 {
+func (b *Balancer) runPass(pl *Plan, conservative bool) (*Result, error) {
+	if len(pl.initBlocks) == 0 {
 		return nil, fmt.Errorf("core: nothing to balance: no blocks")
+	}
+	ts, ar := pl.ts, pl.ar
+	st := pl.newState()
+	blks := make([]*blocks.Block, len(st.blks))
+	for i := range st.blks {
+		blks[i] = &st.blks[i]
 	}
 
 	res := &Result{
 		Blocks:         blks,
-		MakespanBefore: input.Makespan(),
-		MemBefore:      input.MemVector(),
+		MakespanBefore: pl.makespan,
+		MemBefore:      slices.Clone(pl.mem),
 		Moves:          make([]Move, 0, len(blks)),
 	}
 
-	st := newBalState(ts, ar, blks)
-	q := newBlockQueue(blks)
+	q := newBlockQueue(st.blks)
 	processed := make([]bool, len(blks))
 	for n := 0; n < len(blks); n++ {
 		bl := q.pop(processed)
@@ -301,10 +259,10 @@ func entryLess(a, b queueEntry) bool {
 	return ai.K < bi.K
 }
 
-func newBlockQueue(blks []*blocks.Block) *blockQueue {
+func newBlockQueue(blks []blocks.Block) *blockQueue {
 	q := &blockQueue{entries: make([]queueEntry, 0, len(blks)+8)}
-	for _, bl := range blks {
-		q.push(bl)
+	for i := range blks {
+		q.push(&blks[i])
 	}
 	return q
 }
@@ -390,11 +348,11 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 	feasible := 0
 	st.deferred = st.deferred[:0]
 	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-		c, v, s := b.evaluate(ctx, p, lcm)
+		v, s, reason := b.evaluate(ctx, p, lcm)
 		switch v {
 		case fits:
 			feasible++
-			if !haveBest || better(b.Policy, c, best) {
+			if c := b.landingOn(ctx, p, s); !haveBest || better(b.Policy, c, best) {
 				best, haveBest = c, true
 			}
 		case overLCM:
@@ -405,6 +363,10 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 			st.deferred = append(st.deferred, deferral{p, s})
 		}
 		if b.RecordCandidates {
+			c := Candidate{Proc: p, MemSum: st.memSum[p], Reason: reason}
+			if v == fits {
+				c = b.landingOn(ctx, p, s)
+			}
 			cands = append(cands, c)
 		}
 	}
@@ -419,20 +381,17 @@ func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *bloc
 	// Scripted decision: override the policy with the forced processor,
 	// failing the whole pass when it is infeasible at this step.
 	if want != nil {
-		c, v, s := b.evaluate(ctx, *want, lcm)
+		v, s, reason := b.evaluate(ctx, *want, lcm)
 		if v == deferred { // probe it now; eq. (4) still refuses it
-			if s, c.Reason = b.land(ctx, *want); c.Reason == "" {
+			if s, reason = b.land(ctx, *want); reason == "" {
 				v = overLCM
 			}
 		}
-		if v == overLCM {
-			c, relaxed = b.landingOn(ctx, *want, s), true
-		}
-		if !c.Feasible {
+		if v != fits && v != overLCM {
 			return Move{}, fmt.Errorf("core: scripted placement of block %d on P%d infeasible: %s",
-				bl.ID, int(*want)+1, c.Reason)
+				bl.ID, int(*want)+1, reason)
 		}
-		best, haveBest = c, true
+		best, haveBest, relaxed = b.landingOn(ctx, *want, s), true, v == overLCM
 	}
 
 	mv := Move{BlockID: bl.ID, From: bl.Proc, OldStart: sOld, Category: bl.Category, FeasibleProcs: feasible}
@@ -469,25 +428,26 @@ const (
 	reasonNoFit = "no conflict-free start within dependence bounds"
 )
 
-// evaluate computes the candidate record for moving the context block to
-// processor p, with the Block Condition, eq. (4), applied when lcm is
-// set. The checks that need no probe run first, in order: memory
-// capacity, the moved producers of a pinned block, and eq. (4) at the
-// lowest start the probe can return. That bound is the start itself for
-// a pinned block; a first-category block lands at or above its producer
-// bound, or at its current start when that bound lies beyond it (see
-// earliestOn), and a capped gain only raises the landing. Only a
-// processor that passes all three is probed (land).
+// evaluate decides whether the context block can move to processor p,
+// with the Block Condition, eq. (4), applied when lcm is set. The checks
+// that need no probe run first, in order: memory capacity, the moved
+// producers of a pinned block, and eq. (4) at the lowest start the probe
+// can return. That bound is the start itself for a pinned block; a
+// first-category block lands at or above its producer bound, or at its
+// current start when that bound lies beyond it (see earliestOn), and a
+// capped gain only raises the landing. Only a processor that passes all
+// three is probed (land).
 //
-// The verdict and the returned start carry what a relaxed pass needs:
-// the landing of a probed processor eq. (4) refuses (overLCM), or the
-// lower bound of one it refused before the probe (deferred).
-func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, lcm bool) (Candidate, verdict, model.Time) {
+// The verdict and the returned start carry what the caller needs: the
+// landing of a fitting processor (fits) or of a probed one eq. (4)
+// refuses (overLCM), or the lower bound of one it refused before the
+// probe (deferred). reason says why a processor does not fit. No
+// candidate record is built here: the caller makes one only for a
+// landing it weighs, or when it records candidates.
+func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, lcm bool) (verdict, model.Time, string) {
 	bl, st := ctx.bl, ctx.st
-	c := Candidate{Proc: p, MemSum: st.memSum[p]}
 	if cap := ctx.ar.MemCapacity; cap > 0 && st.memSum[p]+bl.Mem() > cap {
-		c.Reason = "memory capacity"
-		return c, excluded, 0
+		return excluded, 0, "memory capacity"
 	}
 
 	sOld := bl.Start()
@@ -498,27 +458,21 @@ func (b *Balancer) evaluate(ctx *pctx, p arch.ProcID, lcm bool) (Candidate, verd
 		case bl.Category == 1:
 			low = min(max(movedLB, consLB, 0), sOld)
 		case movedLB > sOld:
-			c.Reason = "moved producers finish too late for the pinned start"
-			return c, excluded, 0
+			return excluded, 0, "moved producers finish too late for the pinned start"
 		}
 	}
 	if lcm && !ctx.meetsLCM(p, low) {
-		c.Reason = reasonLCM
-		return c, deferred, low
+		return deferred, low, reasonLCM
 	}
 
 	s, reason := b.land(ctx, p)
 	switch {
 	case reason != "":
-		c.Reason = reason
-		return c, excluded, 0
+		return excluded, 0, reason
 	case lcm && !ctx.meetsLCM(p, s):
-		c.Reason = reasonLCM
-		return c, overLCM, s
+		return overLCM, s, reasonLCM
 	}
-	c.Feasible, c.NewStart, c.Gain = true, s, sOld-s
-	c.Lambda = lambda(b.Policy, c.Gain, c.MemSum)
-	return c, fits, s
+	return fits, s, ""
 }
 
 // land is the probe: the start at which the context block lands on p,
@@ -655,12 +609,12 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 		if !st.shifted[task] {
 			continue
 		}
-		for _, other := range st.taskBlocks[task] {
-			if other == bl || processed[other.ID] || st.seen[other.ID] {
+		for _, id := range st.blocksOf(task) {
+			if int(id) == bl.ID || processed[id] || st.seen[id] {
 				continue
 			}
-			st.seen[other.ID] = true
-			st.touched = append(st.touched, other)
+			st.seen[id] = true
+			st.touched = append(st.touched, &st.blks[id])
 		}
 	}
 	for _, other := range st.touched {
@@ -675,7 +629,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 			if !st.shifted[task] {
 				continue
 			}
-			ref, w := ownerRef{other, mi}, st.wcet[task]
+			ref, w := ownerRef{int32(other.ID), int32(mi)}, st.wcet[task]
 			x.remove(m.Start, m.Start+w, ref)
 			m.Start -= gain
 			x.insert(m.Start, m.Start+w, obstacle{task: task, ref: ref}, true)

@@ -39,7 +39,8 @@ const ExhaustiveLimit = 12
 // (policy etc.) is irrelevant except for IgnoreTiming; scripts replace
 // the policy.
 func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Result, int, error) {
-	probe, err := b.runScripted(input, nil)
+	pl := NewPlan(input)
+	probe, err := b.runScripted(pl, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -56,7 +57,7 @@ func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Re
 	dfs = func(prefix []arch.ProcID) {
 		for p := arch.ProcID(0); int(p) < procs; p++ {
 			script := append(append([]arch.ProcID(nil), prefix...), p)
-			res, err := b.runScripted(input, script)
+			res, err := b.runScripted(pl, script)
 			if err != nil {
 				continue // this prefix is infeasible at the current step
 			}
@@ -104,9 +105,9 @@ func better2(obj Objective, a, b *Result) bool {
 // outcomes — the right direction for an optimality reference. Steps
 // beyond the script fall back to the policy; a nil script reproduces the
 // normal optimistic pass.
-func (b *Balancer) runScripted(input *sched.InstSchedule, script []arch.ProcID) (*Result, error) {
+func (b *Balancer) runScripted(pl *Plan, script []arch.ProcID) (*Result, error) {
 	saved := b.script
 	b.script = script
 	defer func() { b.script = saved }()
-	return b.runPass(input, false)
+	return b.runPass(pl, false)
 }

@@ -32,8 +32,24 @@ type obstacle struct {
 	ref  ownerRef
 }
 
-func newFoldIndex(h model.Time, capacity int) foldIndex {
-	return foldIndex{h: h, starts: make([]model.Time, 0, capacity), items: make([]obstacle, 0, capacity)}
+// newFoldIndexes returns one empty index per processor, index p with
+// room for room[p] pieces. All of them share one backing per slice, each
+// window capped at its room, so an index that outgrows it moves to its
+// own array instead of overwriting its neighbour.
+func newFoldIndexes(h model.Time, room []int) []foldIndex {
+	total := 0
+	for _, n := range room {
+		total += n
+	}
+	starts := make([]model.Time, 0, total)
+	items := make([]obstacle, 0, total)
+	out := make([]foldIndex, len(room))
+	off := 0
+	for p, n := range room {
+		out[p] = foldIndex{h: h, starts: starts[off : off : off+n], items: items[off : off : off+n]}
+		off += n
+	}
+	return out
 }
 
 // pieces folds [a, e) into at most two pieces of [0, h).

@@ -128,17 +128,17 @@ func (c *pctx) computeDeps() {
 		off := m.Start - sOld // member offset inside the block
 		model.EachInstanceDep(ts, m.Inst.Task, m.Inst.K, func(src model.InstanceID) {
 			ref := st.owner[ts.InstanceIndex(src)]
-			if ref.bl == bl {
+			if int(ref.blk) == bl.ID {
 				return
 			}
-			v := ref.bl.Members[ref.mi].Start + st.wcet[src.Task] + comm - off
-			if !c.processed[ref.bl.ID] {
+			v := st.member(ref).Start + st.wcet[src.Task] + comm - off
+			if !c.processed[ref.blk] {
 				if v > c.consLB {
 					c.consLB = v
 				}
 				return
 			}
-			switch pp := ref.bl.Proc; {
+			switch pp := st.blks[ref.blk].Proc; {
 			case v > c.movedTop1:
 				if pp != c.movedTopProc {
 					c.movedTop2 = c.movedTop1
@@ -191,8 +191,9 @@ func (c *pctx) earliestConflictFree(p arch.ProcID, lb, cap model.Time) (model.Ti
 	// tasks in unprocessed blocks on p.
 	if c.cat1 {
 		for _, bm := range c.bl.Members {
-			for _, other := range st.taskBlocks[bm.Inst.Task] {
-				if other == c.bl || other.Proc != p || c.processed[other.ID] {
+			for _, id := range st.blocksOf(bm.Inst.Task) {
+				other := &st.blks[id]
+				if other == c.bl || other.Proc != p || c.processed[id] {
 					continue
 				}
 				for _, m := range other.Members {
@@ -239,11 +240,12 @@ func (c *pctx) propagationCap() model.Time {
 
 	for _, bm := range c.bl.Members {
 		task := bm.Inst.Task
-		for _, other := range st.taskBlocks[task] {
-			if other == c.bl || c.processed[other.ID] || st.seen[other.ID] {
+		for _, id := range st.blocksOf(task) {
+			other := &st.blks[id]
+			if other == c.bl || c.processed[id] || st.seen[id] {
 				continue
 			}
-			st.seen[other.ID] = true
+			st.seen[id] = true
 			for _, m := range other.Members {
 				if !st.shifted[m.Inst.Task] {
 					continue
@@ -253,8 +255,7 @@ func (c *pctx) propagationCap() model.Time {
 					if st.shifted[src.Task] {
 						return // shifts by the same amount
 					}
-					ref := st.owner[c.ts.InstanceIndex(src)]
-					end := ref.bl.Members[ref.mi].Start + c.ts.Task(src.Task).WCET
+					end := st.member(st.owner[c.ts.InstanceIndex(src)]).Start + st.wcet[src.Task]
 					if c.conservative {
 						end += c.ar.CommTime
 					}
@@ -268,8 +269,8 @@ func (c *pctx) propagationCap() model.Time {
 	}
 	// Reset the seen scratch for the next caller.
 	for _, bm := range c.bl.Members {
-		for _, other := range st.taskBlocks[bm.Inst.Task] {
-			st.seen[other.ID] = false
+		for _, id := range st.blocksOf(bm.Inst.Task) {
+			st.seen[id] = false
 		}
 	}
 	if cap < 0 {

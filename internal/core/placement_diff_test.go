@@ -50,8 +50,9 @@ func imageHit(a0, a1, b0, b1, h model.Time) (hit bool, near model.Time) {
 // Each block is listed under every task it holds; it is visited once,
 // under the task of its first member.
 func eachBlockOn(c *pctx, p arch.ProcID, fn func(bl *blocks.Block, processed bool)) {
-	for t, list := range c.st.taskBlocks {
-		for _, bl := range list {
+	for t := range c.ts.Len() {
+		for _, id := range c.st.blocksOf(model.TaskID(t)) {
+			bl := &c.st.blks[id]
 			if bl.Members[0].Inst.Task == model.TaskID(t) && bl.Proc == p && bl != c.bl {
 				fn(bl, c.processed[bl.ID])
 			}
@@ -187,8 +188,7 @@ func refPropagationCap(c *pctx) model.Time {
 					if c.st.shifted[src.Task] {
 						return
 					}
-					ref := c.st.owner[c.ts.InstanceIndex(src)]
-					end := ref.bl.Members[ref.mi].Start + c.ts.Task(src.Task).WCET
+					end := c.st.member(c.st.owner[c.ts.InstanceIndex(src)]).Start + c.ts.Task(src.Task).WCET
 					if c.conservative {
 						end += c.ar.CommTime
 					}
@@ -217,13 +217,13 @@ func refDepBounds(c *pctx, p arch.ProcID) (movedLB, conservativeLB model.Time) {
 		off := m.Start - sOld
 		model.EachInstanceDep(ts, m.Inst.Task, m.Inst.K, func(src model.InstanceID) {
 			ref := st.owner[ts.InstanceIndex(src)]
-			if ref.bl == bl {
+			if int(ref.blk) == bl.ID {
 				return
 			}
-			end := ref.bl.Members[ref.mi].Start + ts.Task(src.Task).WCET
-			if c.processed[ref.bl.ID] {
+			end := st.member(ref).Start + ts.Task(src.Task).WCET
+			if c.processed[ref.blk] {
 				delay := model.Time(0)
-				if ref.bl.Proc != p {
+				if st.blks[ref.blk].Proc != p {
 					delay = ar.CommTime
 				}
 				if v := end + delay - off; v > movedLB {
@@ -274,7 +274,7 @@ func checkFoldIndex(t *testing.T, ctx *pctx) {
 	}
 	key := func(a, b piece) int {
 		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.ob.end, b.ob.end), cmp.Compare(a.ob.task, b.ob.task),
-			cmp.Compare(blockID(a.ob.ref.bl), blockID(b.ob.ref.bl)), cmp.Compare(a.ob.ref.mi, b.ob.ref.mi))
+			cmp.Compare(a.ob.ref.blk, b.ob.ref.blk), cmp.Compare(a.ob.ref.mi, b.ob.ref.mi))
 	}
 	for p := range ctx.st.occ {
 		x := &ctx.st.occ[p]
@@ -288,7 +288,7 @@ func checkFoldIndex(t *testing.T, ctx *pctx) {
 			}
 			for mi, m := range other.Members {
 				for _, pc := range foldPieces(m.Start, m.Start+ctx.st.wcet[m.Inst.Task], h) {
-					want = append(want, piece{pc[0], obstacle{pc[1], m.Inst.Task, ownerRef{other, mi}}})
+					want = append(want, piece{pc[0], obstacle{pc[1], m.Inst.Task, ownerRef{int32(other.ID), int32(mi)}}})
 				}
 			}
 		})
@@ -307,13 +307,6 @@ func checkFoldIndex(t *testing.T, ctx *pctx) {
 			t.Fatalf("block %d: P%d index holds %d pieces %v, want %d %v", ctx.bl.ID, p, len(got), got, len(want), want)
 		}
 	}
-}
-
-func blockID(bl *blocks.Block) int {
-	if bl == nil {
-		return -1
-	}
-	return bl.ID
 }
 
 // checkPlacementQueries compares every indexed query with its reference
@@ -458,7 +451,7 @@ func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 			for _, conservative := range []bool{false, true} {
 				b := &Balancer{Policy: policy}
 				b.probe = func(ctx pctx) { checkPlacementQueries(t, &ctx, &tally) }
-				if _, err := b.runPass(is, conservative); err != nil {
+				if _, err := b.runPass(NewPlan(is), conservative); err != nil {
 					t.Fatalf("%+v M=%d %v conservative=%v: %v", cfg.gen, cfg.procs, policy, conservative, err)
 				}
 				runs++
@@ -479,11 +472,11 @@ func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 func TestFoldIndexWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const h = 24
-	x := newFoldIndex(h, 4)
+	x := &newFoldIndexes(h, []int{4})[0]
 	type span struct{ start, end model.Time }
 	live := map[int]span{}
 	var ids []int
-	ref := func(id int) ownerRef { return ownerRef{mi: id} }
+	ref := func(id int) ownerRef { return ownerRef{mi: int32(id)} }
 	for id := 0; id < 400; id++ {
 		if len(ids) > 0 && rng.Intn(3) == 0 {
 			k := rng.Intn(len(ids))
@@ -545,9 +538,9 @@ func TestLeftRoomFolds(t *testing.T) {
 		{"limit binds", []obst{{0, 1, 1}}, 10, 3, 3},
 	}
 	for _, tc := range cases {
-		st := &balState{occ: []foldIndex{newFoldIndex(12, 4)}, shifted: []bool{true, false}}
+		st := &balState{occ: newFoldIndexes(12, []int{4}), shifted: []bool{true, false}}
 		for i, o := range tc.obstacles {
-			st.occ[0].insert(o.start, o.end, obstacle{task: o.task, ref: ownerRef{mi: i}}, true)
+			st.occ[0].insert(o.start, o.end, obstacle{task: o.task, ref: ownerRef{mi: int32(i)}}, true)
 		}
 		c := &pctx{ts: ts, st: st, cat1: true}
 		if got := c.leftRoom(0, tc.ms, 2, tc.limit); got != tc.want {

@@ -162,12 +162,11 @@ func refPlaceBlock(b *Balancer, ts *model.TaskSet, ar *arch.Architecture, bl *bl
 // refRunPass is runPass over refPlaceBlock.
 func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool) (*Result, error) {
 	ts, ar := input.TS, input.Arch
-	blks := blocks.Build(input)
-	res := &Result{Blocks: blks, Moves: make([]Move, 0, len(blks))}
-	st := newBalState(ts, ar, blks)
-	q := newBlockQueue(blks)
-	processed := make([]bool, len(blks))
-	for n := 0; n < len(blks); n++ {
+	st := NewPlan(input).newState()
+	res := &Result{Moves: make([]Move, 0, len(st.blks))}
+	q := newBlockQueue(st.blks)
+	processed := make([]bool, len(st.blks))
+	for n := 0; n < len(st.blks); n++ {
 		bl := q.pop(processed)
 		st.removeResv(bl)
 		var want *arch.ProcID
@@ -188,7 +187,7 @@ func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool) (*Res
 		res.Moves = append(res.Moves, mv)
 	}
 	out := sched.NewInstSchedule(ts, ar)
-	for _, bl := range blks {
+	for _, bl := range st.blks {
 		for _, m := range bl.Members {
 			out.Place(m.Inst, bl.Proc, m.Start)
 		}
@@ -219,7 +218,7 @@ func tallyPruning(b *Balancer, ctx *pctx, tally *pruneTally) {
 	var inc Candidate
 	anyFits, ok := false, false
 	for p := arch.ProcID(0); int(p) < ctx.ar.Procs; p++ {
-		c, v, s := b.evaluate(ctx, p, lcm)
+		v, s, _ := b.evaluate(ctx, p, lcm)
 		switch v {
 		case deferred:
 			opts = append(opts, b.landingOn(ctx, p, s))
@@ -236,7 +235,7 @@ func tallyPruning(b *Balancer, ctx *pctx, tally *pruneTally) {
 				tally.clamped++
 			}
 		}
-		anyFits = anyFits || c.Feasible
+		anyFits = anyFits || v == fits
 	}
 	tally.preRejected += len(opts)
 	if anyFits || !lcm || len(opts) == 0 {
@@ -271,7 +270,7 @@ func checkPlacementMatchesReference(t *testing.T, b *Balancer, is *sched.InstSch
 	t.Helper()
 	probe := b.probe
 	b.probe = func(ctx pctx) { tallyPruning(b, &ctx, tally) }
-	got, gotErr := b.runPass(is, conservative)
+	got, gotErr := b.runPass(NewPlan(is), conservative)
 	b.probe = probe
 	want, wantErr := refRunPass(b, is, conservative)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {

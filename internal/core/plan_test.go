@@ -1,0 +1,117 @@
+package core
+
+import (
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/arch"
+	"repro/internal/gen"
+	"repro/internal/sched"
+)
+
+// snapshotPlan deep-copies every slice of a plan, so a later comparison
+// sees any write through the plan's own backing arrays.
+func snapshotPlan(pl *Plan) *Plan {
+	cp := *pl
+	cp.initMembers = slices.Clone(pl.initMembers)
+	cp.initBlocks = slices.Clone(pl.initBlocks)
+	off := 0
+	for i := range cp.initBlocks {
+		n := len(cp.initBlocks[i].Members)
+		cp.initBlocks[i].Members = cp.initMembers[off : off+n : off+n]
+		off += n
+	}
+	cp.owner = slices.Clone(pl.owner)
+	cp.taskBlockOff = slices.Clone(pl.taskBlockOff)
+	cp.taskBlockIDs = slices.Clone(pl.taskBlockIDs)
+	cp.wcet = slices.Clone(pl.wcet)
+	cp.room = slices.Clone(pl.room)
+	cp.mem = slices.Clone(pl.mem)
+	cp.initOcc = slices.Clone(pl.initOcc)
+	for p := range cp.initOcc {
+		cp.initOcc[p].starts = slices.Clone(pl.initOcc[p].starts)
+		cp.initOcc[p].items = slices.Clone(pl.initOcc[p].items)
+	}
+	return &cp
+}
+
+// sameResult fails unless two results agree in every field, the balanced
+// schedules' placements included.
+func sameResult(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	got.Schedule.InstancesOn(0) // settle the lazy listings before comparing
+	want.Schedule.InstancesOn(0)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: result from the shared plan differs from a fresh Run", what)
+	}
+}
+
+// TestPlanSharedAcrossRuns runs every policy — with and without the
+// conservative rerun — from one Plan, in two orders and then
+// concurrently, and requires each result to equal a fresh Run on the
+// schedule and the plan to be unchanged afterwards. Under -race the
+// concurrent round also shows that no pass writes the plan.
+func TestPlanSharedAcrossRuns(t *testing.T) {
+	ts, err := gen.Generate(gen.Config{Seed: 9, Tasks: 21, Utilization: 2.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sched.NewScheduler(ts, arch.MustNew(4, 1)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	is := sched.FromSchedule(s)
+	balancers := []Balancer{
+		{Policy: PolicyLexicographic},
+		{Policy: PolicyRatio},
+		{Policy: PolicyMemoryOnly},
+		{Policy: PolicyMemoryOnly, IgnoreTiming: true},
+		{Policy: PolicyLexicographic, RecordCandidates: true},
+	}
+	fresh := make([]*Result, len(balancers))
+	reruns := 0
+	for i := range balancers {
+		if fresh[i], err = balancers[i].Run(is); err != nil {
+			t.Fatal(err)
+		}
+		if fresh[i].ConservativePropagation {
+			reruns++
+		}
+	}
+	if reruns == 0 || reruns == len(balancers) {
+		t.Fatalf("%d of %d runs take the conservative rerun, want some but not all", reruns, len(balancers))
+	}
+
+	pl := NewPlan(is)
+	before := snapshotPlan(pl)
+	for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}} {
+		for _, i := range order {
+			res, err := balancers[i].RunPlan(pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, balancers[i].Policy.String(), res, fresh[i])
+		}
+	}
+	var wg sync.WaitGroup
+	results := make([]*Result, len(balancers))
+	for i := range balancers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], _ = balancers[i].RunPlan(pl)
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range results {
+		if res == nil {
+			t.Fatalf("concurrent run %d failed", i)
+		}
+		sameResult(t, "concurrent "+balancers[i].Policy.String(), res, fresh[i])
+	}
+	if !reflect.DeepEqual(before, pl) {
+		t.Fatal("running from the plan modified it")
+	}
+}

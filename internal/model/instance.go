@@ -73,6 +73,34 @@ func EachInstanceDep(ts *TaskSet, dst TaskID, k int, fn func(src InstanceID)) {
 	}
 }
 
+// EachDepLag calls fn once per task-level dependence src → dst whose
+// periods are harmonic, with the largest lag of a producer instance's
+// end behind its consumer instance's start, relative to the first
+// instances. Under strict periodicity producer instance j ends at
+// S_src + j·T_src + E_src and consumer instance k starts at S_dst + k·T_dst,
+// so the binding constraint over every instance pair of the edge is
+// S_dst ≥ S_src + E_src + lag, where lag is the maximum of
+// j·T_src − k·T_dst over the pairs EachInstanceDep links:
+//
+//   - same period (j = k): lag = 0;
+//   - producer faster (T_dst = n·T_src, j = k·n … k·n+n−1): lag = T_dst − T_src;
+//   - producer slower (T_src = n·T_dst, j = ⌊k/n⌋): lag = 0, at k = 0.
+//
+// Pairs that are not harmonic have no instance dependence and are
+// skipped, as in EachInstanceDep.
+func EachDepLag(ts *TaskSet, dst TaskID, fn func(src TaskID, lag Time)) {
+	tc := ts.tasks[dst].Period
+	for _, src := range ts.pred[dst] {
+		tp := ts.tasks[src].Period
+		switch {
+		case tp%tc == 0: // same period, or producer slower
+			fn(src, 0)
+		case tc%tp == 0: // producer faster
+			fn(src, tc-tp)
+		}
+	}
+}
+
 // EachInstanceDepData is EachInstanceDep with the datum size of the
 // underlying task-level dependence passed alongside each producer
 // instance (the simulator's buffer accounting needs it per edge, and a

@@ -113,3 +113,59 @@ func TestInstanceDepsPartitionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzDepLag checks EachDepLag against the brute-force maximum over the
+// instance pairs EachInstanceDep links: for every producer, the largest
+// end of a producer instance behind the start of its consumer instance,
+// relative to the first instances, with arbitrary first starts. The
+// consumer has a faster and a slower (or equal-period) producer, and an
+// independent task stretches the hyper-period so every edge spans
+// several consumer instances.
+func FuzzDepLag(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(2), uint8(1), int16(5), int16(-3), uint8(2))
+	f.Add(uint8(1), uint8(1), uint8(4), uint8(3), int16(0), int16(7), uint8(0))
+	f.Add(uint8(5), uint8(2), uint8(1), uint8(2), int16(-9), int16(1), uint8(4))
+	f.Fuzz(func(t *testing.T, base, fast, slow, pad uint8, sSrc, sDst int16, wcet uint8) {
+		b := Time(base%6) + 1
+		tc := b * (Time(fast%5) + 1)   // consumer period
+		tf := b                        // faster (or equal) producer
+		tsl := tc * (Time(slow%4) + 1) // slower (or equal) producer
+		set := NewTaskSet()
+		e := Time(wcet%3) + 1
+		pf := set.MustAddTask("fast", tf, min(e, tf), 1)
+		ps := set.MustAddTask("slow", tsl, min(e, tsl), 1)
+		dst := set.MustAddTask("dst", tc, 1, 1)
+		set.MustAddTask("pad", tsl*(Time(pad%3)+1), 1, 1)
+		set.MustAddDependence(pf, dst, 1)
+		set.MustAddDependence(ps, dst, 1)
+		set.MustFreeze()
+
+		start := map[TaskID]Time{pf: Time(sSrc), ps: Time(sSrc) + 3, dst: Time(sDst)}
+		want := map[TaskID]Time{}
+		seen := map[TaskID]bool{}
+		for k := 0; k < set.Instances(dst); k++ {
+			EachInstanceDep(set, dst, k, func(src InstanceID) {
+				p := set.Task(src.Task)
+				end := start[src.Task] + Time(src.K)*p.Period + p.WCET
+				if v := end - Time(k)*tc; !seen[src.Task] || v > want[src.Task] {
+					want[src.Task], seen[src.Task] = v, true
+				}
+			})
+		}
+		got := map[TaskID]Time{}
+		EachDepLag(set, dst, func(src TaskID, lag Time) {
+			if _, dup := got[src]; dup {
+				t.Fatalf("producer %d reported twice", src)
+			}
+			got[src] = start[src] + set.Task(src).WCET + lag
+		})
+		if len(got) != len(want) {
+			t.Fatalf("EachDepLag reports %d producers, EachInstanceDep %d", len(got), len(want))
+		}
+		for src, w := range want {
+			if got[src] != w {
+				t.Fatalf("T_src=%d T_dst=%d: bound %d, brute force %d", set.Task(src).Period, tc, got[src], w)
+			}
+		}
+	})
+}

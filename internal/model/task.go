@@ -14,7 +14,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Time is a point or duration on the discrete time axis (abstract units).
@@ -312,23 +311,22 @@ func (ts *TaskSet) topoOrder() ([]TaskID, error) {
 	for _, d := range ts.deps {
 		indeg[d.Dst]++
 	}
-	queue := make([]TaskID, 0, n)
+	// Deterministic order: smallest ID first among ready tasks, popped
+	// from a min-heap of the ready IDs.
+	ready := make(idHeap, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			queue = append(queue, TaskID(i))
+			ready.push(TaskID(i))
 		}
 	}
-	// Deterministic order: smallest ID first among ready tasks.
 	order := make([]TaskID, 0, n)
-	for len(queue) > 0 {
-		sort.Slice(queue, func(i, j int) bool { return queue[i] < queue[j] })
-		id := queue[0]
-		queue = queue[1:]
+	for len(ready) > 0 {
+		id := ready.pop()
 		order = append(order, id)
 		for _, s := range ts.succ[id] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				ready.push(s)
 			}
 		}
 	}
@@ -340,6 +338,46 @@ func (ts *TaskSet) topoOrder() ([]TaskID, error) {
 		}
 	}
 	return order, nil
+}
+
+// idHeap is a binary min-heap of task IDs.
+type idHeap []TaskID
+
+func (h *idHeap) push(id TaskID) {
+	*h = append(*h, id)
+	ids := *h
+	for i := len(ids) - 1; i > 0; {
+		up := (i - 1) / 2
+		if ids[up] <= ids[i] {
+			break
+		}
+		ids[i], ids[up] = ids[up], ids[i]
+		i = up
+	}
+}
+
+func (h *idHeap) pop() TaskID {
+	ids := *h
+	top := ids[0]
+	last := len(ids) - 1
+	ids[0] = ids[last]
+	ids = ids[:last]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < last && ids[l] < ids[m] {
+			m = l
+		}
+		if r := 2*i + 2; r < last && ids[r] < ids[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		ids[i], ids[m] = ids[m], ids[i]
+		i = m
+	}
+	*h = ids
+	return top
 }
 
 // TopoOrder returns a deterministic topological order. Valid after Freeze

@@ -1,6 +1,9 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -164,6 +167,56 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 	}
 	if !(pos[a] < pos[b] && pos[b] < pos[c]) {
 		t.Errorf("topological order %v violates a<b<c", order)
+	}
+}
+
+// TestTopoOrderSmallestReadyFirst pins the order on random DAGs against
+// the definition: each step takes the smallest ready ID (a linear scan
+// over the ready set).
+func TestTopoOrderSmallestReadyFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		ts := NewTaskSet()
+		n := 1 + rng.Intn(40)
+		for i := 0; i < n; i++ {
+			ts.MustAddTask(fmt.Sprintf("t%d", i), 10, 1, 1)
+		}
+		// Edges go from a lower to a higher position of a random
+		// permutation, so the graph is acyclic but not ID-ordered.
+		perm := rng.Perm(n)
+		edge := map[[2]int]bool{}
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			i, j := rng.Intn(n), rng.Intn(n)
+			if i < j && !edge[[2]int{i, j}] {
+				edge[[2]int{i, j}] = true
+				ts.MustAddDependence(TaskID(perm[i]), TaskID(perm[j]), 1)
+			}
+		}
+		ts.MustFreeze()
+
+		indeg := make([]int, n)
+		for _, d := range ts.Dependences() {
+			indeg[d.Dst]++
+		}
+		var want []TaskID
+		done := make([]bool, n)
+		for len(want) < n {
+			next := -1
+			for i := 0; i < n; i++ {
+				if !done[i] && indeg[i] == 0 {
+					next = i
+					break
+				}
+			}
+			done[next] = true
+			want = append(want, TaskID(next))
+			for _, s := range ts.Successors(TaskID(next)) {
+				indeg[s]--
+			}
+		}
+		if got := ts.TopoOrder(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TopoOrder %v, smallest-ready-first %v", trial, got, want)
+		}
 	}
 }
 

@@ -108,9 +108,9 @@ func (s Stage) String() string {
 type Counter int
 
 const (
-	// CounterMemoHit / CounterMemoMiss count prefix-cache outcomes:
-	// a miss computed the generate→schedule→simulate prefix, a hit
-	// received a clone.
+	// CounterMemoHit / CounterMemoMiss count prefix sharing: a miss
+	// computed the generate→schedule→simulate prefix (one per prefix
+	// group), a hit reused it for a further policy cell.
 	CounterMemoHit Counter = iota
 	CounterMemoMiss
 	// CounterJournalRecords / CounterJournalBytes / CounterJournalFsyncs

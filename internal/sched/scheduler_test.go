@@ -153,11 +153,13 @@ func TestDepLowerBound(t *testing.T) {
 	s.MustPlace(ids[0], 0, 0) // a ends at 1 and 4
 
 	// b on P1 (same proc): bound is a#2 end = 4. On P2: 4 + C = 5.
-	if lb := s.DepLowerBound(ids[1], 0); lb != 4 {
-		t.Errorf("same-proc lower bound = %d, want 4", lb)
+	lbs := make([]model.Time, ar.Procs)
+	s.DepLowerBounds(ids[1], lbs)
+	if lbs[0] != 4 {
+		t.Errorf("same-proc lower bound = %d, want 4", lbs[0])
 	}
-	if lb := s.DepLowerBound(ids[1], 1); lb != 5 {
-		t.Errorf("cross-proc lower bound = %d, want 5", lb)
+	if lbs[1] != 5 {
+		t.Errorf("cross-proc lower bound = %d, want 5", lbs[1])
 	}
 }
 

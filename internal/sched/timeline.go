@@ -97,71 +97,45 @@ func (s *Schedule) FitsAt(id model.TaskID, p arch.ProcID, start model.Time) bool
 	return ok
 }
 
-// DepLowerBound returns the earliest start of task id permitted by its
-// producers under the current placement, assuming id runs on p: each
-// producer instance must complete (plus C when the producer is on another
-// processor) before the corresponding consumer instance starts. Because
-// instance k starts at S + k·T, each producer constraint on instance k
-// translates to a bound on S of end - k·T. Unplaced producers contribute
-// no bound.
-func (s *Schedule) DepLowerBound(id model.TaskID, p arch.ProcID) model.Time {
-	lb := model.Time(0)
-	t := s.TS.Task(id)
-	for k := 0; k < s.TS.Instances(id); k++ {
-		kT := model.Time(k) * t.Period
-		model.EachInstanceDep(s.TS, id, k, func(src model.InstanceID) {
-			if s.place[src.Task].Proc == Unplaced {
-				return
-			}
-			end := s.InstanceEnd(src.Task, src.K)
-			if s.place[src.Task].Proc != p {
-				end += s.Arch.CommTime
-			}
-			if b := end - kT; b > lb {
-				lb = b
-			}
-		})
-	}
-	return lb
-}
-
-// DepLowerBounds fills lb (length ≥ Arch.Procs) with DepLowerBound for
-// every processor in one pass over the producers instead of one pass per
-// processor: the only processor-dependent term is whether the +C
-// communication delay applies, so a per-processor maximum of the local
-// bounds plus the two best cross-processor bounds (from distinct
+// DepLowerBounds fills lb (length ≥ Arch.Procs) with the earliest start
+// of task id permitted by its producers under the current placement, one
+// entry per processor id might run on: each producer instance must
+// complete (plus C when the producer is on another processor) before
+// the corresponding consumer instance starts. Unplaced producers
+// contribute no bound. Strict periodicity makes the maximum over an
+// edge's instance pairs a per-edge constant, the producer's first end
+// plus the edge's lag (model.EachDepLag), so one visit per task-level
+// dependence suffices. The only processor-dependent term is whether the
+// +C communication delay applies, so a per-processor maximum of the
+// local bounds plus the two best cross-processor bounds (from distinct
 // processors) determine every entry.
 func (s *Schedule) DepLowerBounds(id model.TaskID, lb []model.Time) {
 	for i := range lb {
 		lb[i] = 0
 	}
-	t := s.TS.Task(id)
 	c := s.Arch.CommTime
 	var top1, top2 model.Time // best remote bounds from distinct processors
 	top1Proc := Unplaced
-	for k := 0; k < s.TS.Instances(id); k++ {
-		kT := model.Time(k) * t.Period
-		model.EachInstanceDep(s.TS, id, k, func(src model.InstanceID) {
-			pp := s.place[src.Task].Proc
-			if pp == Unplaced {
-				return
+	model.EachDepLag(s.TS, id, func(src model.TaskID, lag model.Time) {
+		pp := s.place[src].Proc
+		if pp == Unplaced {
+			return
+		}
+		local := s.InstanceEnd(src, 0) + lag
+		if local > lb[pp] {
+			lb[pp] = local // producer co-located: no comm delay
+		}
+		remote := local + c
+		switch {
+		case remote > top1:
+			if top1Proc != pp {
+				top2 = top1
 			}
-			local := s.InstanceEnd(src.Task, src.K) - kT
-			if local > lb[pp] {
-				lb[pp] = local // producer co-located: no comm delay
-			}
-			remote := local + c
-			switch {
-			case remote > top1:
-				if top1Proc != pp {
-					top2 = top1
-				}
-				top1, top1Proc = remote, pp
-			case remote > top2 && pp != top1Proc:
-				top2 = remote
-			}
-		})
-	}
+			top1, top1Proc = remote, pp
+		case remote > top2 && pp != top1Proc:
+			top2 = remote
+		}
+	})
 	for p := range lb {
 		cross := top1
 		if top1Proc == arch.ProcID(p) {

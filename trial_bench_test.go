@@ -73,7 +73,7 @@ func scaleInput(tb testing.TB, cfg gen.Config, procs int) (*model.TaskSet, *arch
 // pipeline BenchmarkTrial measures: a trial with no analyzers attached
 // must neither record balancer candidates nor build an extras payload,
 // so its allocation count stays where the optimisations left it. The
-// cap carries ~15% headroom over the measured 453 allocs/trial for this
+// cap carries ~15% headroom over the measured 264 allocs/trial for this
 // configuration; an analyzer-plumbing regression (candidate slices on
 // by default, eager extras maps) blows well past it.
 func TestTrialAllocNeutral(t *testing.T) {
@@ -86,7 +86,7 @@ func TestTrialAllocNeutral(t *testing.T) {
 			t.Fatalf("outcome %q err %v", r.Outcome, err)
 		}
 	})
-	const maxAllocs = 521
+	const maxAllocs = 304
 	if allocs > maxAllocs {
 		t.Fatalf("zero-analyzer trial allocates %.0f objects, cap %d — analyzer plumbing leaked into the fast path", allocs, maxAllocs)
 	}
@@ -121,12 +121,16 @@ func TestTrialAllocNeutral(t *testing.T) {
 	}
 }
 
-// TestTrialBytesAtPaperScale caps the bytes one zero-analyzer trial
-// allocates in the BenchmarkTrial/end-to-end configuration (1094
-// instances, 16 processors). The cap carries ~15% headroom over the
-// measured 1.33 MB/trial; the simulator's receive-buffer arrays alone
-// (sim.BufferPeaks, which campaigns do not read) would add ~1.1 MB, and
-// deriving the latency-only transfers the trial never reads ~0.58 MB.
+// TestTrialBytesAtPaperScale caps the bytes and objects one
+// zero-analyzer trial allocates in the BenchmarkTrial/end-to-end
+// configuration (1094 instances, 16 processors). The byte cap carries
+// ~10% headroom over the measured 1.39 MB/trial; the simulator's
+// receive-buffer arrays alone (sim.BufferPeaks, which campaigns do not
+// read) would add ~1.1 MB, and deriving the latency-only transfers the
+// trial never reads ~0.58 MB. The object cap carries ~15% headroom over
+// the measured 3 151 objects/trial; one heap object per block or per
+// member (the balancer's blocks before they were stored flat) would add
+// over a thousand.
 func TestTrialBytesAtPaperScale(t *testing.T) {
 	cfg, procs := paperScaleConfig()
 	trial := campaign.Trial{Cell: "bytes", Gen: cfg, Procs: procs, Comm: 1}
@@ -146,6 +150,10 @@ func TestTrialBytesAtPaperScale(t *testing.T) {
 	const maxBytes = 1_525_000
 	if perTrial := (after.TotalAlloc - before.TotalAlloc) / trials; perTrial > maxBytes {
 		t.Fatalf("paper-scale trial allocates %d bytes, cap %d — something unread is back on the trial path", perTrial, maxBytes)
+	}
+	const maxObjects = 3_600
+	if perTrial := (after.Mallocs - before.Mallocs) / trials; perTrial > maxObjects {
+		t.Fatalf("paper-scale trial allocates %d objects, cap %d — per-item allocations are back on the trial path", perTrial, maxObjects)
 	}
 }
 
