@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,15 +121,17 @@ type Engine struct {
 	// Workers is the pool size; ≤ 0 means GOMAXPROCS.
 	Workers int
 
-	// NoMemo disables cross-policy prefix sharing. By default a worker
-	// claims every pending trial of one (generator config, processors,
-	// comm time) point at once, computes the generate→schedule→simulate
-	// prefix and the balancer's plan once, and runs the point's policy
-	// cells one after another from them; trials then differ only in the
-	// balancing suffix. With NoMemo every trial is claimed alone and
-	// computes its own prefix. Both paths produce byte-identical
-	// artifacts (the prefix computation is deterministic and the cells
-	// share nothing they write) — the determinism test pins this.
+	// NoMemo disables cross-policy sharing. By default a worker claims
+	// every pending trial of one (generator config, processors, comm
+	// time) point at once, computes the generate→schedule→simulate
+	// prefix once, balances every policy cell of the point in shared
+	// walks (core.Balancer.RunPolicies), and runs the cells one after
+	// another from their results. With NoMemo every trial is claimed
+	// alone, computes its own prefix and walks the blocks alone. Both
+	// paths produce byte-identical artifacts (the prefix computation is
+	// deterministic, each policy's result equals a run of its own, and
+	// the cells share nothing they write) — the determinism test pins
+	// this.
 	NoMemo bool
 
 	// Sink, when non-nil, receives every live-completed trial the moment
@@ -273,7 +276,7 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 				}
 			}
 			if pre == nil {
-				pre = runPrefix(t, rec)
+				pre = runPrefix(groups[g], rec)
 				if !e.NoMemo {
 					rec.Add(obs.CounterMemoMiss, 1)
 				}
@@ -382,30 +385,40 @@ func matchExtras(expected []string, r TrialResult) error {
 // here so the policy cells sharing a prefix share one screen and one
 // before-phase pass). A nil schedule carries the failure outcome
 // instead; err carries an analyzer validation failure, which aborts the
-// sweep rather than rejecting the trial. plan is the balancer's plan of
-// the initial schedule, built by the first suffix that balances and
-// reused by the rest.
+// sweep rather than rejecting the trial.
+//
+// cells lists the trial indexes of the group's cells and pols their
+// policies. The first cell to balance balances them all in one
+// core.Balancer.RunPolicies call: results[i] is cell i's balance until
+// the cell consumes it, nil after; balErr is the balancer's error,
+// which every cell reports. Both are unset until then.
 type trialPrefix struct {
 	is        *sched.InstSchedule
 	repBefore *sim.Report
 	preExtras map[string]float64 // read-only once published
 	outcome   string             // "" when the prefix succeeded
 	err       error              // non-finite analyzer extra in the prefix phases
-	plan      *core.Plan
+
+	cells   []int
+	pols    []core.Policy
+	results []*core.Result
+	balErr  error
 }
 
-// runPrefix computes generate → schedule → simulate(before) for one
-// trial, plus the prefix-only and before-phase analyzer extras.
-// Nothing in it depends on t.Policy (or the ignore-timing mode, which
-// only reaches the balancer), which is what makes the result shareable
-// across policy cells — the before phase instruments the initial
-// schedule, which every policy cell of a grid point shares.
+// runPrefix computes generate → schedule → simulate(before) for the
+// trials of group, which share one prefix, plus the prefix-only and
+// before-phase analyzer extras. Nothing in it depends on a trial's
+// Policy (or the ignore-timing mode, which only reaches the balancer),
+// which is what makes the result shareable across policy cells — the
+// before phase instruments the initial schedule, which every policy cell
+// of a grid point shares.
 //
 // rec, when non-nil, receives one latency observation per stage the
 // prefix reached (a rejected trial stops observing at the stage that
 // refused it). With prefix sharing they are observed once per grid
 // point.
-func runPrefix(t Trial, rec *obs.Recorder) *trialPrefix {
+func runPrefix(group []Trial, rec *obs.Recorder) *trialPrefix {
+	t := group[0]
 	t0 := rec.Clock()
 	ts, err := gen.Generate(t.Gen)
 	t0 = rec.Stamp(obs.StageGenerate, t0)
@@ -449,16 +462,22 @@ func runPrefix(t Trial, rec *obs.Recorder) *trialPrefix {
 		}
 	}
 	rec.Stamp(obs.StageAnalyzeBefore, t0)
-	return &trialPrefix{is: is, repBefore: repBefore, preExtras: pre}
+	out := &trialPrefix{is: is, repBefore: repBefore, preExtras: pre}
+	for _, t := range group {
+		out.cells = append(out.cells, t.Index)
+		out.pols = append(out.pols, t.Policy)
+	}
+	return out
 }
 
 // finish runs trial t's policy-specific suffix (balance →
 // simulate(after) → analyze) from the prefix, or returns the prefix's
 // rejection or analyzer error. The policy-independent analyzer values —
 // prefix-only and before-phase — are shared read-only by every cell of
-// the prefix. The first suffix that balances builds the plan, inside its
-// balance stage; the cells after it balance from the same plan. rec,
-// when non-nil, receives the suffix stage latencies.
+// the prefix. The first cell's balance stage builds the balancer's plan
+// and balances every cell of the group in shared walks; each cell then
+// takes its own result, and the prefix drops it. rec, when non-nil,
+// receives the suffix stage latencies.
 func (pre *trialPrefix) finish(t Trial, rec *obs.Recorder) (TrialResult, error) {
 	if pre.err != nil {
 		return TrialResult{}, pre.err
@@ -470,17 +489,25 @@ func (pre *trialPrefix) finish(t Trial, rec *obs.Recorder) (TrialResult, error) 
 	}
 	is, repBefore := pre.is, pre.repBefore
 
-	// Candidate recording costs allocations on the balancer's innermost
-	// loop, so it is on only when an active analyzer consumes the trace.
-	bal := core.Balancer{Policy: t.Policy, IgnoreTiming: t.ignoreTiming,
-		RecordCandidates: t.analyzers.NeedsCandidates()}
 	t0 := rec.Clock()
-	if pre.plan == nil {
-		pre.plan = core.NewPlan(is)
+	if pre.results == nil && pre.balErr == nil {
+		// Candidate recording costs allocations on the balancer's
+		// innermost loop, so it is on only when an active analyzer
+		// consumes the trace. Both settings are spec-wide, so every cell
+		// of the group shares them.
+		bal := core.Balancer{IgnoreTiming: t.ignoreTiming, RecordCandidates: t.analyzers.NeedsCandidates()}
+		pre.results, pre.balErr = bal.RunPolicies(core.NewPlan(is), pre.pols)
+		for _, res := range pre.results {
+			rec.Add(obs.CounterBalancePlacements, int64(res.Placements))
+		}
 	}
-	res, err := bal.RunPlan(pre.plan)
+	var res *core.Result
+	if pre.balErr == nil {
+		i := slices.Index(pre.cells, t.Index)
+		res, pre.results[i] = pre.results[i], nil
+	}
 	t0 = rec.Stamp(obs.StageBalance, t0)
-	if err != nil {
+	if res == nil {
 		r.Outcome = OutcomeBalanceError
 		return r, nil
 	}
@@ -562,7 +589,7 @@ func RunTrialObserved(t Trial, rec *obs.Recorder) (TrialResult, error) {
 // runTrial is the recorder-threaded implementation shared by the
 // exported entry points.
 func runTrial(t Trial, rec *obs.Recorder) (TrialResult, error) {
-	return runPrefix(t, rec).finish(t, rec)
+	return runPrefix([]Trial{t}, rec).finish(t, rec)
 }
 
 // summarize assembles the metrics.Summary for one distribution.

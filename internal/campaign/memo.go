@@ -4,29 +4,36 @@ import (
 	"fmt"
 )
 
-// memo.go shares the policy-independent trial prefix across the policy
-// cells of a sweep. Every cell of a grid with P policies re-derives the
-// same generate→schedule→simulate prefix for each (generator config,
-// processors, comm) point, and the balancer builds the same blocks and
-// reservation index from it (core.Plan). A worker therefore claims a
-// whole prefix group — every pending trial sharing one prefix — computes
-// the prefix and the plan once, and runs the group's policy cells one
-// after another, each balancing from a private copy of the plan.
+// memo.go shares the policy-independent part of a trial across the
+// policy cells of a sweep. Every cell of a grid with P policies
+// re-derives the same generate→schedule→simulate prefix for each
+// (generator config, processors, comm) point, the balancer builds the
+// same blocks and reservation index from it (core.Plan), and the
+// balancer's walk over the blocks evaluates the same processors for
+// every policy until the policies' picks differ. A worker therefore
+// claims a whole prefix group — every pending trial sharing one prefix —
+// and computes the prefix once. The first cell's balance stage builds
+// the plan and balances every cell of the group in one
+// core.Balancer.RunPolicies call: the policies share one walk while
+// they agree and fork it where their picks differ. The cells then run
+// one after another, each from its own result.
 //
 // Results are byte-identical to the unshared path because the prefix
-// computation is deterministic and nothing a cell writes is shared: the
-// balancer reads the initial schedule only through the plan and copies
-// the plan per pass, the before-report is read-only downstream, and the
-// policy-independent analyzer extras — the prefix-only values and, with
-// the before phase enabled, the before.* values instrumenting the
-// initial schedule — are copied into each trial's payload
-// (analyzers.Set.RunSuffix copies the shared map, never mutates it).
-// Sharing the before-phase extras is what keeps the phase axis cheap:
-// the before analysis runs once per grid point, not once per policy
-// cell.
+// computation is deterministic and nothing a cell writes is shared:
+// RunPolicies gives each policy the result a balancing run of its own
+// would, the plan is never written, the before-report is read-only
+// downstream, and the policy-independent analyzer extras — the
+// prefix-only values and, with the before phase enabled, the before.*
+// values instrumenting the initial schedule — are copied into each
+// trial's payload (analyzers.Set.RunSuffix copies the shared map, never
+// mutates it). Sharing the before-phase extras is what keeps the phase
+// axis cheap: the before analysis runs once per grid point, not once per
+// policy cell.
 //
 // Memory: a group's prefix lives only while its worker runs the group,
-// so at most one prefix per worker is resident.
+// so at most one prefix per worker is resident. The group's balance
+// results are all made at once, but the prefix drops each one as soon
+// as its cell has used it.
 
 // prefixKey identifies the policy-independent part of a trial: the full
 // generator configuration plus the architecture. The generator config is

@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"bytes"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestMemoDeterminism pins the prefix-sharing contract: a campaign whose
@@ -135,5 +138,87 @@ func TestPrefixResidency(t *testing.T) {
 		if len(open) != 0 {
 			t.Fatalf("workers=%d: %d prefixes never finished", workers, len(open))
 		}
+	}
+}
+
+// TestPrefixDropsFinishedResults checks that a prefix group's balance
+// results live only until their cells use them: the first cell balances
+// every cell of the group, and each cell's result is released as soon as
+// that cell has finished, so the prefix never holds a finished cell's
+// balanced schedule.
+func TestPrefixDropsFinishedResults(t *testing.T) {
+	spec := smokeSpec()
+	spec.Policies = []string{"lexicographic", "ratio", "memory-only"}
+	trials, err := spec.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, group := range prefixGroups(trials, true) {
+		pre := runPrefix(group, nil)
+		if pre.is == nil {
+			continue // rejected by the substrate: nothing is balanced
+		}
+		for i, tr := range group {
+			r, err := pre.finish(tr, nil)
+			if err != nil || r.Outcome != OutcomeOK {
+				t.Fatalf("trial %d: outcome %q, err %v", tr.Index, r.Outcome, err)
+			}
+			if len(pre.results) != len(group) {
+				t.Fatalf("trial %d: prefix holds %d results for %d cells", tr.Index, len(pre.results), len(group))
+			}
+			for j, res := range pre.results {
+				if held := res != nil; held != (j > i) {
+					t.Fatalf("after cell %d of %d: result of cell %d held = %v", i, len(group), j, held)
+				}
+			}
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no group was balanced")
+	}
+}
+
+// TestBalanceWalksShared pins the sharing of the balancer's walks with a
+// count, not a timing. On the paper-phase grid points with seed 0, 600
+// tasks and 32 processors, the group's three policies would walk every
+// block once each (and again on a conservative rerun) if each cell
+// balanced alone; sharing walks while the policies agree keeps the
+// blocks evaluated under 1.9 times the block count.
+func TestBalanceWalksShared(t *testing.T) {
+	trials, err := publishedSpec(t, filepath.Join(publishedDir, "paper-phase.json")).Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := 0
+	for _, group := range prefixGroups(trials, true) {
+		if tr := group[0]; tr.Gen.Seed != 0 || tr.Gen.Tasks != 600 || tr.Procs != 32 {
+			continue
+		}
+		if len(group) != 3 {
+			t.Fatalf("%s: %d policy cells, want 3", group[0].Cell, len(group))
+		}
+		pre := runPrefix(group, nil)
+		if pre.is == nil {
+			t.Fatalf("%s: rejected by the substrate", group[0].Cell)
+		}
+		res, err := (&core.Balancer{}).RunPolicies(core.NewPlan(pre.is), pre.pols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		placed := 0
+		for _, r := range res {
+			placed += r.Placements
+		}
+		blocks := len(res[0].Blocks)
+		t.Logf("%s: %d blocks, %d placements (%.2f×)", group[0].Cell, blocks, placed, float64(placed)/float64(blocks))
+		if 10*placed > 19*blocks {
+			t.Fatalf("%s: the walks placed %d blocks for %d blocks, want at most 1.9×", group[0].Cell, placed, blocks)
+		}
+		points++
+	}
+	if points != 2 {
+		t.Fatalf("%d grid points at seed 0, 600 tasks, 32 processors; want the two utilisations", points)
 	}
 }

@@ -127,6 +127,32 @@ func TestEngineObsNoMemo(t *testing.T) {
 	}
 }
 
+// TestEngineObsBalancePlacements checks the balance_placements counter:
+// run alone, every balanced trial walks each of its blocks at least once;
+// sharing a prefix group's walks never costs more than that.
+func TestEngineObsBalancePlacements(t *testing.T) {
+	spec := smokeSpec()
+	spec.Policies = []string{"lexicographic", "ratio", "memory-only"}
+	count := map[bool]int64{}
+	var blocks int64
+	for _, noMemo := range []bool{true, false} {
+		set := obs.NewSet(1)
+		res, err := (&Engine{Workers: 1, NoMemo: noMemo, Obs: set}).Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count[noMemo] = set.Snapshot().Counters["balance_placements"]
+		blocks = 0
+		for _, r := range res.Trials {
+			blocks += int64(r.Blocks)
+		}
+	}
+	if count[true] < blocks || count[false] == 0 || count[false] > count[true] {
+		t.Fatalf("balance_placements: %d per trial, %d shared, for %d blocks over the accepted trials",
+			count[true], count[false], blocks)
+	}
+}
+
 // TestEngineObsReplayed: resumed (Done) rows are counted as replayed
 // and are not re-observed by any pipeline stage.
 func TestEngineObsReplayed(t *testing.T) {

@@ -314,7 +314,7 @@ func TestAnalyzeErrorPropagates(t *testing.T) {
 		// both.
 		other := tc.trial
 		other.Index, other.Policy = tc.trial.Index+1, core.PolicyMemoryOnly
-		pre := runPrefix(tc.trial, nil)
+		pre := runPrefix([]Trial{tc.trial, other}, nil)
 		for _, tr := range []Trial{tc.trial, other} {
 			if _, err := pre.finish(tr, nil); err == nil || !strings.Contains(err.Error(), "badcase") {
 				t.Fatalf("%s: shared prefix lost the analyze error on trial %d: %v", tc.label, tr.Index, err)

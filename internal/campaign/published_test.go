@@ -87,7 +87,7 @@ func TestPaperPhaseBalancedSchedulesValid(t *testing.T) {
 		key := prefixKey(tr)
 		pre, ok := prefixes[key]
 		if !ok {
-			pre = runPrefix(tr, nil)
+			pre = runPrefix([]Trial{tr}, nil)
 			prefixes[key] = pre
 		}
 		if pre.is == nil {

@@ -26,24 +26,19 @@ func TestEvaluateAllocFree(t *testing.T) {
 	is := sched.FromSchedule(s)
 
 	st := NewPlan(is).newState()
-	blks := st.blks
 
 	// Place the first half of the blocks, so the queries below run
 	// against populated moved-interval and reservation indexes.
 	b := &Balancer{}
-	processed := make([]bool, len(blks))
-	q := newBlockQueue(blks)
-	for n := 0; n < len(blks)/2; n++ {
-		bl := q.pop(processed)
-		st.removeResv(bl)
-		if _, err := b.placeBlock(ts, ar, bl, processed, st, q, false, nil); err != nil {
+	w := walk{st: st, pols: []int{0}}
+	for n := 0; n < len(st.blks)/2; n++ {
+		if _, err := b.placeBlock(&w, []Policy{b.Policy}, n, false); err != nil {
 			t.Fatal(err)
 		}
-		processed[bl.ID] = true
 	}
-	bl := q.pop(processed)
+	bl := st.next()
 	st.removeResv(bl)
-	ctx := newPctx(ts, ar, bl, processed, st, false)
+	ctx := newPctx(st, bl, false)
 	defer ctx.release()
 
 	// One warm-up round first. The placement sweeps keep no scratch

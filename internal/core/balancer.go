@@ -46,6 +46,13 @@ type Result struct {
 	// forced blocks and the result comes from the provably safe
 	// conservative rerun (see Balancer.Run).
 	ConservativePropagation bool
+
+	// Placements counts the blocks the balancing walks evaluated on this
+	// result's behalf, the optimistic pass and any conservative rerun
+	// together. A walk shared by several policies of one RunPolicies call
+	// charges each block to the first of them in the list, so the counts
+	// of one call add up to the work it did: len(Blocks) per walked pass.
+	Placements int
 }
 
 // GainTotal returns Lformer − Lnew, the paper's Gtotal.
@@ -53,6 +60,8 @@ func (r *Result) GainTotal() model.Time { return r.MakespanBefore - r.MakespanAf
 
 // Balancer runs the load-balancing and memory-usage heuristic.
 type Balancer struct {
+	// Policy is the cost function Run and RunPlan balance under;
+	// RunPolicies takes its policies as an argument instead.
 	Policy Policy
 
 	// IgnoreTiming disables the timing filters (candidate last-end filter,
@@ -87,17 +96,19 @@ type Balancer struct {
 	probe func(ctx pctx)
 }
 
-// balState carries the per-processor incremental state of one pass,
-// over its own copy of the plan's blocks; the static tables are read
+// balState is the state of one walk: its own copy of the plan's blocks
+// and of everything placing them changes, with the static tables read
 // from the plan. Everything is indexed by dense IDs (processor, task,
 // block, instance) — the balancer's inner loops run millions of lookups
 // per trial and map overhead used to dominate them.
 type balState struct {
 	*Plan
 
-	// blks is this pass's copy of the plan's blocks: positions change as
-	// blocks move and gains propagate.
-	blks []blocks.Block
+	// blks is this walk's copy of the plan's blocks, and members the
+	// backing of their Members: positions change as blocks move and gains
+	// propagate.
+	blks    []blocks.Block
+	members []blocks.Member
 
 	// occ[p] indexes, folded modulo H, the obstacles on p that placement
 	// queries must honour: the blocks moved to p as [start, end)
@@ -112,6 +123,11 @@ type balState struct {
 	memSum     []model.Mem  // Σ m of blocks moved there
 	anyMoved   []bool
 
+	// processed flags the blocks already placed, and queue orders the
+	// rest (see next).
+	processed []bool
+	queue     []queueEntry
+
 	// Scratch, reset after each block: shifted flags per task for the
 	// block being placed, seen flags per block ID for the propagation
 	// cap, and the blocks touched by gain propagation.
@@ -119,16 +135,25 @@ type balState struct {
 	seen    []bool
 	touched []*blocks.Block
 
-	// deferred holds, for the block being placed, the processors eq. (4)
-	// refused before their probe (see relaxedPick).
-	deferred []deferral
+	// evals holds evaluate's verdict on every processor for the block
+	// being placed.
+	evals []eval
+
+	// picks holds each policy's pick for the block being placed.
+	picks []pick
 }
 
-// deferral is a processor eq. (4) refused before its probe, with the
-// lower bound on the block's landing there.
-type deferral struct {
-	p   arch.ProcID
-	low model.Time
+// eval is evaluate's verdict on one processor, with its start and
+// reason. A processor eq. (4) refused before its probe (deferred) keeps
+// the probe for every policy whose relaxed pass asks for it (see
+// relaxedPick): probed, then the landing, or !lands.
+type eval struct {
+	v       verdict
+	probed  bool
+	lands   bool
+	s       model.Time
+	landing model.Time
+	reason  string
 }
 
 // member returns the current position of the block member ref names.
@@ -150,266 +175,488 @@ func (b *Balancer) Run(input *sched.InstSchedule) (*Result, error) {
 	return b.RunPlan(NewPlan(input))
 }
 
-// RunPlan balances the schedule the plan was built from and returns the
-// result. The plan is not modified, so one plan serves every policy.
+// RunPlan balances the schedule the plan was built from under b.Policy
+// and returns the result: RunPolicies with that one policy. The plan is
+// not modified, so one plan serves every policy.
+func (b *Balancer) RunPlan(pl *Plan) (*Result, error) {
+	res, err := b.RunPolicies(pl, []Policy{b.Policy})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// RunPolicies balances the schedule the plan was built from once per
+// policy of pols — b.Policy is not read — and returns one result per
+// entry, each equal to what RunPlan gives under that policy. Entries may
+// repeat and come in any order.
+//
+// The heuristic is one greedy walk over the blocks, and a policy only
+// chooses among processors the walk has already evaluated: the verdicts,
+// landings and eq. (4) deferrals do not depend on it. So the policies
+// share a walk for as long as they agree: each block is evaluated once,
+// every policy picks from that evaluation, and where the picks differ
+// the walk forks, each group of policies continuing with its own pick.
 //
 // The run is two-pass: the first pass caps gain propagation
 // optimistically (assuming shifted blocks can later co-locate with their
 // producers, as the paper's worked example does in its step 6). When
-// that bet fails — some block ends up with no feasible processor
-// (Forced > 0) — the balancer reruns with the conservative cap, under
-// which every shift is provably realisable and no block is ever forced.
-// Each pass starts from its own copy of the plan.
-func (b *Balancer) RunPlan(pl *Plan) (*Result, error) {
-	res, err := b.runPass(pl, false)
+// that bet fails for a policy — some block ends up with no feasible
+// processor (Forced > 0) — the policy reruns with the conservative cap,
+// under which every shift is provably realisable and no block is ever
+// forced. The policies that rerun share their walks the same way.
+func (b *Balancer) RunPolicies(pl *Plan, pols []Policy) ([]*Result, error) {
+	out, err := b.pass(pl, pols, false)
 	if err != nil {
 		return nil, err
 	}
-	if res.Forced == 0 {
-		return res, nil
+	var redo []int
+	for i, res := range out {
+		if res.Forced > 0 {
+			redo = append(redo, i)
+		}
 	}
-	cons, err := b.runPass(pl, true)
+	if len(redo) == 0 {
+		return out, nil
+	}
+	// The optimistic results of the rerun policies are dropped before the
+	// rerun: only their work counts are kept.
+	again := make([]Policy, len(redo))
+	placed := make([]int, len(redo))
+	for k, i := range redo {
+		again[k], placed[k], out[i] = pols[i], out[i].Placements, nil
+	}
+	cons, err := b.pass(pl, again, true)
 	if err != nil {
 		return nil, err
 	}
-	cons.ConservativePropagation = true
-	return cons, nil
+	for k, i := range redo {
+		cons[k].ConservativePropagation = true
+		cons[k].Placements += placed[k]
+		out[i] = cons[k]
+	}
+	return out, nil
 }
 
-// runPass is one full balancing pass.
-func (b *Balancer) runPass(pl *Plan, conservative bool) (*Result, error) {
-	if len(pl.initBlocks) == 0 {
+// walk is a pass shared by the policies that have agreed on every
+// decision so far: pols indexes them in the caller's list, and moves
+// holds the pass's moves so far, their candidate records (under
+// RecordCandidates) scored under the first of them. st is the state the
+// moves lead to.
+//
+// A fork waits with no state and no moves of its own (see resume): fork
+// is its move for the block where it forked, and moves the moves before
+// it — its parent's, read-only.
+type walk struct {
+	st    *balState
+	pols  []int
+	moves []Move
+	fork  *Move
+}
+
+// pass runs one balancing pass per policy of pols, optimistic or
+// conservative, each starting from a clone of the plan's initial state,
+// in as few walks as the policies' decisions allow. A walk that forks
+// carries on, and the forks run after it, so one walk state is alive at
+// a time.
+func (b *Balancer) pass(pl *Plan, pols []Policy, conservative bool) ([]*Result, error) {
+	nb := len(pl.init.blks)
+	if nb == 0 {
 		return nil, fmt.Errorf("core: nothing to balance: no blocks")
 	}
-	ts, ar := pl.ts, pl.ar
+	out := make([]*Result, len(pols))
+	all := make([]int, len(pols))
+	for i := range pols {
+		all[i] = i
+		out[i] = &Result{MakespanBefore: pl.makespan, MemBefore: slices.Clone(pl.mem)}
+	}
+	if len(pols) == 0 {
+		return out, nil
+	}
+	todo := []walk{{pols: all, moves: make([]Move, 0, nb)}}
+	for len(todo) > 0 {
+		w := todo[len(todo)-1]
+		todo = todo[:len(todo)-1]
+		b.resume(pl, &w, pols)
+		for n := len(w.moves); n < nb; n++ {
+			forks, err := b.placeBlock(&w, pols, n, conservative)
+			if err != nil {
+				return nil, err
+			}
+			out[w.pols[0]].Placements++
+			todo = append(todo, forks...)
+		}
+		b.finish(&w, pols, out)
+	}
+	return out, nil
+}
+
+// resume gives the walk its state: a clone of the plan's initial state
+// with the walk's moves replayed on it. A replayed step pops the next
+// block and commits it where its move went, with no evaluation: the
+// commits alone decide the state, so a fork gets the one it had when it
+// forked. A fork first takes its own copy of the moves, scored under its
+// first policy, and its move. Forks wait that way so that only the
+// running walk holds a state and moves of its own.
+func (b *Balancer) resume(pl *Plan, w *walk, pols []Policy) {
+	if w.fork != nil {
+		w.moves = append(rescored(w.moves, pols[w.pols[0]], len(pl.init.blks)), *w.fork)
+		w.fork = nil
+	}
 	st := pl.newState()
-	blks := make([]*blocks.Block, len(st.blks))
-	for i := range st.blks {
-		blks[i] = &st.blks[i]
-	}
-
-	res := &Result{
-		Blocks:         blks,
-		MakespanBefore: pl.makespan,
-		MemBefore:      slices.Clone(pl.mem),
-		Moves:          make([]Move, 0, len(blks)),
-	}
-
-	q := newBlockQueue(st.blks)
-	processed := make([]bool, len(blks))
-	for n := 0; n < len(blks); n++ {
-		bl := q.pop(processed)
+	for _, mv := range w.moves {
+		bl := st.next()
+		if bl.ID != mv.BlockID {
+			panic(fmt.Sprintf("core: replay popped block %d, the walk moved block %d", bl.ID, mv.BlockID))
+		}
 		st.removeResv(bl)
-		var want *arch.ProcID
-		if n < len(b.script) {
-			want = &b.script[n]
+		st.shift(bl)
+		b.place(st, bl.ID, mv.To, mv.NewStart)
+	}
+	w.st = st
+}
+
+// finish completes the results of the walk's policies. They made the
+// same moves, so they share the walk's moves and final blocks — read-only
+// like every result — except that under RecordCandidates a policy other
+// than the walk's first gets a copy of the moves scored under its own λ.
+// Each gets its own balanced schedule, whose listings are cached lazily.
+func (b *Balancer) finish(w *walk, pols []Policy, out []*Result) {
+	st := w.st
+	blks := make([]*blocks.Block, len(st.blks))
+	sch := sched.NewInstSchedule(st.ts, st.ar)
+	for j := range st.blks {
+		bl := &st.blks[j]
+		blks[j] = bl
+		for _, m := range bl.Members {
+			sch.Place(m.Inst, bl.Proc, m.Start)
 		}
-		mv, err := b.placeBlock(ts, ar, bl, processed, st, q, conservative, want)
-		if err != nil {
-			return nil, err
-		}
-		processed[bl.ID] = true
+	}
+	forced, relaxed := 0, 0
+	for _, mv := range w.moves {
 		if mv.Forced {
-			res.Forced++
+			forced++
 		}
 		if mv.RelaxedLCM {
-			res.RelaxedLCM++
-		}
-		res.Moves = append(res.Moves, mv)
-	}
-
-	out := sched.NewInstSchedule(ts, ar)
-	for _, bl := range blks {
-		for _, m := range bl.Members {
-			out.Place(m.Inst, bl.Proc, m.Start)
+			relaxed++
 		}
 	}
-	res.Schedule = out
-	res.MakespanAfter = out.Makespan()
-	res.MemAfter = out.MemVector()
-	return res, nil
+	for k, i := range w.pols {
+		res := out[i]
+		res.Blocks, res.Moves, res.Forced, res.RelaxedLCM = blks, w.moves, forced, relaxed
+		if b.RecordCandidates && pols[i] != pols[w.pols[0]] {
+			res.Moves = rescored(w.moves, pols[i], len(w.moves))
+		}
+		res.Schedule = sch
+		if k < len(w.pols)-1 {
+			res.Schedule = sch.Clone()
+		}
+		res.MakespanAfter = res.Schedule.Makespan()
+		res.MemAfter = res.Schedule.MemVector()
+	}
 }
 
-// blockQueue yields the unprocessed block with the smallest current
-// start time (ties: processor, then first member identity) — the order
-// nextBlock used to recompute by scanning every block every round. It
-// is a lazy binary heap: gain propagation re-pushes the blocks it
-// shifts, and stale entries (key no longer current, or block already
-// processed) are discarded at pop time.
-type blockQueue struct {
-	entries []queueEntry
+// rescored copies moves, with room for size, and scores the feasible
+// candidate records, if any were kept, under the policy: a record keeps
+// the gain and the memory its λ is computed from.
+func rescored(moves []Move, pol Policy, size int) []Move {
+	out := append(make([]Move, 0, size), moves...)
+	for i := range out {
+		if out[i].Candidates == nil {
+			continue
+		}
+		cands := slices.Clone(out[i].Candidates)
+		for k := range cands {
+			if cands[k].Feasible {
+				cands[k].Lambda = lambda(pol, cands[k].Gain, cands[k].MemSum)
+			}
+		}
+		out[i].Candidates = cands
+	}
+	return out
 }
 
+// queueEntry is one entry of a walk's block queue: a block ID with the
+// block's start when it was pushed.
 type queueEntry struct {
 	start model.Time
-	bl    *blocks.Block
+	id    int32
 }
 
-func entryLess(a, b queueEntry) bool {
+// entryLess orders the queue: smallest start, then processor, then first
+// member identity.
+func (st *balState) entryLess(a, b queueEntry) bool {
 	if a.start != b.start {
 		return a.start < b.start
 	}
-	if a.bl.Proc != b.bl.Proc {
-		return a.bl.Proc < b.bl.Proc
+	x, y := &st.blks[a.id], &st.blks[b.id]
+	if x.Proc != y.Proc {
+		return x.Proc < y.Proc
 	}
-	ai, bi := a.bl.Members[0].Inst, b.bl.Members[0].Inst
+	ai, bi := x.Members[0].Inst, y.Members[0].Inst
 	if ai.Task != bi.Task {
 		return ai.Task < bi.Task
 	}
 	return ai.K < bi.K
 }
 
-func newBlockQueue(blks []blocks.Block) *blockQueue {
-	q := &blockQueue{entries: make([]queueEntry, 0, len(blks)+8)}
-	for i := range blks {
-		q.push(&blks[i])
-	}
-	return q
-}
-
-func (q *blockQueue) push(bl *blocks.Block) {
-	q.entries = append(q.entries, queueEntry{start: bl.Start(), bl: bl})
-	i := len(q.entries) - 1
+// push queues block id at its current start. The queue is a lazy binary
+// heap: gain propagation re-pushes the blocks it shifts, and stale
+// entries (key no longer current, or block already processed) are
+// discarded by next.
+func (st *balState) push(id int) {
+	q := append(st.queue, queueEntry{start: st.blks[id].Start(), id: int32(id)})
+	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !entryLess(q.entries[i], q.entries[parent]) {
+		if !st.entryLess(q[i], q[parent]) {
 			break
 		}
-		q.entries[i], q.entries[parent] = q.entries[parent], q.entries[i]
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
+	st.queue = q
 }
 
-// pop returns the live minimum. Every block is guaranteed a current
-// entry: blocks are pushed at construction and re-pushed whenever
-// propagation changes their start, so a stale entry always has a fresher
-// duplicate behind it.
-func (q *blockQueue) pop(processed []bool) *blocks.Block {
-	for len(q.entries) > 0 {
-		top := q.entries[0]
-		last := len(q.entries) - 1
-		q.entries[0] = q.entries[last]
-		q.entries = q.entries[:last]
+// next pops the unprocessed block with the smallest current start (ties:
+// processor, then first member identity). Every block is guaranteed a
+// current entry: blocks are pushed at construction and re-pushed
+// whenever propagation changes their start, so a stale entry always has
+// a fresher duplicate behind it.
+func (st *balState) next() *blocks.Block {
+	for len(st.queue) > 0 {
+		q := st.queue
+		top := q[0]
+		last := len(q) - 1
+		q[0] = q[last]
+		q = q[:last]
 		// Sift down.
 		i := 0
 		for {
 			l, r := 2*i+1, 2*i+2
 			small := i
-			if l < len(q.entries) && entryLess(q.entries[l], q.entries[small]) {
+			if l < len(q) && st.entryLess(q[l], q[small]) {
 				small = l
 			}
-			if r < len(q.entries) && entryLess(q.entries[r], q.entries[small]) {
+			if r < len(q) && st.entryLess(q[r], q[small]) {
 				small = r
 			}
 			if small == i {
 				break
 			}
-			q.entries[i], q.entries[small] = q.entries[small], q.entries[i]
+			q[i], q[small] = q[small], q[i]
 			i = small
 		}
-		if processed[top.bl.ID] || top.start != top.bl.Start() {
-			continue // stale: processed, or superseded by a re-push
+		st.queue = q
+		if bl := &st.blks[top.id]; !st.processed[top.id] && top.start == bl.Start() {
+			return bl
 		}
-		return top.bl
+		// stale: processed, or superseded by a re-push
 	}
 	return nil
 }
 
-// placeBlock evaluates every processor for bl, applies the policy,
-// commits the move, and propagates gains to later-instance blocks.
-//
-// Each processor is probed at most once. evaluate settles a processor
-// without its probe whenever a cheaper check already rejects it, and a
-// processor eq. (4) rejected that way is probed only if the relaxed
-// pass — eq. (4) left the block with no processor — may still pick it
-// (relaxedPick). The outcome is the one of evaluating every processor
-// in full, then again without eq. (4) when none passed.
-func (b *Balancer) placeBlock(ts *model.TaskSet, ar *arch.Architecture, bl *blocks.Block,
-	processed []bool, st *balState, q *blockQueue,
-	conservative bool, want *arch.ProcID) (Move, error) {
+// pick is one policy's decision for the block being placed: the landing
+// c, or none (!ok, the block is forced to stay), and whether it needed
+// eq. (4) relaxed.
+type pick struct {
+	c       Candidate
+	ok      bool
+	relaxed bool
+}
 
-	sOld := bl.Start()
-	var cands []Candidate
-	if b.RecordCandidates {
-		cands = make([]Candidate, 0, ar.Procs)
+// to is the processor the pick sends the block to, -1 when it is forced
+// to stay. A processor's landing does not depend on the policy, so two
+// picks with the same destination are the same decision.
+func (pk pick) to() arch.ProcID {
+	if !pk.ok {
+		return -1
 	}
-	ctx := newPctx(ts, ar, bl, processed, st, conservative)
-	defer ctx.release()
+	return pk.c.Proc
+}
+
+// placeBlock places the walk's next block — the n-th of the pass — for
+// every policy of the walk, and commits the moves, propagating gains to
+// later-instance blocks.
+//
+// Each processor is evaluated once, whatever the number of policies, and
+// probed at most once. evaluate settles a processor without its probe
+// whenever a cheaper check already rejects it, and a processor eq. (4)
+// rejected that way is probed only if the relaxed pass — eq. (4) left
+// the block with no processor — may still pick it for some policy
+// (relaxedPick). Each policy's outcome is the one of evaluating every
+// processor in full, then again without eq. (4) when none passed.
+//
+// Policies that pick different processors part here: the walk keeps the
+// first policy's pick and the policies that agree with it, and each
+// other pick's policies continue as a new walk, returned with its own
+// move for this block; it gets its state when it resumes.
+func (b *Balancer) placeBlock(w *walk, pols []Policy, n int, conservative bool) ([]walk, error) {
+	st := w.st
+	bl := st.next()
+	st.removeResv(bl)
+	ctx := newPctx(st, bl, conservative)
 	if b.probe != nil {
 		b.probe(*ctx)
 	}
 
 	// eq. (4) is a timing filter: IgnoreTiming drops it with the others.
 	lcm := !b.DisableLCMCondition && !b.IgnoreTiming
+	feasible := 0
+	st.evals = st.evals[:0]
+	for p := arch.ProcID(0); int(p) < st.ar.Procs; p++ {
+		v, s, reason := b.evaluate(ctx, p, lcm)
+		if v == fits {
+			feasible++
+		}
+		st.evals = append(st.evals, eval{v: v, s: s, reason: reason})
+	}
+
+	// A scripted decision overrides every policy with the forced
+	// processor, failing the whole pass when it is infeasible at this step.
+	var script pick
+	if n < len(b.script) {
+		want := b.script[n]
+		e := st.evals[want]
+		if e.v == deferred { // probe it now; eq. (4) still refuses it
+			if e.s, e.reason = b.land(ctx, want); e.reason == "" {
+				e.v = overLCM
+			}
+		}
+		if e.v != fits && e.v != overLCM {
+			return nil, fmt.Errorf("core: scripted placement of block %d on P%d infeasible: %s",
+				bl.ID, int(want)+1, e.reason)
+		}
+		script = pick{c: landingOn(pols[w.pols[0]], ctx, want, e.s), ok: true, relaxed: e.v == overLCM}
+	}
+
+	// Each policy's pick; a policy listed twice picks once.
+	picks := st.picks[:0]
+	split := false
+	for k, i := range w.pols {
+		var pk pick
+		switch j := samePolicy(pols, w.pols[:k], pols[i]); {
+		case n < len(b.script):
+			pk = script
+		case j >= 0:
+			pk = picks[j]
+		default:
+			pk = b.pick(ctx, pols[i], lcm)
+		}
+		picks = append(picks, pk)
+		split = split || pk.to() != picks[0].to()
+	}
+	st.picks = picks
+
+	// Policies that pick another processor than the first fork, one walk
+	// per destination. Every move is made before the commit: its
+	// candidate records read the state before it.
+	var forks []walk
+	if split {
+		var keep []int
+		var fpicks []pick
+		for k, i := range w.pols {
+			pk := picks[k]
+			if pk.to() == picks[0].to() {
+				keep = append(keep, i)
+				continue
+			}
+			f := slices.IndexFunc(fpicks, func(q pick) bool { return q.to() == pk.to() })
+			if f < 0 {
+				f = len(forks)
+				forks = append(forks, walk{})
+				fpicks = append(fpicks, pk)
+			}
+			forks[f].pols = append(forks[f].pols, i)
+		}
+		for f := range forks {
+			fw := &forks[f]
+			mv := b.move(ctx, feasible, fpicks[f], pols[fw.pols[0]])
+			fw.moves, fw.fork = w.moves[:n:n], &mv
+		}
+		w.pols = keep
+	}
+	mv := b.move(ctx, feasible, picks[0], pols[w.pols[0]])
+	w.moves = append(w.moves, mv)
+	b.place(st, bl.ID, mv.To, mv.NewStart)
+	return forks, nil
+}
+
+// move is the record of pk, the pick for the context block, with the
+// candidate records scored under the policy when they are kept.
+func (b *Balancer) move(ctx *pctx, feasible int, pk pick, pol Policy) Move {
+	bl := ctx.bl
+	mv := Move{BlockID: bl.ID, From: bl.Proc, OldStart: bl.Start(), Category: bl.Category, FeasibleProcs: feasible}
+	if b.RecordCandidates {
+		mv.Candidates = b.candidates(ctx, pol)
+	}
+	if !pk.ok {
+		// No processor feasible: keep the block where it is (recorded as
+		// forced; final validation reports any resulting inconsistency).
+		// Whether some processor is found does not depend on the policy,
+		// so the walk's policies are forced alike.
+		mv.To, mv.NewStart, mv.Forced = bl.Proc, bl.Start(), true
+		return mv
+	}
+	mv.To, mv.NewStart, mv.Gain, mv.RelaxedLCM = pk.c.Proc, pk.c.NewStart, pk.c.Gain, pk.relaxed
+	return mv
+}
+
+// samePolicy returns the position in idx of the first entry naming
+// policy pol, or -1.
+func samePolicy(pols []Policy, idx []int, pol Policy) int {
+	return slices.IndexFunc(idx, func(i int) bool { return pols[i] == pol })
+}
+
+// pick is the policy's choice from the evaluation of the block being
+// placed: the best fitting landing, else — eq. (4) left the block with no
+// processor — the best without it (relaxedPick).
+func (b *Balancer) pick(ctx *pctx, pol Policy, lcm bool) pick {
 	// best is the policy's pick; over is the best landing that only
 	// eq. (4) refuses, where a relaxed pass starts.
 	var best, over Candidate
 	haveBest, haveOver := false, false
-	feasible := 0
-	st.deferred = st.deferred[:0]
-	for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
-		v, s, reason := b.evaluate(ctx, p, lcm)
-		switch v {
+	for p, e := range ctx.st.evals {
+		switch e.v {
 		case fits:
-			feasible++
-			if c := b.landingOn(ctx, p, s); !haveBest || better(b.Policy, c, best) {
+			if c := landingOn(pol, ctx, arch.ProcID(p), e.s); !haveBest || better(pol, c, best) {
 				best, haveBest = c, true
 			}
 		case overLCM:
-			if o := b.landingOn(ctx, p, s); !haveOver || better(b.Policy, o, over) {
+			if o := landingOn(pol, ctx, arch.ProcID(p), e.s); !haveOver || better(pol, o, over) {
 				over, haveOver = o, true
 			}
-		case deferred:
-			st.deferred = append(st.deferred, deferral{p, s})
-		}
-		if b.RecordCandidates {
-			c := Candidate{Proc: p, MemSum: st.memSum[p], Reason: reason}
-			if v == fits {
-				c = b.landingOn(ctx, p, s)
-			}
-			cands = append(cands, c)
 		}
 	}
-	relaxed := false
-	if !haveBest && lcm && want == nil {
-		// eq. (4) left the block with no processor; retry with the exact
-		// wrap-around check only.
-		best, haveBest = b.relaxedPick(ctx, over, haveOver)
-		relaxed = haveBest
+	if haveBest || !lcm {
+		return pick{c: best, ok: haveBest}
 	}
+	best, haveBest = b.relaxedPick(ctx, pol, over, haveOver)
+	return pick{c: best, ok: haveBest, relaxed: haveBest}
+}
 
-	// Scripted decision: override the policy with the forced processor,
-	// failing the whole pass when it is infeasible at this step.
-	if want != nil {
-		v, s, reason := b.evaluate(ctx, *want, lcm)
-		if v == deferred { // probe it now; eq. (4) still refuses it
-			if s, reason = b.land(ctx, *want); reason == "" {
-				v = overLCM
-			}
+// candidates is the evaluation of the block being placed as the
+// policy's candidate records, one per processor.
+func (b *Balancer) candidates(ctx *pctx, pol Policy) []Candidate {
+	cands := make([]Candidate, len(ctx.st.evals))
+	for p, e := range ctx.st.evals {
+		if e.v == fits {
+			cands[p] = landingOn(pol, ctx, arch.ProcID(p), e.s)
+		} else {
+			cands[p] = Candidate{Proc: arch.ProcID(p), MemSum: ctx.st.memSum[p], Reason: e.reason}
 		}
-		if v != fits && v != overLCM {
-			return Move{}, fmt.Errorf("core: scripted placement of block %d on P%d infeasible: %s",
-				bl.ID, int(*want)+1, reason)
-		}
-		best, haveBest, relaxed = b.landingOn(ctx, *want, s), true, v == overLCM
 	}
+	return cands
+}
 
-	mv := Move{BlockID: bl.ID, From: bl.Proc, OldStart: sOld, Category: bl.Category, FeasibleProcs: feasible}
-	if b.RecordCandidates {
-		mv.Candidates = cands
-	}
-
-	if !haveBest {
-		// No processor feasible: keep the block where it is (recorded as
-		// forced; final validation reports any resulting inconsistency).
-		mv.To, mv.NewStart, mv.Gain, mv.Forced = bl.Proc, sOld, 0, true
-		b.commit(ts, bl, processed, st, q, bl.Proc, sOld)
-		return mv, nil
-	}
-
-	mv.To, mv.NewStart, mv.Gain, mv.RelaxedLCM = best.Proc, best.NewStart, best.Gain, relaxed
-	b.commit(ts, bl, processed, st, q, best.Proc, best.NewStart)
-	return mv, nil
+// place commits the move of block id to p at start s on the state — the
+// move and its gain propagation (commit) — then sets the block's
+// processed flag and clears the shifted flags set for it.
+func (b *Balancer) place(st *balState, id int, p arch.ProcID, s model.Time) {
+	bl := &st.blks[id]
+	b.commit(st, bl, p, s)
+	st.processed[id] = true
+	st.unshift(bl)
 }
 
 // verdict is what evaluate learned about one processor.
@@ -520,28 +767,34 @@ func (b *Balancer) land(ctx *pctx, p arch.ProcID) (model.Time, string) {
 }
 
 // landingOn is the feasible candidate of the context block landing on p
-// at start s.
-func (b *Balancer) landingOn(ctx *pctx, p arch.ProcID, s model.Time) Candidate {
+// at start s, scored under the policy.
+func landingOn(pol Policy, ctx *pctx, p arch.ProcID, s model.Time) Candidate {
 	gain, memSum := ctx.bl.Start()-s, ctx.st.memSum[p]
 	return Candidate{Proc: p, Feasible: true, NewStart: s, Gain: gain, MemSum: memSum,
-		Lambda: lambda(b.Policy, gain, memSum)}
+		Lambda: lambda(pol, gain, memSum)}
 }
 
-// relaxedPick is the pass without eq. (4): the best landing over every
-// processor, starting from inc (ok: inc is set), the best landing the
-// first pass probed. The processors eq. (4) refused before their probe
-// wait in st.deferred. A landing at the lower bound is the optimistic
-// candidate of one: λ never decreases with the gain (memory-only
-// ignores it), so no real landing there beats it. A deferred processor
-// is probed only when the incumbent does not beat its optimistic
-// candidate.
-func (b *Balancer) relaxedPick(ctx *pctx, inc Candidate, ok bool) (Candidate, bool) {
-	for _, d := range ctx.st.deferred {
-		if ok && better(b.Policy, inc, b.landingOn(ctx, d.p, d.low)) {
+// relaxedPick is the pass without eq. (4) under the policy: the best
+// landing over every processor, starting from inc (ok: inc is set), the
+// best landing the first pass probed. The processors eq. (4) refused
+// before their probe are deferred in st.evals, with the lower bound on
+// their landing. A landing at the lower bound is the optimistic candidate
+// of one: λ never decreases with the gain (memory-only ignores it), so no
+// real landing there beats it. A deferred processor is probed only when
+// the incumbent does not beat its optimistic candidate, and at most once
+// per block: the probe is kept for the next policy that asks.
+func (b *Balancer) relaxedPick(ctx *pctx, pol Policy, inc Candidate, ok bool) (Candidate, bool) {
+	for i := range ctx.st.evals {
+		e, p := &ctx.st.evals[i], arch.ProcID(i)
+		if e.v != deferred || ok && better(pol, inc, landingOn(pol, ctx, p, e.s)) {
 			continue
 		}
-		if s, reason := b.land(ctx, d.p); reason == "" {
-			if c := b.landingOn(ctx, d.p, s); !ok || better(b.Policy, c, inc) {
+		if !e.probed {
+			s, reason := b.land(ctx, p)
+			e.probed, e.lands, e.landing = true, reason == "", s
+		}
+		if e.lands {
+			if c := landingOn(pol, ctx, p, e.landing); !ok || better(pol, c, inc) {
 				inc, ok = c, true
 			}
 		}
@@ -568,9 +821,9 @@ func (b *Balancer) earliestOn(ctx *pctx, p arch.ProcID, movedLB, conservativeLB 
 		lb = 0
 	}
 	if lb <= sOld {
-		if s, ok := ctx.earliestConflictFree(p, lb, sOld); ok {
-			return s, true
-		}
+		// The search covers sOld itself: when it fails, staying put
+		// collides too.
+		return ctx.earliestConflictFree(p, lb, sOld)
 	}
 	if movedLB <= sOld && ctx.conflictFree(p, sOld) {
 		return sOld, true
@@ -580,9 +833,8 @@ func (b *Balancer) earliestOn(ctx *pctx, p arch.ProcID, movedLB, conservativeLB 
 
 // commit moves the block, updates per-processor state, and propagates the
 // gain to later-instance blocks of the same tasks.
-func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
-	processed []bool, st *balState, q *blockQueue, p arch.ProcID, newStart model.Time) {
-
+func (b *Balancer) commit(st *balState, bl *blocks.Block, p arch.ProcID, newStart model.Time) {
+	ts := st.ts
 	gain := bl.Start() - newStart
 	bl.Shift(-gain)
 	bl.Proc = p
@@ -601,7 +853,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 	}
 	// Strict periodicity propagation (§3.2): later instances of the tasks
 	// whose first instances just gained must shift by the same amount.
-	// st.shifted already flags bl's tasks (set by newPctx); taskBlocks
+	// st.shifted already flags bl's tasks (set by shift); taskBlocks
 	// narrows the sweep to blocks actually holding instances of them.
 	st.touched = st.touched[:0]
 	for _, m := range bl.Members {
@@ -610,7 +862,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 			continue
 		}
 		for _, id := range st.blocksOf(task) {
-			if int(id) == bl.ID || processed[id] || st.seen[id] {
+			if int(id) == bl.ID || st.processed[id] || st.seen[id] {
 				continue
 			}
 			st.seen[id] = true
@@ -637,7 +889,7 @@ func (b *Balancer) commit(ts *model.TaskSet, bl *blocks.Block,
 		}
 		if changed {
 			other.Recompute(ts)
-			q.push(other) // keep the queue key current
+			st.push(other.ID) // keep the queue key current
 		}
 	}
 }

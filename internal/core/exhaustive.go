@@ -96,18 +96,22 @@ func better2(obj Objective, a, b *Result) bool {
 	}
 }
 
-// runScripted is runPass with forced choices: decision i sends the i-th
-// processed block to script[i], failing when that candidate is
-// infeasible even after relaxing eq. (4) to the exact wrap check. Note
-// the per-candidate relaxation gives scripts slightly more freedom than
-// the greedy pass (which relaxes only when every processor fails),
-// so the search optimises over a superset of the greedy's reachable
-// outcomes — the right direction for an optimality reference. Steps
-// beyond the script fall back to the policy; a nil script reproduces the
-// normal optimistic pass.
+// runScripted is one optimistic pass of b.Policy with forced choices:
+// decision i sends the i-th processed block to script[i], failing when
+// that candidate is infeasible even after relaxing eq. (4) to the exact
+// wrap check. Note the per-candidate relaxation gives scripts slightly
+// more freedom than the greedy pass (which relaxes only when every
+// processor fails), so the search optimises over a superset of the
+// greedy's reachable outcomes — the right direction for an optimality
+// reference. Steps beyond the script fall back to the policy; a nil
+// script reproduces the normal optimistic pass.
 func (b *Balancer) runScripted(pl *Plan, script []arch.ProcID) (*Result, error) {
 	saved := b.script
 	b.script = script
 	defer func() { b.script = saved }()
-	return b.runPass(pl, false)
+	res, err := b.pass(pl, []Policy{b.Policy}, false)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }

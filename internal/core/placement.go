@@ -23,7 +23,7 @@ import (
 // shifted position.
 
 // pctx carries the inputs of one feasibility query. The shifted flags
-// live in balState scratch (one []bool per run, not one map per block);
+// live in balState scratch (one []bool per walk, not one map per block);
 // release returns them.
 type pctx struct {
 	ts        *model.TaskSet
@@ -65,24 +65,32 @@ func (c *pctx) cachedPropagationCap() model.Time {
 	return c.capValue
 }
 
-func newPctx(ts *model.TaskSet, ar *arch.Architecture, bl *blocks.Block,
-	processed []bool, st *balState, conservative bool) *pctx {
-	c := &pctx{ts: ts, ar: ar, bl: bl, processed: processed, st: st, conservative: conservative}
+func newPctx(st *balState, bl *blocks.Block, conservative bool) *pctx {
+	st.shift(bl)
+	return &pctx{ts: st.ts, ar: st.ar, bl: bl, processed: st.processed, st: st,
+		cat1: bl.Category == 1, conservative: conservative}
+}
+
+// release clears the scratch flags set by newPctx.
+func (c *pctx) release() { c.st.unshift(c.bl) }
+
+// shift flags the tasks of bl as shifting with its gain when it is a
+// first-category block: the placement queries and the gain propagation
+// of commit read the flags while bl is being placed.
+func (st *balState) shift(bl *blocks.Block) {
 	if bl.Category == 1 {
-		c.cat1 = true
 		for _, m := range bl.Members {
 			st.shifted[m.Inst.Task] = true
 		}
 	}
-	return c
 }
 
-// release clears the scratch flags set by newPctx.
-func (c *pctx) release() {
-	if c.cat1 {
-		for _, m := range c.bl.Members {
-			c.st.shifted[m.Inst.Task] = false
-		}
+// unshift clears the shifted flags of bl's tasks. Only a first-category
+// block sets them, and they are clear between blocks, so clearing them
+// for any block is safe.
+func (st *balState) unshift(bl *blocks.Block) {
+	for _, m := range bl.Members {
+		st.shifted[m.Inst.Task] = false
 	}
 }
 

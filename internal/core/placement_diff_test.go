@@ -451,7 +451,7 @@ func TestPlacementQueriesMatchLinearScan(t *testing.T) {
 			for _, conservative := range []bool{false, true} {
 				b := &Balancer{Policy: policy}
 				b.probe = func(ctx pctx) { checkPlacementQueries(t, &ctx, &tally) }
-				if _, err := b.runPass(NewPlan(is), conservative); err != nil {
+				if _, err := onePass(b, NewPlan(is), conservative); err != nil {
 					t.Fatalf("%+v M=%d %v conservative=%v: %v", cfg.gen, cfg.procs, policy, conservative, err)
 				}
 				runs++

@@ -82,10 +82,8 @@ func refEvaluate(b *Balancer, ctx *pctx, p arch.ProcID, relaxLCM bool) Candidate
 }
 
 // refPlaceBlock is placeBlock as an evaluate-everything loop.
-func refPlaceBlock(b *Balancer, ts *model.TaskSet, ar *arch.Architecture, bl *blocks.Block,
-	processed []bool, st *balState, q *blockQueue,
-	conservative bool, want *arch.ProcID) (Move, error) {
-
+func refPlaceBlock(b *Balancer, st *balState, bl *blocks.Block, conservative bool, want *arch.ProcID) (Move, error) {
+	ar := st.ar
 	sOld := bl.Start()
 	var cands []Candidate
 	if b.RecordCandidates {
@@ -93,7 +91,7 @@ func refPlaceBlock(b *Balancer, ts *model.TaskSet, ar *arch.Architecture, bl *bl
 	}
 	var best *Candidate
 	var bestVal Candidate
-	ctx := newPctx(ts, ar, bl, processed, st, conservative)
+	ctx := newPctx(st, bl, conservative)
 	defer ctx.release()
 
 	relaxed := false
@@ -151,33 +149,31 @@ func refPlaceBlock(b *Balancer, ts *model.TaskSet, ar *arch.Architecture, bl *bl
 	}
 	if best == nil {
 		mv.To, mv.NewStart, mv.Gain, mv.Forced = bl.Proc, sOld, 0, true
-		b.commit(ts, bl, processed, st, q, bl.Proc, sOld)
+		b.commit(st, bl, bl.Proc, sOld)
 		return mv, nil
 	}
 	mv.To, mv.NewStart, mv.Gain = best.Proc, best.NewStart, best.Gain
-	b.commit(ts, bl, processed, st, q, best.Proc, best.NewStart)
+	b.commit(st, bl, best.Proc, best.NewStart)
 	return mv, nil
 }
 
-// refRunPass is runPass over refPlaceBlock.
+// refRunPass is one balancing pass of b.Policy over refPlaceBlock.
 func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool) (*Result, error) {
 	ts, ar := input.TS, input.Arch
 	st := NewPlan(input).newState()
 	res := &Result{Moves: make([]Move, 0, len(st.blks))}
-	q := newBlockQueue(st.blks)
-	processed := make([]bool, len(st.blks))
 	for n := 0; n < len(st.blks); n++ {
-		bl := q.pop(processed)
+		bl := st.next()
 		st.removeResv(bl)
 		var want *arch.ProcID
 		if n < len(b.script) {
 			want = &b.script[n]
 		}
-		mv, err := refPlaceBlock(b, ts, ar, bl, processed, st, q, conservative, want)
+		mv, err := refPlaceBlock(b, st, bl, conservative, want)
 		if err != nil {
 			return nil, err
 		}
-		processed[bl.ID] = true
+		st.processed[bl.ID] = true
 		if mv.Forced {
 			res.Forced++
 		}
@@ -221,9 +217,9 @@ func tallyPruning(b *Balancer, ctx *pctx, tally *pruneTally) {
 		v, s, _ := b.evaluate(ctx, p, lcm)
 		switch v {
 		case deferred:
-			opts = append(opts, b.landingOn(ctx, p, s))
+			opts = append(opts, landingOn(b.Policy, ctx, p, s))
 		case overLCM:
-			if o := b.landingOn(ctx, p, s); !ok || better(b.Policy, o, inc) {
+			if o := landingOn(b.Policy, ctx, p, s); !ok || better(b.Policy, o, inc) {
 				inc, ok = o, true
 			}
 		}
@@ -270,7 +266,7 @@ func checkPlacementMatchesReference(t *testing.T, b *Balancer, is *sched.InstSch
 	t.Helper()
 	probe := b.probe
 	b.probe = func(ctx pctx) { tallyPruning(b, &ctx, tally) }
-	got, gotErr := b.runPass(NewPlan(is), conservative)
+	got, gotErr := onePass(b, NewPlan(is), conservative)
 	b.probe = probe
 	want, wantErr := refRunPass(b, is, conservative)
 	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
@@ -319,6 +315,16 @@ func checkPlacementMatchesReference(t *testing.T, b *Balancer, is *sched.InstSch
 			}
 		}
 	}
+}
+
+// onePass is one balancing pass of b.Policy alone, optimistic or
+// conservative, with no rerun.
+func onePass(b *Balancer, pl *Plan, conservative bool) (*Result, error) {
+	res, err := b.pass(pl, []Policy{b.Policy}, conservative)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // balancerVariants are the configurations the pruning must agree under:

@@ -12,20 +12,20 @@ import (
 
 // Plan is the policy-independent input of a balancing run, built once
 // per schedule: its blocks (§3.1) at their initial positions, the static
-// lookup tables, and the initial obstacle index of every processor, in
-// which each block is reserved where it sits. Any number of runs — every
-// policy, the conservative rerun, scripted passes — start from one Plan:
-// each pass works on a private copy, and nothing writes the plan, so it
-// may be shared by concurrent runs.
+// lookup tables, and the initial state of a pass, in which each block is
+// reserved where it sits. Any number of runs — every policy, the
+// conservative rerun, scripted passes — start from one Plan: each pass
+// works on a clone of the initial state, and nothing writes the plan, so
+// it may be shared by concurrent runs.
 type Plan struct {
 	ts *model.TaskSet
 	ar *arch.Architecture
 
-	// initBlocks holds the blocks in ID order at their initial
-	// positions, and initMembers their members, block by block
-	// (blocks.BuildFlat's layout).
-	initBlocks  []blocks.Block
-	initMembers []blocks.Member
+	// init is the state of a pass before its first block: the blocks in
+	// ID order at their initial positions, every processor's obstacle
+	// index holding the members of the blocks on it, and the queue of
+	// every block. Passes clone it (newState) and never write it.
+	init *balState
 
 	// owner[i] locates the block member holding the instance with dense
 	// index i (block membership never changes during a run).
@@ -41,12 +41,10 @@ type Plan struct {
 	// member visit and a Task struct copy per read is measurable.
 	wcet []model.Time
 
-	// initOcc[p] is processor p's obstacle index before any move: the
-	// members of every block on p. room[p] sizes a pass's copy of it: its
-	// pieces plus one moved block per block on p, so later insertions
-	// rarely reallocate.
-	initOcc []foldIndex
-	room    []int
+	// room[p] sizes a pass's copy of processor p's obstacle index: its
+	// initial pieces plus one moved block per block on p, so later
+	// insertions rarely reallocate.
+	room []int
 
 	makespan model.Time
 	mem      []model.Mem
@@ -65,7 +63,6 @@ func NewPlan(is *sched.InstSchedule) *Plan {
 	blks, members := blocks.BuildFlat(is)
 	pl := &Plan{
 		ts: ts, ar: ar,
-		initBlocks: blks, initMembers: members,
 		owner:    make([]ownerRef, ts.TotalInstances()),
 		wcet:     make([]model.Time, ts.Len()),
 		makespan: is.Makespan(),
@@ -108,28 +105,50 @@ func NewPlan(is *sched.InstSchedule) *Plan {
 		}
 	}
 
-	// The plan's indexes never grow after this: size them for one piece
-	// per member. A member that wraps H adds a second piece, and an index
+	// The initial indexes never grow: size them for one piece per
+	// member. A member that wraps H adds a second piece, and an index
 	// that outgrows its room moves to an array of its own.
 	pl.room = make([]int, ar.Procs)
 	for id := range blks {
 		pl.room[blks[id].Proc] += len(blks[id].Members)
 	}
-	pl.initOcc = newFoldIndexes(ts.HyperPeriod(), pl.room)
+	occ := newFoldIndexes(ts.HyperPeriod(), pl.room)
 	for id := range blks {
 		bl := &blks[id]
 		for mi, m := range bl.Members {
-			pl.initOcc[bl.Proc].insert(m.Start, m.Start+pl.wcet[m.Inst.Task],
+			occ[bl.Proc].insert(m.Start, m.Start+pl.wcet[m.Inst.Task],
 				obstacle{task: m.Inst.Task, ref: ownerRef{blk: int32(id), mi: int32(mi)}}, false)
 		}
 	}
-	for p := range pl.initOcc {
-		sort.Sort(&pl.initOcc[p])
-		pl.room[p] = len(pl.initOcc[p].starts)
+	for p := range occ {
+		sort.Sort(&occ[p])
+		pl.room[p] = len(occ[p].starts)
 	}
 	for id := range blks {
 		pl.room[blks[id].Proc]++
 	}
+
+	st := &balState{
+		Plan:       pl,
+		blks:       blks,
+		members:    members,
+		occ:        occ,
+		firstStart: make([]model.Time, ar.Procs),
+		memSum:     make([]model.Mem, ar.Procs),
+		anyMoved:   make([]bool, ar.Procs),
+		processed:  make([]bool, len(blks)),
+		queue:      make([]queueEntry, 0, len(blks)),
+		shifted:    make([]bool, ts.Len()),
+		seen:       make([]bool, len(blks)),
+		evals:      make([]eval, 0, ar.Procs),
+	}
+	for p := range st.firstStart {
+		st.firstStart[p] = -1
+	}
+	for id := range blks {
+		st.push(id)
+	}
+	pl.init = st
 	return pl
 }
 
@@ -138,37 +157,42 @@ func (pl *Plan) blocksOf(t model.TaskID) []int32 {
 	return pl.taskBlockIDs[pl.taskBlockOff[t]:pl.taskBlockOff[t+1]]
 }
 
-// newState copies the plan into the state of one pass: the blocks and
-// their members, and the obstacle indexes, with nothing moved yet.
-func (pl *Plan) newState() *balState {
-	procs := pl.ar.Procs
-	blks := slices.Clone(pl.initBlocks)
-	members := slices.Clone(pl.initMembers)
+// newState returns the state of a new pass: a clone of the plan's
+// initial state, with nothing moved yet.
+func (pl *Plan) newState() *balState { return pl.init.clone() }
+
+// clone returns an independent copy of the state: the blocks and their
+// members, the obstacle indexes, the per-processor tallies, the processed
+// flags and the queue, so nothing done to the copy reaches the original.
+// The queue holds block IDs, which stay valid in the copy. The per-block
+// scratch is fresh: it is clear between blocks.
+func (st *balState) clone() *balState {
+	procs := st.ar.Procs
+	blks, members := slices.Clone(st.blks), slices.Clone(st.members)
 	off := 0
 	for i := range blks {
 		n := len(blks[i].Members)
 		blks[i].Members = members[off : off+n : off+n]
 		off += n
 	}
-	occ := newFoldIndexes(pl.ts.HyperPeriod(), pl.room)
+	occ := newFoldIndexes(st.ts.HyperPeriod(), st.room)
 	for p := range occ {
-		occ[p].starts = append(occ[p].starts, pl.initOcc[p].starts...)
-		occ[p].items = append(occ[p].items, pl.initOcc[p].items...)
-		occ[p].maxLen = pl.initOcc[p].maxLen
+		occ[p].starts = append(occ[p].starts, st.occ[p].starts...)
+		occ[p].items = append(occ[p].items, st.occ[p].items...)
+		occ[p].maxLen = st.occ[p].maxLen
 	}
-	st := &balState{
-		Plan:       pl,
+	return &balState{
+		Plan:       st.Plan,
 		blks:       blks,
+		members:    members,
 		occ:        occ,
-		firstStart: make([]model.Time, procs),
-		memSum:     make([]model.Mem, procs),
-		anyMoved:   make([]bool, procs),
-		shifted:    make([]bool, pl.ts.Len()),
+		firstStart: slices.Clone(st.firstStart),
+		memSum:     slices.Clone(st.memSum),
+		anyMoved:   slices.Clone(st.anyMoved),
+		processed:  slices.Clone(st.processed),
+		queue:      append(make([]queueEntry, 0, len(st.queue)+8), st.queue...),
+		shifted:    make([]bool, len(st.shifted)),
 		seen:       make([]bool, len(blks)),
-		deferred:   make([]deferral, 0, procs),
+		evals:      make([]eval, 0, procs),
 	}
-	for p := range st.firstStart {
-		st.firstStart[p] = -1
-	}
-	return st
 }

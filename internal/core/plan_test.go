@@ -15,25 +15,13 @@ import (
 // sees any write through the plan's own backing arrays.
 func snapshotPlan(pl *Plan) *Plan {
 	cp := *pl
-	cp.initMembers = slices.Clone(pl.initMembers)
-	cp.initBlocks = slices.Clone(pl.initBlocks)
-	off := 0
-	for i := range cp.initBlocks {
-		n := len(cp.initBlocks[i].Members)
-		cp.initBlocks[i].Members = cp.initMembers[off : off+n : off+n]
-		off += n
-	}
+	cp.init = pl.init.clone()
 	cp.owner = slices.Clone(pl.owner)
 	cp.taskBlockOff = slices.Clone(pl.taskBlockOff)
 	cp.taskBlockIDs = slices.Clone(pl.taskBlockIDs)
 	cp.wcet = slices.Clone(pl.wcet)
 	cp.room = slices.Clone(pl.room)
 	cp.mem = slices.Clone(pl.mem)
-	cp.initOcc = slices.Clone(pl.initOcc)
-	for p := range cp.initOcc {
-		cp.initOcc[p].starts = slices.Clone(pl.initOcc[p].starts)
-		cp.initOcc[p].items = slices.Clone(pl.initOcc[p].items)
-	}
 	return &cp
 }
 

@@ -129,6 +129,10 @@ const (
 	// outcomes (replayed rows are not re-counted).
 	CounterTrialsAccepted
 	CounterTrialsRejected
+	// CounterBalancePlacements counts the blocks the balancer's walks
+	// evaluated (core.Result.Placements): one per block per walked pass,
+	// where policies that agree share a walk.
+	CounterBalancePlacements
 
 	// NumCounters is the number of counters; keep it last.
 	NumCounters
@@ -144,6 +148,7 @@ var counterNames = [NumCounters]string{
 	"torn_repairs",
 	"trials_accepted",
 	"trials_rejected",
+	"balance_placements",
 }
 
 // String returns the counter's canonical snake_case name.
