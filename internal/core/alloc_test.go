@@ -31,10 +31,8 @@ func TestEvaluateAllocFree(t *testing.T) {
 	// against populated moved-interval and reservation indexes.
 	b := &Balancer{}
 	w := walk{st: st, pols: []int{0}}
-	for n := 0; n < len(st.blks)/2; n++ {
-		if _, err := b.placeBlock(&w, []Policy{b.Policy}, n, false); err != nil {
-			t.Fatal(err)
-		}
+	for len(w.moves) < len(st.blks)/2 {
+		b.placeBlock(&w, []Policy{b.Policy}, false)
 	}
 	bl := st.next()
 	st.removeResv(bl)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -58,7 +59,9 @@ type Result struct {
 // GainTotal returns Lformer − Lnew, the paper's Gtotal.
 func (r *Result) GainTotal() model.Time { return r.MakespanBefore - r.MakespanAfter }
 
-// Balancer runs the load-balancing and memory-usage heuristic.
+// Balancer runs the load-balancing and memory-usage heuristic. Its
+// methods only read it, so concurrent calls may share one Balancer, and
+// one Plan, but not one input schedule (see NewPlan).
 type Balancer struct {
 	// Policy is the cost function Run and RunPlan balance under;
 	// RunPolicies takes its policies as an argument instead.
@@ -84,10 +87,6 @@ type Balancer struct {
 	// exact check only for blocks eq. (4) would otherwise leave with no
 	// processor at all (counted in Result.RelaxedLCM).
 	DisableLCMCondition bool
-
-	// script, when non-nil, forces the first len(script) placement
-	// decisions (used by ExhaustiveBest). Not part of the public API.
-	script []arch.ProcID
 
 	// probe, when non-nil, gets a copy of every block's placement context
 	// before the processors are evaluated (used by the differential tests
@@ -262,7 +261,7 @@ type walk struct {
 func (b *Balancer) pass(pl *Plan, pols []Policy, conservative bool) ([]*Result, error) {
 	nb := len(pl.init.blks)
 	if nb == 0 {
-		return nil, fmt.Errorf("core: nothing to balance: no blocks")
+		return nil, errNoBlocks
 	}
 	out := make([]*Result, len(pols))
 	all := make([]int, len(pols))
@@ -278,13 +277,9 @@ func (b *Balancer) pass(pl *Plan, pols []Policy, conservative bool) ([]*Result, 
 		w := todo[len(todo)-1]
 		todo = todo[:len(todo)-1]
 		b.resume(pl, &w, pols)
-		for n := len(w.moves); n < nb; n++ {
-			forks, err := b.placeBlock(&w, pols, n, conservative)
-			if err != nil {
-				return nil, err
-			}
+		for len(w.moves) < nb {
+			todo = append(todo, b.placeBlock(&w, pols, conservative)...)
 			out[w.pols[0]].Placements++
-			todo = append(todo, forks...)
 		}
 		b.finish(&w, pols, out)
 	}
@@ -475,9 +470,8 @@ func (pk pick) to() arch.ProcID {
 	return pk.c.Proc
 }
 
-// placeBlock places the walk's next block — the n-th of the pass — for
-// every policy of the walk, and commits the moves, propagating gains to
-// later-instance blocks.
+// placeBlock places the walk's next block for every policy of the walk,
+// and commits the moves, propagating gains to later-instance blocks.
 //
 // Each processor is evaluated once, whatever the number of policies, and
 // probed at most once. evaluate settles a processor without its probe
@@ -491,56 +485,21 @@ func (pk pick) to() arch.ProcID {
 // first policy's pick and the policies that agree with it, and each
 // other pick's policies continue as a new walk, returned with its own
 // move for this block; it gets its state when it resumes.
-func (b *Balancer) placeBlock(w *walk, pols []Policy, n int, conservative bool) ([]walk, error) {
-	st := w.st
+func (b *Balancer) placeBlock(w *walk, pols []Policy, conservative bool) []walk {
+	st, n := w.st, len(w.moves)
 	bl := st.next()
 	st.removeResv(bl)
 	ctx := newPctx(st, bl, conservative)
-	if b.probe != nil {
-		b.probe(*ctx)
-	}
-
-	// eq. (4) is a timing filter: IgnoreTiming drops it with the others.
-	lcm := !b.DisableLCMCondition && !b.IgnoreTiming
-	feasible := 0
-	st.evals = st.evals[:0]
-	for p := arch.ProcID(0); int(p) < st.ar.Procs; p++ {
-		v, s, reason := b.evaluate(ctx, p, lcm)
-		if v == fits {
-			feasible++
-		}
-		st.evals = append(st.evals, eval{v: v, s: s, reason: reason})
-	}
-
-	// A scripted decision overrides every policy with the forced
-	// processor, failing the whole pass when it is infeasible at this step.
-	var script pick
-	if n < len(b.script) {
-		want := b.script[n]
-		e := st.evals[want]
-		if e.v == deferred { // probe it now; eq. (4) still refuses it
-			if e.s, e.reason = b.land(ctx, want); e.reason == "" {
-				e.v = overLCM
-			}
-		}
-		if e.v != fits && e.v != overLCM {
-			return nil, fmt.Errorf("core: scripted placement of block %d on P%d infeasible: %s",
-				bl.ID, int(want)+1, e.reason)
-		}
-		script = pick{c: landingOn(pols[w.pols[0]], ctx, want, e.s), ok: true, relaxed: e.v == overLCM}
-	}
+	lcm, feasible := b.evaluateAll(ctx)
 
 	// Each policy's pick; a policy listed twice picks once.
 	picks := st.picks[:0]
 	split := false
 	for k, i := range w.pols {
 		var pk pick
-		switch j := samePolicy(pols, w.pols[:k], pols[i]); {
-		case n < len(b.script):
-			pk = script
-		case j >= 0:
+		if j := samePolicy(pols, w.pols[:k], pols[i]); j >= 0 {
 			pk = picks[j]
-		default:
+		} else {
 			pk = b.pick(ctx, pols[i], lcm)
 		}
 		picks = append(picks, pk)
@@ -579,7 +538,27 @@ func (b *Balancer) placeBlock(w *walk, pols []Policy, n int, conservative bool) 
 	mv := b.move(ctx, feasible, picks[0], pols[w.pols[0]])
 	w.moves = append(w.moves, mv)
 	b.place(st, bl.ID, mv.To, mv.NewStart)
-	return forks, nil
+	return forks
+}
+
+// evaluateAll evaluates every processor for the context block into
+// st.evals and returns whether eq. (4) applies — it is a timing filter,
+// so IgnoreTiming drops it with the others — and how many processors fit.
+func (b *Balancer) evaluateAll(ctx *pctx) (lcm bool, feasible int) {
+	if b.probe != nil {
+		b.probe(*ctx)
+	}
+	lcm = !b.DisableLCMCondition && !b.IgnoreTiming
+	st := ctx.st
+	st.evals = st.evals[:0]
+	for p := arch.ProcID(0); int(p) < st.ar.Procs; p++ {
+		v, s, reason := b.evaluate(ctx, p, lcm)
+		if v == fits {
+			feasible++
+		}
+		st.evals = append(st.evals, eval{v: v, s: s, reason: reason})
+	}
+	return lcm, feasible
 }
 
 // move is the record of pk, the pick for the context block, with the
@@ -668,6 +647,9 @@ const (
 	overLCM                 // lands at the returned start, which eq. (4) refuses
 	deferred                // not probed: eq. (4) refuses the returned lower bound
 )
+
+// errNoBlocks is the error of a run or search with no blocks to place.
+var errNoBlocks = errors.New("core: nothing to balance: no blocks")
 
 // Candidate rejection reasons used in more than one place.
 const (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/metrics"
@@ -34,48 +35,79 @@ const (
 const ExhaustiveLimit = 12
 
 // ExhaustiveBest explores every feasible placement script for the given
-// schedule and returns the best result under the objective, along with
-// the number of complete scripts examined. The balancer configuration
-// (policy etc.) is irrelevant except for IgnoreTiming; scripts replace
-// the policy.
+// schedule and returns the best result under the objective — of equal
+// ones, the first in lexicographic order of processors — along with the
+// number of complete scripts examined. A script sends each block, in
+// pass order, to any processor where it fits or lands with eq. (4)
+// relaxed to the exact wrap check. That per-candidate relaxation gives
+// scripts more freedom than the greedy pass, which relaxes only when
+// every processor fails, so the search optimises over a superset of the
+// greedy's outcomes — the right direction for an optimality reference.
+// Scripts replace the policy, which only scores recorded candidates.
+// The search walks the balancing states depth first and, like Run, only
+// reads the Balancer.
 func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Result, int, error) {
 	pl := NewPlan(input)
-	probe, err := b.runScripted(pl, nil)
-	if err != nil {
-		return nil, 0, err
+	nblocks := len(pl.init.blks)
+	if nblocks == 0 {
+		return nil, 0, errNoBlocks
 	}
-	nblocks := len(probe.Blocks)
 	if nblocks > ExhaustiveLimit {
 		return nil, 0, fmt.Errorf("core: %d blocks exceed the exhaustive limit %d", nblocks, ExhaustiveLimit)
 	}
 
 	var best *Result
 	leaves := 0
-	procs := input.Arch.Procs
-
-	var dfs func(prefix []arch.ProcID)
-	dfs = func(prefix []arch.ProcID) {
-		for p := arch.ProcID(0); int(p) < procs; p++ {
-			script := append(append([]arch.ProcID(nil), prefix...), p)
-			res, err := b.runScripted(pl, script)
-			if err != nil {
-				continue // this prefix is infeasible at the current step
-			}
-			if len(script) < nblocks {
-				dfs(script)
-				continue
-			}
-			leaves++
-			if best == nil || better2(obj, res, best) {
-				best = res
-			}
+	moves := make([]Move, 0, nblocks)
+	var dfs func(st *balState)
+	dfs = func(st *balState) {
+		if len(moves) < nblocks {
+			b.branches(st, func(mv Move, child *balState) {
+				moves = append(moves, mv)
+				dfs(child)
+				moves = moves[:len(moves)-1]
+			})
+			return
+		}
+		leaves++
+		res := []*Result{{MakespanBefore: pl.makespan, MemBefore: slices.Clone(pl.mem), Placements: nblocks}}
+		b.finish(&walk{st: st, pols: []int{0}, moves: slices.Clone(moves)}, []Policy{b.Policy}, res)
+		if best == nil || better2(obj, res[0], best) {
+			best = res[0]
 		}
 	}
-	dfs(nil)
+	dfs(pl.newState())
 	if best == nil {
 		return nil, 0, fmt.Errorf("core: no feasible complete placement script")
 	}
 	return best, leaves, nil
+}
+
+// branches evaluates the state's next block once and hands visit, for
+// every processor a script may send it to in ascending order, the move
+// and its own copy of the state with the move committed. st is left
+// mid-block: the caller drops it.
+func (b *Balancer) branches(st *balState, visit func(Move, *balState)) {
+	bl := st.next()
+	st.removeResv(bl)
+	ctx := newPctx(st, bl, false)
+	_, feasible := b.evaluateAll(ctx)
+	for i, e := range st.evals {
+		p := arch.ProcID(i)
+		if e.v == deferred { // eq. (4) refused its lower bound: probe it
+			if e.s, e.reason = b.land(ctx, p); e.reason == "" {
+				e.v = overLCM
+			}
+		}
+		if e.v != fits && e.v != overLCM {
+			continue
+		}
+		mv := b.move(ctx, feasible, pick{c: landingOn(b.Policy, ctx, p, e.s), ok: true, relaxed: e.v == overLCM}, b.Policy)
+		child := st.clone()
+		child.shift(&child.blks[bl.ID])
+		b.place(child, bl.ID, p, mv.NewStart)
+		visit(mv, child)
+	}
 }
 
 // better2 compares complete results under the objective.
@@ -94,24 +126,4 @@ func better2(obj Objective, a, b *Result) bool {
 		}
 		return ax < bx
 	}
-}
-
-// runScripted is one optimistic pass of b.Policy with forced choices:
-// decision i sends the i-th processed block to script[i], failing when
-// that candidate is infeasible even after relaxing eq. (4) to the exact
-// wrap check. Note the per-candidate relaxation gives scripts slightly
-// more freedom than the greedy pass (which relaxes only when every
-// processor fails), so the search optimises over a superset of the
-// greedy's reachable outcomes — the right direction for an optimality
-// reference. Steps beyond the script fall back to the policy; a nil
-// script reproduces the normal optimistic pass.
-func (b *Balancer) runScripted(pl *Plan, script []arch.ProcID) (*Result, error) {
-	saved := b.script
-	b.script = script
-	defer func() { b.script = saved }()
-	res, err := b.pass(pl, []Policy{b.Policy}, false)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }

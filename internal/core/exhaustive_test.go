@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/gen"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -75,5 +80,152 @@ func TestExhaustiveRejectsLargeInputs(t *testing.T) {
 	}
 	if _, _, err := (&Balancer{}).ExhaustiveBest(sched.FromSchedule(sc), ObjectiveMakespan); err == nil {
 		t.Fatal("oversized input accepted")
+	}
+}
+
+// refExhaustive enumerates every placement script in lexicographic order
+// of processors through the reference pass and returns the number of
+// feasible complete scripts and, per objective, the first strict best.
+// A script whose prefix is infeasible fails at that prefix whatever
+// follows, so the enumeration skips its extensions.
+func refExhaustive(b *Balancer, is *sched.InstSchedule) (int, [2]*Result) {
+	nb := len(NewPlan(is).init.blks)
+	leaves := 0
+	var best [2]*Result
+	var dfs func(prefix []arch.ProcID)
+	dfs = func(prefix []arch.ProcID) {
+		for p := range is.Arch.Procs {
+			script := append(slices.Clone(prefix), arch.ProcID(p))
+			res, err := refRunPass(b, is, false, script)
+			if err != nil {
+				continue
+			}
+			if len(script) < nb {
+				dfs(script)
+				continue
+			}
+			leaves++
+			for _, obj := range []Objective{ObjectiveMakespan, ObjectiveMaxMem} {
+				if best[obj] == nil || better2(obj, res, best[obj]) {
+					best[obj] = res
+				}
+			}
+		}
+	}
+	dfs(nil)
+	return leaves, best
+}
+
+// TestExhaustiveMatchesScriptEnumeration: the search over balancing
+// states finds the same number of feasible complete scripts, and the
+// same first strict best under each objective, as enumerating every
+// script through the evaluate-everything reference — on the paper
+// example and E9's generator, under each balancer variant.
+func TestExhaustiveMatchesScriptEnumeration(t *testing.T) {
+	type input struct {
+		name string
+		is   *sched.InstSchedule
+	}
+	inputs := []input{{"paper", sched.FromSchedule(paperInitial(t))}}
+	for seed := range 10 {
+		ts, err := gen.Generate(gen.Config{Seed: int64(seed), Tasks: 6, Utilization: 1.2,
+			Periods: []model.Time{20, 40}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := sched.NewScheduler(ts, arch.MustNew(3, 1)).Run()
+		if err != nil {
+			continue // unschedulable: nothing to search
+		}
+		inputs = append(inputs, input{fmt.Sprintf("E9 seed %d", seed), sched.FromSchedule(s)})
+	}
+	if len(inputs) < 8 {
+		t.Fatalf("only %d schedulable inputs", len(inputs))
+	}
+	variants := []Balancer{{}, {IgnoreTiming: true}, {DisableLCMCondition: true}, {RecordCandidates: true}}
+	scripts := 0
+	for _, is := range inputs {
+		for _, b := range variants {
+			what := fmt.Sprintf("%s %+v", is.name, b)
+			leaves, want := refExhaustive(&b, is.is)
+			for _, obj := range []Objective{ObjectiveMakespan, ObjectiveMaxMem} {
+				got, n, err := b.ExhaustiveBest(is.is, obj)
+				if want[obj] == nil {
+					if err == nil {
+						t.Fatalf("%s objective %v: search found a script, the reference none", what, obj)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s objective %v: %v", what, obj, err)
+				}
+				if n != leaves {
+					t.Fatalf("%s objective %v: %d complete scripts, reference %d", what, obj, n, leaves)
+				}
+				w := want[obj]
+				if got.MakespanAfter != w.MakespanAfter || !slices.Equal(got.MemAfter, w.MemAfter) {
+					t.Fatalf("%s objective %v: makespan %d mem %v, reference %d %v",
+						what, obj, got.MakespanAfter, got.MemAfter, w.MakespanAfter, w.MemAfter)
+				}
+				checkSameResult(t, got, w, fmt.Sprintf("%s objective %v", what, obj))
+			}
+			scripts += leaves
+		}
+	}
+	t.Logf("%d inputs, %d feasible complete scripts", len(inputs), scripts)
+}
+
+// TestExhaustiveConcurrentWithRun: ExhaustiveBest, like Run, only reads
+// the Balancer, so two searches and a run may share one. Each goroutine
+// has its own schedule: building a plan refreshes the schedule's lazily
+// cached processor listings.
+func TestExhaustiveConcurrentWithRun(t *testing.T) {
+	s := paperInitial(t)
+	b := &Balancer{}
+	objs := []Objective{ObjectiveMakespan, ObjectiveMaxMem}
+	wantRun, err := b.Run(sched.FromSchedule(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [2]*Result
+	var wantLeaves [2]int
+	for i, obj := range objs {
+		if want[i], wantLeaves[i], err = b.ExhaustiveBest(sched.FromSchedule(s), obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inputs := []*sched.InstSchedule{sched.FromSchedule(s), sched.FromSchedule(s), sched.FromSchedule(s)}
+	var got [2]*Result
+	var leaves [2]int
+	var run *Result
+	var errs [3]error
+	var wg sync.WaitGroup
+	for i, obj := range objs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], leaves[i], errs[i] = b.ExhaustiveBest(inputs[i], obj)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		run, errs[2] = b.Run(inputs[2])
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(run.Moves, wantRun.Moves) {
+		t.Errorf("concurrent Run moves differ from a lone Run:\n got  %+v\n want %+v", run.Moves, wantRun.Moves)
+	}
+	for i, obj := range objs {
+		if leaves[i] != wantLeaves[i] || !reflect.DeepEqual(got[i].Moves, want[i].Moves) {
+			t.Errorf("objective %v: concurrent search found %d scripts, best moves %+v; alone %d, %+v",
+				obj, leaves[i], got[i].Moves, wantLeaves[i], want[i].Moves)
+		}
 	}
 }

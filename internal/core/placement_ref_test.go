@@ -157,8 +157,12 @@ func refPlaceBlock(b *Balancer, st *balState, bl *blocks.Block, conservative boo
 	return mv, nil
 }
 
-// refRunPass is one balancing pass of b.Policy over refPlaceBlock.
-func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool) (*Result, error) {
+// refRunPass is one balancing pass of b.Policy over refPlaceBlock whose
+// first len(script) decisions follow the script: decision i sends the
+// i-th processed block to script[i], relaxing eq. (4) to the exact wrap
+// check for that processor alone when it fails, and the pass fails when
+// the processor is infeasible even then. A nil script is the greedy pass.
+func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool, script []arch.ProcID) (*Result, error) {
 	ts, ar := input.TS, input.Arch
 	st := NewPlan(input).newState()
 	res := &Result{Moves: make([]Move, 0, len(st.blks))}
@@ -166,8 +170,8 @@ func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool) (*Res
 		bl := st.next()
 		st.removeResv(bl)
 		var want *arch.ProcID
-		if n < len(b.script) {
-			want = &b.script[n]
+		if n < len(script) {
+			want = &script[n]
 		}
 		mv, err := refPlaceBlock(b, st, bl, conservative, want)
 		if err != nil {
@@ -189,6 +193,7 @@ func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool) (*Res
 		}
 	}
 	res.Schedule = out
+	res.MakespanAfter, res.MemAfter = out.Makespan(), out.MemVector()
 	return res, nil
 }
 
@@ -260,22 +265,79 @@ func tallyPruning(b *Balancer, ctx *pctx, tally *pruneTally) {
 }
 
 // checkPlacementMatchesReference runs one pass of b both ways and fails
-// unless every move and the final schedule agree. Either both passes
-// fail with the same error or neither does.
+// unless every move and the final schedule agree.
 func checkPlacementMatchesReference(t *testing.T, b *Balancer, is *sched.InstSchedule, conservative bool, tally *pruneTally, what string) {
 	t.Helper()
 	probe := b.probe
 	b.probe = func(ctx pctx) { tallyPruning(b, &ctx, tally) }
-	got, gotErr := onePass(b, NewPlan(is), conservative)
+	got, err := onePass(b, NewPlan(is), conservative)
 	b.probe = probe
-	want, wantErr := refRunPass(b, is, conservative)
-	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-		t.Fatalf("%s: pruned pass error %v, reference %v", what, gotErr, wantErr)
+	if err != nil {
+		t.Fatalf("%s: pruned pass: %v", what, err)
 	}
-	if gotErr != nil {
+	want, err := refRunPass(b, is, conservative, nil)
+	if err != nil {
+		t.Fatalf("%s: reference pass: %v", what, err)
+	}
+	tally.passes++
+	checkSameResult(t, got, want, what)
+}
+
+// checkScriptMatchesReference runs one optimistic pass of b whose first
+// decisions follow the script both ways: through the exhaustive search's
+// branches, then the greedy walk (scriptedPass), and through the
+// reference. Either both find the script infeasible, or every move and
+// the final schedule agree.
+func checkScriptMatchesReference(t *testing.T, b *Balancer, is *sched.InstSchedule, script []arch.ProcID, tally *pruneTally, what string) {
+	t.Helper()
+	probe := b.probe
+	b.probe = func(ctx pctx) { tallyPruning(b, &ctx, tally) }
+	got := scriptedPass(b, NewPlan(is), script)
+	b.probe = probe
+	want, wantErr := refRunPass(b, is, false, script)
+	if (got == nil) != (wantErr != nil) {
+		t.Fatalf("%s: search branch found %v, reference error %v", what, got != nil, wantErr)
+	}
+	if got == nil {
 		return
 	}
 	tally.passes++
+	checkSameResult(t, got, want, what)
+}
+
+// scriptedPass is one optimistic pass of b.Policy whose first decisions
+// follow the script: step i takes the exhaustive search's branch to
+// script[i], and the steps beyond the script are the greedy walk's. It is
+// nil when the search has no branch to the script's processor at some
+// step.
+func scriptedPass(b *Balancer, pl *Plan, script []arch.ProcID) *Result {
+	nb := len(pl.init.blks)
+	w := walk{st: pl.newState(), pols: []int{0}, moves: make([]Move, 0, nb)}
+	for _, p := range script[:min(len(script), nb)] {
+		var next *balState
+		b.branches(w.st, func(mv Move, child *balState) {
+			if mv.To == p {
+				w.moves, next = append(w.moves, mv), child
+			}
+		})
+		if next == nil {
+			return nil
+		}
+		w.st = next
+	}
+	for len(w.moves) < nb {
+		b.placeBlock(&w, []Policy{b.Policy}, false)
+	}
+	out := []*Result{{}}
+	b.finish(&w, []Policy{b.Policy}, out)
+	return out[0]
+}
+
+// checkSameResult fails unless got and the reference want made the same
+// moves, with the same candidate records, and placed every instance
+// alike.
+func checkSameResult(t *testing.T, got, want *Result, what string) {
+	t.Helper()
 	if len(got.Moves) != len(want.Moves) {
 		t.Fatalf("%s: %d moves, reference %d", what, len(got.Moves), len(want.Moves))
 	}
@@ -304,6 +366,7 @@ func checkPlacementMatchesReference(t *testing.T, b *Balancer, is *sched.InstSch
 	if got.Forced != want.Forced || got.RelaxedLCM != want.RelaxedLCM {
 		t.Fatalf("%s: forced/relaxed %d/%d, reference %d/%d", what, got.Forced, got.RelaxedLCM, want.Forced, want.RelaxedLCM)
 	}
+	is := want.Schedule
 	for i := 0; i < is.TS.Len(); i++ {
 		task := model.TaskID(i)
 		for k := 0; k < is.TS.Instances(task); k++ {
@@ -366,7 +429,7 @@ func TestPrunedPlacementMatchesReference(t *testing.T) {
 				}
 			}
 			// Recorded candidates, a memory capacity, and scripted
-			// placements (ExhaustiveBest's path) on the same input.
+			// placements (ExhaustiveBest's branches) on the same input.
 			b := Balancer{Policy: policy, RecordCandidates: true}
 			checkPlacementMatchesReference(t, &b, is, false, &tally, "recorded")
 			// A capacity just above the even share of the total memory
@@ -385,8 +448,7 @@ func TestPrunedPlacementMatchesReference(t *testing.T) {
 				for i := range script {
 					script[i] = arch.ProcID(rng.Intn(cfg.procs))
 				}
-				sb := Balancer{Policy: policy, script: script}
-				checkPlacementMatchesReference(t, &sb, is, false, &tally, fmt.Sprintf("script %v", script))
+				checkScriptMatchesReference(t, &Balancer{Policy: policy}, is, script, &tally, fmt.Sprintf("script %v", script))
 			}
 		}
 	}

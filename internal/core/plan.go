@@ -14,9 +14,9 @@ import (
 // per schedule: its blocks (§3.1) at their initial positions, the static
 // lookup tables, and the initial state of a pass, in which each block is
 // reserved where it sits. Any number of runs — every policy, the
-// conservative rerun, scripted passes — start from one Plan: each pass
-// works on a clone of the initial state, and nothing writes the plan, so
-// it may be shared by concurrent runs.
+// conservative rerun — start from one Plan: each pass works on a clone of
+// the initial state, and nothing writes the plan, so it may be shared by
+// concurrent runs.
 type Plan struct {
 	ts *model.TaskSet
 	ar *arch.Architecture
@@ -56,8 +56,10 @@ type ownerRef struct {
 	blk, mi int32
 }
 
-// NewPlan builds the plan of an instance-level schedule. The schedule is
-// read, never modified, and the plan keeps no reference to it.
+// NewPlan builds the plan of an instance-level schedule. No placement of
+// the schedule changes, but reading its processor listings may refresh
+// their cache (sched.InstSchedule.InstancesOn), so concurrent calls need
+// a schedule each. The plan keeps no reference to the schedule.
 func NewPlan(is *sched.InstSchedule) *Plan {
 	ts, ar := is.TS, is.Arch
 	blks, members := blocks.BuildFlat(is)
@@ -157,15 +159,16 @@ func (pl *Plan) blocksOf(t model.TaskID) []int32 {
 	return pl.taskBlockIDs[pl.taskBlockOff[t]:pl.taskBlockOff[t+1]]
 }
 
-// newState returns the state of a new pass: a clone of the plan's
-// initial state, with nothing moved yet.
+// newState returns the state of a new pass or search: a clone of the
+// plan's initial state, with nothing moved yet.
 func (pl *Plan) newState() *balState { return pl.init.clone() }
 
 // clone returns an independent copy of the state: the blocks and their
 // members, the obstacle indexes, the per-processor tallies, the processed
 // flags and the queue, so nothing done to the copy reaches the original.
 // The queue holds block IDs, which stay valid in the copy. The per-block
-// scratch is fresh: it is clear between blocks.
+// scratch is fresh: it is clear between blocks, and a copy taken while a
+// block is placed (branches) sets its own shifted flags.
 func (st *balState) clone() *balState {
 	procs := st.ar.Procs
 	blks, members := slices.Clone(st.blks), slices.Clone(st.members)

@@ -86,8 +86,9 @@ func (is *InstSchedule) Placement(iid model.InstanceID) (InstPlacement, bool) {
 
 // Clone returns a deep copy. The placement slice and the per-processor
 // listings are copied wholesale, so a clone costs O(TotalInstances) with
-// no hashing or re-sorting — cheap enough to hand one schedule to many
-// concurrent consumers (the campaign memoiser does exactly that).
+// no hashing or re-sorting. Concurrent consumers of one schedule each
+// need their own clone: even reads may refresh the cached listings (see
+// InstancesOn).
 func (is *InstSchedule) Clone() *InstSchedule {
 	c := &InstSchedule{
 		TS: is.TS, Arch: is.Arch,
@@ -140,6 +141,8 @@ func (is *InstSchedule) startOf(iid model.InstanceID) model.Time {
 // InstancesOn returns the instances on processor p sorted by start time
 // (ties: task, then k). The listing is cached: repeated reads between
 // placements are allocation-free. Callers must not mutate the result.
+// The first read after a placement rebuilds the cache, so concurrent
+// reads of one schedule race unless it was read since its last Place.
 func (is *InstSchedule) InstancesOn(p arch.ProcID) []model.InstanceID {
 	if !is.fresh {
 		is.refresh()
