@@ -116,7 +116,6 @@ func main() {
 		noTrials  = flag.Bool("table-only", false, "print the table but write no artifacts")
 		anaFlag   = flag.String("analyzers", "", "comma-separated per-trial analyzers ("+strings.Join(analyzers.Names(), "|")+", or 'none'); overrides the spec's list and becomes part of the sweep identity")
 		phaseFlag = flag.String("analyzer-phases", "", "schedule phases the analyzers run over (after | before,after); overrides the spec's list and becomes part of the sweep identity")
-		noMemo    = flag.Bool("no-memo", false, "disable cross-policy prefix memoisation (one generate+schedule per policy cell instead of one per grid point; artifacts are identical either way)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile taken after the sweep to this file")
 
@@ -280,7 +279,7 @@ func main() {
 		}
 	}
 
-	eng := &campaign.Engine{Workers: *workers, NoMemo: *noMemo, Done: done, Lo: lo, Hi: hi, Obs: set}
+	eng := &campaign.Engine{Workers: *workers, Done: done, Lo: lo, Hi: hi, Obs: set}
 
 	// SIGINT/SIGTERM drain: workers stop claiming trials, in-flight
 	// trials finish and reach the journal, and the run exits with a

@@ -9,13 +9,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -23,6 +26,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/campaign"
 	"repro/internal/coord"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -38,12 +42,31 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// syncBuffer is a bytes.Buffer the test may read while the child
+// process writes it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
 // farm builds a re-exec'd lbfarm process (not started).
-func farm(t *testing.T, args ...string) (*exec.Cmd, *bytes.Buffer, *bytes.Buffer) {
+func farm(t *testing.T, args ...string) (*exec.Cmd, *syncBuffer, *syncBuffer) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "LBFARM_BE_MAIN=1")
-	var stdout, stderr bytes.Buffer
+	var stdout, stderr syncBuffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	return cmd, &stdout, &stderr
 }
@@ -72,15 +95,37 @@ func gridArgs(name, journal, out string) []string {
 // TestInterruptDrainsAndResumes: SIGINT mid-sweep must drain (exit code
 // 3, journal tail synced, resume command printed), and resuming must
 // finish the sweep with artifacts byte-identical to an uninterrupted
-// run.
+// run without telemetry (which writes no runinfo sidecar) and to the
+// lbmerge-style fold of three -shard journals. While the interrupted
+// run is live, its -debug-addr serves /debug/vars and /debug/pprof/.
 func TestInterruptDrainsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "sig.jsonl")
 	outDir := filepath.Join(dir, "out")
 
-	cmd, stdout, stderr := farm(t, gridArgs("sig", jpath, outDir)...)
+	cmd, stdout, stderr := farm(t, append(gridArgs("sig", jpath, outDir), "-debug-addr", "127.0.0.1:0")...)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
+	}
+	debugAt := regexp.MustCompile(`debug endpoints on http://(\S+)/debug/vars`)
+	var addr []string
+	waitUntil(t, "the debug address", func() bool {
+		addr = debugAt.FindStringSubmatch(stderr.String())
+		return addr != nil
+	})
+	vars, code := httpDo(t, http.MethodGet, "http://"+addr[1]+"/debug/vars", nil)
+	var v struct {
+		Lbfarm struct {
+			Name     string
+			SpecHash string `json:"spec_hash"`
+		}
+		Obs struct{ Stages map[string]any }
+	}
+	if err := json.Unmarshal(vars, &v); code != http.StatusOK || err != nil || v.Lbfarm.Name != "sig" || v.Lbfarm.SpecHash == "" || v.Obs.Stages == nil {
+		t.Fatalf("/debug/vars = %d (%v): %s", code, err, vars)
+	}
+	if page, code := httpDo(t, http.MethodGet, "http://"+addr[1]+"/debug/pprof/", nil); code != http.StatusOK || !bytes.Contains(page, []byte("profile")) {
+		t.Fatalf("/debug/pprof/ = %d: %s", code, page)
 	}
 	// Wait for the journal to hold the header and at least one row, then
 	// interrupt.
@@ -111,14 +156,46 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 	if !strings.Contains(stderr2.String(), "resuming") {
 		t.Fatalf("resumed run did not pick up the journal; stderr: %s", stderr2)
 	}
+	ri, err := obs.ReadRunInfo(filepath.Join(outDir, "sig"+obs.RunInfoSuffix))
+	if err != nil {
+		t.Fatalf("observed run's runinfo sidecar: %v", err)
+	}
+	if c := ri.Obs.Counters; ri.Schema != obs.RunInfoSchema || ri.Tool != "lbfarm" || ri.SpecHash == "" || ri.Trials != 1600 ||
+		c["trials_accepted"]+c["trials_rejected"]+c["replayed_trials"] != 1600 {
+		t.Errorf("runinfo: schema %d tool %q spec %q trials %d counters %v, want lbfarm's over 1600 trials",
+			ri.Schema, ri.Tool, ri.SpecHash, ri.Trials, c)
+	}
 
 	// Byte-identity against an uninterrupted run of the same sweep.
 	refDir := filepath.Join(dir, "ref")
-	cmd3, _, stderr3 := farm(t, gridArgs("sig", filepath.Join(dir, "ref.jsonl"), refDir)...)
+	cmd3, _, stderr3 := farm(t, append(gridArgs("sig", filepath.Join(dir, "ref.jsonl"), refDir), "-obs=false")...)
 	if err := cmd3.Run(); err != nil {
 		t.Fatalf("reference run: %v (stderr: %s)", err, stderr3)
 	}
-	for _, f := range []string{"sig.json", "sig.csv"} {
+	if _, err := os.Stat(filepath.Join(refDir, "sig"+obs.RunInfoSuffix)); !os.IsNotExist(err) {
+		t.Errorf("-obs=false run wrote a runinfo sidecar (stat: %v)", err)
+	}
+	var shards []string
+	for i := 1; i <= 3; i++ {
+		shards = append(shards, filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i)))
+		cmd, _, stderr := farm(t, append(gridArgs("sig", shards[i-1], refDir), "-shard", fmt.Sprintf("%d/3", i))...)
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("shard %d/3: %v (stderr: %s)", i, err, stderr)
+		}
+	}
+	merged, err := journal.Merge(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mergedJSON, err := merged.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mergedCSV bytes.Buffer
+	if err := merged.WriteCSV(&mergedCSV); err != nil {
+		t.Fatal(err)
+	}
+	for f, other := range map[string][]byte{"sig.json": mergedJSON, "sig.csv": mergedCSV.Bytes()} {
 		got, err := os.ReadFile(filepath.Join(outDir, f))
 		if err != nil {
 			t.Fatal(err)
@@ -127,8 +204,8 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s differs between the resumed and uninterrupted runs", f)
+		if !bytes.Equal(got, want) || !bytes.Equal(other, want) {
+			t.Errorf("%s differs between the resumed, uninterrupted and merged-shard runs", f)
 		}
 	}
 }
@@ -193,15 +270,17 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 	d.Start()
 
 	workers := map[string]*exec.Cmd{}
+	logs := map[string]*syncBuffer{}
+	workerDirs := t.TempDir()
 	for _, id := range []string{"w1", "w2", "w3"} {
 		cmd, _, stderr := farm(t,
 			"-worker", "-listen", "127.0.0.1:0", "-coord", hs.URL,
-			"-worker-dir", t.TempDir(), "-worker-id", id,
+			"-worker-dir", filepath.Join(workerDirs, id), "-worker-id", id,
 			"-heartbeat", "100ms", "-workers", "1")
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		workers[id] = cmd
+		workers[id], logs[id] = cmd, stderr
 		t.Cleanup(func() {
 			_ = cmd.Process.Kill()
 			_ = cmd.Wait()
@@ -270,11 +349,52 @@ func TestDistributedWorkerSIGKILL(t *testing.T) {
 	if err := json.Unmarshal(artifact(service.KindFleetInfo), &fi); err != nil {
 		t.Fatal(err)
 	}
-	if fi.Coord["workers_dead"] != 1 {
-		t.Errorf("dead workers = %d, want 1", fi.Coord["workers_dead"])
+	if fi.Schema != obs.FleetInfoSchema || fi.Tool != "lbfarmd" || fi.Shards != 4 || fi.SpecHash != st.ID {
+		t.Errorf("fleetinfo identity: schema %d tool %q shards %d spec %q", fi.Schema, fi.Tool, fi.Shards, fi.SpecHash)
 	}
-	if fi.Coord["requeues"] < 1 {
-		t.Errorf("requeues = %d, want >= 1", fi.Coord["requeues"])
+	alive := 0
+	for _, w := range fi.Workers {
+		if w.Alive {
+			alive++
+		}
+	}
+	if len(fi.Workers) != 3 || alive != 2 {
+		t.Errorf("fleetinfo workers = %+v, want 3 with the victim dead", fi.Workers)
+	}
+	if fi.Coord["workers_dead"] != 1 || fi.Coord["requeues"] < 1 || fi.Coord["dispatches"] < 4 {
+		t.Errorf("coord counters = %v, want 1 dead worker, >= 1 requeue, >= 4 dispatches", fi.Coord)
+	}
+	for st := obs.Stage(0); st < obs.NumStages; st++ {
+		if _, ok := fi.Obs.Stages[st.String()]; !ok {
+			t.Errorf("merged fleet snapshot lacks stage %s", st)
+		}
+	}
+	if fi.Obs.Counters["trials_accepted"] == 0 {
+		t.Error("merged fleet snapshot counted no accepted trials")
+	}
+	// A survivor serves its local telemetry on its job port.
+	survivor := map[string]string{"w1": "w2", "w2": "w3", "w3": "w1"}[victim]
+	at := regexp.MustCompile(`serving jobs on (\S+)`).FindStringSubmatch(logs[survivor].String())
+	if at == nil {
+		t.Fatalf("worker %s logged no job address", survivor)
+	}
+	if page, code := httpDo(t, http.MethodGet, "http://"+at[1]+"/metrics", nil); code != http.StatusOK ||
+		!bytes.Contains(page, []byte("\nlb_elapsed_seconds ")) || !bytes.Contains(page, []byte("\nlb_stage_duration_seconds_bucket{")) {
+		t.Errorf("worker %s /metrics = %d:\n%s", survivor, code, page)
+	}
+	// Every job sidecar a worker left carries the dispatch's trace.
+	sidecars, _ := filepath.Glob(filepath.Join(workerDirs, "*", "*"+obs.RunInfoSuffix))
+	if len(sidecars) == 0 {
+		t.Error("no worker wrote a runinfo sidecar")
+	}
+	for _, p := range sidecars {
+		ri, err := obs.ReadRunInfo(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ri.Trace == "" || !strings.HasPrefix(ri.Span, ri.Trace+"-") {
+			t.Errorf("%s: trace %q span %q, want a span of the trace", p, ri.Trace, ri.Span)
+		}
 	}
 }
 

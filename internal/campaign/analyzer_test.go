@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -17,83 +16,10 @@ func analyzerSpec() *Spec {
 }
 
 // TestAnalyzerDeterminism pins the tentpole guarantee: with analyzers
-// attached, JSON and CSV artifacts are byte-identical at 1, 2, and 8
-// workers, with memoisation on and off, after Done-row replay
-// (crash-resume), and after a 3-shard fold (multi-host merge).
+// attached, the artifacts, extras columns included, keep the
+// byte-identity contract of checkDeterminism.
 func TestAnalyzerDeterminism(t *testing.T) {
-	ref, err := (&Engine{Workers: 1, NoMemo: true}).Run(analyzerSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, err := ref.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refCSV bytes.Buffer
-	if err := ref.WriteCSV(&refCSV); err != nil {
-		t.Fatal(err)
-	}
-	// The extras really made it into the artifacts.
-	for _, col := range []string{"schedulability.util_margin", "moves.block_churn", "contention.busy_spread"} {
-		if !strings.Contains(refCSV.String(), col) {
-			t.Fatalf("CSV lacks extras column %q", col)
-		}
-	}
-
-	check := func(res *Result, label string) {
-		t.Helper()
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, refJSON) {
-			t.Fatalf("%s: JSON differs from reference (%d vs %d bytes)", label, len(data), len(refJSON))
-		}
-		var csv bytes.Buffer
-		if err := res.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(csv.Bytes(), refCSV.Bytes()) {
-			t.Fatalf("%s: CSV differs from reference", label)
-		}
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		for _, noMemo := range []bool{false, true} {
-			res, err := (&Engine{Workers: workers, NoMemo: noMemo}).Run(analyzerSpec())
-			if err != nil {
-				t.Fatalf("workers=%d noMemo=%v: %v", workers, noMemo, err)
-			}
-			check(res, fmt.Sprintf("workers=%d noMemo=%v", workers, noMemo))
-		}
-	}
-
-	// Crash-resume: replay a prefix as Done rows.
-	for _, k := range []int{1, len(ref.Trials) / 2, len(ref.Trials)} {
-		eng := &Engine{Workers: 4, Done: append([]TrialResult(nil), ref.Trials[:k]...)}
-		res, err := eng.Run(analyzerSpec())
-		if err != nil {
-			t.Fatalf("resume k=%d: %v", k, err)
-		}
-		check(res, fmt.Sprintf("resume k=%d", k))
-	}
-
-	// Multi-host: three shards at different worker counts, folded.
-	total := len(ref.Trials)
-	var rows []TrialResult
-	for i := 0; i < 3; i++ {
-		lo, hi := total*i/3, total*(i+1)/3
-		res, err := (&Engine{Workers: i + 1, Lo: lo, Hi: hi}).Run(analyzerSpec())
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		rows = append(rows, res.Trials...)
-	}
-	folded, err := Fold(analyzerSpec(), rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(folded, "3-shard fold")
+	checkDeterminism(t, analyzerSpec, "schedulability.util_margin", "moves.block_churn", "contention.busy_spread")
 }
 
 // TestAnalyzerExtrasShape: accepted trials carry exactly the declared

@@ -116,23 +116,14 @@ func (r TrialResult) metrics() map[string]float64 {
 	return m
 }
 
-// Engine runs campaigns over a fixed-size worker pool.
+// Engine runs campaigns over a fixed-size worker pool. A worker claims
+// every pending trial of one (generator config, processors, comm time)
+// point at once and shares their prefix and balancing walks (memo.go);
+// the artifacts are byte-identical to folding every trial run alone
+// through RunTrial, which TestMemoDeterminism pins.
 type Engine struct {
 	// Workers is the pool size; ≤ 0 means GOMAXPROCS.
 	Workers int
-
-	// NoMemo disables cross-policy sharing. By default a worker claims
-	// every pending trial of one (generator config, processors, comm
-	// time) point at once, computes the generate→schedule→simulate
-	// prefix once, balances every policy cell of the point in shared
-	// walks (core.Balancer.RunPolicies), and runs the cells one after
-	// another from their results. With NoMemo every trial is claimed
-	// alone, computes its own prefix and walks the blocks alone. Both
-	// paths produce byte-identical artifacts (the prefix computation is
-	// deterministic, each policy's result equals a run of its own, and
-	// the cells share nothing they write) — the determinism test pins
-	// this.
-	NoMemo bool
 
 	// Sink, when non-nil, receives every live-completed trial the moment
 	// it finishes — in completion order, not index order, and possibly
@@ -232,7 +223,7 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 
 	// Prefix groups are formed over the pending trials only: a replayed
 	// row needs no prefix.
-	groups := prefixGroups(pending, !e.NoMemo)
+	groups := prefixGroups(pending)
 
 	coll := newCollector(cellOrder(shard))
 	for i := range results {
@@ -277,9 +268,7 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 			}
 			if pre == nil {
 				pre = runPrefix(groups[g], rec)
-				if !e.NoMemo {
-					rec.Add(obs.CounterMemoMiss, 1)
-				}
+				rec.Add(obs.CounterMemoMiss, 1)
 			} else {
 				rec.Add(obs.CounterMemoHit, 1)
 			}

@@ -26,40 +26,21 @@ func smokeSpec() *Spec {
 }
 
 // TestDeterminism is the headline guarantee: the same spec and seed set
-// produce byte-identical JSON aggregates at worker counts 1, 2, and 8.
+// produce byte-identical JSON and CSV artifacts at worker counts 1, 2,
+// and 8.
 func TestDeterminism(t *testing.T) {
-	var ref []byte
+	var refJSON, refCSV []byte
 	for _, workers := range []int{1, 2, 8} {
 		res, err := (&Engine{Workers: workers}).Run(smokeSpec())
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		data, err := res.JSON()
-		if err != nil {
-			t.Fatal(err)
+		data, csv := artifactBytes(t, res)
+		if refJSON == nil {
+			refJSON, refCSV = data, csv
+		} else if !bytes.Equal(refJSON, data) || !bytes.Equal(refCSV, csv) {
+			t.Fatalf("workers=%d: artifacts differ from the workers=1 run", workers)
 		}
-		if ref == nil {
-			ref = data
-			continue
-		}
-		if !bytes.Equal(ref, data) {
-			t.Fatalf("workers=%d: JSON differs from workers=1 run (%d vs %d bytes)",
-				workers, len(data), len(ref))
-		}
-	}
-
-	// CSV artifacts must agree too.
-	var csv1, csv8 bytes.Buffer
-	r1, _ := (&Engine{Workers: 1}).Run(smokeSpec())
-	r8, _ := (&Engine{Workers: 8}).Run(smokeSpec())
-	if err := r1.WriteCSV(&csv1); err != nil {
-		t.Fatal(err)
-	}
-	if err := r8.WriteCSV(&csv8); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csv1.Bytes(), csv8.Bytes()) {
-		t.Fatal("CSV differs between 1 and 8 workers")
 	}
 }
 

@@ -15,15 +15,8 @@ func refRun(t *testing.T) (*Result, []byte, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csv bytes.Buffer
-	if err := res.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	return res, data, csv.Bytes()
+	data, csv := artifactBytes(t, res)
+	return res, data, csv
 }
 
 // TestSinkStreamsEveryLiveTrial checks the sink contract: every live
@@ -88,19 +81,8 @@ func TestResumeByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
 			}
-			data, err := res.JSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, refJSON) {
-				t.Fatalf("k=%d workers=%d: resumed JSON differs", k, workers)
-			}
-			var csv bytes.Buffer
-			if err := res.WriteCSV(&csv); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(csv.Bytes(), refCSV) {
-				t.Fatalf("k=%d workers=%d: resumed CSV differs", k, workers)
+			if data, csv := artifactBytes(t, res); !bytes.Equal(data, refJSON) || !bytes.Equal(csv, refCSV) {
+				t.Fatalf("k=%d workers=%d: resumed artifacts differ", k, workers)
 			}
 		}
 	}
@@ -128,19 +110,8 @@ func TestShardFoldByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := folded.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, refJSON) {
-		t.Fatal("folded shard JSON differs from single-host run")
-	}
-	var csv bytes.Buffer
-	if err := folded.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(csv.Bytes(), refCSV) {
-		t.Fatal("folded shard CSV differs from single-host run")
+	if data, csv := artifactBytes(t, folded); !bytes.Equal(data, refJSON) || !bytes.Equal(csv, refCSV) {
+		t.Fatal("folded shard artifacts differ from the single-host run")
 	}
 }
 

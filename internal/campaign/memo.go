@@ -18,8 +18,9 @@ import (
 // they agree and fork it where their picks differ. The cells then run
 // one after another, each from its own result.
 //
-// Results are byte-identical to the unshared path because the prefix
-// computation is deterministic and nothing a cell writes is shared:
+// Results are byte-identical to running each trial alone (RunTrial)
+// because the prefix computation is deterministic and nothing a cell
+// writes is shared:
 // RunPolicies gives each policy the result a balancing run of its own
 // would, the plan is never written, the before-report is read-only
 // downstream, and the policy-independent analyzer extras — the
@@ -45,16 +46,8 @@ func prefixKey(t Trial) string {
 }
 
 // prefixGroups partitions trials into groups sharing one prefix, in
-// order of first appearance, each group in trial order. With share
-// unset every trial is a group of its own.
-func prefixGroups(trials []Trial, share bool) [][]Trial {
-	if !share {
-		groups := make([][]Trial, len(trials))
-		for i := range trials {
-			groups[i] = trials[i : i+1 : i+1]
-		}
-		return groups
-	}
+// order of first appearance, each group in trial order.
+func prefixGroups(trials []Trial) [][]Trial {
 	at := make(map[string]int)
 	var groups [][]Trial
 	for _, t := range trials {

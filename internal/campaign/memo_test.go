@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -9,53 +10,96 @@ import (
 	"repro/internal/core"
 )
 
-// TestMemoDeterminism pins the prefix-sharing contract: a campaign whose
-// workers claim prefix groups produces byte-identical JSON and CSV
-// artifacts to the unshared path, at 1, 2, and 8 workers. Running the
-// suite under -race additionally checks that workers running different
-// groups never touch shared mutable state.
-func TestMemoDeterminism(t *testing.T) {
-	spec := smokeSpec()
-	ref, err := (&Engine{Workers: 1, NoMemo: true}).Run(spec)
+// artifactBytes renders res's JSON and CSV artifacts.
+func artifactBytes(t *testing.T, res *Result) (jsonData, csvData []byte) {
+	t.Helper()
+	jsonData, err := res.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	refJSON, err := ref.JSON()
-	if err != nil {
+	var csv bytes.Buffer
+	if err := res.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
-	var refCSV bytes.Buffer
-	if err := ref.WriteCSV(&refCSV); err != nil {
-		t.Fatal(err)
-	}
+	return jsonData, csv.Bytes()
+}
 
-	for _, workers := range []int{1, 2, 8} {
-		res, err := (&Engine{Workers: workers}).Run(smokeSpec())
-		if err != nil {
-			t.Fatalf("memoised workers=%d: %v", workers, err)
-		}
-		data, err := res.JSON()
-		if err != nil {
+// perTrial is the unshared reference: every trial of spec run alone
+// through RunTrial, the rows folded as a merge folds them.
+func perTrial(t *testing.T, spec *Spec) *Result {
+	t.Helper()
+	trials, err := spec.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]TrialResult, len(trials))
+	for i, tr := range trials {
+		if rows[i], err = RunTrial(tr); err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(refJSON, data) {
-			t.Fatalf("memoised workers=%d: JSON differs from unmemoised serial run (%d vs %d bytes)",
-				workers, len(data), len(refJSON))
-		}
-		var csv bytes.Buffer
-		if err := res.WriteCSV(&csv); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refCSV.Bytes(), csv.Bytes()) {
-			t.Fatalf("memoised workers=%d: CSV differs from unmemoised serial run", workers)
 		}
 	}
+	res, err := Fold(spec, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// checkDeterminism pins the byte-identity contract for one spec: its
+// JSON and CSV artifacts equal the per-trial reference at 1, 2 and 8
+// workers, after Done-row replay (crash-resume) and after a 3-shard fold
+// (multi-host merge). The reference CSV must carry every one of cols.
+func checkDeterminism(t *testing.T, spec func() *Spec, cols ...string) {
+	t.Helper()
+	ref := perTrial(t, spec())
+	refJSON, refCSV := artifactBytes(t, ref)
+	for _, col := range cols {
+		if !bytes.Contains(refCSV, []byte(col)) {
+			t.Fatalf("CSV lacks column %q", col)
+		}
+	}
+	check := func(label string, res *Result, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if data, csv := artifactBytes(t, res); !bytes.Equal(data, refJSON) || !bytes.Equal(csv, refCSV) {
+			t.Fatalf("%s: artifacts differ from the per-trial reference", label)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		res, err := (&Engine{Workers: workers}).Run(spec())
+		check(fmt.Sprintf("workers=%d", workers), res, err)
+	}
+	for _, k := range []int{1, len(ref.Trials) / 2, len(ref.Trials)} {
+		res, err := (&Engine{Workers: 4, Done: append([]TrialResult(nil), ref.Trials[:k]...)}).Run(spec())
+		check(fmt.Sprintf("resume k=%d", k), res, err)
+	}
+	total := len(ref.Trials)
+	var rows []TrialResult
+	for i := 0; i < 3; i++ {
+		res, err := (&Engine{Workers: i + 1, Lo: total * i / 3, Hi: total * (i + 1) / 3}).Run(spec())
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		rows = append(rows, res.Trials...)
+	}
+	folded, err := Fold(spec(), rows)
+	check("3-shard fold", folded, err)
+}
+
+// TestMemoDeterminism pins the prefix-sharing contract: a campaign whose
+// workers claim prefix groups produces artifacts byte-identical to every
+// trial run alone. Running the suite under -race additionally checks
+// that workers running different groups never touch shared mutable
+// state.
+func TestMemoDeterminism(t *testing.T) {
+	checkDeterminism(t, smokeSpec)
 }
 
 // TestPrefixGroups pins what a worker claims: each group holds exactly
 // the P policy trials of one grid point and seed, in trial order, and
-// groups come in the order their first trial appears. NoMemo gives one
-// group per trial.
+// groups come in the order their first trial appears.
 func TestPrefixGroups(t *testing.T) {
 	spec := smokeSpec()
 	spec.Policies = []string{"lexicographic", "ratio", "memory-only"}
@@ -63,7 +107,7 @@ func TestPrefixGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := prefixGroups(trials, true)
+	groups := prefixGroups(trials)
 	policies := len(spec.Policies)
 	if want := len(trials) / policies; len(groups) != want {
 		t.Fatalf("%d groups, want one per grid point and seed (%d)", len(groups), want)
@@ -87,15 +131,6 @@ func TestPrefixGroups(t *testing.T) {
 			if tr.Policy != trials[grp[0].Index+i*spec.Seeds].Policy {
 				t.Fatalf("group %d cell %d is policy %v", g, i, tr.Policy)
 			}
-		}
-	}
-	single := prefixGroups(trials, false)
-	if len(single) != len(trials) {
-		t.Fatalf("NoMemo: %d groups, want one per trial (%d)", len(single), len(trials))
-	}
-	for i, grp := range single {
-		if len(grp) != 1 || grp[0].Index != i {
-			t.Fatalf("NoMemo group %d = %v, want trial %d alone", i, grp, i)
 		}
 	}
 }
@@ -154,7 +189,7 @@ func TestPrefixDropsFinishedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	checked := 0
-	for _, group := range prefixGroups(trials, true) {
+	for _, group := range prefixGroups(trials) {
 		pre := runPrefix(group, nil)
 		if pre.is == nil {
 			continue // rejected by the substrate: nothing is balanced
@@ -192,7 +227,7 @@ func TestBalanceWalksShared(t *testing.T) {
 		t.Fatal(err)
 	}
 	points := 0
-	for _, group := range prefixGroups(trials, true) {
+	for _, group := range prefixGroups(trials) {
 		if tr := group[0]; tr.Gen.Seed != 0 || tr.Gen.Tasks != 600 || tr.Procs != 32 {
 			continue
 		}

@@ -9,43 +9,22 @@ import (
 
 // TestObsByteIdentity pins the tentpole contract of the telemetry
 // layer: attaching recorders must not perturb the artifacts. The same
-// spec produces byte-identical JSON and CSV with telemetry on or off,
-// at every worker count, with and without prefix memoisation — the
-// full matrix a production sweep can run under.
+// spec produces JSON and CSV byte-identical to every trial run alone,
+// with telemetry on or off, at every worker count.
 func TestObsByteIdentity(t *testing.T) {
-	var ref []byte
-	refCSV := new(bytes.Buffer)
+	refJSON, refCSV := artifactBytes(t, perTrial(t, smokeSpec()))
 	for _, workers := range []int{1, 2, 8} {
-		for _, noMemo := range []bool{false, true} {
-			for _, withObs := range []bool{false, true} {
-				eng := &Engine{Workers: workers, NoMemo: noMemo}
-				if withObs {
-					eng.Obs = obs.NewSet(workers)
-				}
-				res, err := eng.Run(smokeSpec())
-				if err != nil {
-					t.Fatalf("workers=%d noMemo=%v obs=%v: %v", workers, noMemo, withObs, err)
-				}
-				data, err := res.JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				csv := new(bytes.Buffer)
-				if err := res.WriteCSV(csv); err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref, refCSV = data, csv
-					continue
-				}
-				if !bytes.Equal(ref, data) {
-					t.Fatalf("workers=%d noMemo=%v obs=%v: JSON diverges from the reference run",
-						workers, noMemo, withObs)
-				}
-				if !bytes.Equal(refCSV.Bytes(), csv.Bytes()) {
-					t.Fatalf("workers=%d noMemo=%v obs=%v: CSV diverges from the reference run",
-						workers, noMemo, withObs)
-				}
+		for _, withObs := range []bool{false, true} {
+			eng := &Engine{Workers: workers}
+			if withObs {
+				eng.Obs = obs.NewSet(workers)
+			}
+			res, err := eng.Run(smokeSpec())
+			if err != nil {
+				t.Fatalf("workers=%d obs=%v: %v", workers, withObs, err)
+			}
+			if data, csv := artifactBytes(t, res); !bytes.Equal(refJSON, data) || !bytes.Equal(refCSV, csv) {
+				t.Fatalf("workers=%d obs=%v: artifacts diverge from the per-trial reference", workers, withObs)
 			}
 		}
 	}
@@ -109,47 +88,35 @@ func TestEngineObsCounters(t *testing.T) {
 	}
 }
 
-// TestEngineObsNoMemo: with memoisation off the memo counters stay
-// silent and every trial recomputes its own prefix.
-func TestEngineObsNoMemo(t *testing.T) {
-	set := obs.NewSet(2)
-	res, err := (&Engine{Workers: 2, NoMemo: true, Obs: set}).Run(smokeSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := set.Snapshot()
-	if snap.Counters["memo_hits"] != 0 || snap.Counters["memo_misses"] != 0 {
-		t.Fatalf("memo counters with -no-memo: hits %d misses %d, want 0/0",
-			snap.Counters["memo_hits"], snap.Counters["memo_misses"])
-	}
-	if c := snap.Stages["generate"].Count; c != int64(len(res.Trials)) {
-		t.Fatalf("generate count = %d, want one per trial (%d)", c, len(res.Trials))
-	}
-}
-
 // TestEngineObsBalancePlacements checks the balance_placements counter:
-// run alone, every balanced trial walks each of its blocks at least once;
-// sharing a prefix group's walks never costs more than that.
+// run alone (RunTrialObserved), every balanced trial walks each of its
+// blocks at least once; sharing a prefix group's walks never costs more
+// than that.
 func TestEngineObsBalancePlacements(t *testing.T) {
 	spec := smokeSpec()
 	spec.Policies = []string{"lexicographic", "ratio", "memory-only"}
-	count := map[bool]int64{}
+	set := obs.NewSet(1)
+	res, err := (&Engine{Workers: 1, Obs: set}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := set.Snapshot().Counters["balance_placements"]
+	trials, err := spec.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone := obs.NewSet(1)
 	var blocks int64
-	for _, noMemo := range []bool{true, false} {
-		set := obs.NewSet(1)
-		res, err := (&Engine{Workers: 1, NoMemo: noMemo, Obs: set}).Run(spec)
-		if err != nil {
+	for i, tr := range trials {
+		if _, err := RunTrialObserved(tr, alone.Recorder(0)); err != nil {
 			t.Fatal(err)
 		}
-		count[noMemo] = set.Snapshot().Counters["balance_placements"]
-		blocks = 0
-		for _, r := range res.Trials {
-			blocks += int64(r.Blocks)
-		}
+		blocks += int64(res.Trials[i].Blocks)
 	}
-	if count[true] < blocks || count[false] == 0 || count[false] > count[true] {
+	single := alone.Snapshot().Counters["balance_placements"]
+	if single < blocks || shared == 0 || shared > single {
 		t.Fatalf("balance_placements: %d per trial, %d shared, for %d blocks over the accepted trials",
-			count[true], count[false], blocks)
+			single, shared, blocks)
 	}
 }
 

@@ -266,8 +266,8 @@ func decodeEventLog(name string, records [][]byte) (EventLogHeader, []Event, err
 // ValidateEvents checks a decoded log against the record schema: known
 // event types only, strictly increasing Seq, and the per-type required
 // fields (range-scoped events carry range, job, and trace; worker
-// events carry the worker ID). This is what the CI smoke leg runs over
-// a real chaos run's log.
+// events carry the worker ID). lbcheck -eventlog and the fleet tests
+// run it over real chaos runs' logs.
 func ValidateEvents(hdr EventLogHeader, events []Event) error {
 	if hdr.Magic != EventLogMagic {
 		return fmt.Errorf("coord: bad event log magic %q", hdr.Magic)

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -102,84 +101,15 @@ func TestMergeRefusesMixedPhases(t *testing.T) {
 }
 
 // TestCrashResumeWithPhases: a killed before/after sweep resumes into
-// artifacts byte-identical to the uninterrupted run — the recovered
-// rows' before./delta. extras pass the structural replay validation.
+// artifacts byte-identical to the uninterrupted run, before./delta.
+// extras included.
 func TestCrashResumeWithPhases(t *testing.T) {
-	res, err := (&campaign.Engine{Workers: 4}).Run(phaseSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, refCSV := artifacts(t, res)
-
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.jsonl")
-	journalSpec(t, phaseSpec(), full, 0, 1)
-	data, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frac := range []int{4, 2, 1} { // cut at ¼, ½, and just short of the end
-		cut := len(data)/frac - 3
-		path := filepath.Join(dir, "killed.jsonl")
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		hdr, err := NewHeader(phaseSpec(), 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, done, err := Resume(path, hdr, nil)
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		eng := &campaign.Engine{Workers: 2, Done: done, Sink: w.Append}
-		resumed, err := eng.Run(phaseSpec())
-		if err != nil {
-			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		gotJSON, gotCSV := artifacts(t, resumed)
-		if !bytes.Equal(gotJSON, refJSON) || !bytes.Equal(gotCSV, refCSV) {
-			t.Fatalf("cut=%d (%d rows recovered): resumed phased artifacts differ", cut, len(done))
-		}
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkCrashResume(t, phaseSpec)
 }
 
 // TestMergePhasesByteIdentical: three shard journals of a before/after
 // sweep merge into artifacts byte-identical to the single-host run,
 // before./delta. columns included.
 func TestMergePhasesByteIdentical(t *testing.T) {
-	res, err := (&campaign.Engine{Workers: 4}).Run(phaseSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, refCSV := artifacts(t, res)
-	for _, col := range []string{"before.contention.busy_mean", "delta.reuse.savings"} {
-		if !bytes.Contains(refCSV, []byte(col)) {
-			t.Fatalf("reference CSV lacks phase column %q", col)
-		}
-	}
-
-	dir := t.TempDir()
-	paths := make([]string, 3)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i+1))
-		journalSpec(t, phaseSpec(), paths[i], i, 3)
-	}
-	merged, err := Merge([]string{paths[1], paths[2], paths[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, gotCSV := artifacts(t, merged)
-	if !bytes.Equal(gotJSON, refJSON) {
-		t.Fatal("merged JSON differs from single-host phased run")
-	}
-	if !bytes.Equal(gotCSV, refCSV) {
-		t.Fatal("merged CSV differs from single-host phased run")
-	}
+	checkMerge(t, phaseSpec, "before.contention.busy_mean", "delta.reuse.savings")
 }

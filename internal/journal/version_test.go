@@ -128,11 +128,13 @@ func TestMergeRefusesMixedAnalyzers(t *testing.T) {
 	}
 }
 
-// TestCrashResumeWithAnalyzers: a killed analyzer sweep resumes into
-// artifacts byte-identical to the uninterrupted run, extras included —
-// the recovered rows' extras pass the structural replay validation.
-func TestCrashResumeWithAnalyzers(t *testing.T) {
-	res, err := (&campaign.Engine{Workers: 4}).Run(analyzerSpec())
+// checkCrashResume journals spec whole, cuts the journal at ¼, ½ and
+// just short of the end (the state a kill leaves), and requires each
+// resumed run to reproduce the uninterrupted artifacts: the recovered
+// rows' extras pass the structural replay validation.
+func checkCrashResume(t *testing.T, spec func() *campaign.Spec) {
+	t.Helper()
+	res, err := (&campaign.Engine{Workers: 4}).Run(spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +142,18 @@ func TestCrashResumeWithAnalyzers(t *testing.T) {
 
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.jsonl")
-	journalSpec(t, analyzerSpec(), full, 0, 1)
+	journalSpec(t, spec(), full, 0, 1)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frac := range []int{4, 2, 1} { // cut at ¼, ½, and just short of the end
+	for _, frac := range []int{4, 2, 1} {
 		cut := len(data)/frac - 3
-		path := filepath.Join(dir, "killed.jsonl")
+		path := filepath.Join(dir, fmt.Sprintf("killed%d.jsonl", frac))
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		hdr, err := NewHeader(analyzerSpec(), 0, 1)
+		hdr, err := NewHeader(spec(), 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,52 +161,58 @@ func TestCrashResumeWithAnalyzers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		eng := &campaign.Engine{Workers: 2, Done: done, Sink: w.Append}
-		resumed, err := eng.Run(analyzerSpec())
+		resumed, err := (&campaign.Engine{Workers: 2, Done: done, Sink: w.Append}).Run(spec())
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		gotJSON, gotCSV := artifacts(t, resumed)
-		if !bytes.Equal(gotJSON, refJSON) || !bytes.Equal(gotCSV, refCSV) {
-			t.Fatalf("cut=%d (%d rows recovered): resumed analyzer artifacts differ", cut, len(done))
-		}
-		if err := os.Remove(path); err != nil {
-			t.Fatal(err)
+		if gotJSON, gotCSV := artifacts(t, resumed); !bytes.Equal(gotJSON, refJSON) || !bytes.Equal(gotCSV, refCSV) {
+			t.Fatalf("cut=%d (%d rows recovered): resumed artifacts differ", cut, len(done))
 		}
 	}
+}
+
+// checkMerge journals spec as three shards and requires their merge, in
+// a shuffled order, to reproduce the single-host artifacts, whose CSV
+// must carry every one of cols.
+func checkMerge(t *testing.T, spec func() *campaign.Spec, cols ...string) {
+	t.Helper()
+	res, err := (&campaign.Engine{Workers: 4}).Run(spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refJSON, refCSV := artifacts(t, res)
+	for _, col := range cols {
+		if !bytes.Contains(refCSV, []byte(col)) {
+			t.Fatalf("reference CSV lacks column %q", col)
+		}
+	}
+	dir := t.TempDir()
+	paths := make([]string, 3)
+	for i := range paths {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i+1))
+		journalSpec(t, spec(), paths[i], i, 3)
+	}
+	merged, err := Merge([]string{paths[2], paths[0], paths[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON, gotCSV := artifacts(t, merged); !bytes.Equal(gotJSON, refJSON) || !bytes.Equal(gotCSV, refCSV) {
+		t.Fatal("merged artifacts differ from the single-host run")
+	}
+}
+
+// TestCrashResumeWithAnalyzers: a killed analyzer sweep resumes into
+// artifacts byte-identical to the uninterrupted run, extras included.
+func TestCrashResumeWithAnalyzers(t *testing.T) {
+	checkCrashResume(t, analyzerSpec)
 }
 
 // TestMergeAnalyzersByteIdentical: the acceptance criterion's multi-host
 // half with analyzers on — three shard journals merge into artifacts
 // byte-identical to the uninterrupted single-host run, extras included.
 func TestMergeAnalyzersByteIdentical(t *testing.T) {
-	res, err := (&campaign.Engine{Workers: 4}).Run(analyzerSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refJSON, refCSV := artifacts(t, res)
-	if !bytes.Contains(refCSV, []byte("schedulability.util_margin")) {
-		t.Fatal("reference CSV lacks extras columns")
-	}
-
-	dir := t.TempDir()
-	paths := make([]string, 3)
-	for i := range paths {
-		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i+1))
-		journalSpec(t, analyzerSpec(), paths[i], i, 3)
-	}
-	merged, err := Merge([]string{paths[2], paths[0], paths[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON, gotCSV := artifacts(t, merged)
-	if !bytes.Equal(gotJSON, refJSON) {
-		t.Fatal("merged JSON differs from single-host run with analyzers")
-	}
-	if !bytes.Equal(gotCSV, refCSV) {
-		t.Fatal("merged CSV differs from single-host run with analyzers")
-	}
+	checkMerge(t, analyzerSpec, "schedulability.util_margin")
 }

@@ -25,8 +25,8 @@ func workerSnapshot(seed int) *Snapshot {
 }
 
 // TestMergeSnapshotsSums: fleet counters and per-stage counts are the
-// exact sums of the inputs — the acceptance invariant the CI fleetinfo
-// check asserts against worker sidecars.
+// exact sums of the inputs — the invariant a campaign's fleetinfo rests
+// on when it merges worker snapshots.
 func TestMergeSnapshotsSums(t *testing.T) {
 	a, b, c := workerSnapshot(0), workerSnapshot(3), workerSnapshot(7)
 	m := MergeSnapshots(a, b, c)

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,7 +33,7 @@ func fixtureSnapshot() *Snapshot {
 
 // TestPromGolden pins the Prometheus exposition byte-for-byte against
 // testdata/metrics.golden.prom — stable family/series ordering is part
-// of the format contract the CI scrape leg parses. Regenerate with
+// of the format contract scrapers rely on. Regenerate with
 //
 //	OBS_UPDATE_GOLDEN=1 go test ./internal/obs -run TestPromGolden
 func TestPromGolden(t *testing.T) {
@@ -73,74 +76,135 @@ func TestPromStableOrdering(t *testing.T) {
 	}
 }
 
-// TestPromBucketCumulativity walks the rendered histogram and checks
-// the bucket counts are non-decreasing in le order and that the +Inf
-// bucket equals the _count series for every stage.
-func TestPromBucketCumulativity(t *testing.T) {
+// The text format 0.0.4 grammar promLint holds an exposition to.
+var (
+	promName   = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	promPair   = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\\n]|\\[\\"n])*)"`)
+	promSample = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{` + promPair.String() + `(?:,` + promPair.String() + `)*\})? (NaN|[+-]Inf|[+-]?[0-9][0-9.e+-]*)$`)
+)
+
+// promLint parses an exposition strictly and returns its samples keyed
+// by series (name plus label set as written). Every line must be a
+// HELP/TYPE comment or a well-formed sample, no other comment is
+// allowed, no family may be TYPE'd twice, and every histogram series
+// must have cumulative buckets ending in a +Inf bucket equal to its
+// _count.
+func promLint(text string) (map[string]float64, error) {
+	series := map[string]float64{}
+	typed := map[string]bool{}
+	histograms := map[string]bool{}
+	last := map[string]float64{} // bucket series without le → last count
+	inf := map[string]float64{}  // the matching _count series → +Inf count
+	for _, ln := range strings.Split(text, "\n") {
+		if ln == "" {
+			continue
+		}
+		if strings.HasPrefix(ln, "#") {
+			f := strings.SplitN(ln, " ", 4)
+			if len(f) != 4 || f[0] != "#" || (f[1] != "HELP" && f[1] != "TYPE") || !promName.MatchString(f[2]) {
+				return nil, fmt.Errorf("stray comment %q", ln)
+			}
+			if f[1] == "TYPE" {
+				if f[3] != "counter" && f[3] != "gauge" && f[3] != "histogram" {
+					return nil, fmt.Errorf("unknown type in %q", ln)
+				}
+				if typed[f[2]] {
+					return nil, fmt.Errorf("second TYPE line for %s", f[2])
+				}
+				typed[f[2]], histograms[f[2]] = true, f[3] == "histogram"
+			}
+			continue
+		}
+		m := promSample.FindStringSubmatch(ln)
+		if m == nil {
+			return nil, fmt.Errorf("unparseable sample %q", ln)
+		}
+		v, err := strconv.ParseFloat(m[len(m)-1], 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad value in %q: %v", ln, err)
+		}
+		series[m[1]+m[2]] = v
+		fam, ok := strings.CutSuffix(m[1], "_bucket")
+		if !ok || !histograms[fam] {
+			continue
+		}
+		var kept []string
+		le := ""
+		for _, pair := range promPair.FindAllStringSubmatch(m[2], -1) {
+			if pair[1] == "le" {
+				le = pair[2]
+			} else {
+				kept = append(kept, pair[0])
+			}
+		}
+		key := fam + "{" + strings.Join(kept, ",") + "}"
+		if le == "" {
+			return nil, fmt.Errorf("bucket without le: %q", ln)
+		}
+		if prev, seen := last[key]; seen && v < prev {
+			return nil, fmt.Errorf("%s not cumulative: le=%s holds %v after %v", key, le, v, prev)
+		}
+		last[key] = v
+		if le == "+Inf" {
+			inf[strings.Replace(key, "{", "_count{", 1)] = v
+		}
+	}
+	for key := range last {
+		count := strings.Replace(key, "{", "_count{", 1)
+		c, ok := series[strings.TrimSuffix(count, "{}")]
+		if v, capped := inf[count]; !capped || !ok || v != c {
+			return nil, fmt.Errorf("%s: +Inf bucket (%v, present %v) differs from _count (%v, present %v)", key, v, capped, c, ok)
+		}
+	}
+	return series, nil
+}
+
+// TestPromStrictExposition runs promLint over one page built from every
+// PromWriter method — a zero-sample counter, a gauge with escaped HELP
+// text and label values, direct histograms, a local snapshot, and a
+// merged fleet snapshot — and over known-bad pages it must refuse.
+func TestPromStrictExposition(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteProm(&sb, "lb_", fixtureSnapshot()); err != nil {
+	p := NewPromWriter(&sb)
+	p.Counter("t_events_total", "No samples yet.")
+	p.Gauge("t_gauge", "Escapes: \\ and\na newline.",
+		Sample{Labels: []Label{{Name: "path", Value: `C:\dir"q` + "\n"}}, Value: 1},
+		Sample{Labels: []Label{{Name: "path", Value: "b"}}, Value: math.Inf(1)})
+	p.Histograms("t_seconds", "Direct histograms.", []string{"a", "b", "absent"}, map[string]StageStats{
+		"a": {Count: 3, TotalNS: 7, Buckets: []int64{1, 0, 2}},
+		"b": {Count: 0},
+	})
+	p.Snapshot("lb_", fixtureSnapshot())
+	p.Snapshot("lbfleet_", MergeSnapshots(fixtureSnapshot(), fixtureSnapshot()))
+	if err := p.Err(); err != nil {
 		t.Fatal(err)
 	}
-	lastByStage := map[string]float64{}
-	infByStage := map[string]float64{}
-	countByStage := map[string]float64{}
-	for _, line := range strings.Split(sb.String(), "\n") {
-		switch {
-		case strings.HasPrefix(line, "lb_stage_duration_seconds_bucket{"):
-			stage := fieldValue(t, line, "stage")
-			le := fieldValue(t, line, "le")
-			v := sampleValue(t, line)
-			if le == "+Inf" {
-				infByStage[stage] = v
-				continue
-			}
-			if v < lastByStage[stage] {
-				t.Errorf("stage %s: bucket le=%s count %v below previous %v", stage, le, v, lastByStage[stage])
-			}
-			lastByStage[stage] = v
-		case strings.HasPrefix(line, "lb_stage_duration_seconds_count{"):
-			countByStage[fieldValue(t, line, "stage")] = sampleValue(t, line)
-		}
-	}
-	if len(countByStage) == 0 {
-		t.Fatal("no histogram series rendered")
-	}
-	for stage, count := range countByStage {
-		if infByStage[stage] != count {
-			t.Errorf("stage %s: +Inf bucket %v != count %v", stage, infByStage[stage], count)
-		}
-		if lastByStage[stage] > count {
-			t.Errorf("stage %s: last finite bucket %v exceeds count %v", stage, lastByStage[stage], count)
-		}
-	}
-}
-
-func fieldValue(t *testing.T, line, label string) string {
-	t.Helper()
-	marker := label + `="`
-	i := strings.Index(line, marker)
-	if i < 0 {
-		t.Fatalf("label %q missing in %q", label, line)
-	}
-	rest := line[i+len(marker):]
-	j := strings.Index(rest, `"`)
-	if j < 0 {
-		t.Fatalf("unterminated label value in %q", line)
-	}
-	return rest[:j]
-}
-
-func sampleValue(t *testing.T, line string) float64 {
-	t.Helper()
-	i := strings.LastIndexByte(line, ' ')
-	if i < 0 {
-		t.Fatalf("no value in %q", line)
-	}
-	v, err := strconv.ParseFloat(line[i+1:], 64)
+	series, err := promLint(sb.String())
 	if err != nil {
-		t.Fatalf("bad value in %q: %v", line, err)
+		t.Fatalf("%v in:\n%s", err, sb.String())
 	}
-	return v
+	for s, want := range map[string]float64{
+		"t_events_total":                         0,
+		`t_seconds_bucket{stage="a",le="4e-09"}`: 3,
+		`lbfleet_stage_duration_seconds_bucket{stage="simulate",le="+Inf"}`: 6,
+		"lbfleet_trials_accepted_total":                                     10,
+	} {
+		if got, ok := series[s]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", s, got, ok, want)
+		}
+	}
+
+	for _, bad := range []string{
+		"# a stray comment\n",
+		"# TYPE x gauge\n# TYPE x gauge\nx 1\n",
+		"x{l=\"unterminated} 1\n",
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"+Inf\"} 2\nh_count 2\n",
+		"# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_count 3\n",
+	} {
+		if _, err := promLint(bad); err == nil {
+			t.Errorf("promLint accepted %q", bad)
+		}
+	}
 }
 
 // TestPromEscaping: label values with backslashes, quotes, and newlines

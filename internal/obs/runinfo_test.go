@@ -107,8 +107,7 @@ func TestRunInfoRoundTrip(t *testing.T) {
 }
 
 // TestRunInfoWrite: Write produces a parseable file whose stage keys
-// cover the full stage set — the invariant the CI smoke leg asserts on
-// real runs.
+// cover the full stage set.
 func TestRunInfoWrite(t *testing.T) {
 	ri := NewRunInfo("lbfarm")
 	ri.Name = "writecheck"

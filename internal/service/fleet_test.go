@@ -114,7 +114,7 @@ func TestFleetEndToEnd(t *testing.T) {
 
 	// While running, the status report carries the embedded
 	// coordinator's control plane: lease table, worker pool, counters.
-	var sawFleet bool
+	var sawFleet, sawPool, sawTrials bool
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		cur, ok := d.Status(st.ID)
@@ -129,18 +129,29 @@ func TestFleetEndToEnd(t *testing.T) {
 			if cur.Fleet.Splits != 4 || len(cur.Fleet.Leases) != 4 {
 				t.Errorf("fleet block: splits=%d leases=%d, want 4/4", cur.Fleet.Splits, len(cur.Fleet.Leases))
 			}
-			// Mid-run /metrics carries the fleet families.
+			// Mid-run /metrics composes the control, fleet and lease
+			// families on one page.
 			data, _ := fetch(t, srv, "/metrics")
-			for _, family := range []string{"lbfleet_workers", "lbfleet_campaigns_running"} {
-				if !bytes.Contains(data, []byte("# TYPE "+family+" ")) {
-					t.Errorf("missing /metrics family %s while running", family)
+			typedOnce(t, data)
+			// The running gauges are exact only if the campaign's
+			// coordinator outlived the scrape.
+			if after, _ := d.Status(st.ID); after.Fleet != nil {
+				for series, want := range map[string]float64{"lbfleet_campaigns_running": 1, "lbfarmd_running": 1} {
+					if v, ok := promValue(data, series); !ok || v != want {
+						t.Errorf("mid-run %s = %v (present %v), want %v", series, v, ok, want)
+					}
 				}
 			}
+			v, _ := promValue(data, "lbfleet_workers")
+			sawPool = sawPool || v == 3
+			v, _ = promValue(data, "lbfleet_trials_accepted_total")
+			sawTrials = sawTrials || v > 0
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !sawFleet {
-		t.Error("never observed the fleet status block while running")
+	if !sawFleet || !sawPool || !sawTrials {
+		t.Errorf("while running: fleet status block seen %v, lbfleet_workers 3 seen %v, lbfleet_trials_accepted_total > 0 seen %v",
+			sawFleet, sawPool, sawTrials)
 	}
 
 	fin := waitDone(t, srv, st.ID)
@@ -217,31 +228,30 @@ func TestFleetEndToEnd(t *testing.T) {
 	if events[len(events)-1].Type != coord.EvMerged {
 		t.Errorf("last event = %s, want merged", events[len(events)-1].Type)
 	}
+	count := func(events []coord.Event) map[coord.EventType]int {
+		n := map[coord.EventType]int{}
+		for _, ev := range events {
+			n[ev.Type]++
+		}
+		return n
+	}
+	before := count(events)
+	if before[coord.EvShardLanded] != 4 {
+		t.Errorf("%d shard_landed events, want one per range (4)", before[coord.EvShardLanded])
+	}
 
 	// Cache-hit parity with the local path: the duplicate answers from
 	// the cache with zero dispatches.
-	dispatches := 0
-	for _, ev := range events {
-		if ev.Type == coord.EvDispatch {
-			dispatches++
-		}
-	}
 	st2, code := submit(t, srv, specBody(t, fleetSpec()))
 	if code != http.StatusOK || !st2.Cached {
 		t.Fatalf("duplicate submit = %d cached=%v, want 200 cached", code, st2.Cached)
 	}
-	if _, events2, err := coord.ReadEventLog(elog); err != nil {
+	_, events2, err := coord.ReadEventLog(elog)
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		got := 0
-		for _, ev := range events2 {
-			if ev.Type == coord.EvDispatch {
-				got++
-			}
-		}
-		if got != dispatches {
-			t.Fatalf("duplicate submit dispatched ranges: %d → %d", dispatches, got)
-		}
+	}
+	if got := count(events2)[coord.EvDispatch]; got != before[coord.EvDispatch] {
+		t.Fatalf("duplicate submit dispatched ranges: %d → %d", before[coord.EvDispatch], got)
 	}
 }
 
@@ -427,6 +437,24 @@ func TestFleetTwoCampaigns(t *testing.T) {
 		}
 		if events[len(events)-1].Type != coord.EvMerged {
 			t.Errorf("%s: last event = %s, want merged", spec.Name, events[len(events)-1].Type)
+		}
+	}
+}
+
+// typedOnce fails the test when a family on an exposition page has a
+// second TYPE line: the daemon composes its page from the lbfarmd_, lb_,
+// lbfleet_ and lbcoord_ writers, so no single writer's output rules it
+// out.
+func typedOnce(t *testing.T, page []byte) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(page), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			if seen[name] {
+				t.Fatalf("family %s TYPE'd twice on the composed page:\n%s", name, page)
+			}
+			seen[name] = true
 		}
 	}
 }

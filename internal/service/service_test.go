@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -198,9 +197,10 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("artifact fetch = %d", code)
 	}
 	gotCSV, _ := fetch(t, srv, last.Status.Artifacts[KindCSV])
-	ri, code := fetch(t, srv, last.Status.Artifacts[KindRunInfo])
-	if code != http.StatusOK || !bytes.Contains(ri, []byte(`"lbfarmd"`)) {
-		t.Fatalf("runinfo fetch = %d: %s", code, ri)
+	riData, code := fetch(t, srv, last.Status.Artifacts[KindRunInfo])
+	var ri obs.RunInfo
+	if err := json.Unmarshal(riData, &ri); code != http.StatusOK || err != nil || ri.Tool != "lbfarmd" || ri.Trials != 4 {
+		t.Fatalf("runinfo fetch = %d (%v), want lbfarmd's over 4 trials: %s", code, err, riData)
 	}
 
 	// Byte-identity against a direct, in-process engine run.
@@ -628,22 +628,44 @@ func TestFSStoreAtomicity(t *testing.T) {
 	}
 }
 
-// TestMetrics: the daemon's /metrics exposition carries the lbfarmd_
-// control families and parses as one family per name.
+// TestMetrics: the daemon's /metrics page composes the lbfarmd_ control
+// families with the lb_ telemetry of the running campaign, so mid-run it
+// carries both and must TYPE each family once; after the run the
+// counters read the executed trials, and a duplicate submission moves
+// only the cache-hit counter.
 func TestMetrics(t *testing.T) {
-	d := newDaemon(t, t.TempDir(), Hooks{})
+	var once sync.Once
+	reached, release := make(chan struct{}), make(chan struct{})
+	d := newDaemon(t, t.TempDir(), Hooks{SinkTick: func(string, int) {
+		once.Do(func() { close(reached); <-release })
+	}})
 	defer d.Close()
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()
 	d.Start()
 
-	st, _ := submit(t, srv, specBody(t, testSpec(2)))
-	waitDone(t, srv, st.ID)
-
+	body := specBody(t, testSpec(2))
+	st, _ := submit(t, srv, body)
+	<-reached
 	data, code := fetch(t, srv, "/metrics")
+	close(release)
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
+	typedOnce(t, data)
+	if v, ok := promValue(data, "lbfarmd_running"); !ok || v != 1 {
+		t.Fatalf("mid-run lbfarmd_running = %v (present %v), want 1:\n%s", v, ok, data)
+	}
+	if _, ok := promValue(data, "lb_elapsed_seconds"); !ok {
+		t.Fatalf("mid-run page lacks the campaign's lb_ telemetry:\n%s", data)
+	}
+	waitDone(t, srv, st.ID)
+	if _, code := submit(t, srv, body); code != http.StatusOK {
+		t.Fatalf("duplicate submit = %d, want 200", code)
+	}
+
+	data, _ = fetch(t, srv, "/metrics")
+	typedOnce(t, data)
 	for _, family := range []string{
 		"lbfarmd_queue_depth", "lbfarmd_running", "lbfarmd_submissions_total",
 		"lbfarmd_cache_hits_total", "lbfarmd_trials_executed_total",
@@ -653,8 +675,10 @@ func TestMetrics(t *testing.T) {
 			t.Fatalf("missing family %s in:\n%s", family, data)
 		}
 	}
-	if !bytes.Contains(data, []byte(fmt.Sprintf("lbfarmd_trials_executed_total 2"))) {
-		t.Fatalf("executed counter wrong:\n%s", data)
+	for series, want := range map[string]float64{"lbfarmd_trials_executed_total": 2, "lbfarmd_cache_hits_total": 1} {
+		if v, ok := promValue(data, series); !ok || v != want {
+			t.Fatalf("%s = %v, want %v:\n%s", series, v, want, data)
+		}
 	}
 
 	vars, code := fetch(t, srv, "/debug/vars")
