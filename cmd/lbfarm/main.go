@@ -131,10 +131,10 @@ func main() {
 		workerMode = flag.Bool("worker", false, "serve mode: take jobs from an lbfarmd -fleet daemon instead of running a sweep (the grid/spec flags are ignored; the spec arrives with each job)")
 		listen     = flag.String("listen", "127.0.0.1:0", "worker mode: serve the job API on this host:port (port 0 picks one)")
 		advertise  = flag.String("advertise", "", "worker mode: address to register with the coordinator (default: the bound -listen address, with this host's name when unspecified)")
-		coordURL   = flag.String("coord", "", "worker mode: lbfarmd -fleet base URL to register with and heartbeat (jobs arrive only after registering)")
+		coordURL   = flag.String("coord", "", "worker mode: lbfarmd -fleet base URL to register with (jobs arrive only after registering)")
 		workerDir  = flag.String("worker-dir", "worker-journals", "worker mode: directory for per-job shard journals")
 		workerID   = flag.String("worker-id", "", "worker mode: stable worker identity (default host:pid)")
-		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "worker mode: heartbeat interval to -coord")
+		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "worker mode: re-register with -coord this often; the periodic register is the heartbeat")
 	)
 	flag.Parse()
 
@@ -461,10 +461,7 @@ func runWorker(listen, advertise, coordURL, dir, id string, workers int, heartbe
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	if coordURL != "" {
-		go coord.Announce(ctx, coordURL, ws.ID(), addr, heartbeat, func() coord.WorkerStatus {
-			st, _ := ws.Status(context.Background(), "")
-			return st
-		}, log.Printf)
+		go coord.Announce(ctx, coordURL, ws.ID(), addr, heartbeat, log.Printf)
 	}
 	<-ctx.Done()
 	log.Printf("signal: draining — the running job's journal is synced for re-dispatch")

@@ -185,7 +185,7 @@ func TestEventRoundTrip(t *testing.T) {
 func TestDo(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /ok", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, HeartbeatAck{Known: true})
+		WriteJSON(w, http.StatusOK, Registration{ID: "w1"})
 	})
 	mux.HandleFunc("GET /raw", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("raw-bytes"))
@@ -197,9 +197,9 @@ func TestDo(t *testing.T) {
 	defer srv.Close()
 	ctx := context.Background()
 
-	var ack HeartbeatAck
-	if err := Do(ctx, nil, http.MethodGet, srv.URL+"/ok", nil, &ack); err != nil || !ack.Known {
-		t.Fatalf("ok: %v, %+v", err, ack)
+	var reg Registration
+	if err := Do(ctx, nil, http.MethodGet, srv.URL+"/ok", nil, &reg); err != nil || reg.ID != "w1" {
+		t.Fatalf("ok: %v, %+v", err, reg)
 	}
 	var raw []byte
 	if err := Do(ctx, nil, http.MethodGet, srv.URL+"/raw", nil, &raw); err != nil || string(raw) != "raw-bytes" {

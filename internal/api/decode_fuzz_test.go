@@ -12,7 +12,7 @@ import (
 )
 
 // wireTypes are the request bodies servers decode: spec submit,
-// register/heartbeat, and worker job start.
+// worker registration, and worker job start.
 var wireTypes = []func() any{
 	func() any { return &campaign.Spec{} },
 	func() any { return &Registration{} },
@@ -49,6 +49,7 @@ func FuzzDecode(f *testing.F) {
 	for _, body := range []string{
 		`{"a":1,"zzz":2}`, `{"a":1} trailing`, `{"a":1}`, `{}]`, `null`,
 		`{"id":"w1","addr":"http://w1"}`, `{"id":"w1"}`, `{"id":""}`,
+		// The status field of the retired push heartbeat: now unknown.
 		`{"id":"w1","status":{"job_id":"j","state":"running","done":3,"total":9}}`,
 	} {
 		f.Add([]byte(body))

@@ -52,9 +52,9 @@ const (
 	JobFailed JobState = "failed"
 )
 
-// WorkerStatus is a worker's self-report — the heartbeat payload and
-// the status-poll response. Done counts journaled trials of the current
-// job (replayed rows included), Total the job's trial count.
+// WorkerStatus is a worker's self-report — the status-poll response.
+// Done counts journaled trials of the current job (replayed rows
+// included), Total the job's trial count.
 type WorkerStatus struct {
 	JobID string   `json:"job_id"`
 	State JobState `json:"state"`
@@ -63,18 +63,11 @@ type WorkerStatus struct {
 	Err   string   `json:"err,omitempty"`
 }
 
-// Registration is the register/heartbeat payload a worker pushes to the
-// coordinator (POST /v1/register, POST /v1/heartbeat).
+// Registration is the payload a worker pushes to the coordinator
+// (POST /v1/register) at start and every interval after.
 type Registration struct {
-	ID     string       `json:"id"`
-	Addr   string       `json:"addr,omitempty"`
-	Status WorkerStatus `json:"status"`
-}
-
-// HeartbeatAck tells the worker whether the coordinator knows it; an
-// unknown worker re-registers (the coordinator restarted).
-type HeartbeatAck struct {
-	Known bool `json:"known"`
+	ID   string `json:"id"`
+	Addr string `json:"addr,omitempty"`
 }
 
 // ---------------------------------------------------------------------

@@ -161,7 +161,7 @@ type Engine struct {
 	// memo-cache counters, and one throughput-timeline tick per live
 	// trial. Telemetry is strictly outside the byte-identity contract —
 	// the Result (and the artifacts folded from it) is bit-identical
-	// with Obs attached or nil, pinned by TestObsByteIdentity — and the
+	// with Obs attached or nil, pinned by checkDeterminism — and the
 	// recorders are lock-free, so attaching it costs a few clock reads
 	// and atomic adds per trial.
 	Obs *obs.Set

@@ -25,25 +25,6 @@ func smokeSpec() *Spec {
 	}
 }
 
-// TestDeterminism is the headline guarantee: the same spec and seed set
-// produce byte-identical JSON and CSV artifacts at worker counts 1, 2,
-// and 8.
-func TestDeterminism(t *testing.T) {
-	var refJSON, refCSV []byte
-	for _, workers := range []int{1, 2, 8} {
-		res, err := (&Engine{Workers: workers}).Run(smokeSpec())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		data, csv := artifactBytes(t, res)
-		if refJSON == nil {
-			refJSON, refCSV = data, csv
-		} else if !bytes.Equal(refJSON, data) || !bytes.Equal(refCSV, csv) {
-			t.Fatalf("workers=%d: artifacts differ from the workers=1 run", workers)
-		}
-	}
-}
-
 // TestEndToEndSweep checks the whole path: enumeration, pipeline,
 // aggregation, artifacts.
 func TestEndToEndSweep(t *testing.T) {

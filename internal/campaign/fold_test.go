@@ -1,23 +1,11 @@
 package campaign
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"sync"
 	"testing"
 )
-
-// refRun produces the uninterrupted single-host reference artifacts.
-func refRun(t *testing.T) (*Result, []byte, []byte) {
-	t.Helper()
-	res, err := (&Engine{Workers: 4}).Run(smokeSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, csv := artifactBytes(t, res)
-	return res, data, csv
-}
 
 // TestSinkStreamsEveryLiveTrial checks the sink contract: every live
 // trial is emitted exactly once, replayed Done rows are never
@@ -69,56 +57,13 @@ func TestSinkStreamsEveryLiveTrial(t *testing.T) {
 	}
 }
 
-// TestResumeByteIdentical replays every prefix-length split of a
-// finished run and checks the resumed artifacts are byte-identical to
-// the uninterrupted ones, at several worker counts.
-func TestResumeByteIdentical(t *testing.T) {
-	ref, refJSON, refCSV := refRun(t)
-	for _, k := range []int{0, 1, 7, len(ref.Trials) - 1, len(ref.Trials)} {
-		for _, workers := range []int{1, 2, 8} {
-			eng := &Engine{Workers: workers, Done: append([]TrialResult(nil), ref.Trials[:k]...)}
-			res, err := eng.Run(smokeSpec())
-			if err != nil {
-				t.Fatalf("k=%d workers=%d: %v", k, workers, err)
-			}
-			if data, csv := artifactBytes(t, res); !bytes.Equal(data, refJSON) || !bytes.Equal(csv, refCSV) {
-				t.Fatalf("k=%d workers=%d: resumed artifacts differ", k, workers)
-			}
-		}
-	}
-}
-
-// TestShardFoldByteIdentical splits the grid into three index ranges,
-// runs each as its own Engine, and folds the concatenated rows back
-// into artifacts identical to the single run.
-func TestShardFoldByteIdentical(t *testing.T) {
-	ref, refJSON, refCSV := refRun(t)
-	total := len(ref.Trials)
-	var rows []TrialResult
-	for i := 0; i < 3; i++ {
-		lo, hi := total*i/3, total*(i+1)/3
-		res, err := (&Engine{Workers: i + 1, Lo: lo, Hi: hi}).Run(smokeSpec())
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		if len(res.Trials) != hi-lo {
-			t.Fatalf("shard %d: %d rows, want %d", i, len(res.Trials), hi-lo)
-		}
-		rows = append(rows, res.Trials...)
-	}
-	folded, err := Fold(smokeSpec(), rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if data, csv := artifactBytes(t, folded); !bytes.Equal(data, refJSON) || !bytes.Equal(csv, refCSV) {
-		t.Fatal("folded shard artifacts differ from the single-host run")
-	}
-}
-
 // TestFoldValidation: gaps, duplicates, and enumeration mismatches must
 // all fail loudly rather than publish aggregates over the wrong rows.
 func TestFoldValidation(t *testing.T) {
-	ref, _, _ := refRun(t)
+	ref, err := (&Engine{Workers: 4}).Run(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := append([]TrialResult(nil), ref.Trials...)
 
 	if _, err := Fold(smokeSpec(), rows[:len(rows)-1]); err == nil || !strings.Contains(err.Error(), "fold of") {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // artifactBytes renders res's JSON and CSV artifacts.
@@ -47,8 +48,11 @@ func perTrial(t *testing.T, spec *Spec) *Result {
 
 // checkDeterminism pins the byte-identity contract for one spec: its
 // JSON and CSV artifacts equal the per-trial reference at 1, 2 and 8
-// workers, after Done-row replay (crash-resume) and after a 3-shard fold
-// (multi-host merge). The reference CSV must carry every one of cols.
+// workers with telemetry off and on, after Done-row replay
+// (crash-resume) of k ∈ {0, 1, 7, n/2, n−1, n} of its n rows at 1, 2, 4
+// and 8 workers, and after a 3-shard fold (multi-host merge) whose
+// shards each return exactly their range's rows. The reference CSV must
+// carry every one of cols.
 func checkDeterminism(t *testing.T, spec func() *Spec, cols ...string) {
 	t.Helper()
 	ref := perTrial(t, spec())
@@ -68,19 +72,31 @@ func checkDeterminism(t *testing.T, spec func() *Spec, cols ...string) {
 		}
 	}
 	for _, workers := range []int{1, 2, 8} {
-		res, err := (&Engine{Workers: workers}).Run(spec())
-		check(fmt.Sprintf("workers=%d", workers), res, err)
+		for _, withObs := range []bool{false, true} {
+			eng := &Engine{Workers: workers}
+			if withObs {
+				eng.Obs = obs.NewSet(workers)
+			}
+			res, err := eng.Run(spec())
+			check(fmt.Sprintf("workers=%d obs=%v", workers, withObs), res, err)
+		}
 	}
-	for _, k := range []int{1, len(ref.Trials) / 2, len(ref.Trials)} {
-		res, err := (&Engine{Workers: 4, Done: append([]TrialResult(nil), ref.Trials[:k]...)}).Run(spec())
-		check(fmt.Sprintf("resume k=%d", k), res, err)
+	n := len(ref.Trials)
+	for _, k := range []int{0, 1, 7, n / 2, n - 1, n} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			res, err := (&Engine{Workers: workers, Done: append([]TrialResult(nil), ref.Trials[:k]...)}).Run(spec())
+			check(fmt.Sprintf("resume k=%d workers=%d", k, workers), res, err)
+		}
 	}
-	total := len(ref.Trials)
 	var rows []TrialResult
 	for i := 0; i < 3; i++ {
-		res, err := (&Engine{Workers: i + 1, Lo: total * i / 3, Hi: total * (i + 1) / 3}).Run(spec())
+		lo, hi := n*i/3, n*(i+1)/3
+		res, err := (&Engine{Workers: i + 1, Lo: lo, Hi: hi}).Run(spec())
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
+		}
+		if len(res.Trials) != hi-lo {
+			t.Fatalf("shard %d: %d rows, want %d", i, len(res.Trials), hi-lo)
 		}
 		rows = append(rows, res.Trials...)
 	}

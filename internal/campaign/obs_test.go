@@ -1,34 +1,10 @@
 package campaign
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestObsByteIdentity pins the tentpole contract of the telemetry
-// layer: attaching recorders must not perturb the artifacts. The same
-// spec produces JSON and CSV byte-identical to every trial run alone,
-// with telemetry on or off, at every worker count.
-func TestObsByteIdentity(t *testing.T) {
-	refJSON, refCSV := artifactBytes(t, perTrial(t, smokeSpec()))
-	for _, workers := range []int{1, 2, 8} {
-		for _, withObs := range []bool{false, true} {
-			eng := &Engine{Workers: workers}
-			if withObs {
-				eng.Obs = obs.NewSet(workers)
-			}
-			res, err := eng.Run(smokeSpec())
-			if err != nil {
-				t.Fatalf("workers=%d obs=%v: %v", workers, withObs, err)
-			}
-			if data, csv := artifactBytes(t, res); !bytes.Equal(refJSON, data) || !bytes.Equal(refCSV, csv) {
-				t.Fatalf("workers=%d obs=%v: artifacts diverge from the per-trial reference", workers, withObs)
-			}
-		}
-	}
-}
 
 // TestEngineObsCounters checks the engine populates the telemetry it
 // promises: every live trial is counted exactly once as accepted or

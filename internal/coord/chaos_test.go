@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -202,21 +203,41 @@ func (f *flakyWorker) Snapshot(ctx context.Context) (*obs.Snapshot, error) {
 	return f.w.Snapshot(ctx)
 }
 
-// TestHeartbeatLostThenRecovered: the only worker is partitioned away
-// long enough to be declared dead and its lease re-queued. When it
-// re-registers (the Announce path after a heal), the coordinator must
-// re-dispatch to it — idempotently, since the worker never stopped — and
-// finish with a byte-identical artifact.
+// TestHeartbeatLostThenRecovered: the only worker is partitioned away —
+// its job RPCs and its registrations both — long enough to be declared
+// dead and its lease re-queued. The coordinator takes its pool from a
+// Registry served over HTTP, and the worker runs the real Announce loop.
+// When the partition heals, the worker's next periodic register must
+// rejoin it to the running campaign, which re-dispatches to it
+// (idempotently: the worker never stopped) and finishes with a
+// byte-identical artifact.
 func TestHeartbeatLostThenRecovered(t *testing.T) {
-	cfg := testConfig(t, 1)
-	c := mustNew(t, cfg)
 	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(20 * time.Millisecond) }}
-	fw := &flakyWorker{w: newHTTPWorker(t, "w1", slow, nil)}
-	c.AddWorker(fw)
+	addr := newWorkerURL(t, "w1", slow)
+	fw := &flakyWorker{w: NewClient("w1", addr)}
+	reg := NewRegistry(func(string, string) Worker { return fw }, t.Logf)
+	mux := http.NewServeMux()
+	reg.Routes(mux)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if fw.down.Load() {
+			http.Error(w, "network partition", http.StatusServiceUnavailable)
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	done := make(chan struct{})
+	cfg := testConfig(t, 1)
+	cfg.Registry = reg
+	c := mustNew(t, cfg)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	announced, done := make(chan struct{}), make(chan struct{})
+	defer func() { cancel(); <-announced; <-done }()
+	go func() {
+		defer close(announced)
+		Announce(ctx, hs.URL, "w1", addr, 50*time.Millisecond, t.Logf)
+	}()
 	var res *campaign.Result
 	var runErr error
 	go func() {
@@ -236,10 +257,8 @@ func TestHeartbeatLostThenRecovered(t *testing.T) {
 		t.Errorf("pool after partition = %d workers, want 0", got)
 	}
 
-	// Heal and re-register — what a worker's Announce loop does when its
-	// heartbeat comes back with known=false.
+	// Heal: nothing else happens but the worker's own Announce loop.
 	fw.down.Store(false)
-	c.AddWorker(fw)
 
 	<-done
 	if runErr != nil {
@@ -316,7 +335,6 @@ func TestDuplicateCompletionOfReissuedRange(t *testing.T) {
 	jid := c.jobID(l.rng)
 	l.state = StateLeased
 	l.workers["a"], l.workers["b"] = jid, jid
-	l.speculated = true
 	l.started = time.Now()
 	c.workers["a"].lease = 0
 	c.workers["b"].lease = 0

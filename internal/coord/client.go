@@ -76,44 +76,34 @@ func (c *Client) Snapshot(ctx context.Context) (*obs.Snapshot, error) {
 	return vars.Obs, nil
 }
 
-// Announce registers a worker with the coordinator and pushes
-// heartbeats every interval until ctx ends. status supplies each
-// beat's payload; a coordinator that has forgotten us (it restarted)
-// triggers re-registration. Transient failures are logged and retried
-// on the next beat — the worker outliving a coordinator blip is the
-// whole point.
-func Announce(ctx context.Context, coordURL, id, addr string, interval time.Duration, status func() WorkerStatus, logf func(string, ...any)) {
+// Announce registers a worker with the coordinator and repeats the
+// registration every interval until ctx ends: the periodic register is
+// the worker's heartbeat. A coordinator that still holds the worker
+// ignores the repeat; one that declared it dead, or restarted, takes it
+// back. Failures are logged and retried on the next interval — the
+// worker outliving a coordinator blip is the whole point.
+func Announce(ctx context.Context, coordURL, id, addr string, interval time.Duration, logf func(string, ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	base := api.BaseURL(coordURL)
 	hc := &http.Client{Timeout: interval}
-
-	register := func() {
-		if err := api.Do(ctx, hc, http.MethodPost, base+"/v1/register", api.Registration{ID: id, Addr: addr}, nil); err != nil {
-			logf("registering with %s: %v (will retry)", base, err)
-		} else {
-			logf("registered with %s as %s (%s)", base, id, addr)
-		}
-	}
-	register()
-
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
+	registered := false
 	for {
+		err := api.Do(ctx, hc, http.MethodPost, base+"/v1/register", api.Registration{ID: id, Addr: addr}, nil)
+		switch {
+		case err != nil:
+			logf("registering with %s: %v (will retry)", base, err)
+		case !registered:
+			logf("registered with %s as %s (%s)", base, id, addr)
+		}
+		registered = err == nil
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-		}
-		var ack api.HeartbeatAck
-		if err := api.Do(ctx, hc, http.MethodPost, base+"/v1/heartbeat", api.Registration{ID: id, Status: status()}, &ack); err != nil {
-			logf("heartbeat: %v", err)
-			continue
-		}
-		if !ack.Known {
-			logf("coordinator does not know us — re-registering")
-			register()
 		}
 	}
 }

@@ -65,9 +65,13 @@ type StatusSnapshot = api.CoordStatus
 // workerState is the coordinator's book on one registered worker.
 type workerState struct {
 	w        Worker
-	lastSeen time.Time
+	lastSeen time.Time // last answered status poll
 	status   WorkerStatus
 	lease    int // index into leases, -1 when idle
+
+	// progressAt is when the polled Done of the leased job last rose
+	// (or the lease began): the stall rule's clock.
+	progressAt time.Time
 
 	// snap is the last telemetry snapshot scraped from this worker (nil
 	// until the first scrape succeeds); snapAt is when. The scrape loop
@@ -279,38 +283,27 @@ func (c *Coordinator) verifyShard(j *journal.Journal, r Range, name string) erro
 // ID replaces the handle — the worker restarted or moved — and any
 // lease the old incarnation held is re-queued by the next status poll,
 // which will find the job gone.
-func (c *Coordinator) AddWorker(w Worker) {
+func (c *Coordinator) AddWorker(w Worker) { c.join(w, true) }
+
+// join adds w to the pool. A worker the pool already holds keeps its
+// handle, unless it moved: then w replaces it.
+func (c *Coordinator) join(w Worker, moved bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	id := w.ID()
 	if prev, ok := c.workers[id]; ok {
-		prev.w = w
-		prev.lastSeen = time.Now()
-		c.event(Event{Type: EvReRegistered, Worker: id})
-		c.cfg.Logf("worker %s re-registered", id)
+		if moved {
+			prev.w = w
+			prev.lastSeen = time.Now()
+			c.event(Event{Type: EvReRegistered, Worker: id})
+			c.cfg.Logf("worker %s re-registered", id)
+		}
 		return
 	}
 	c.workers[id] = &workerState{w: w, lastSeen: time.Now(), lease: -1}
 	c.stats.Registered++
 	c.event(Event{Type: EvRegistered, Worker: id})
 	c.cfg.Logf("worker %s registered (%d in pool)", id, len(c.workers))
-}
-
-// Observe ingests a push heartbeat: freshens liveness and records the
-// worker's self-reported status. State transitions happen only on the
-// scheduler tick, so heartbeats can arrive at any rate without racing
-// the lease table. Returns false for an unknown worker (it should
-// re-register).
-func (c *Coordinator) Observe(id string, st WorkerStatus) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ws, ok := c.workers[id]
-	if !ok {
-		return false
-	}
-	ws.lastSeen = time.Now()
-	ws.status = st
-	return true
 }
 
 // Workers returns the live pool size.

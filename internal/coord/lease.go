@@ -89,7 +89,8 @@ type lease struct {
 	trace string
 
 	// workers maps the IDs currently running this range (primary plus
-	// any speculative twin) to the dispatched job ID.
+	// any speculative twin) to the dispatched job ID. Only a range with
+	// a single tenant is a speculation candidate.
 	workers map[string]string
 
 	// dispatches counts every Start (speculation included); failures
@@ -104,10 +105,6 @@ type lease struct {
 	// started is when the current tenancy began (first worker attached
 	// after the last requeue) — the straggler projection baseline.
 	started time.Time
-
-	// speculated marks that this tenancy already got a speculative
-	// twin; reset on requeue.
-	speculated bool
 
 	// path is the shard journal's location once journaled; dur the
 	// tenancy's wall-clock duration (the straggler baseline sample).

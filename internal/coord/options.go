@@ -16,8 +16,8 @@ type Options struct {
 	// point: small ranges re-issue cheaply and let the pool balance.
 	Splits int
 
-	// Liveness declares a worker dead when neither a push heartbeat nor
-	// a successful status poll has been seen for this long.
+	// Liveness declares a worker dead when no status poll has been
+	// answered for this long.
 	Liveness time.Duration
 	// Poll is the scheduler tick: status polls, liveness checks,
 	// dispatch, and straggler checks happen each tick.
@@ -96,7 +96,7 @@ func (o Options) resolve() Options {
 // as defaults. Call on a DefaultOptions copy before fs.Parse.
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Splits, "splits", o.Splits, "shard ranges to cut each sweep into (0 = 4 per registered worker, minimum 8; more splits than workers lets the pool load-balance and re-issue cheaply)")
-	fs.DurationVar(&o.Liveness, "liveness", o.Liveness, "declare a worker dead after this long without a heartbeat or successful poll")
+	fs.DurationVar(&o.Liveness, "liveness", o.Liveness, "declare a worker dead after this long without an answered status poll")
 	fs.DurationVar(&o.Poll, "poll", o.Poll, "scheduler tick: status polls, dispatch, and straggler checks")
 	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", o.RPCTimeout, "per-RPC deadline for worker calls")
 	fs.IntVar(&o.MaxAttempts, "max-attempts", o.MaxAttempts, "per-range failure budget before the campaign fails loudly")
@@ -107,7 +107,7 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.BoolVar(&o.Straggler.Disabled, "no-speculate", o.Straggler.Disabled, "disable speculative re-issue of straggling ranges")
 	fs.Float64Var(&o.Straggler.SlowFactor, "slow-factor", o.Straggler.SlowFactor, "speculate a range projected past this multiple of the median completed-range duration")
 	fs.IntVar(&o.Straggler.MinCompleted, "min-completed", o.Straggler.MinCompleted, "completed ranges required before the straggler baseline is trusted")
-	fs.DurationVar(&o.Straggler.StallWindow, "stall-window", o.Straggler.StallWindow, "speculate a range whose worker's throughput timeline is flat for this long (0 disables the stall rule)")
+	fs.DurationVar(&o.Straggler.StallWindow, "stall-window", o.Straggler.StallWindow, "speculate a range whose polled progress stands still for this long (0 disables the stall rule)")
 }
 
 // AutoSplits is the shared auto-sizing rule behind Splits == 0: four

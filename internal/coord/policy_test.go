@@ -67,51 +67,81 @@ func TestProjectTotal(t *testing.T) {
 
 func TestShouldSpeculate(t *testing.T) {
 	p := DefaultOptions().Straggler
+	p.StallWindow = 0
 	base := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second}
-	if !p.ShouldSpeculate(5*time.Second, base) {
+	speculates := func(p StragglerPolicy, projected time.Duration, completed []time.Duration) bool {
+		_, ok := p.ShouldSpeculate(projected, 0, completed)
+		return ok
+	}
+	if !speculates(p, 5*time.Second, base) {
 		t.Error("5s projected vs 2s median should speculate")
 	}
-	if p.ShouldSpeculate(3*time.Second, base) {
+	if speculates(p, 3*time.Second, base) {
 		t.Error("3s projected vs 2s median is within 2x, no speculation")
 	}
-	if p.ShouldSpeculate(time.Hour, nil) {
+	if speculates(p, time.Hour, nil) {
 		t.Error("no completed baseline, no speculation")
 	}
-	if (StragglerPolicy{Disabled: true}).ShouldSpeculate(time.Hour, base) {
+	if speculates(StragglerPolicy{Disabled: true}, time.Hour, base) {
 		t.Error("disabled policy speculated")
 	}
 	strict := p
 	strict.MinCompleted = 5
-	if strict.ShouldSpeculate(time.Hour, base) {
+	if speculates(strict, time.Hour, base) {
 		t.Error("MinCompleted 5 with 3 samples speculated")
 	}
 }
 
+// TestStalled: the stall rule reads how long the polled Done has stood
+// still, and needs no completed baseline and no projection. In the
+// coordinator, a worker without telemetry whose polled Done stops
+// rising gets a twin once the window passes.
 func TestStalled(t *testing.T) {
 	p := StragglerPolicy{StallWindow: 100 * time.Millisecond}
-	mk := func(elapsed time.Duration, counts ...int64) *obs.Snapshot {
-		return &obs.Snapshot{
-			ElapsedNS: int64(elapsed),
-			Timeline:  obs.Timeline{WidthNS: int64(10 * time.Millisecond), Counts: counts},
+	if why, ok := p.ShouldSpeculate(0, 500*time.Millisecond, nil); !ok || !strings.Contains(why, "no progress") {
+		t.Errorf("Done still for 500ms of a 100ms window: %q %v, want stalled", why, ok)
+	}
+	if _, ok := p.ShouldSpeculate(0, 10*time.Millisecond, nil); ok {
+		t.Error("progress 10ms ago reported stalled")
+	}
+	if _, ok := (StragglerPolicy{}).ShouldSpeculate(0, time.Hour, nil); ok {
+		t.Error("zero StallWindow reported stalled")
+	}
+	if _, ok := (StragglerPolicy{Disabled: true, StallWindow: time.Millisecond}).ShouldSpeculate(0, time.Hour, nil); ok {
+		t.Error("disabled policy reported stalled")
+	}
+
+	cfg := testConfig(t, 1)
+	cfg.Straggler = StragglerPolicy{MinCompleted: 1, SlowFactor: 2, StallWindow: 50 * time.Millisecond}
+	elogPath := eventLogPath(cfg)
+	c := mustNew(t, cfg)
+	a, b := &fakeWorker{id: "a"}, &fakeWorker{id: "b"}
+	c.AddWorker(a)
+	c.AddWorker(b)
+	ctx := context.Background()
+	c.step(ctx) // dispatches the one range to a
+	jid := c.jobID(c.leases[0].rng)
+	for done := 1; done <= 2; done++ {
+		a.st = WorkerStatus{JobID: jid, State: JobRunning, Done: done, Total: 24}
+		c.step(ctx)
+	}
+	if got := c.Stats().Speculations; got != 0 {
+		t.Fatalf("speculations while Done rises = %d, want 0", got)
+	}
+	time.Sleep(2 * cfg.Straggler.StallWindow)
+	c.step(ctx) // Done still 2: stalled
+	if got := c.Stats().Speculations; got != 1 {
+		t.Fatalf("speculations after Done stood still past the window = %d, want 1", got)
+	}
+	_, events := mustReadEvents(t, elogPath)
+	var spec *Event
+	for i := range events {
+		if events[i].Type == EvSpeculate {
+			spec = &events[i]
 		}
 	}
-	// Last completion in slot 0 ([0,10ms)), 500ms elapsed: stalled.
-	if !p.Stalled(mk(500*time.Millisecond, 3)) {
-		t.Error("flat timeline past the window not reported stalled")
-	}
-	// Completion 10ms ago: within the window.
-	if p.Stalled(mk(60*time.Millisecond, 1, 0, 0, 0, 2)) {
-		t.Error("recent completion reported stalled")
-	}
-	// No completions ever: never stalled (the range may still be warming up).
-	if p.Stalled(mk(time.Hour)) {
-		t.Error("empty timeline reported stalled")
-	}
-	if p.Stalled(nil) {
-		t.Error("nil snapshot reported stalled")
-	}
-	if (StragglerPolicy{}).Stalled(mk(time.Hour, 1)) {
-		t.Error("zero StallWindow reported stalled")
+	if spec == nil || spec.Worker != "b" || !strings.Contains(spec.Detail, "straggling on a") {
+		t.Fatalf("speculate event = %+v, want the twin on b fleeing a", spec)
 	}
 }
 
@@ -227,12 +257,11 @@ func TestDefaultsWrittenOnce(t *testing.T) {
 	if got.ScrapeInterval >= 0 {
 		t.Errorf("-scrape -1s resolved to %v, want negative", got.ScrapeInterval)
 	}
-	stale := &obs.Snapshot{ElapsedNS: int64(time.Hour), Timeline: obs.Timeline{WidthNS: int64(time.Second), Counts: []int64{1}}}
-	if got.Straggler.Stalled(stale) {
+	if _, ok := got.Straggler.ShouldSpeculate(0, time.Hour, nil); ok {
 		t.Error("-stall-window 0 still applies the stall rule")
 	}
-	if !DefaultOptions().Straggler.Stalled(stale) {
-		t.Error("the default stall window does not flag an hour-long flat timeline")
+	if _, ok := DefaultOptions().Straggler.ShouldSpeculate(0, time.Hour, nil); !ok {
+		t.Error("the default stall window does not flag an hour without progress")
 	}
 	for _, tc := range []struct {
 		o    Options

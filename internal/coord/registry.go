@@ -9,7 +9,7 @@ import (
 )
 
 // Registry is the long-lived worker pool of a process that runs many
-// campaigns: workers register and heartbeat against it once, and every
+// campaigns: workers register against it, and every
 // Coordinator attached to it sees the full pool for the duration of its
 // campaign. This is what lets lbfarmd accept worker registrations
 // continuously while coordinators come and go per campaign — the
@@ -41,42 +41,31 @@ func NewRegistry(dial func(id, addr string) Worker, logf func(format string, arg
 	}
 }
 
-// Register adds (or refreshes) a worker and forwards a freshly dialed
-// handle to every attached coordinator. Re-registering a known ID
-// replaces its handle everywhere — the worker restarted or moved.
+// Register adds (or refreshes) a worker. Workers re-register every
+// interval — the periodic register is their heartbeat — so an unchanged
+// (id, addr) reaches only the attached coordinators that no longer hold
+// the worker (they declared it dead), and joins it back into their
+// pools. A new address re-dials the worker everywhere: it restarted or
+// moved.
 func (r *Registry) Register(id, addr string) {
 	r.mu.Lock()
-	known := r.workers[id] == addr
+	moved := r.workers[id] != addr
 	r.workers[id] = addr
 	n := len(r.workers)
 	cs := r.attachedLocked()
 	r.mu.Unlock()
-	if !known {
+	if moved {
 		r.logf("fleet: worker %s registered at %s (%d in pool)", id, addr, n)
 	}
 	for _, c := range cs {
-		c.AddWorker(r.dial(id, addr))
+		c.join(r.dial(id, addr), moved)
 	}
-}
-
-// Observe forwards a push heartbeat to every attached coordinator and
-// reports whether the registry knows the worker (an unknown worker
-// should re-register).
-func (r *Registry) Observe(id string, st WorkerStatus) bool {
-	r.mu.Lock()
-	_, known := r.workers[id]
-	cs := r.attachedLocked()
-	r.mu.Unlock()
-	for _, c := range cs {
-		c.Observe(id, st)
-	}
-	return known
 }
 
 // Attach seeds c with every registered worker and forwards future
-// registrations and heartbeats to it until the returned detach func
-// runs. Campaign-scoped: the fleet executor attaches at campaign start
-// and detaches when the campaign ends.
+// registrations to it until the returned detach func runs.
+// Campaign-scoped: the fleet executor attaches at campaign start and
+// detaches when the campaign ends.
 func (r *Registry) Attach(c *Coordinator) (detach func()) {
 	r.mu.Lock()
 	ids := make([]string, 0, len(r.workers))
@@ -123,9 +112,8 @@ func (r *Registry) attachedLocked() []*Coordinator {
 // when set):
 //
 //	POST /v1/register   body: api.Registration {id, addr} — join (or
-//	                    rejoin) the pool
-//	POST /v1/heartbeat  body: api.Registration {id, status} →
-//	                    api.HeartbeatAck — push liveness
+//	                    rejoin) the pool; workers repeat it every
+//	                    interval as their heartbeat
 //
 // Registration is open by design: the registry trusts its network,
 // like the rest of the lab-cluster workflow this automates.
@@ -142,13 +130,5 @@ func (r *Registry) Routes(mux *http.ServeMux) {
 		}
 		r.Register(reg.ID, reg.Addr)
 		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("POST /v1/heartbeat", func(w http.ResponseWriter, req *http.Request) {
-		var reg api.Registration
-		if err := api.Decode(req.Body, &reg); err != nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding heartbeat: %v", err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, api.HeartbeatAck{Known: r.Observe(reg.ID, reg.Status)})
 	})
 }

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/api"
 	"repro/internal/campaign"
 )
 
@@ -41,14 +40,7 @@ func newWorkerURL(t *testing.T, id string, hooks Hooks) string {
 // registry is seeded with the existing pool, receives later
 // registrations, and stops receiving them after detach.
 func TestRegistryAttachSeedForwardDetach(t *testing.T) {
-	dialed := map[string]int{}
-	var mu sync.Mutex
-	reg := NewRegistry(func(id, addr string) Worker {
-		mu.Lock()
-		dialed[id]++
-		mu.Unlock()
-		return &fakeWorker{id: id}
-	}, t.Logf)
+	reg := NewRegistry(func(id, addr string) Worker { return &fakeWorker{id: id} }, t.Logf)
 
 	reg.Register("w1", "addr1")
 	reg.Register("w2", "addr2")
@@ -66,13 +58,21 @@ func TestRegistryAttachSeedForwardDetach(t *testing.T) {
 	if got := c.Workers(); got != 3 {
 		t.Fatalf("workers after live registration = %d, want 3", got)
 	}
-	// Re-registering a known worker at a new address re-dials it.
+	w1 := func() Worker {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.workers["w1"].w
+	}
+	// The periodic re-register of a held worker swaps no handle; one at
+	// a new address does.
+	seeded := w1()
+	reg.Register("w1", "addr1")
+	if w1() != seeded {
+		t.Fatal("an unchanged re-register swapped w1's handle")
+	}
 	reg.Register("w1", "addr1-moved")
-	mu.Lock()
-	redials := dialed["w1"]
-	mu.Unlock()
-	if redials < 2 {
-		t.Fatalf("w1 dialed %d times, want >= 2 after address change", redials)
+	if w1() == seeded {
+		t.Fatal("an address change kept w1's old handle")
 	}
 
 	detach()
@@ -83,22 +83,16 @@ func TestRegistryAttachSeedForwardDetach(t *testing.T) {
 	if reg.Size() != 4 {
 		t.Fatalf("registry size = %d, want 4", reg.Size())
 	}
-
-	// Observe reports known/unknown regardless of attachment.
-	if !reg.Observe("w4", WorkerStatus{}) {
-		t.Error("Observe(w4) = false, want known")
-	}
-	if reg.Observe("stranger", WorkerStatus{}) {
-		t.Error("Observe(stranger) = true, want unknown")
-	}
 }
 
 // TestRegistryRoutes: the HTTP registration passthrough feeds attached
 // coordinators — the exact path lbfarm -worker -coord exercises against
-// lbfarmd -fleet.
+// lbfarmd -fleet — and a worker repeating its registration (its
+// heartbeat) leaves no trace on a coordinator that holds it.
 func TestRegistryRoutes(t *testing.T) {
 	reg := NewRegistry(func(id, addr string) Worker { return &fakeWorker{id: id} }, t.Logf)
-	c := mustNew(t, testConfig(t, 4))
+	cfg := testConfig(t, 4)
+	c := mustNew(t, cfg)
 	defer reg.Attach(c)()
 
 	mux := http.NewServeMux()
@@ -106,39 +100,27 @@ func TestRegistryRoutes(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/v1/register", "application/json",
-		strings.NewReader(`{"id":"w1","addr":"http://w1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("register = %d, want 204", resp.StatusCode)
+	for range 3 {
+		resp, err := http.Post(srv.URL+"/v1/register", "application/json",
+			strings.NewReader(`{"id":"w1","addr":"http://w1"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("register = %d, want 204", resp.StatusCode)
+		}
 	}
 	if got := c.Workers(); got != 1 {
 		t.Fatalf("workers after HTTP registration = %d, want 1", got)
 	}
-
-	for body, want := range map[string]bool{
-		`{"id":"w1"}`:       true,
-		`{"id":"stranger"}`: false,
-	} {
-		resp, err := http.Post(srv.URL+"/v1/heartbeat", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ack api.HeartbeatAck
-		if err := api.Decode(resp.Body, &ack); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if ack.Known != want {
-			t.Errorf("heartbeat %s → known=%v, want %v", body, ack.Known, want)
-		}
+	_, events := mustReadEvents(t, eventLogPath(cfg))
+	if len(events) != 1 || events[0].Type != EvRegistered {
+		t.Fatalf("three identical registrations logged %+v, want one %s event", events, EvRegistered)
 	}
 
 	// Malformed registrations answer with the shared envelope.
-	resp, err = http.Post(srv.URL+"/v1/register", "application/json", strings.NewReader(`{"id":""}`))
+	resp, err := http.Post(srv.URL+"/v1/register", "application/json", strings.NewReader(`{"id":""}`))
 	if err != nil {
 		t.Fatal(err)
 	}

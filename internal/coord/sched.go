@@ -60,11 +60,7 @@ func (c *Coordinator) Run(ctx context.Context) (*campaign.Result, error) {
 // cycles on a campaign that is over. The parent ctx is typically already
 // dead here, so each cancel gets its own deadline.
 func (c *Coordinator) drain() {
-	type target struct {
-		w   Worker
-		job string
-	}
-	var ts []target
+	var ts []cancelTarget
 	c.mu.Lock()
 	for _, l := range c.leases {
 		if l.state != StateLeased {
@@ -72,13 +68,25 @@ func (c *Coordinator) drain() {
 		}
 		for id, jobID := range l.workers {
 			if ws, ok := c.workers[id]; ok {
-				ts = append(ts, target{ws.w, jobID})
+				ts = append(ts, cancelTarget{ws.w, jobID})
 			}
 		}
 	}
 	c.mu.Unlock()
+	c.cancel(context.Background(), ts)
+}
+
+// cancelTarget is one job to cancel on one worker.
+type cancelTarget struct {
+	w   Worker
+	job string
+}
+
+// cancel best-effort cancels each target (outside the lock), each call
+// under its own RPC deadline.
+func (c *Coordinator) cancel(ctx context.Context, ts []cancelTarget) {
 	for _, t := range ts {
-		cctx, cancel := context.WithTimeout(context.Background(), c.cfg.RPCTimeout)
+		cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
 		_ = t.w.Cancel(cctx, t.job)
 		cancel()
 	}
@@ -106,8 +114,8 @@ func (c *Coordinator) merge() (*campaign.Result, error) {
 }
 
 // step is one scheduler tick. RPCs run outside the lock; every lease
-// transition happens under it, on this goroutine only — heartbeats
-// merely freshen liveness, so there is no second writer to race.
+// transition happens under it, on this goroutine only — registrations
+// merely add workers, so there is no second writer to race.
 func (c *Coordinator) step(ctx context.Context) {
 	c.poll(ctx)
 	fetches := c.transition()
@@ -115,13 +123,17 @@ func (c *Coordinator) step(ctx context.Context) {
 	for _, s := range c.assign() {
 		c.dispatch(ctx, s)
 	}
-	c.speculate(ctx)
+	for _, s := range c.speculate(ctx) {
+		c.dispatch(ctx, s)
+	}
 	c.scrape(ctx)
 }
 
-// poll asks every worker with a lease for job status (doubling as a
-// liveness probe); idle workers are probed too so a dead idle worker is
-// dropped from the pool rather than assigned work forever.
+// poll asks every worker with a lease for job status — the
+// coordinator's one view of a worker: its liveness, its job's state, and
+// the progress the straggler rules read. Idle workers are probed too so
+// a dead idle worker is dropped from the pool rather than assigned work
+// forever.
 func (c *Coordinator) poll(ctx context.Context) {
 	type probe struct {
 		id    string
@@ -152,7 +164,11 @@ func (c *Coordinator) poll(ctx context.Context) {
 		}
 		switch {
 		case err == nil:
-			ws.lastSeen = time.Now()
+			now := time.Now()
+			if st.JobID != ws.status.JobID || st.Done > ws.status.Done {
+				ws.progressAt = now
+			}
+			ws.lastSeen = now
 			ws.status = st
 		case errors.Is(err, ErrUnknownJob):
 			// Alive but amnesiac: it restarted and lost the assignment.
@@ -165,11 +181,9 @@ func (c *Coordinator) poll(ctx context.Context) {
 				c.event(ev)
 				c.cfg.Logf("worker %s lost job %s — re-queueing range %d", p.id, p.jobID, ws.lease)
 				c.detach(ws.lease, p.id, "worker lost the job")
-				ws.lease = -1
 			}
 		default:
-			// RPC failure: say nothing, let the liveness timeout decide —
-			// a push heartbeat may still be keeping this worker alive.
+			// RPC failure: say nothing, let the liveness timeout decide.
 		}
 		c.mu.Unlock()
 	}
@@ -239,17 +253,20 @@ func (c *Coordinator) transition() []fetchOrder {
 			c.event(ev)
 			c.cfg.Logf("worker %s failed job %s: %s", id, jobID, ws.status.Err)
 			c.detach(ws.lease, id, ws.status.Err)
-			ws.lease = -1
 		}
 	}
 	return fetches
 }
 
-// detach removes a worker from a lease (under the lock). When the last
-// tenant leaves a still-leased range, the attempt failed: the range
-// re-queues behind its backoff, or the campaign turns fatal once the
-// attempt budget is spent.
+// detach removes a worker from a lease and frees the worker's lease
+// slot (under the lock). When the last tenant leaves a still-leased
+// range, the attempt failed: the range re-queues behind its backoff, or
+// the campaign turns fatal once the attempt budget is spent. On a range
+// that is no longer leased it only frees the slot.
 func (c *Coordinator) detach(leaseIdx int, id, reason string) {
+	if ws, ok := c.workers[id]; ok {
+		ws.lease = -1
+	}
 	l := c.leases[leaseIdx]
 	delete(l.workers, id)
 	if len(l.workers) > 0 || l.state != StateLeased {
@@ -257,7 +274,6 @@ func (c *Coordinator) detach(leaseIdx int, id, reason string) {
 	}
 	l.failures++
 	l.lastErr = reason
-	l.speculated = false
 	if l.failures >= c.cfg.MaxAttempts {
 		l.state = StatePending
 		c.fatal = fmt.Errorf("coord: range %d/%d [%d,%d) failed %d attempts, last error: %s",
@@ -293,9 +309,6 @@ func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 			c.mu.Lock()
 			c.cfg.Logf("fetching journal of %s from %s: %v", f.jobID, f.id, err)
 			c.detach(f.leaseIdx, f.id, fmt.Sprintf("journal fetch: %v", err))
-			if ws, ok := c.workers[f.id]; ok {
-				ws.lease = -1
-			}
 			c.mu.Unlock()
 			continue
 		}
@@ -313,9 +326,6 @@ func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 			c.event(ev)
 			c.cfg.Logf("rejecting journal of %s from %s: %v", f.jobID, f.id, err)
 			c.detach(f.leaseIdx, f.id, fmt.Sprintf("invalid journal: %v", err))
-			if ws, ok := c.workers[f.id]; ok {
-				ws.lease = -1
-			}
 			c.mu.Unlock()
 			continue
 		}
@@ -328,10 +338,7 @@ func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 			ev.Worker, ev.Detail = f.id, "slower twin's journal discarded"
 			c.event(ev)
 			c.cfg.Logf("range %d/%d: duplicate journal from %s discarded", l.rng.Index+1, l.rng.Count, f.id)
-			delete(l.workers, f.id)
-			if ws, ok := c.workers[f.id]; ok {
-				ws.lease = -1
-			}
+			c.detach(f.leaseIdx, f.id, "")
 			c.mu.Unlock()
 			continue
 		}
@@ -363,22 +370,12 @@ func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 			ev.Detail = fmt.Sprintf("tenancy %v", l.dur.Round(time.Millisecond))
 		}
 		c.event(ev)
-		losers := make(map[string]string, len(l.workers))
+		var losers []cancelTarget
 		for id, jobID := range l.workers {
-			if id == f.id {
-				continue
+			if ws, ok := c.workers[id]; ok && id != f.id {
+				losers = append(losers, cancelTarget{ws.w, jobID})
 			}
-			if ws, ok := c.workers[id]; ok {
-				losers[id] = jobID
-				ws.lease = -1
-			}
-		}
-		delete(l.workers, f.id)
-		for id := range losers {
-			delete(l.workers, id)
-		}
-		if ws, ok := c.workers[f.id]; ok {
-			ws.lease = -1
+			c.detach(f.leaseIdx, id, "")
 		}
 		c.cfg.Logf("range %d/%d journaled by %s (%d/%d done)",
 			l.rng.Index+1, l.rng.Count, f.id, c.stats.Journaled, len(c.leases))
@@ -392,17 +389,7 @@ func (c *Coordinator) collect(ctx context.Context, fetches []fetchOrder) {
 		}
 
 		// Cancel the losing twin(s) so they stop burning a worker.
-		for id, jobID := range losers {
-			c.mu.Lock()
-			ws, ok := c.workers[id]
-			c.mu.Unlock()
-			if !ok {
-				continue
-			}
-			cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-			_ = ws.w.Cancel(cctx, jobID)
-			cancel()
-		}
+		c.cancel(ctx, losers)
 	}
 }
 
@@ -421,15 +408,7 @@ func (c *Coordinator) assign() []startOrder {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-
-	var idle []string
-	for id, ws := range c.workers {
-		if ws.lease < 0 {
-			idle = append(idle, id)
-		}
-	}
-	sort.Strings(idle)
-
+	idle := c.idleLocked()
 	var orders []startOrder
 	for i, l := range c.leases {
 		if len(idle) == 0 {
@@ -438,26 +417,45 @@ func (c *Coordinator) assign() []startOrder {
 		if l.state != StatePending || now.Before(l.notBefore) {
 			continue
 		}
-		id := idle[0]
-		idle = idle[1:]
-		ws := c.workers[id]
-		job := Job{ID: c.jobID(l.rng), Spec: c.cfg.Spec, Range: l.rng}
-		l.state = StateLeased
-		l.workers[id] = job.ID
-		l.started = now
-		l.dispatches++
-		job.Trace, job.Span = l.trace, spanID(l.trace, l.dispatches)
-		ws.lease = i
-		c.stats.Dispatches++
+		l.state, l.started = StateLeased, now
+		orders = append(orders, c.book(i, idle[0]))
 		ev := c.rangeEvent(EvDispatch, l)
-		ev.Worker = id
+		ev.Worker = idle[0]
 		c.event(ev)
-		orders = append(orders, startOrder{i, id, ws.w, job})
+		idle = idle[1:]
 	}
 	return orders
 }
 
-// dispatch performs one Start RPC; a refusal is a failed attempt.
+// idleLocked lists the workers without a lease in ID order; call under
+// c.mu.
+func (c *Coordinator) idleLocked() []string {
+	var idle []string
+	for id, ws := range c.workers {
+		if ws.lease < 0 {
+			idle = append(idle, id)
+		}
+	}
+	sort.Strings(idle)
+	return idle
+}
+
+// book seats worker id on lease i as one more tenant and returns its
+// dispatch order (under the lock). A first dispatch and a speculative
+// twin are booked alike, and both go out through dispatch.
+func (c *Coordinator) book(i int, id string) startOrder {
+	l, ws := c.leases[i], c.workers[id]
+	job := Job{ID: c.jobID(l.rng), Spec: c.cfg.Spec, Range: l.rng}
+	l.workers[id] = job.ID
+	l.dispatches++
+	job.Trace, job.Span = l.trace, spanID(l.trace, l.dispatches)
+	ws.lease, ws.progressAt = i, time.Now()
+	c.stats.Dispatches++
+	return startOrder{i, id, ws.w, job}
+}
+
+// dispatch performs one Start RPC; a refusal is a failed attempt. A
+// refused twin only leaves its range, which keeps its primary.
 func (c *Coordinator) dispatch(ctx context.Context, s startOrder) {
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
 	err := s.w.Start(cctx, s.job)
@@ -468,31 +466,28 @@ func (c *Coordinator) dispatch(ctx context.Context, s startOrder) {
 	if err != nil {
 		c.cfg.Logf("dispatching %s to %s: %v", s.job.ID, s.id, err)
 		c.detach(s.leaseIdx, s.id, fmt.Sprintf("dispatch: %v", err))
-		if ws, ok := c.workers[s.id]; ok {
-			ws.lease = -1
-		}
 		return
 	}
 	c.cfg.Logf("range %d/%d [%d,%d) → %s (attempt %d)",
 		l.rng.Index+1, l.rng.Count, l.rng.Lo, l.rng.Hi, s.id, l.dispatches)
 }
 
-// speculate re-issues straggling leased ranges to idle workers. It only
-// runs when no pending range wants the capacity, so speculation never
-// starves first-time work; each tenancy gets at most one twin.
-func (c *Coordinator) speculate(ctx context.Context) {
+// speculate books a twin on an idle worker for each straggling range
+// with a single tenant and returns the dispatch orders. It only runs
+// when no pending range wants the capacity, so speculation never starves
+// first-time work.
+func (c *Coordinator) speculate(ctx context.Context) []startOrder {
 	if c.cfg.Straggler.Disabled {
-		return
+		return nil
 	}
 
 	type candidate struct {
-		leaseIdx  int
-		primary   string // the worker to scrape
-		projected time.Duration
+		leaseIdx         int
+		primary          string
+		projected, quiet time.Duration
 	}
 	var (
 		cands     []candidate
-		idle      []string
 		completed []time.Duration
 	)
 	c.mu.Lock()
@@ -500,7 +495,7 @@ func (c *Coordinator) speculate(ctx context.Context) {
 	for _, l := range c.leases {
 		if l.state == StatePending && !now.Before(l.notBefore) {
 			c.mu.Unlock()
-			return // pending work outranks speculation
+			return nil // pending work outranks speculation
 		}
 		if l.state == StateJournaled || l.state == StateMerged {
 			if l.dur > 0 {
@@ -508,89 +503,47 @@ func (c *Coordinator) speculate(ctx context.Context) {
 			}
 		}
 	}
-	for id, ws := range c.workers {
-		if ws.lease < 0 {
-			idle = append(idle, id)
-		}
-	}
-	sort.Strings(idle)
+	idle := c.idleLocked()
 	if len(idle) == 0 {
 		c.mu.Unlock()
-		return
+		return nil
 	}
 	for i, l := range c.leases {
-		if l.state != StateLeased || l.speculated || l.started.IsZero() {
+		if l.state != StateLeased || len(l.workers) != 1 || l.started.IsZero() {
 			continue
 		}
-		var primary string
 		for id := range l.workers {
-			if primary == "" || id < primary {
-				primary = id
-			}
+			ws := c.workers[id]
+			projected, _ := projectTotal(now.Sub(l.started), ws.status.Done, ws.status.Total)
+			cands = append(cands, candidate{i, id, projected, now.Sub(ws.progressAt)})
 		}
-		ws, ok := c.workers[primary]
-		if !ok {
-			continue
-		}
-		projected, _ := projectTotal(now.Sub(l.started), ws.status.Done, ws.status.Total)
-		cands = append(cands, candidate{i, primary, projected})
 	}
 	c.mu.Unlock()
 
+	var orders []startOrder
 	for _, cand := range cands {
 		if len(idle) == 0 {
-			return
+			break
 		}
-		slow := c.cfg.Straggler.ShouldSpeculate(cand.projected, completed)
-		why := fmt.Sprintf("projected %v vs median %v", cand.projected.Round(time.Millisecond), medianDuration(completed).Round(time.Millisecond))
-
-		// The scrape is the second opinion: a stalled throughput timeline
-		// speculates even when the projection is inconclusive, and either
-		// way the snapshot classifies what the straggler is bound on.
-		// This shares the fleet scrape cache — a snapshot fresher than
-		// the scrape interval is reused instead of re-fetched.
-		var diag string
-		if snap := c.freshSnapshot(ctx, cand.primary, c.cfg.ScrapeInterval); snap != nil {
-			diag = Classify(snap)
-			if !slow && c.cfg.Straggler.Stalled(snap) {
-				slow = true
-				why = fmt.Sprintf("throughput stalled > %v", c.cfg.Straggler.StallWindow)
-			}
-		}
+		why, slow := c.cfg.Straggler.ShouldSpeculate(cand.projected, cand.quiet, completed)
 		if !slow {
 			continue
 		}
+		// The scrape says what the straggler is bound on. It shares the
+		// fleet scrape cache — a snapshot fresher than the scrape
+		// interval is reused instead of re-fetched.
+		diag := Classify(c.freshSnapshot(ctx, cand.primary, c.cfg.ScrapeInterval))
 
 		c.mu.Lock()
 		l := c.leases[cand.leaseIdx]
-		if l.state != StateLeased || l.speculated {
+		if l.state != StateLeased || len(l.workers) != 1 {
 			c.mu.Unlock()
 			continue
 		}
-		var tid string
-		for len(idle) > 0 && tid == "" {
-			id := idle[0]
-			idle = idle[1:]
-			if tw, ok := c.workers[id]; ok && tw.lease < 0 {
-				tid = id
-			}
-		}
-		if tid == "" {
-			c.mu.Unlock()
-			return
-		}
-		tw := c.workers[tid]
-		job := Job{ID: c.jobID(l.rng), Spec: c.cfg.Spec, Range: l.rng}
-		l.workers[tid] = job.ID
-		l.speculated = true
-		l.dispatches++
-		job.Trace, job.Span = l.trace, spanID(l.trace, l.dispatches)
-		tw.lease = cand.leaseIdx
-		c.stats.Dispatches++
+		tid := idle[0]
+		idle = idle[1:]
+		orders = append(orders, c.book(cand.leaseIdx, tid))
 		c.stats.Speculations++
-		if diag == "" {
-			diag = "unclassified (no snapshot)"
-		}
 		ev := c.rangeEvent(EvSpeculate, l)
 		ev.Worker = tid
 		ev.Detail = fmt.Sprintf("straggling on %s (%s; %s)", cand.primary, why, diag)
@@ -598,20 +551,6 @@ func (c *Coordinator) speculate(ctx context.Context) {
 		c.cfg.Logf("range %d/%d straggling on %s (%s; %s) — speculating on %s",
 			l.rng.Index+1, l.rng.Count, cand.primary, why, diag, tid)
 		c.mu.Unlock()
-
-		cctx, cancel := context.WithTimeout(ctx, c.cfg.RPCTimeout)
-		err := tw.w.Start(cctx, job)
-		cancel()
-		if err != nil {
-			c.mu.Lock()
-			c.cfg.Logf("speculative dispatch of %s to %s: %v", job.ID, tid, err)
-			// Unwind the twin only; the primary tenancy is untouched.
-			delete(l.workers, tid)
-			l.speculated = false
-			if ws, ok := c.workers[tid]; ok {
-				ws.lease = -1
-			}
-			c.mu.Unlock()
-		}
 	}
+	return orders
 }

@@ -12,8 +12,9 @@ import (
 // twin. Speculation only ever runs on otherwise-idle workers after the
 // pending queue is empty, so its cost is capacity that would have been
 // wasted anyway — determinism makes the duplicate free (first complete
-// journal wins). Its defaults live in DefaultOptions; New resolves a
-// zero MinCompleted or SlowFactor to them.
+// journal wins). Both of its rules read the status poll. Its defaults
+// live in DefaultOptions; New resolves a zero MinCompleted or
+// SlowFactor to them.
 type StragglerPolicy struct {
 	// Disabled turns speculation off entirely.
 	Disabled bool
@@ -23,11 +24,10 @@ type StragglerPolicy struct {
 	// SlowFactor speculates a range whose projected total duration
 	// exceeds this multiple of the median completed-range duration.
 	SlowFactor float64
-	// StallWindow speculates a range whose worker's throughput
-	// timeline shows no trial completions for this long, regardless of
-	// projection (disabled when zero). This is the scrape-side
-	// signal: a wedged worker that still answers heartbeats projects
-	// nothing useful, but its timeline goes flat.
+	// StallWindow speculates a range whose polled Done has not risen
+	// for this long, regardless of projection (disabled when zero): a
+	// wedged worker still answers the poll, but its progress stands
+	// still.
 	StallWindow time.Duration
 }
 
@@ -54,40 +54,23 @@ func medianDuration(ds []time.Duration) time.Duration {
 	return s[(len(s)-1)/2]
 }
 
-// ShouldSpeculate applies the projection rule: enough completed ranges
-// to trust the baseline, and a projection beyond SlowFactor × median.
-func (p StragglerPolicy) ShouldSpeculate(projected time.Duration, completed []time.Duration) bool {
-	if p.Disabled || projected <= 0 {
-		return false
-	}
-	if len(completed) < p.MinCompleted {
-		return false
+// ShouldSpeculate applies the policy to one tenancy and says why it
+// deserves a twin. The projection rule wants enough completed ranges to
+// trust the baseline and a projected duration beyond SlowFactor × their
+// median; the stall rule wants the polled Done to have stood still
+// (quiet) for longer than StallWindow.
+func (p StragglerPolicy) ShouldSpeculate(projected, quiet time.Duration, completed []time.Duration) (why string, ok bool) {
+	if p.Disabled {
+		return "", false
 	}
 	med := medianDuration(completed)
-	if med <= 0 {
-		return false
+	if projected > 0 && len(completed) >= p.MinCompleted && med > 0 && float64(projected) > p.SlowFactor*float64(med) {
+		return fmt.Sprintf("projected %v vs median %v", projected.Round(time.Millisecond), med.Round(time.Millisecond)), true
 	}
-	return float64(projected) > p.SlowFactor*float64(med)
-}
-
-// Stalled applies the scrape rule: the worker's throughput timeline
-// shows at least one completion ever, but none within the trailing
-// window. A nil snapshot (worker runs without telemetry) is never
-// stalled — absence of evidence stays absence of evidence.
-func (p StragglerPolicy) Stalled(s *obs.Snapshot) bool {
-	if p.Disabled || p.StallWindow <= 0 || s == nil || s.Timeline.WidthNS <= 0 {
-		return false
+	if p.StallWindow > 0 && quiet > p.StallWindow {
+		return fmt.Sprintf("no progress for > %v", p.StallWindow), true
 	}
-	lastEnd := int64(-1)
-	for i, c := range s.Timeline.Counts {
-		if c > 0 {
-			lastEnd = int64(i+1) * s.Timeline.WidthNS
-		}
-	}
-	if lastEnd < 0 {
-		return false
-	}
-	return s.ElapsedNS-lastEnd > int64(p.StallWindow)
+	return "", false
 }
 
 // computeStages and ioStages partition the pipeline stages for

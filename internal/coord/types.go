@@ -19,23 +19,26 @@
 //
 // Robustness model, in order of line of defence:
 //
-//   - Liveness: workers are observed through push heartbeats and pull
-//     status polls; a worker silent past the liveness timeout is
-//     declared dead, its leases are re-queued, and the campaign
-//     finishes on the survivors. Re-execution is safe because trials
-//     are deterministic and shard journals resume.
+//   - Liveness: the scheduler polls every worker's status each tick,
+//     and that poll is the coordinator's one view of a worker; a worker
+//     that has not answered it for the liveness timeout is declared
+//     dead, its leases are re-queued, and the campaign finishes on the
+//     survivors. A healed worker rejoins through its periodic
+//     re-registration. Re-execution is safe because trials are
+//     deterministic and shard journals resume.
 //   - Retry with backoff: every failed range attempt (dispatch error,
 //     worker death, failed or lost job, invalid fetched journal)
 //     re-queues the range behind an exponential backoff with jitter,
 //     and the campaign fails loudly — naming the range and its last
 //     error — once a range exhausts its attempt budget.
 //   - Straggler re-issue: the detector projects each leased range's
-//     completion from its progress, scrapes the worker's debug
+//     completion from its polled progress, flags a range whose polled
+//     progress stopped rising as stalled, scrapes the worker's debug
 //     endpoint for the obs snapshot (stage shares say whether it is
-//     compute- or fsync-bound; the throughput timeline says whether it
-//     stalled outright), and speculatively re-issues the slowest tail
-//     ranges to idle workers. Determinism makes duplicates free: the
-//     first complete journal wins and the loser is discarded.
+//     compute- or fsync-bound), and speculatively re-issues the slowest
+//     tail ranges to idle workers through the ordinary dispatch path.
+//     Determinism makes duplicates free: the first complete journal
+//     wins and the loser is discarded.
 //   - Durability: fetched shard journals are the coordinator's lease
 //     table. A restarted coordinator re-reads them, seats the complete
 //     ones as journaled, and only re-issues what is actually missing.
@@ -50,7 +53,7 @@ import (
 )
 
 // The wire types of the job dialect — Job, Range, JobState,
-// WorkerStatus, Registration, HeartbeatAck — live in internal/api (the
+// WorkerStatus, Registration — live in internal/api (the
 // one versioned dialect every server speaks); they are aliased here so
 // the coordinator's domain code and its tests keep their natural names.
 type (

@@ -63,8 +63,8 @@ func (r *Result) GainTotal() model.Time { return r.MakespanBefore - r.MakespanAf
 // methods only read it, so concurrent calls may share one Balancer, and
 // one Plan, but not one input schedule (see NewPlan).
 type Balancer struct {
-	// Policy is the cost function Run and RunPlan balance under;
-	// RunPolicies takes its policies as an argument instead.
+	// Policy is the cost function Run balances under; RunPolicies
+	// takes its policies as an argument instead.
 	Policy Policy
 
 	// IgnoreTiming disables the timing filters (candidate last-end filter,
@@ -168,17 +168,11 @@ func (st *balState) removeResv(bl *blocks.Block) {
 	}
 }
 
-// Run balances the given instance-level schedule and returns the result:
-// RunPlan on the schedule's plan. The input schedule is not modified.
+// Run balances the given instance-level schedule under b.Policy and
+// returns the result: RunPolicies with that one policy on the
+// schedule's plan. The input schedule is not modified.
 func (b *Balancer) Run(input *sched.InstSchedule) (*Result, error) {
-	return b.RunPlan(NewPlan(input))
-}
-
-// RunPlan balances the schedule the plan was built from under b.Policy
-// and returns the result: RunPolicies with that one policy. The plan is
-// not modified, so one plan serves every policy.
-func (b *Balancer) RunPlan(pl *Plan) (*Result, error) {
-	res, err := b.RunPolicies(pl, []Policy{b.Policy})
+	res, err := b.RunPolicies(NewPlan(input), []Policy{b.Policy})
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +181,7 @@ func (b *Balancer) RunPlan(pl *Plan) (*Result, error) {
 
 // RunPolicies balances the schedule the plan was built from once per
 // policy of pols — b.Policy is not read — and returns one result per
-// entry, each equal to what RunPlan gives under that policy. Entries may
+// entry, each equal to what Run gives under that policy. Entries may
 // repeat and come in any order.
 //
 // The heuristic is one greedy walk over the blocks, and a policy only

@@ -10,11 +10,11 @@ import (
 )
 
 // checkRunPolicies balances is under every policy of pols in one
-// RunPolicies call and requires each result to equal a separate RunPlan
-// under that policy, in every field but Placements: the moves with their
-// feasible counts, relaxed and forced flags and — under
-// RecordCandidates — each policy's own candidate records and λ; the
-// placements; and ConservativePropagation. It also requires the shared
+// RunPolicies call and requires each result to equal a separate
+// single-policy run on the plan (runOn), in every field but Placements:
+// the moves with their feasible counts, relaxed and forced flags and —
+// under RecordCandidates — each policy's own candidate records and λ;
+// the placements; and ConservativePropagation. It also requires the shared
 // walks to have done no more work than the separate runs. It returns how
 // many entries took the conservative rerun.
 func checkRunPolicies(t *testing.T, b Balancer, is *sched.InstSchedule, pols []Policy, what string) int {
@@ -30,9 +30,9 @@ func checkRunPolicies(t *testing.T, b Balancer, is *sched.InstSchedule, pols []P
 	reruns, shared, separate := 0, 0, 0
 	for i, pol := range pols {
 		b.Policy = pol
-		want, err := b.RunPlan(pl)
+		want, err := runOn(b, pl)
 		if err != nil {
-			t.Fatalf("%s: RunPlan %v: %v", what, pol, err)
+			t.Fatalf("%s: run %v: %v", what, pol, err)
 		}
 		shared += got[i].Placements
 		separate += want.Placements
@@ -110,8 +110,8 @@ func fuzzPolicies(code uint16) []Policy {
 	return pols
 }
 
-// FuzzRunPolicies checks RunPolicies against one RunPlan per entry
-// (checkRunPolicies) over generated systems, policy lists, and the
+// FuzzRunPolicies checks RunPolicies against one single-policy run per
+// entry (checkRunPolicies) over generated systems, policy lists, and the
 // balancer's IgnoreTiming, DisableLCMCondition and RecordCandidates
 // switches (flags bits 0–2).
 func FuzzRunPolicies(f *testing.F) {

@@ -9,8 +9,8 @@
 //   - Nothing observed may perturb what is published. Telemetry lives
 //     entirely outside the artifact byte-identity contract: the engine
 //     produces bit-identical JSON/CSV with recorders attached or nil
-//     (pinned by TestObsByteIdentity), and the runinfo sidecar is a
-//     separate file the determinism tests never compare.
+//     (pinned by campaign's checkDeterminism), and the runinfo sidecar
+//     is a separate file the determinism tests never compare.
 //   - The hot path takes no locks and performs no allocations. A
 //     Recorder is a fixed block of atomic counters — an observation is
 //     one atomic add into a histogram bucket plus two more for the

@@ -242,7 +242,7 @@ func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 		name, help string
 		v          func(coord.Stats) int
 	}{
-		{"lbcoord_workers_registered_total", "Worker registrations accepted.", func(s coord.Stats) int { return s.Registered }},
+		{"lbcoord_workers_registered_total", "Workers joined to a campaign's pool; a rejoin after being declared dead counts again.", func(s coord.Stats) int { return s.Registered }},
 		{"lbcoord_workers_dead_total", "Workers declared dead by the liveness timeout.", func(s coord.Stats) int { return s.DeadWorkers }},
 		{"lbcoord_dispatches_total", "Range dispatches (speculative re-issues included).", func(s coord.Stats) int { return s.Dispatches }},
 		{"lbcoord_requeues_total", "Failed range attempts re-queued behind backoff.", func(s coord.Stats) int { return s.Requeues }},

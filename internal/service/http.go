@@ -99,8 +99,8 @@ func (d *Daemon) Handler() http.Handler {
 		w.Write(data)
 	})
 	// Executor endpoints ride the same mux: in fleet mode this mounts
-	// the worker registration passthrough (POST /v1/register,
-	// POST /v1/heartbeat), so workers point -coord at the daemon.
+	// the worker registration passthrough (POST /v1/register), so
+	// workers point -coord at the daemon.
 	if rp, ok := d.cfg.Executor.(routeProvider); ok {
 		rp.Routes(mux)
 	}
