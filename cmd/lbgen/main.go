@@ -63,5 +63,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "lbgen: %d tasks, %d dependences, hyper-period %d, utilisation %.2f\n",
-		ts.Len(), len(ts.Dependences()), ts.HyperPeriod(), ts.Utilization())
+		ts.Len(), ts.NumDependences(), ts.HyperPeriod(), ts.Utilization())
 }

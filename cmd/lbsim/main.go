@@ -58,7 +58,7 @@ func main() {
 	ar.ContendedMedia = *contend
 
 	fmt.Printf("system: %d tasks, %d dependences, hyper-period %d, utilisation %.2f\n",
-		ts.Len(), len(ts.Dependences()), ts.HyperPeriod(), ts.Utilization())
+		ts.Len(), ts.NumDependences(), ts.HyperPeriod(), ts.Utilization())
 
 	if rep, err := analysis.CheckSchedulability(ts, *procs); err != nil {
 		log.Fatalf("definitively unschedulable: %v", err)

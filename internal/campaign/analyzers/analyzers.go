@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/sched"
@@ -44,7 +45,8 @@ import (
 //
 // Which fields are set depends on the phase:
 //
-//   - TS, Procs, and Comm are always set.
+//   - TS, Procs, and Comm are always set. Screen is set when the caller
+//     already screened TS (the engine's prefix does).
 //   - Sched and Rep are the phase's schedule and its simulation: the
 //     initial (pre-balance) schedule in the before phase, the balanced
 //     one in the after phase. Phase-sensitive analyzers read these two
@@ -60,6 +62,9 @@ type Input struct {
 	TS    *model.TaskSet // the generated task set
 	Procs int            // architecture size M
 	Comm  model.Time     // inter-processor transfer time C
+	// Screen is analysis.CheckSchedulability of TS on Procs when the
+	// caller already ran it; nil makes the schedulability analyzer run it.
+	Screen *analysis.SchedReport
 
 	Sched *sched.InstSchedule // the phase's schedule
 	Rep   *sim.Report         // simulation of the phase's schedule

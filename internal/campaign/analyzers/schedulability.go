@@ -10,8 +10,9 @@ import "repro/internal/analysis"
 // zero margin are the ones the greedy substrate starts refusing.
 //
 // The screen depends only on the generated system and the architecture
-// (PrefixOnly), so the engine evaluates it once per memoised prefix:
-// the O(n²) pairwise-gcd scan is not repeated per policy cell.
+// (PrefixOnly), so the engine evaluates it once per memoised prefix and
+// reads the report its prefix screen already made (Input.Screen): the
+// pair scan is not repeated per policy cell, nor for the analyzer.
 
 func init() {
 	register(&Analyzer{
@@ -34,7 +35,10 @@ func runSchedulability(in *Input) []float64 {
 	// An accepted trial passed the screen on the way in, but the report
 	// is still returned alongside any error, so the margins are valid
 	// either way.
-	rep, _ := analysis.CheckSchedulability(in.TS, in.Procs)
+	rep := in.Screen
+	if rep == nil {
+		rep, _ = analysis.CheckSchedulability(in.TS, in.Procs)
+	}
 
 	n := in.TS.Len()
 	pairs := n * (n - 1) / 2

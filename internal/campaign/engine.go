@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/campaign/analyzers"
 	"repro/internal/core"
@@ -285,6 +286,9 @@ func (e *Engine) Run(spec *Spec) (*Result, error) {
 				rec.Add(obs.CounterTrialsAccepted, 1)
 			} else {
 				rec.Add(obs.CounterTrialsRejected, 1)
+				if pre.screened {
+					rec.Add(obs.CounterTrialsScreened, 1)
+				}
 			}
 			coll.observe(r)
 			if e.Sink != nil {
@@ -367,14 +371,15 @@ func matchExtras(expected []string, r TrialResult) error {
 }
 
 // trialPrefix is the policy-independent front of the pipeline: the
-// generated system scheduled by the greedy substrate and simulated
-// once, plus the policy-independent extras — the prefix-only analyzer
-// values and, with the before phase enabled, the before.* values of
-// the phase-sensitive analyzers over the initial schedule (computed
-// here so the policy cells sharing a prefix share one screen and one
-// before-phase pass). A nil schedule carries the failure outcome
-// instead; err carries an analyzer validation failure, which aborts the
-// sweep rather than rejecting the trial.
+// generated system screened, scheduled by the greedy substrate and
+// simulated once, plus the policy-independent extras — the prefix-only
+// analyzer values and, with the before phase enabled, the before.*
+// values of the phase-sensitive analyzers over the initial schedule
+// (computed here so the policy cells sharing a prefix share one screen
+// and one before-phase pass). A nil schedule carries the failure
+// outcome instead, and screened says the necessary-condition screen
+// proved it; err carries an analyzer validation failure, which aborts
+// the sweep rather than rejecting the trial.
 //
 // cells lists the trial indexes of the group's cells and pols their
 // policies. The first cell to balance balances them all in one
@@ -386,6 +391,7 @@ type trialPrefix struct {
 	repBefore *sim.Report
 	preExtras map[string]float64 // read-only once published
 	outcome   string             // "" when the prefix succeeded
+	screened  bool               // the screen refused the system: no schedule exists
 	err       error              // non-finite analyzer extra in the prefix phases
 
 	cells   []int
@@ -394,9 +400,13 @@ type trialPrefix struct {
 	balErr  error
 }
 
-// runPrefix computes generate → schedule → simulate(before) for the
-// trials of group, which share one prefix, plus the prefix-only and
-// before-phase analyzer extras. Nothing in it depends on a trial's
+// runPrefix computes generate → screen → schedule → simulate(before)
+// for the trials of group, which share one prefix, plus the prefix-only
+// and before-phase analyzer extras. The screen
+// (analysis.CheckSchedulability) refuses a system no schedule can meet
+// before the scheduler spends its repair rounds on it: the scheduler
+// would refuse it too, so the outcome is the same. Its report goes to
+// the prefix analyzers. Nothing in the prefix depends on a trial's
 // Policy (or the ignore-timing mode, which only reaches the balancer),
 // which is what makes the result shareable across policy cells — the
 // before phase instruments the initial schedule, which every policy cell
@@ -418,6 +428,11 @@ func runPrefix(group []Trial, rec *obs.Recorder) *trialPrefix {
 	if err != nil {
 		return &trialPrefix{outcome: OutcomeArchError}
 	}
+	screen, err := analysis.CheckSchedulability(ts, ar.Procs)
+	if err != nil {
+		rec.Stamp(obs.StageSchedule, t0)
+		return &trialPrefix{outcome: OutcomeUnschedulable, screened: true}
+	}
 	s, err := sched.NewScheduler(ts, ar).Run()
 	if err != nil {
 		rec.Stamp(obs.StageSchedule, t0)
@@ -432,7 +447,7 @@ func runPrefix(group []Trial, rec *obs.Recorder) *trialPrefix {
 		return &trialPrefix{outcome: OutcomeSimError}
 	}
 	t0 = rec.Stamp(obs.StageSimulate, t0)
-	pre, err := t.analyzers.RunPrefix(&analyzers.Input{TS: ts, Procs: ar.Procs, Comm: t.Comm})
+	pre, err := t.analyzers.RunPrefix(&analyzers.Input{TS: ts, Procs: ar.Procs, Comm: t.Comm, Screen: screen})
 	if err != nil {
 		return &trialPrefix{err: err}
 	}

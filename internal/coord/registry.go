@@ -62,6 +62,22 @@ func (r *Registry) Register(id, addr string) {
 	}
 }
 
+// forget drops a worker from the pool: a coordinator declared it dead,
+// so later campaigns are not seeded with it (each would dispatch to it
+// and spend range attempts until it is declared dead again). A live
+// worker's next periodic register adds it back — as new, so the
+// coordinators still holding it re-dial it too.
+func (r *Registry) forget(id string) {
+	r.mu.Lock()
+	_, known := r.workers[id]
+	delete(r.workers, id)
+	n := len(r.workers)
+	r.mu.Unlock()
+	if known {
+		r.logf("fleet: worker %s forgotten, declared dead (%d in pool)", id, n)
+	}
+}
+
 // Attach seeds c with every registered worker and forwards future
 // registrations to it until the returned detach func runs.
 // Campaign-scoped: the fleet executor attaches at campaign start and

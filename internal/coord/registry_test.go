@@ -130,6 +130,45 @@ func TestRegistryRoutes(t *testing.T) {
 	}
 }
 
+// TestRegistryForgetsDeadWorker: a worker one campaign declares dead
+// leaves the registry, so the next campaign is neither seeded with it
+// nor spends range attempts on it; its next registration adds it back.
+func TestRegistryForgetsDeadWorker(t *testing.T) {
+	reg := NewRegistry(nil, t.Logf)
+	// 24 trials at 50 ms each, two at a time, outlast the 300 ms liveness
+	// window.
+	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(50 * time.Millisecond) }}
+	reg.Register("live", newWorkerURL(t, "live", slow))
+	reg.Register("gone", "http://127.0.0.1:1") // nothing listens there
+
+	run := func() Stats {
+		cfg := testConfig(t, 4)
+		cfg.Registry = reg
+		c := mustNew(t, cfg)
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		res, err := c.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkArtifacts(t, res)
+		return c.Stats()
+	}
+	if st := run(); st.DeadWorkers != 1 {
+		t.Fatalf("first campaign: %d dead workers, want the unreachable one", st.DeadWorkers)
+	}
+	if got := reg.Size(); got != 1 {
+		t.Fatalf("registry holds %d workers after one was declared dead, want 1", got)
+	}
+	if st := run(); st.Registered != 1 || st.DeadWorkers != 0 || st.Requeues != 0 {
+		t.Fatalf("second campaign: %+v, want only the live worker and no requeue", st)
+	}
+	reg.Register("gone", "http://127.0.0.1:1")
+	if got := reg.Size(); got != 2 {
+		t.Fatalf("registry holds %d workers after the forgotten one registered again, want 2", got)
+	}
+}
+
 // TestAutoSplits pins the shared auto-sizing rule.
 func TestAutoSplits(t *testing.T) {
 	for _, tc := range []struct {

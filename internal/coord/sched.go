@@ -198,8 +198,9 @@ type fetchOrder struct {
 }
 
 // transition applies the post-poll bookkeeping under the lock: dead
-// workers are buried (their leases re-queued), failed jobs re-queued,
-// and done jobs turned into fetch orders.
+// workers are buried (their leases re-queued, the registry told to
+// forget them), failed jobs re-queued, and done jobs turned into fetch
+// orders.
 func (c *Coordinator) transition() []fetchOrder {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -230,6 +231,11 @@ func (c *Coordinator) transition() []fetchOrder {
 			c.detach(ws.lease, id, "worker died")
 		}
 		delete(c.workers, id)
+		// The registry takes its own lock inside ours; it never calls a
+		// coordinator while holding it.
+		if c.cfg.Registry != nil {
+			c.cfg.Registry.forget(id)
+		}
 	}
 
 	var fetches []fetchOrder

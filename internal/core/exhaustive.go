@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/sched"
 )
 
@@ -56,9 +57,14 @@ func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Re
 		return nil, 0, fmt.Errorf("core: %d blocks exceed the exhaustive limit %d", nblocks, ExhaustiveLimit)
 	}
 
-	var best *Result
-	leaves := 0
+	var (
+		best     *Result
+		bestSpan model.Time
+		bestMem  model.Mem
+		leaves   int
+	)
 	moves := make([]Move, 0, nblocks)
+	mem := make([]model.Mem, input.Arch.Procs)
 	var dfs func(st *balState)
 	dfs = func(st *balState) {
 		if len(moves) < nblocks {
@@ -69,12 +75,16 @@ func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Re
 			})
 			return
 		}
+		// A leaf is scored from its blocks; only a new best is built
+		// into a Result.
 		leaves++
+		span, maxMem := st.outcome(mem)
+		if best != nil && !better2(obj, span, maxMem, bestSpan, bestMem) {
+			return
+		}
 		res := []*Result{{MakespanBefore: pl.makespan, MemBefore: slices.Clone(pl.mem), Placements: nblocks}}
 		b.finish(&walk{st: st, pols: []int{0}, moves: slices.Clone(moves)}, []Policy{b.Policy}, res)
-		if best == nil || better2(obj, res[0], best) {
-			best = res[0]
-		}
+		best, bestSpan, bestMem = res[0], span, maxMem
 	}
 	dfs(pl.newState())
 	if best == nil {
@@ -83,15 +93,38 @@ func (b *Balancer) ExhaustiveBest(input *sched.InstSchedule, obj Objective) (*Re
 	return best, leaves, nil
 }
 
+// outcome returns the makespan and the maximum per-processor memory of
+// the schedule the state's blocks make — what finish's schedule reports
+// as Makespan and MaxMem of MemVector — using mem, one entry per
+// processor, as scratch.
+func (st *balState) outcome(mem []model.Mem) (model.Time, model.Mem) {
+	clear(mem)
+	var span model.Time
+	for i := range st.blks {
+		bl := &st.blks[i]
+		for _, m := range bl.Members {
+			span = max(span, m.Start+st.wcet[m.Inst.Task])
+			mem[bl.Proc] += st.ts.Task(m.Inst.Task).Mem
+		}
+	}
+	return span, metrics.MaxMem(mem)
+}
+
 // branches evaluates the state's next block once and hands visit, for
 // every processor a script may send it to in ascending order, the move
-// and its own copy of the state with the move committed. st is left
-// mid-block: the caller drops it.
+// and a state with the move committed: a copy of st for every child but
+// the last, which takes st itself. Every move is made before a child
+// commits, while st is as evaluated; st is not read after the last
+// child, and the caller drops it.
 func (b *Balancer) branches(st *balState, visit func(Move, *balState)) {
 	bl := st.next()
 	st.removeResv(bl)
 	ctx := newPctx(st, bl, false)
 	_, feasible := b.evaluateAll(ctx)
+	var (
+		pending Move
+		to      arch.ProcID = -1
+	)
 	for i, e := range st.evals {
 		p := arch.ProcID(i)
 		if e.v == deferred { // eq. (4) refused its lower bound: probe it
@@ -103,17 +136,24 @@ func (b *Balancer) branches(st *balState, visit func(Move, *balState)) {
 			continue
 		}
 		mv := b.move(ctx, feasible, pick{c: landingOn(b.Policy, ctx, p, e.s), ok: true, relaxed: e.v == overLCM}, b.Policy)
-		child := st.clone()
-		child.shift(&child.blks[bl.ID])
-		b.place(child, bl.ID, p, mv.NewStart)
-		visit(mv, child)
+		if to >= 0 {
+			child := st.clone()
+			child.shift(&child.blks[bl.ID])
+			b.place(child, bl.ID, to, pending.NewStart)
+			visit(pending, child)
+		}
+		pending, to = mv, p
+	}
+	if to >= 0 {
+		// newPctx already set st's shifted flags for the block.
+		b.place(st, bl.ID, to, pending.NewStart)
+		visit(pending, st)
 	}
 }
 
-// better2 compares complete results under the objective.
-func better2(obj Objective, a, b *Result) bool {
-	am, bm := a.MakespanAfter, b.MakespanAfter
-	ax, bx := metrics.MaxMem(a.MemAfter), metrics.MaxMem(b.MemAfter)
+// better2 compares complete outcomes, makespan and maximum memory,
+// under the objective.
+func better2(obj Objective, am model.Time, ax model.Mem, bm model.Time, bx model.Mem) bool {
 	switch obj {
 	case ObjectiveMaxMem:
 		if ax != bx {

@@ -106,7 +106,7 @@ func refExhaustive(b *Balancer, is *sched.InstSchedule) (int, [2]*Result) {
 			}
 			leaves++
 			for _, obj := range []Objective{ObjectiveMakespan, ObjectiveMaxMem} {
-				if best[obj] == nil || better2(obj, res, best[obj]) {
+				if best[obj] == nil || better2(obj, res.MakespanAfter, metrics.MaxMem(res.MemAfter), best[obj].MakespanAfter, metrics.MaxMem(best[obj].MemAfter)) {
 					best[obj] = res
 				}
 			}

@@ -238,6 +238,14 @@ func (ts *TaskSet) Tasks() []Task {
 	return out
 }
 
+// NumDependences returns the number of dependences.
+func (ts *TaskSet) NumDependences() int { return len(ts.deps) }
+
+// Dependence returns the i-th dependence in insertion order, for
+// 0 ≤ i < NumDependences(): the walk over every edge without the copy
+// Dependences makes.
+func (ts *TaskSet) Dependence(i int) Dependence { return ts.deps[i] }
+
 // Dependences returns a copy of all dependences.
 func (ts *TaskSet) Dependences() []Dependence {
 	out := make([]Dependence, len(ts.deps))

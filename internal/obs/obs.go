@@ -133,6 +133,10 @@ const (
 	// evaluated (core.Result.Placements): one per block per walked pass,
 	// where policies that agree share a walk.
 	CounterBalancePlacements
+	// CounterTrialsScreened counts the rejected trials the
+	// necessary-condition screen refused before scheduling: provably
+	// infeasible systems, as opposed to ones the heuristic missed.
+	CounterTrialsScreened
 
 	// NumCounters is the number of counters; keep it last.
 	NumCounters
@@ -149,6 +153,7 @@ var counterNames = [NumCounters]string{
 	"trials_accepted",
 	"trials_rejected",
 	"balance_placements",
+	"trials_screened",
 }
 
 // String returns the counter's canonical snake_case name.

@@ -211,7 +211,7 @@ func TestStageCounterNames(t *testing.T) {
 	}
 	wantCounters := []string{"memo_hits", "memo_misses", "journal_records",
 		"journal_bytes", "journal_fsyncs", "replayed_trials", "torn_repairs",
-		"trials_accepted", "trials_rejected", "balance_placements"}
+		"trials_accepted", "trials_rejected", "balance_placements", "trials_screened"}
 	for i, want := range wantCounters {
 		if got := Counter(i).String(); got != want {
 			t.Errorf("counter %d = %q, want %q", i, got, want)

@@ -258,7 +258,8 @@ func (s *Schedule) crosses(d model.Dependence) bool {
 // endpoints sit on different processors, expanded to instance
 // granularity: dependence by dependence, then by consumer instance.
 func (s *Schedule) eachCrossDep(fn func(Comm)) {
-	for _, d := range s.TS.Dependences() {
+	for i := range s.TS.NumDependences() {
+		d := s.TS.Dependence(i)
 		if !s.crosses(d) {
 			continue
 		}

@@ -214,9 +214,8 @@ func (sc *Scheduler) hostsProducer(s *Schedule, id model.TaskID, p arch.ProcID) 
 // result aliases ps.order.
 func (sc *Scheduler) order(ps *pass) []model.TaskID {
 	indeg := ps.indeg
-	clear(indeg)
-	for _, d := range sc.TS.Dependences() {
-		indeg[d.Dst]++
+	for i := range indeg {
+		indeg[i] = len(sc.TS.Predecessors(model.TaskID(i)))
 	}
 	h := &ps.ready
 	h.ids = h.ids[:0]
