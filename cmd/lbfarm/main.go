@@ -279,7 +279,7 @@ func main() {
 		}
 	}
 
-	eng := &campaign.Engine{Workers: *workers, Done: done, Lo: lo, Hi: hi, Obs: set}
+	eng := &campaign.Engine{Workers: *workers, Obs: set}
 
 	// SIGINT/SIGTERM drain: workers stop claiming trials, in-flight
 	// trials finish and reach the journal, and the run exits with a
@@ -300,8 +300,8 @@ func main() {
 	}()
 	eng.Stop = stop
 
-	// The sink both journals live trials and feeds the progress
-	// counters; it runs concurrently on every worker.
+	// The sink feeds the progress counters; it runs concurrently on
+	// every worker, after the journal append when there is a journal.
 	var doneN, okN atomic.Int64
 	doneN.Store(int64(len(done)))
 	for _, r := range done {
@@ -309,35 +309,30 @@ func main() {
 			okN.Add(1)
 		}
 	}
-	if w != nil || *progress {
-		eng.Sink = func(r campaign.TrialResult) error {
-			doneN.Add(1)
-			if r.Outcome == campaign.OutcomeOK {
-				okN.Add(1)
-			}
-			if w != nil {
-				return w.Append(r)
-			}
-			return nil
+	eng.Sink = func(r campaign.TrialResult) error {
+		doneN.Add(1)
+		if r.Outcome == campaign.OutcomeOK {
+			okN.Add(1)
 		}
+		return nil
 	}
 	var stopProgress func()
 	if *progress {
 		stopProgress = startProgress(&doneN, &okN, int64(len(done)), int64(hi-lo), set)
 	}
 
-	res, err := eng.Run(spec)
+	// The journaled run syncs and closes the journal on every return,
+	// so the resume promise below is honest once it returns.
+	var res *campaign.Result
+	if w != nil {
+		res, err = w.Run(eng, spec)
+	} else {
+		res, err = eng.Run(spec)
+	}
 	if stopProgress != nil {
 		stopProgress()
 	}
 	if errors.Is(err, campaign.ErrInterrupted) {
-		// Sync the journal tail before saying anything about resuming:
-		// the resume promise is only honest once the rows are on disk.
-		if w != nil {
-			if cerr := w.Close(); cerr != nil {
-				fatal(cerr)
-			}
-		}
 		if err := stopProf(); err != nil {
 			log.Fatal(err)
 		}
@@ -351,11 +346,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if w != nil {
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
 	}
 	if err := stopProf(); err != nil {
 		log.Fatal(err)

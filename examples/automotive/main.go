@@ -49,7 +49,7 @@ func main() {
 		{"heuristic (eq.5 ratio)", repro.PolicyRatio},
 		{"heuristic (memory-only §5.2)", repro.PolicyMemoryOnly},
 	} {
-		res, err := repro.BalanceWith(is.Clone(), &core.Balancer{Policy: pc.policy})
+		res, err := repro.BalanceWith(is, &core.Balancer{Policy: pc.policy})
 		if err != nil {
 			log.Fatal(err)
 		}

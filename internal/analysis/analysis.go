@@ -27,19 +27,13 @@ func Factorial(n int) model.Time {
 // Theorem1Bound returns γ(M−1)!, the paper's stated upper bound on
 // Gtotal, with γ the longest communication time that can be suppressed.
 // The paper equates the number of distinct processor pairs with (M−1)!;
-// see also PairCount for the conventional M(M−1)/2 count (they coincide
-// for M ≤ 3, the regime of the worked example).
+// the conventional count is M(M−1)/2 (they coincide for M ≤ 3, the
+// regime of the worked example).
 func Theorem1Bound(gamma model.Time, m int) model.Time {
 	if m < 1 {
 		return 0
 	}
 	return gamma * Factorial(m-1)
-}
-
-// PairCount returns M(M−1)/2, the conventional count of distinct
-// processor pairs, exposed for comparison with the paper's (M−1)! claim.
-func PairCount(m int) model.Time {
-	return model.Time(m) * model.Time(m-1) / 2
 }
 
 // AlphaBound returns 2 − 1/M, the Theorem 2 approximation guarantee.

@@ -33,13 +33,6 @@ func TestTheorem1Bound(t *testing.T) {
 	}
 }
 
-func TestPairCount(t *testing.T) {
-	// The conventional count; coincides with (M−1)! only for M ≤ 3.
-	if PairCount(3) != 3 || PairCount(4) != 6 || PairCount(2) != 1 {
-		t.Errorf("PairCount wrong: %d %d %d", PairCount(3), PairCount(4), PairCount(2))
-	}
-}
-
 func TestAlphaBound(t *testing.T) {
 	if got := AlphaBound(1); got != 1 {
 		t.Errorf("AlphaBound(1) = %v, want 1 (single processor is trivially optimal)", got)

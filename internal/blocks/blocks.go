@@ -86,16 +86,6 @@ func (b *Block) Shift(delta model.Time) {
 	b.end += delta
 }
 
-// HasInstance reports whether the block contains the given instance.
-func (b *Block) HasInstance(iid model.InstanceID) bool {
-	for _, m := range b.Members {
-		if m.Inst == iid {
-			return true
-		}
-	}
-	return false
-}
-
 // Build constructs the blocks of an instance-level schedule, one set per
 // processor, and returns them sorted by (start time, processor, first
 // member). Block IDs are assigned in that order. The blocks are the

@@ -113,12 +113,6 @@ func TestBlockAccessors(t *testing.T) {
 	if b.End(ts) != b.Start()+2 {
 		t.Errorf("End = %d, want start+2 (two chained unit tasks)", b.End(ts))
 	}
-	if !b.HasInstance(b.Members[0].Inst) {
-		t.Error("HasInstance false for own member")
-	}
-	if b.HasInstance(model.InstanceID{Task: 99, K: 0}) {
-		t.Error("HasInstance true for foreign instance")
-	}
 }
 
 // Property-style check over the paper system: every instance belongs to

@@ -263,15 +263,6 @@ func (s *Spec) PhaseSet() (analyzers.PhaseSet, error) {
 	return phases, nil
 }
 
-// CellOrder returns the distinct cell keys in enumeration order.
-func (s *Spec) CellOrder() ([]string, error) {
-	trials, err := s.Trials()
-	if err != nil {
-		return nil, err
-	}
-	return cellOrder(trials), nil
-}
-
 // cellOrder extracts the distinct cell keys of an already-enumerated
 // trial list, preserving first appearance.
 func cellOrder(trials []Trial) []string {

@@ -51,11 +51,7 @@ func TestSpecEnumeration(t *testing.T) {
 	if trials[0].Cell != "N=10/U=1.5/M=2/lexicographic" {
 		t.Fatalf("cell key: %q", trials[0].Cell)
 	}
-	order, err := s.CellOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 8 {
+	if order := cellOrder(trials); len(order) != 8 {
 		t.Fatalf("cell order: %v", order)
 	}
 }

@@ -22,7 +22,7 @@ import (
 // Hooks are the worker's fault-injection points, wired only by the
 // chaos tests; the zero value is a production worker.
 type Hooks struct {
-	// SinkDelay, when non-nil, runs inside the engine sink before each
+	// SinkDelay, when non-nil, runs inside the engine sink after each
 	// journal append — the latency knob that manufactures stragglers.
 	SinkDelay func(r campaign.TrialResult)
 	// KillAfter > 0 simulates a process death after that many journaled
@@ -201,10 +201,10 @@ func (s *WorkerServer) writeRunInfo(j *workerJob) {
 	}
 }
 
-// runJob is the journal-and-engine plumbing: resume the job's journal
-// if a previous attempt left one (byte-identity survives re-dispatch),
-// create it otherwise, and run the engine over the job's range with the
-// drain channel attached.
+// runJob resumes the job's journal if a previous attempt left one
+// (byte-identity survives re-dispatch), creates it otherwise, and runs
+// the engine as the journal's run over the job's range, with the drain
+// channel attached.
 func (s *WorkerServer) runJob(j *workerJob) error {
 	spec := j.job.Spec
 	if err := spec.Normalize(); err != nil {
@@ -232,42 +232,27 @@ func (s *WorkerServer) runJob(j *workerJob) error {
 	kill := s.cfg.Hooks.KillAfter
 	eng := &campaign.Engine{
 		Workers: s.cfg.Workers,
-		Done:    done,
-		Lo:      j.job.Range.Lo,
-		Hi:      j.job.Range.Hi,
 		Obs:     s.cfg.Obs,
 		Stop:    j.stop,
 		Sink: func(r campaign.TrialResult) error {
 			if s.cfg.Hooks.SinkDelay != nil {
 				s.cfg.Hooks.SinkDelay(r)
 			}
-			if err := w.Append(r); err != nil {
-				return err
-			}
 			if n := j.done.Add(1); kill > 0 && n >= int64(kill) && !s.killed.Swap(true) {
 				// Simulated death: stop the engine where it stands and go
-				// dark. The journal tail is deliberately not synced —
-				// that is what a real SIGKILL leaves behind.
+				// dark. Nothing reads a dead worker's journal — the
+				// coordinator re-dispatches its range.
 				j.halt()
 				s.cfg.Logf("job %s: injected kill after %d trials", j.job.ID, n)
 			}
 			return nil
 		},
 	}
-	_, err = eng.Run(spec)
+	_, err = w.Run(eng, spec)
 	if s.killed.Load() {
-		// Dead workers don't close files cleanly.
 		return errors.New("coord: worker killed by fault injection")
 	}
-	if err != nil {
-		// Drain or failure: sync what we have — the journal is the
-		// resumable artifact either way — and report the run's error.
-		if cerr := w.Close(); cerr != nil && errors.Is(err, campaign.ErrInterrupted) {
-			return cerr
-		}
-		return err
-	}
-	return w.Close()
+	return err
 }
 
 // Status implements Worker. jobID "" reports whatever the worker is

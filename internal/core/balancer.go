@@ -60,8 +60,8 @@ type Result struct {
 func (r *Result) GainTotal() model.Time { return r.MakespanBefore - r.MakespanAfter }
 
 // Balancer runs the load-balancing and memory-usage heuristic. Its
-// methods only read it, so concurrent calls may share one Balancer, and
-// one Plan, but not one input schedule (see NewPlan).
+// methods only read it, so concurrent calls may share one Balancer, one
+// Plan and one input schedule.
 type Balancer struct {
 	// Policy is the cost function Run balances under; RunPolicies
 	// takes its policies as an argument instead.
@@ -309,18 +309,23 @@ func (b *Balancer) resume(pl *Plan, w *walk, pols []Policy) {
 // same moves, so they share the walk's moves and final blocks — read-only
 // like every result — except that under RecordCandidates a policy other
 // than the walk's first gets a copy of the moves scored under its own λ.
-// Each gets its own balanced schedule, whose listings are cached lazily.
+// They share one balanced schedule, its makespan and its memory vector
+// too.
 func (b *Balancer) finish(w *walk, pols []Policy, out []*Result) {
 	st := w.st
 	blks := make([]*blocks.Block, len(st.blks))
-	sch := sched.NewInstSchedule(st.ts, st.ar)
+	// Every instance is a member of exactly one block, so the loop sets
+	// every placement.
+	pl := make([]sched.InstPlacement, st.ts.TotalInstances())
 	for j := range st.blks {
 		bl := &st.blks[j]
 		blks[j] = bl
 		for _, m := range bl.Members {
-			sch.Place(m.Inst, bl.Proc, m.Start)
+			pl[st.ts.InstanceIndex(m.Inst)] = sched.InstPlacement{Proc: bl.Proc, Start: m.Start}
 		}
 	}
+	sch := sched.NewInstSchedule(st.ts, st.ar, pl)
+	makespan, mem := sch.Makespan(), sch.MemVector()
 	forced, relaxed := 0, 0
 	for _, mv := range w.moves {
 		if mv.Forced {
@@ -330,18 +335,13 @@ func (b *Balancer) finish(w *walk, pols []Policy, out []*Result) {
 			relaxed++
 		}
 	}
-	for k, i := range w.pols {
+	for _, i := range w.pols {
 		res := out[i]
 		res.Blocks, res.Moves, res.Forced, res.RelaxedLCM = blks, w.moves, forced, relaxed
 		if b.RecordCandidates && pols[i] != pols[w.pols[0]] {
 			res.Moves = rescored(w.moves, pols[i], len(w.moves))
 		}
-		res.Schedule = sch
-		if k < len(w.pols)-1 {
-			res.Schedule = sch.Clone()
-		}
-		res.MakespanAfter = res.Schedule.Makespan()
-		res.MemAfter = res.Schedule.MemVector()
+		res.Schedule, res.MakespanAfter, res.MemAfter = sch, makespan, mem
 	}
 }
 

@@ -177,8 +177,7 @@ func TestExhaustiveMatchesScriptEnumeration(t *testing.T) {
 
 // TestExhaustiveConcurrentWithRun: ExhaustiveBest, like Run, only reads
 // the Balancer, so two searches and a run may share one. Each goroutine
-// has its own schedule: building a plan refreshes the schedule's lazily
-// cached processor listings.
+// has its own schedule; TestScheduleSharedByReaders shares one.
 func TestExhaustiveConcurrentWithRun(t *testing.T) {
 	s := paperInitial(t)
 	b := &Balancer{}

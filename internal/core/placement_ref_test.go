@@ -186,12 +186,13 @@ func refRunPass(b *Balancer, input *sched.InstSchedule, conservative bool, scrip
 		}
 		res.Moves = append(res.Moves, mv)
 	}
-	out := sched.NewInstSchedule(ts, ar)
+	pl := sched.NewPlacements(ts)
 	for _, bl := range st.blks {
 		for _, m := range bl.Members {
-			out.Place(m.Inst, bl.Proc, m.Start)
+			pl[ts.InstanceIndex(m.Inst)] = sched.InstPlacement{Proc: bl.Proc, Start: m.Start}
 		}
 	}
+	out := sched.NewInstSchedule(ts, ar, pl)
 	res.Schedule = out
 	res.MakespanAfter, res.MemAfter = out.Makespan(), out.MemVector()
 	return res, nil

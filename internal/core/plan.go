@@ -56,10 +56,8 @@ type ownerRef struct {
 	blk, mi int32
 }
 
-// NewPlan builds the plan of an instance-level schedule. No placement of
-// the schedule changes, but reading its processor listings may refresh
-// their cache (sched.InstSchedule.InstancesOn), so concurrent calls need
-// a schedule each. The plan keeps no reference to the schedule.
+// NewPlan builds the plan of an instance-level schedule. It only reads
+// the schedule, and the plan keeps no reference to it.
 func NewPlan(is *sched.InstSchedule) *Plan {
 	ts, ar := is.TS, is.Arch
 	blks, members := blocks.BuildFlat(is)

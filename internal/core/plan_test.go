@@ -29,8 +29,6 @@ func snapshotPlan(pl *Plan) *Plan {
 // schedules' placements included.
 func sameResult(t *testing.T, what string, got, want *Result) {
 	t.Helper()
-	got.Schedule.InstancesOn(0) // settle the lazy listings before comparing
-	want.Schedule.InstancesOn(0)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: result from the shared plan differs from a fresh Run", what)
 	}
@@ -110,5 +108,50 @@ func TestPlanSharedAcrossRuns(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, pl) {
 		t.Fatal("running from the plan modified it")
+	}
+}
+
+// TestScheduleSharedByReaders: reading a schedule never writes it, so
+// two goroutines may build plans from one schedule, walk its processor
+// listings and validate it at the same time. Under -race this shows the
+// readers share the schedule without a data race.
+func TestScheduleSharedByReaders(t *testing.T) {
+	ts, err := gen.Generate(gen.Config{Seed: 9, Tasks: 21, Utilization: 2.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ar := arch.MustNew(4, 1)
+	s, err := sched.NewScheduler(ts, ar).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewPlan(sched.FromSchedule(s))
+	is := sched.FromSchedule(s)
+	plans := make([]*Plan, 2)
+	listed := make([]int, 2)
+	invalid := make([][]sched.ValidationError, 2)
+	var wg sync.WaitGroup
+	for g := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[g] = NewPlan(is)
+			for p := range ar.Procs {
+				listed[g] += len(is.InstancesOn(arch.ProcID(p)))
+			}
+			invalid[g] = is.Validate()
+		}()
+	}
+	wg.Wait()
+	for g := range plans {
+		if !reflect.DeepEqual(plans[g], want) {
+			t.Fatalf("reader %d: plan of the shared schedule differs from a plan of its own copy", g)
+		}
+		if listed[g] != ts.TotalInstances() {
+			t.Fatalf("reader %d: listings hold %d instances, want %d", g, listed[g], ts.TotalInstances())
+		}
+		if len(invalid[g]) > 0 {
+			t.Fatalf("reader %d: shared schedule invalid: %v", g, invalid[g][0])
+		}
 	}
 }

@@ -75,13 +75,9 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: resume: %v", cut, err)
 		}
-		eng := &campaign.Engine{Workers: workers, Done: done, Sink: w.Append}
-		res, err := eng.Run(testSpec())
+		res, err := w.Run(&campaign.Engine{Workers: workers}, testSpec())
 		if err != nil {
 			t.Fatalf("cut=%d workers=%d: %v", cut, workers, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
 		}
 		gotJSON, gotCSV := artifacts(t, res)
 		if !bytes.Equal(gotJSON, refJSON) {

@@ -45,10 +45,9 @@ const (
 	Magic   = "lbjournal"
 	Version = 4
 
-	// DefaultSyncEvery is the default fsync cadence in records. A crash
-	// loses at most this many journaled trials (they just re-run on
-	// resume); lower it for precious sweeps, raise it for fast ones.
-	DefaultSyncEvery = 32
+	// SyncEvery is the fsync cadence in records. A crash loses at most
+	// this many journaled trials; they just re-run on resume.
+	SyncEvery = 32
 )
 
 // Header is the first record of every journal. It pins the campaign
@@ -210,11 +209,14 @@ func analyzerList(names []string) string {
 
 // Writer appends checksummed trial records to a journal file. Append is
 // safe for concurrent use (the campaign engine's sink is called from
-// every worker).
+// every worker). Run is the journaled run itself.
 type Writer struct {
-	log       *RecordLog
-	hdr       Header
-	SyncEvery int // records between fsyncs; set before first Append
+	log *RecordLog
+	hdr Header
+
+	// resumed holds the rows Resume recovered: the trials Run replays
+	// instead of running.
+	resumed []campaign.TrialResult
 
 	// Obs, when non-nil, receives journal telemetry: append and fsync
 	// latencies (obs.StageJournalAppend / StageJournalFsync) and the
@@ -240,7 +242,7 @@ func Create(path string, hdr Header) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{log: log, hdr: hdr, SyncEvery: DefaultSyncEvery}, nil
+	return &Writer{log: log, hdr: hdr}, nil
 }
 
 // headerPayload validates hdr and encodes it as a journal's first
@@ -263,18 +265,39 @@ func (w *Writer) Append(r campaign.TrialResult) error {
 	if err != nil {
 		return err
 	}
-	if err := w.log.Append(payload, w.SyncEvery, w.Obs); err != nil {
+	if err := w.log.Append(payload, SyncEvery, w.Obs); err != nil {
 		return fmt.Errorf("journal: appending trial %d: %w", r.Index, err)
 	}
 	w.Obs.Stamp(obs.StageJournalAppend, t0)
 	return nil
 }
 
-// Sync forces the journal to stable storage.
-func (w *Writer) Sync() error { return w.log.Sync(w.Obs) }
-
 // Close syncs and closes the journal, releasing writer exclusion.
 func (w *Writer) Close() error { return w.log.Close(w.Obs) }
+
+// Run is the journaled run of eng over spec, the one every journaling
+// caller goes through. It replays the rows Resume recovered as eng.Done,
+// restricts eng to the header's shard range, and appends every live
+// trial to the journal before eng.Sink, if set, sees it; the sink is
+// then called concurrently from the engine's workers. The journal is
+// synced and closed on every return. A close error replaces
+// campaign.ErrInterrupted, since a drained run is only resumable once
+// its tail is on disk, but never hides any other run error.
+func (w *Writer) Run(eng *campaign.Engine, spec *campaign.Spec) (*campaign.Result, error) {
+	eng.Done, eng.Lo, eng.Hi = w.resumed, w.hdr.Lo, w.hdr.Hi
+	sink := eng.Sink
+	eng.Sink = func(r campaign.TrialResult) error {
+		if err := w.Append(r); err != nil || sink == nil {
+			return err
+		}
+		return sink(r)
+	}
+	res, err := eng.Run(spec)
+	if cerr := w.Close(); cerr != nil && (err == nil || errors.Is(err, campaign.ErrInterrupted)) {
+		return nil, cerr
+	}
+	return res, err
+}
 
 // Journal is the decoded content of one journal file.
 type Journal struct {
@@ -381,8 +404,7 @@ func Resume(path string, want Header, rec *obs.Recorder) (*Writer, []campaign.Tr
 	if err != nil {
 		return nil, nil, err
 	}
-	w := &Writer{hdr: want, SyncEvery: DefaultSyncEvery, Obs: rec}
-	var rows []campaign.TrialResult
+	w := &Writer{hdr: want, Obs: rec}
 	var repaired bool
 	w.log, err = OpenRecordLog(path, payload, func(records [][]byte, torn bool) error {
 		j, err := decodeRecords(path, records)
@@ -392,7 +414,7 @@ func Resume(path string, want Header, rec *obs.Recorder) (*Writer, []campaign.Tr
 		if err := j.Header.compatible(want); err != nil {
 			return fmt.Errorf("%w (%s)", err, path)
 		}
-		w.hdr, rows, repaired = j.Header, j.Rows, torn
+		w.hdr, w.resumed, repaired = j.Header, j.Rows, torn
 		return nil
 	})
 	if err != nil {
@@ -401,5 +423,5 @@ func Resume(path string, want Header, rec *obs.Recorder) (*Writer, []campaign.Tr
 	if repaired {
 		rec.Add(obs.CounterTornRepairs, 1)
 	}
-	return w, rows, nil
+	return w, w.resumed, nil
 }

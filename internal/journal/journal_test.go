@@ -25,11 +25,17 @@ func testSpec() *campaign.Spec {
 	}
 }
 
-// runJournaled executes the spec (or a shard of it) with the journal at
-// path as the engine sink and returns the run's rows.
+// runJournaled executes the spec (or a shard of it) as the journaled
+// run of a fresh journal at path and returns the run's rows.
 func runJournaled(t testing.TB, path string, workers, shardIdx, shardCnt int) []campaign.TrialResult {
 	t.Helper()
-	spec := testSpec()
+	return journalRun(t, testSpec(), path, workers, shardIdx, shardCnt).Trials
+}
+
+// journalRun creates a journal at path for shard shardIdx of shardCnt
+// of spec and runs it through Writer.Run.
+func journalRun(t testing.TB, spec *campaign.Spec, path string, workers, shardIdx, shardCnt int) *campaign.Result {
+	t.Helper()
 	hdr, err := NewHeader(spec, shardIdx, shardCnt)
 	if err != nil {
 		t.Fatal(err)
@@ -38,15 +44,11 @@ func runJournaled(t testing.TB, path string, workers, shardIdx, shardCnt int) []
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &campaign.Engine{Workers: workers, Lo: hdr.Lo, Hi: hdr.Hi, Sink: w.Append}
-	res, err := eng.Run(spec)
+	res, err := w.Run(&campaign.Engine{Workers: workers}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return res.Trials
+	return res
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/campaign"
 )
 
 // shardPaths runs the test spec as a 3-way shard split, each shard at a
@@ -86,22 +84,8 @@ func TestMergeCorruptionFailsLoudly(t *testing.T) {
 	// A shard of a different sweep → spec-hash mismatch.
 	other := testSpec()
 	other.SeedBase = 100
-	hdr, err := NewHeader(other, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	foreignPath := filepath.Join(dir, "foreign.jsonl")
-	w, err := Create(foreignPath, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &campaign.Engine{Workers: 2, Lo: hdr.Lo, Hi: hdr.Hi, Sink: w.Append}
-	if _, err := eng.Run(other); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	journalRun(t, other, foreignPath, 2, 1, 3)
 	expectErr("foreign spec", "shards of different sweeps", []string{paths[0], foreignPath, paths[2]})
 
 	// The same shard twice → overlap.

@@ -15,7 +15,9 @@ import (
 // cadence (one sync per SyncEvery appends, plus the one Close issues).
 func TestWriterObsCounters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trial.jsonl")
-	hdr, err := NewHeader(testSpec(), 0, 1)
+	spec := testSpec()
+	spec.Seeds = 25 // 100 trials: three whole cadence periods and a remainder
+	hdr, err := NewHeader(spec, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,20 +27,19 @@ func TestWriterObsCounters(t *testing.T) {
 	}
 	set := obs.NewSet(1)
 	w.Obs = set.Aux()
-	w.SyncEvery = 4
 
-	spec := testSpec()
-	eng := &campaign.Engine{Workers: 2, Lo: hdr.Lo, Hi: hdr.Hi, Sink: w.Append, Obs: set}
-	res, err := eng.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	// Synthetic rows: the cadence counts records, not trial work.
+	n := int64(hdr.Hi - hdr.Lo)
+	for i := hdr.Lo; i < hdr.Hi; i++ {
+		if err := w.Append(campaign.TrialResult{Index: i, Outcome: campaign.OutcomeOK}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	snap := set.Snapshot()
-	n := int64(len(res.Trials))
 	if got := snap.Counters["journal_records"]; got != n {
 		t.Fatalf("journal_records = %d, want %d", got, n)
 	}
@@ -52,16 +53,17 @@ func TestWriterObsCounters(t *testing.T) {
 	if got := snap.Counters["journal_bytes"]; got != int64(len(data))-hdrLen {
 		t.Fatalf("journal_bytes = %d, want file size %d minus header %d", got, len(data), hdrLen)
 	}
-	// 24 trials at SyncEvery=4 is 6 cadence syncs; Close adds one more.
-	if got := snap.Counters["journal_fsyncs"]; got != n/4+1 {
-		t.Fatalf("journal_fsyncs = %d, want %d cadence syncs + 1 on close", got, n/4)
+	// 100 records at SyncEvery=32 is 3 cadence syncs; Close adds one more.
+	const cadence = 3
+	if got := snap.Counters["journal_fsyncs"]; got != cadence+1 {
+		t.Fatalf("journal_fsyncs = %d, want %d cadence syncs + 1 on close", got, cadence)
 	}
 	// Appends were observed; fsync waits only on the appends that synced.
 	if c := snap.Stages["journal_append"].Count; c != n {
 		t.Fatalf("journal_append count = %d, want %d", c, n)
 	}
-	if c := snap.Stages["journal_fsync"].Count; c != n/4 {
-		t.Fatalf("journal_fsync count = %d, want the %d cadence syncs", c, n/4)
+	if c := snap.Stages["journal_fsync"].Count; c != cadence {
+		t.Fatalf("journal_fsync count = %d, want the %d cadence syncs", c, cadence)
 	}
 }
 
@@ -82,11 +84,7 @@ func TestWriterObsByteIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Obs = rec
-		eng := &campaign.Engine{Workers: 1, Lo: hdr.Lo, Hi: hdr.Hi, Sink: w.Append}
-		if _, err := eng.Run(testSpec()); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
+		if _, err := w.Run(&campaign.Engine{Workers: 1}, testSpec()); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)

@@ -63,7 +63,7 @@ func TestResumeRefusesMixedPhases(t *testing.T) {
 	dir := t.TempDir()
 
 	phasedPath := filepath.Join(dir, "phased.jsonl")
-	journalSpec(t, phaseSpec(), phasedPath, 0, 1)
+	journalRun(t, phaseSpec(), phasedPath, 2, 0, 1)
 	afterHdr, err := NewHeader(analyzerSpec(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestResumeRefusesMixedPhases(t *testing.T) {
 	}
 
 	afterPath := filepath.Join(dir, "after.jsonl")
-	journalSpec(t, analyzerSpec(), afterPath, 0, 1)
+	journalRun(t, analyzerSpec(), afterPath, 2, 0, 1)
 	phasedHdr, err := NewHeader(phaseSpec(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +93,8 @@ func TestMergeRefusesMixedPhases(t *testing.T) {
 	dir := t.TempDir()
 	p0 := filepath.Join(dir, "phased.jsonl")
 	p1 := filepath.Join(dir, "after.jsonl")
-	journalSpec(t, phaseSpec(), p0, 0, 2)
-	journalSpec(t, analyzerSpec(), p1, 1, 2)
+	journalRun(t, phaseSpec(), p0, 2, 0, 2)
+	journalRun(t, analyzerSpec(), p1, 2, 1, 2)
 	if err := second(Merge([]string{p0, p1})); err == nil || !strings.Contains(err.Error(), "different phase sets") {
 		t.Fatalf("mixed phase merge: %v", err)
 	}

@@ -165,7 +165,7 @@ var errClosed = errors.New("record log is closed")
 
 // Append writes payload as one framed record in a single write call,
 // and fsyncs once syncEvery records have accumulated since the last
-// sync (syncEvery ≤ 0 leaves syncing to Sync and Close).
+// sync (syncEvery ≤ 0 leaves syncing to Close).
 func (l *RecordLog) Append(payload []byte, syncEvery int, rec *obs.Recorder) error {
 	frame := appendFrame(make([]byte, 0, len(payload)+frameOverhead), payload)
 	l.mu.Lock()
@@ -190,18 +190,6 @@ func (l *RecordLog) Append(payload []byte, syncEvery int, rec *obs.Recorder) err
 		l.unsynced = 0
 	}
 	return nil
-}
-
-// Sync forces the log to stable storage; a no-op after Close.
-func (l *RecordLog) Sync(rec *obs.Recorder) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	l.unsynced = 0
-	rec.Add(obs.CounterJournalFsyncs, 1)
-	return l.f.Sync()
 }
 
 // Close syncs and closes the log, releasing the writer lock.

@@ -19,26 +19,6 @@ func analyzerSpec() *campaign.Spec {
 	return s
 }
 
-// journalSpec runs one shard of the given spec into a journal at path.
-func journalSpec(t *testing.T, spec *campaign.Spec, path string, shardIdx, shardCnt int) {
-	t.Helper()
-	hdr, err := NewHeader(spec, shardIdx, shardCnt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Create(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := &campaign.Engine{Workers: 2, Lo: hdr.Lo, Hi: hdr.Hi, Sink: w.Append}
-	if _, err := eng.Run(spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestOldVersionRefused: journals of versions 1 and 3 — the schema
 // before the analyzer binding, and the rows from before the
 // steady-state fold — must be refused loudly by Read, Resume, and Merge,
@@ -83,7 +63,7 @@ func TestResumeRefusesDifferentAnalyzers(t *testing.T) {
 	dir := t.TempDir()
 
 	withPath := filepath.Join(dir, "with.jsonl")
-	journalSpec(t, analyzerSpec(), withPath, 0, 1)
+	journalRun(t, analyzerSpec(), withPath, 2, 0, 1)
 	plainHdr, err := NewHeader(testSpec(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +73,7 @@ func TestResumeRefusesDifferentAnalyzers(t *testing.T) {
 	}
 
 	plainPath := filepath.Join(dir, "plain.jsonl")
-	journalSpec(t, testSpec(), plainPath, 0, 1)
+	journalRun(t, testSpec(), plainPath, 2, 0, 1)
 	anaHdr, err := NewHeader(analyzerSpec(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -121,8 +101,8 @@ func TestMergeRefusesMixedAnalyzers(t *testing.T) {
 	dir := t.TempDir()
 	p0 := filepath.Join(dir, "ana.jsonl")
 	p1 := filepath.Join(dir, "plain.jsonl")
-	journalSpec(t, analyzerSpec(), p0, 0, 2)
-	journalSpec(t, testSpec(), p1, 1, 2)
+	journalRun(t, analyzerSpec(), p0, 2, 0, 2)
+	journalRun(t, testSpec(), p1, 2, 1, 2)
 	if _, err := Merge([]string{p0, p1}); err == nil || !strings.Contains(err.Error(), "different analyzer sets") {
 		t.Fatalf("mixed analyzer merge: %v", err)
 	}
@@ -142,7 +122,7 @@ func checkCrashResume(t *testing.T, spec func() *campaign.Spec) {
 
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.jsonl")
-	journalSpec(t, spec(), full, 0, 1)
+	journalRun(t, spec(), full, 2, 0, 1)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +141,9 @@ func checkCrashResume(t *testing.T, spec func() *campaign.Spec) {
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		resumed, err := (&campaign.Engine{Workers: 2, Done: done, Sink: w.Append}).Run(spec())
+		resumed, err := w.Run(&campaign.Engine{Workers: 2}, spec())
 		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
 		}
 		if gotJSON, gotCSV := artifacts(t, resumed); !bytes.Equal(gotJSON, refJSON) || !bytes.Equal(gotCSV, refCSV) {
 			t.Fatalf("cut=%d (%d rows recovered): resumed artifacts differ", cut, len(done))
@@ -193,7 +170,7 @@ func checkMerge(t *testing.T, spec func() *campaign.Spec, cols ...string) {
 	paths := make([]string, 3)
 	for i := range paths {
 		paths[i] = filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i+1))
-		journalSpec(t, spec(), paths[i], i, 3)
+		journalRun(t, spec(), paths[i], 2, i, 3)
 	}
 	merged, err := Merge([]string{paths[2], paths[0], paths[1]})
 	if err != nil {

@@ -28,19 +28,6 @@ func LCM(a, b Time) Time {
 	return a / GCD(a, b) * b
 }
 
-// LCMAll returns the least common multiple of all values; it returns 0 for
-// an empty input.
-func LCMAll(vs ...Time) Time {
-	if len(vs) == 0 {
-		return 0
-	}
-	l := vs[0]
-	for _, v := range vs[1:] {
-		l = LCM(l, v)
-	}
-	return l
-}
-
 // Harmonic reports whether a divides b or b divides a. The multi-rate data
 // transfer semantics of the paper (fig. 1) is defined for harmonic period
 // pairs only.
@@ -49,16 +36,4 @@ func Harmonic(a, b Time) bool {
 		return false
 	}
 	return a%b == 0 || b%a == 0
-}
-
-// RateRatio returns how many instances of the producer (period tp) feed one
-// instance of the consumer (period tc) when tc = n·tp, and 1 when the
-// consumer is at the same or a faster rate. This is the n of figure 1: the
-// consumer must receive n data before it can execute, and the n buffers
-// cannot be reused among themselves.
-func RateRatio(tp, tc Time) int {
-	if tp <= 0 || tc <= 0 || tc%tp != 0 {
-		return 1
-	}
-	return int(tc / tp)
 }

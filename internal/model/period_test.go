@@ -25,18 +25,6 @@ func TestGCDLCMBasics(t *testing.T) {
 	}
 }
 
-func TestLCMAll(t *testing.T) {
-	if l := LCMAll(3, 6, 12); l != 12 {
-		t.Errorf("LCMAll(3,6,12) = %d, want 12", l)
-	}
-	if l := LCMAll(); l != 0 {
-		t.Errorf("LCMAll() = %d, want 0", l)
-	}
-	if l := LCMAll(4, 6); l != 12 {
-		t.Errorf("LCMAll(4,6) = %d, want 12", l)
-	}
-}
-
 func TestHarmonic(t *testing.T) {
 	cases := []struct {
 		a, b Time
@@ -48,23 +36,6 @@ func TestHarmonic(t *testing.T) {
 	for _, c := range cases {
 		if got := Harmonic(c.a, c.b); got != c.want {
 			t.Errorf("Harmonic(%d,%d) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestRateRatio(t *testing.T) {
-	cases := []struct {
-		tp, tc Time
-		want   int
-	}{
-		{3, 12, 4}, // consumer 4× slower: needs 4 data (figure 1, n=4)
-		{3, 3, 1},  // same rate
-		{12, 3, 1}, // producer slower: one datum reused
-		{5, 7, 1},  // non-harmonic degenerates to 1
-	}
-	for _, c := range cases {
-		if got := RateRatio(c.tp, c.tc); got != c.want {
-			t.Errorf("RateRatio(%d,%d) = %d, want %d", c.tp, c.tc, got, c.want)
 		}
 	}
 }

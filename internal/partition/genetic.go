@@ -3,8 +3,6 @@ package partition
 import (
 	"math/rand"
 	"sort"
-
-	"repro/internal/model"
 )
 
 // GAConfig parameterises the genetic-algorithm balancer.
@@ -130,14 +128,4 @@ func tournament(rng *rand.Rand, fit []float64, k int) int {
 		}
 	}
 	return best
-}
-
-// GAMaxMem is a convenience wrapper: memory-only GA fitness.
-func GAMaxMem(items []Item, m int, seed int64) model.Mem {
-	conv := make([]Item, len(items))
-	for i, it := range items {
-		conv[i] = Item{Exec: model.Time(it.Mem), Mem: it.Mem}
-	}
-	a := GA(conv, m, GAConfig{Seed: seed})
-	return a.MaxMem(items, m)
 }

@@ -29,7 +29,6 @@ func allocFixture(t testing.TB) (*model.TaskSet, *arch.Architecture, *Schedule) 
 func TestInstancesOnAllocFree(t *testing.T) {
 	_, ar, s := allocFixture(t)
 	is := FromSchedule(s)
-	is.InstancesOn(0) // warm the cache
 	allocs := testing.AllocsPerRun(100, func() {
 		for p := arch.ProcID(0); int(p) < ar.Procs; p++ {
 			if got := is.InstancesOn(p); len(got) == 0 && int(p) == 0 {
@@ -73,20 +72,14 @@ func TestDepLowerBoundsAllocFree(t *testing.T) {
 	}
 }
 
-// TestCloneBounded pins Clone to the structural copies: the placement
-// slice, the listing headers, and one listing per processor — no
-// per-instance allocations.
-func TestCloneBounded(t *testing.T) {
-	_, ar, s := allocFixture(t)
-	is := FromSchedule(s)
-	is.InstancesOn(0) // fresh listings: the worst (largest) clone shape
-	limit := float64(3 + ar.Procs)
-	if allocs := testing.AllocsPerRun(50, func() { is.Clone() }); allocs > limit {
-		t.Fatalf("Clone allocates %.1f objects, want ≤ %.0f", allocs, limit)
-	}
-	c := is.Clone()
-	if c.TS.TotalInstances() != len(c.pl) {
-		t.Fatalf("clone placement slice has %d entries, want exactly TotalInstances = %d",
-			len(c.pl), c.TS.TotalInstances())
+// TestNewInstScheduleBounded pins the listings' construction to the
+// structural allocations — the schedule, the listing headers, the
+// per-processor counts and one backing array for every listing — with
+// none per instance or per processor.
+func TestNewInstScheduleBounded(t *testing.T) {
+	ts, ar, s := allocFixture(t)
+	pl := FromSchedule(s).pl
+	if allocs := testing.AllocsPerRun(50, func() { NewInstSchedule(ts, ar, pl) }); allocs > 4 {
+		t.Fatalf("NewInstSchedule allocates %.1f objects, want ≤ 4", allocs)
 	}
 }

@@ -153,14 +153,15 @@ func FuzzFoldValidate(f *testing.F) {
 		ts.MustFreeze()
 		m := 1 + int(procs)%3
 		h := ts.HyperPeriod()
-		is := NewInstSchedule(ts, arch.MustNew(m, 1))
+		pl := NewPlacements(ts)
 		for i := 0; i < n; i++ {
 			id := model.TaskID(i)
 			s0 := next(uint64(3 * h))
 			for k := 0; k < ts.Instances(id); k++ {
-				is.Place(model.InstanceID{Task: id, K: k}, arch.ProcID(next(uint64(m))), model.InstanceStart(s0, ts.Task(id).Period, k))
+				pl[ts.InstanceIndex(model.InstanceID{Task: id, K: k})] = InstPlacement{Proc: arch.ProcID(next(uint64(m))), Start: model.InstanceStart(s0, ts.Task(id).Period, k)}
 			}
 		}
+		is := NewInstSchedule(ts, arch.MustNew(m, 1), pl)
 		got, want := validateOverlaps(is), bruteFoldOverlaps(is)
 		if !slices.Equal(got, want) {
 			t.Fatalf("Validate overlaps %q, oracle %q", got, want)

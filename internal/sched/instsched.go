@@ -22,10 +22,9 @@ type InstPlacement struct {
 //
 // Placements live in a dense task-major slice indexed by
 // model.TaskSet.InstanceIndex — exactly TotalInstances() entries, no
-// hashing — and each processor keeps a cached occupancy listing ordered
-// by (start, task, k). The listing is refreshed lazily: Place is O(1)
-// and a burst of placements (the common construction pattern) pays one
-// scan-and-sort on the first read instead of one sorted insert each.
+// hashing — and each processor's occupancy listing, ordered by (start,
+// task, k), is built once by NewInstSchedule. Nothing changes a schedule
+// after that, so any number of readers may share one.
 type InstSchedule struct {
 	TS   *model.TaskSet
 	Arch *arch.Architecture
@@ -34,89 +33,50 @@ type InstSchedule struct {
 	// Proc == Unplaced marks an unset entry.
 	pl []InstPlacement
 
-	// byProc[p] is the cached instance listing of processor p, sorted by
-	// (start, task, k). Valid only when fresh.
+	// byProc[p] is the instance listing of processor p, sorted by
+	// (start, task, k); the listings share one backing array.
 	byProc [][]model.InstanceID
-	fresh  bool
 }
 
-// NewInstSchedule returns an empty instance-level schedule with capacity
-// for exactly TotalInstances() placements.
-func NewInstSchedule(ts *model.TaskSet, a *arch.Architecture) *InstSchedule {
-	is := &InstSchedule{
-		TS: ts, Arch: a,
-		pl:     make([]InstPlacement, ts.TotalInstances()),
-		byProc: make([][]model.InstanceID, a.Procs),
+// NewPlacements returns the dense placements of ts, indexed by
+// model.TaskSet.InstanceIndex, with every instance Unplaced: the
+// argument NewInstSchedule expects, before it is filled in.
+func NewPlacements(ts *model.TaskSet) []InstPlacement {
+	pl := make([]InstPlacement, ts.TotalInstances())
+	for i := range pl {
+		pl[i].Proc = Unplaced
 	}
-	for i := range is.pl {
-		is.pl[i].Proc = Unplaced
-	}
-	return is
+	return pl
 }
 
-// FromSchedule expands a task-level schedule: instance k of each task
-// inherits the task's processor and start S + k·T.
-func FromSchedule(s *Schedule) *InstSchedule {
-	is := NewInstSchedule(s.TS, s.Arch)
-	for i := 0; i < s.TS.Len(); i++ {
-		id := model.TaskID(i)
-		pl := s.Placement(id)
-		if pl.Proc == Unplaced {
-			continue
-		}
-		idx := is.TS.InstanceIndex(model.InstanceID{Task: id})
-		for k := 0; k < s.TS.Instances(id); k++ {
-			is.pl[idx+k] = InstPlacement{Proc: pl.Proc, Start: s.InstanceStart(id, k)}
+// NewInstSchedule returns the instance-level schedule with placements
+// pl, indexed by model.TaskSet.InstanceIndex (len(pl) must be
+// TotalInstances(); Proc == Unplaced leaves an instance unplaced). The
+// schedule takes pl over: the caller must not write it afterwards.
+func NewInstSchedule(ts *model.TaskSet, a *arch.Architecture, pl []InstPlacement) *InstSchedule {
+	if len(pl) != ts.TotalInstances() {
+		panic(fmt.Sprintf("sched: %d placements for %d instances", len(pl), ts.TotalInstances()))
+	}
+	is := &InstSchedule{TS: ts, Arch: a, pl: pl, byProc: make([][]model.InstanceID, a.Procs)}
+	// Count each processor's instances, carve its listing out of one
+	// backing array, then fill the listings in task-major order.
+	count := make([]int, a.Procs)
+	for _, p := range pl {
+		if p.Proc != Unplaced {
+			count[p.Proc]++
 		}
 	}
-	return is
-}
-
-// Place assigns one instance.
-func (is *InstSchedule) Place(iid model.InstanceID, p arch.ProcID, start model.Time) {
-	is.pl[is.TS.InstanceIndex(iid)] = InstPlacement{Proc: p, Start: start}
-	is.fresh = false
-}
-
-// Placement returns the placement of one instance and whether it is set.
-func (is *InstSchedule) Placement(iid model.InstanceID) (InstPlacement, bool) {
-	pl := is.pl[is.TS.InstanceIndex(iid)]
-	return pl, pl.Proc != Unplaced
-}
-
-// Clone returns a deep copy. The placement slice and the per-processor
-// listings are copied wholesale, so a clone costs O(TotalInstances) with
-// no hashing or re-sorting. Concurrent consumers of one schedule each
-// need their own clone: even reads may refresh the cached listings (see
-// InstancesOn).
-func (is *InstSchedule) Clone() *InstSchedule {
-	c := &InstSchedule{
-		TS: is.TS, Arch: is.Arch,
-		pl:     append([]InstPlacement(nil), is.pl...),
-		byProc: make([][]model.InstanceID, len(is.byProc)),
-		fresh:  is.fresh,
+	all := make([]model.InstanceID, len(pl))
+	for p, off := range count {
+		is.byProc[p], all = all[:0:off], all[off:]
 	}
-	if is.fresh {
-		for p := range is.byProc {
-			c.byProc[p] = append([]model.InstanceID(nil), is.byProc[p]...)
-		}
-	}
-	return c
-}
-
-// refresh rebuilds every processor listing in one pass over the dense
-// placements.
-func (is *InstSchedule) refresh() {
-	for p := range is.byProc {
-		is.byProc[p] = is.byProc[p][:0]
-	}
-	n := is.TS.Len()
+	n := ts.Len()
 	for i := 0; i < n; i++ {
 		id := model.TaskID(i)
-		idx := is.TS.InstanceIndex(model.InstanceID{Task: id})
-		for k := 0; k < is.TS.Instances(id); k++ {
-			if pl := is.pl[idx+k]; pl.Proc != Unplaced {
-				is.byProc[pl.Proc] = append(is.byProc[pl.Proc], model.InstanceID{Task: id, K: k})
+		idx := ts.InstanceIndex(model.InstanceID{Task: id})
+		for k := 0; k < ts.Instances(id); k++ {
+			if p := pl[idx+k].Proc; p != Unplaced {
+				is.byProc[p] = append(is.byProc[p], model.InstanceID{Task: id, K: k})
 			}
 		}
 	}
@@ -131,7 +91,31 @@ func (is *InstSchedule) refresh() {
 			return cmp.Compare(a.K, b.K)
 		})
 	}
-	is.fresh = true
+	return is
+}
+
+// FromSchedule expands a task-level schedule: instance k of each task
+// inherits the task's processor and start S + k·T.
+func FromSchedule(s *Schedule) *InstSchedule {
+	pl := NewPlacements(s.TS)
+	for i := 0; i < s.TS.Len(); i++ {
+		id := model.TaskID(i)
+		p := s.Placement(id)
+		if p.Proc == Unplaced {
+			continue
+		}
+		idx := s.TS.InstanceIndex(model.InstanceID{Task: id})
+		for k := 0; k < s.TS.Instances(id); k++ {
+			pl[idx+k] = InstPlacement{Proc: p.Proc, Start: s.InstanceStart(id, k)}
+		}
+	}
+	return NewInstSchedule(s.TS, s.Arch, pl)
+}
+
+// Placement returns the placement of one instance and whether it is set.
+func (is *InstSchedule) Placement(iid model.InstanceID) (InstPlacement, bool) {
+	pl := is.pl[is.TS.InstanceIndex(iid)]
+	return pl, pl.Proc != Unplaced
 }
 
 func (is *InstSchedule) startOf(iid model.InstanceID) model.Time {
@@ -139,14 +123,9 @@ func (is *InstSchedule) startOf(iid model.InstanceID) model.Time {
 }
 
 // InstancesOn returns the instances on processor p sorted by start time
-// (ties: task, then k). The listing is cached: repeated reads between
-// placements are allocation-free. Callers must not mutate the result.
-// The first read after a placement rebuilds the cache, so concurrent
-// reads of one schedule race unless it was read since its last Place.
+// (ties: task, then k). It allocates nothing; callers must not mutate
+// the result.
 func (is *InstSchedule) InstancesOn(p arch.ProcID) []model.InstanceID {
-	if !is.fresh {
-		is.refresh()
-	}
 	return is.byProc[p]
 }
 

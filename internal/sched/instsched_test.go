@@ -7,6 +7,26 @@ import (
 	"repro/internal/model"
 )
 
+// placing is one instance placement of a hand-built schedule.
+type placing struct {
+	iid   model.InstanceID
+	proc  arch.ProcID
+	start model.Time
+}
+
+// placed builds the schedule over ts and a that holds base's placements
+// (none when base is nil) with each of places applied on top.
+func placed(ts *model.TaskSet, a *arch.Architecture, base *InstSchedule, places ...placing) *InstSchedule {
+	pl := NewPlacements(ts)
+	if base != nil {
+		copy(pl, base.pl)
+	}
+	for _, p := range places {
+		pl[ts.InstanceIndex(p.iid)] = InstPlacement{Proc: p.proc, Start: p.start}
+	}
+	return NewInstSchedule(ts, a, pl)
+}
+
 func expandedChain(t *testing.T) (*InstSchedule, [3]model.TaskID) {
 	t.Helper()
 	ts, ids := chainSystem(t)
@@ -38,7 +58,7 @@ func TestFromScheduleExpandsAllInstances(t *testing.T) {
 func TestInstValidateCatchesPeriodicityViolation(t *testing.T) {
 	is, ids := expandedChain(t)
 	// Move a#2 off its strict slot.
-	is.Place(model.InstanceID{Task: ids[0], K: 1}, 0, 4)
+	is = placed(is.TS, is.Arch, is, placing{model.InstanceID{Task: ids[0], K: 1}, 0, 4})
 	if !hasKind(is.Validate(), "periodicity") {
 		t.Error("periodicity violation not reported")
 	}
@@ -46,8 +66,7 @@ func TestInstValidateCatchesPeriodicityViolation(t *testing.T) {
 
 func TestInstValidateCatchesMissingInstance(t *testing.T) {
 	ts, ids := chainSystem(t)
-	is := NewInstSchedule(ts, arch.MustNew(2, 1))
-	is.Place(model.InstanceID{Task: ids[0], K: 0}, 0, 0)
+	is := placed(ts, arch.MustNew(2, 1), nil, placing{model.InstanceID{Task: ids[0], K: 0}, 0, 0})
 	if !hasKind(is.Validate(), "placement") {
 		t.Error("missing instances not reported")
 	}
@@ -57,7 +76,7 @@ func TestInstValidateCatchesCrossProcPrecedence(t *testing.T) {
 	is, ids := expandedChain(t)
 	// b currently at 5 on P2 (a#2 ends 4, +C = 5: tight). Move b to start 4
 	// on P2: violates.
-	is.Place(model.InstanceID{Task: ids[1], K: 0}, 1, 4)
+	is = placed(is.TS, is.Arch, is, placing{model.InstanceID{Task: ids[1], K: 0}, 1, 4})
 	errs := is.Validate()
 	if !hasKind(errs, "precedence") {
 		t.Errorf("cross-processor precedence violation not reported: %v", errs)
@@ -66,12 +85,12 @@ func TestInstValidateCatchesCrossProcPrecedence(t *testing.T) {
 
 func TestInstValidateCoLocationRemovesCommDelay(t *testing.T) {
 	ts, ids := chainSystem(t)
-	is := NewInstSchedule(ts, arch.MustNew(2, 1))
 	// All on P1, b directly after a#2 with no C.
-	is.Place(model.InstanceID{Task: ids[0], K: 0}, 0, 0)
-	is.Place(model.InstanceID{Task: ids[0], K: 1}, 0, 3)
-	is.Place(model.InstanceID{Task: ids[1], K: 0}, 0, 4)
-	is.Place(model.InstanceID{Task: ids[2], K: 0}, 0, 5)
+	is := placed(ts, arch.MustNew(2, 1), nil,
+		placing{model.InstanceID{Task: ids[0], K: 0}, 0, 0},
+		placing{model.InstanceID{Task: ids[0], K: 1}, 0, 3},
+		placing{model.InstanceID{Task: ids[1], K: 0}, 0, 4},
+		placing{model.InstanceID{Task: ids[2], K: 0}, 0, 5})
 	if errs := is.Validate(); len(errs) > 0 {
 		t.Fatalf("co-located schedule should need no comm delay: %v", errs)
 	}
@@ -82,16 +101,6 @@ func TestInstMemVectorPerInstance(t *testing.T) {
 	v := is.MemVector()
 	if v[0] != 8 || v[1] != 2 {
 		t.Errorf("mem vector = %v, want [8 2]", v)
-	}
-}
-
-func TestInstCloneIsDeep(t *testing.T) {
-	is, ids := expandedChain(t)
-	c := is.Clone()
-	c.Place(model.InstanceID{Task: ids[0], K: 0}, 1, 0)
-	pl, _ := is.Placement(model.InstanceID{Task: ids[0], K: 0})
-	if pl.Proc != 0 {
-		t.Error("clone shares placement map")
 	}
 }
 
@@ -111,11 +120,11 @@ func TestInstValidateMemoryCapacity(t *testing.T) {
 	ts, ids := chainSystem(t)
 	ar := arch.MustNew(2, 1)
 	ar.SetMemCapacity(7)
-	is := NewInstSchedule(ts, ar)
-	is.Place(model.InstanceID{Task: ids[0], K: 0}, 0, 0)
-	is.Place(model.InstanceID{Task: ids[0], K: 1}, 0, 3)
-	is.Place(model.InstanceID{Task: ids[1], K: 0}, 1, 5)
-	is.Place(model.InstanceID{Task: ids[2], K: 0}, 1, 6)
+	is := placed(ts, ar, nil,
+		placing{model.InstanceID{Task: ids[0], K: 0}, 0, 0},
+		placing{model.InstanceID{Task: ids[0], K: 1}, 0, 3},
+		placing{model.InstanceID{Task: ids[1], K: 0}, 1, 5},
+		placing{model.InstanceID{Task: ids[2], K: 0}, 1, 6})
 	if !hasKind(is.Validate(), "memory") {
 		t.Error("instance-level memory overflow not reported (P1 holds 8 > 7)")
 	}

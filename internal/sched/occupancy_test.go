@@ -18,10 +18,10 @@ func TestOccupancyHandBuilt(t *testing.T) {
 	ts.MustFreeze()
 	ar := arch.MustNew(2, 1)
 
-	is := NewInstSchedule(ts, ar)
-	is.Place(model.InstanceID{Task: a}, 0, 1)
-	is.Place(model.InstanceID{Task: b}, 0, 5)
-	is.Place(model.InstanceID{Task: c}, 1, 0)
+	is := placed(ts, ar, nil,
+		placing{model.InstanceID{Task: a}, 0, 1},
+		placing{model.InstanceID{Task: b}, 0, 5},
+		placing{model.InstanceID{Task: c}, 1, 0})
 
 	occ := Occupancy(is, 10)
 	if len(occ) != 2 {

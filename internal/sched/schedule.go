@@ -158,28 +158,6 @@ func (s *Schedule) Placed() bool {
 	return true
 }
 
-// Clone returns a deep copy sharing the immutable task set and
-// architecture.
-func (s *Schedule) Clone() *Schedule {
-	c := &Schedule{TS: s.TS, Arch: s.Arch, tasksOn: make(map[arch.ProcID][]model.TaskID, s.Arch.Procs)}
-	c.place = append([]Placement(nil), s.place...)
-	c.periods, c.ringOf = s.periods, s.ringOf
-	// One backing array for every ring; the capacity-capped subslices
-	// make a later fold reallocate instead of spilling into a neighbour.
-	n := 0
-	for _, r := range s.rings {
-		n += len(r)
-	}
-	buf := make([]span, 0, n)
-	c.rings = make([]ring, len(s.rings))
-	for k, r := range s.rings {
-		at := len(buf)
-		buf = append(buf, r...)
-		c.rings[k] = buf[at:len(buf):len(buf)]
-	}
-	return c
-}
-
 // TasksOn returns the tasks placed on processor p, sorted by start time
 // then ID. The result is cached until the next Place touching p; callers
 // must not mutate it.

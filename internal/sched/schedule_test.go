@@ -169,17 +169,6 @@ func TestCommsFailsWhenTooTight(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	ts, ids := chainSystem(t)
-	s := MustNewSchedule(ts, arch.MustNew(2, 1))
-	s.MustPlace(ids[0], 0, 0)
-	c := s.Clone()
-	c.MustPlace(ids[0], 1, 3)
-	if s.Placement(ids[0]).Proc != 0 {
-		t.Error("clone shares placement storage")
-	}
-}
-
 func TestTasksOnOrdering(t *testing.T) {
 	ts, ids := chainSystem(t)
 	s := MustNewSchedule(ts, arch.MustNew(1, 0))

@@ -20,19 +20,15 @@ import (
 type Scheduler struct {
 	TS   *model.TaskSet
 	Arch *arch.Architecture
-
-	// CoLocate enables the producer-co-location tie-break (default true in
-	// New).
-	CoLocate bool
-
-	// Retries bounds the boost-and-restart repair rounds after a failed
-	// placement (default 8 in NewScheduler).
-	Retries int
 }
 
-// NewScheduler returns a scheduler with default policy.
+// retries bounds the boost-and-restart repair rounds after a failed
+// placement.
+const retries = 8
+
+// NewScheduler returns the scheduler of ts on a.
 func NewScheduler(ts *model.TaskSet, a *arch.Architecture) *Scheduler {
-	return &Scheduler{TS: ts, Arch: a, CoLocate: true, Retries: 8}
+	return &Scheduler{TS: ts, Arch: a}
 }
 
 // Run produces a complete schedule, or an error when a task cannot be
@@ -41,7 +37,7 @@ func NewScheduler(ts *model.TaskSet, a *arch.Architecture) *Scheduler {
 // fails, the scheduler retries from scratch with the failing task
 // boosted to the front of the ready set — tasks that are hard to pack
 // (long WCETs, tight dependence bounds) go first while the processors
-// are still empty. Up to Retries rounds; each round resets the previous
+// are still empty. Up to retries rounds; each round resets the previous
 // round's schedule and buffers rather than allocating new ones.
 func (sc *Scheduler) Run() (*Schedule, error) {
 	s, err := NewSchedule(sc.TS, sc.Arch)
@@ -50,7 +46,7 @@ func (sc *Scheduler) Run() (*Schedule, error) {
 	}
 	ps := sc.newPass()
 	var lastErr error
-	for attempt := 0; attempt <= sc.Retries; attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			s.reset()
 		}
@@ -185,11 +181,8 @@ func (sc *Scheduler) better(s *Schedule, id model.TaskID, p arch.ProcID, start m
 	if start != bstart {
 		return start < bstart
 	}
-	if sc.CoLocate {
-		cp, cb := sc.hostsProducer(s, id, p), sc.hostsProducer(s, id, bp)
-		if cp != cb {
-			return cp
-		}
+	if cp, cb := sc.hostsProducer(s, id, p), sc.hostsProducer(s, id, bp); cp != cb {
+		return cp
 	}
 	if util[p] != util[bp] {
 		return util[p] < util[bp]

@@ -237,7 +237,7 @@ func TestRepairRoundsMatchFreshSchedules(t *testing.T) {
 		var wantErr error
 		rounds := 0
 		ps := sc.newPass()
-		for attempt := 0; attempt <= sc.Retries; attempt++ {
+		for attempt := 0; attempt <= retries; attempt++ {
 			rounds++
 			s := MustNewSchedule(ts, ar)
 			id, err := sc.runOnce(s, ps)

@@ -25,8 +25,11 @@ type ExecRequest struct {
 	// (the local journal replay, or shard journals a previous fleet run
 	// already landed). May be empty, never nil.
 	OnResume func(done []campaign.TrialResult)
-	// Sink receives every live trial row once it is durable in the
-	// executor's scratch. Calls are serialised by the executor.
+	// Sink receives every live trial row after the executor appended it
+	// to its durable scratch (the local journal, or a landed shard
+	// journal). Calls may be concurrent — LocalExecutor makes them from
+	// every engine worker at once — so Sink must be safe for concurrent
+	// use.
 	Sink func(r campaign.TrialResult) error
 	// Obs is the campaign's local telemetry set (fleet telemetry is
 	// scraped worker-side and surfaced separately).
@@ -65,8 +68,9 @@ func (e *LocalExecutor) journalPath(id string) string {
 }
 
 // Execute implements Executor: resume the campaign's journal if a
-// previous daemon left one, create it otherwise, and run the engine
-// with the sink writing through the journal before fanning out.
+// previous daemon left one, create it otherwise, and run the engine as
+// the journal's run (journal.Writer.Run), which appends each live trial
+// before req.Sink sees it.
 func (e *LocalExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 	hdr, err := journal.NewHeader(req.Spec, 0, 1)
 	if err != nil {
@@ -78,32 +82,7 @@ func (e *LocalExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 		return nil, err
 	}
 	req.OnResume(done)
-
-	eng := &campaign.Engine{
-		Workers: e.Workers,
-		Done:    done,
-		Obs:     req.Obs,
-		Stop:    req.Stop,
-		Sink: func(r campaign.TrialResult) error {
-			if err := w.Append(r); err != nil {
-				return err
-			}
-			return req.Sink(r)
-		},
-	}
-	res, runErr := eng.Run(req.Spec)
-	if runErr != nil {
-		// Drain or failure: sync what we have — the journal is the
-		// resumable artifact either way.
-		if cerr := w.Close(); cerr != nil && errors.Is(runErr, campaign.ErrInterrupted) {
-			return nil, cerr
-		}
-		return nil, runErr
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return w.Run(&campaign.Engine{Workers: e.Workers, Obs: req.Obs, Stop: req.Stop, Sink: req.Sink}, req.Spec)
 }
 
 // Cleanup implements Executor: the merged journal is scratch once the

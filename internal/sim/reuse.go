@@ -178,11 +178,6 @@ func peakLive(lts []lifetime, h model.Time) model.Mem {
 	return peak
 }
 
-// ReuseByProc is a convenience wrapper returning only the reuse vector.
-func ReuseByProc(is *sched.InstSchedule) []model.Mem {
-	return MinMemoryWithReuse(is).Reuse
-}
-
 // BufferPeaks returns each processor's receive-buffer high-watermark over
 // the schedule's one pass: every datum arriving from another processor
 // occupies the consumer side's buffer from its arrival (producer end

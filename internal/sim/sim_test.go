@@ -94,9 +94,10 @@ func TestRunRejectsLateArrival(t *testing.T) {
 	ts.MustAddDependence(a, b, 1)
 	ts.MustFreeze()
 	ar := arch.MustNew(2, 3)
-	is := sched.NewInstSchedule(ts, ar)
-	is.Place(model.InstanceID{Task: a, K: 0}, 0, 0)
-	is.Place(model.InstanceID{Task: b, K: 0}, 1, 2) // needs 1+3 = 4
+	pl := sched.NewPlacements(ts)
+	pl[ts.InstanceIndex(model.InstanceID{Task: a})] = sched.InstPlacement{Proc: 0, Start: 0}
+	pl[ts.InstanceIndex(model.InstanceID{Task: b})] = sched.InstPlacement{Proc: 1, Start: 2} // needs 1+3 = 4
+	is := sched.NewInstSchedule(ts, ar, pl)
 	_, err := (&Runner{}).Run(is)
 	if err == nil || !strings.Contains(err.Error(), "before its input") {
 		t.Fatalf("late arrival not rejected: %v", err)

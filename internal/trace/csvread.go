@@ -18,7 +18,7 @@ import (
 // that the end column matches start + WCET (a cheap integrity check on
 // hand-edited files).
 func ReadCSV(r io.Reader, ts *model.TaskSet, a *arch.Architecture) (*sched.InstSchedule, error) {
-	is := sched.NewInstSchedule(ts, a)
+	pl := sched.NewPlacements(ts)
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -60,10 +60,10 @@ func ReadCSV(r io.Reader, ts *model.TaskSet, a *arch.Architecture) (*sched.InstS
 		if model.Time(end) != model.Time(start)+task.WCET {
 			return nil, fmt.Errorf("trace: line %d: end %d ≠ start %d + WCET %d", line, end, start, task.WCET)
 		}
-		is.Place(model.InstanceID{Task: task.ID, K: k - 1}, arch.ProcID(proc-1), model.Time(start))
+		pl[ts.InstanceIndex(model.InstanceID{Task: task.ID, K: k - 1})] = sched.InstPlacement{Proc: arch.ProcID(proc - 1), Start: model.Time(start)}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	return is, nil
+	return sched.NewInstSchedule(ts, a, pl), nil
 }

@@ -51,7 +51,7 @@ func TestGanttEmpty(t *testing.T) {
 	ts := model.NewTaskSet()
 	ts.MustAddTask("a", 3, 1, 1)
 	ts.MustFreeze()
-	is := sched.NewInstSchedule(ts, arch.MustNew(1, 0))
+	is := sched.NewInstSchedule(ts, arch.MustNew(1, 0), sched.NewPlacements(ts))
 	var buf bytes.Buffer
 	if err := Gantt(&buf, is); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/arch"
 	"repro/internal/campaign"
 	"repro/internal/core"
@@ -41,12 +42,25 @@ func upperPaperScaleConfig() (gen.Config, int) {
 }
 
 // unschedulableConfig is N=600/U=12 on 16 processors at seed 0, a
-// paper-phase grid point that uses every repair round and still fails.
+// paper-phase grid point whose demand exceeds M·H: the engine's
+// necessary-condition screen refuses it before scheduling.
 func unschedulableConfig() (gen.Config, int) {
 	return gen.Config{
 		Seed:        0,
 		Tasks:       600,
 		Utilization: 12,
+		Periods:     []model.Time{10, 20, 40, 80},
+	}, 16
+}
+
+// heuristicMissConfig is N=300/U=8 on 16 processors at seed 3, a
+// paper-phase grid point that passes the screen and that the scheduler
+// still fails after every repair round: the engine runs all of them.
+func heuristicMissConfig() (gen.Config, int) {
+	return gen.Config{
+		Seed:        3,
+		Tasks:       300,
+		Utilization: 8,
 		Periods:     []model.Time{10, 20, 40, 80},
 	}, 16
 }
@@ -178,11 +192,31 @@ func BenchmarkTrial(b *testing.B) {
 	b.Run("scheduler", scheduler(cfg, procs, true))
 	cfg, procs = upperPaperScaleConfig()
 	b.Run("scheduler-600x32", scheduler(cfg, procs, true))
-	// A paper-phase grid point the greedy substrate cannot schedule: all
-	// 9 passes (Retries = 8 repair rounds) fail. Such points are 37 of
-	// the sweep's 80 and a large share of its scheduler time.
-	cfg, procs = unschedulableConfig()
-	b.Run("scheduler-unschedulable", scheduler(cfg, procs, false))
+	// A heuristic miss: the screen passes the grid point, and all 9
+	// passes (8 repair rounds) fail. 5 of the sweep's 80 points are such
+	// misses.
+	b.Run("scheduler-miss", func(b *testing.B) {
+		cfg, procs := heuristicMissConfig()
+		ts, ar := scaleInput(b, cfg, procs)
+		if _, err := analysis.CheckSchedulability(ts, ar.Procs); err != nil {
+			b.Fatalf("the screen refuses the heuristic miss: %v", err)
+		}
+		scheduler(cfg, procs, false)(b)
+	})
+	// The screen on a grid point it refuses, which is all the engine
+	// spends on 32 of the sweep's 80 points.
+	b.Run("screen-unschedulable", func(b *testing.B) {
+		cfg, procs := unschedulableConfig()
+		ts, ar := scaleInput(b, cfg, procs)
+		b.ReportMetric(float64(ts.TotalInstances()), "instances")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := analysis.CheckSchedulability(ts, ar.Procs); err == nil {
+				b.Fatal("the screen passes an unschedulable grid point")
+			}
+		}
+	})
 	balancer := func(cfg gen.Config, procs int) func(b *testing.B) {
 		return func(b *testing.B) {
 			ts, ar := scaleInput(b, cfg, procs)
