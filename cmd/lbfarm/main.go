@@ -41,8 +41,9 @@
 // of running its own sweep: it registers with the daemon at -coord, and
 // each job carries its spec and shard range, is journaled under
 // -worker-dir, and is collected by the daemon's per-campaign
-// coordinator over HTTP (the worker also serves /debug/vars on its job
-// port for the coordinator's straggler detector). See
+// coordinator over HTTP. Every status reply carries the worker's
+// telemetry snapshot, which is all the coordinator reads of it; the
+// job port also serves /debug/vars and /metrics for operators. See
 // docs/distributed.md.
 //
 // Artifacts: <out>/<name>.json (spec + per-cell aggregates + trials)

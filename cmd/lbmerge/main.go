@@ -41,9 +41,8 @@ func main() {
 		anaFlag   = flag.String("analyzers", "", "assert the shards were produced with exactly this analyzer set (comma-separated, or 'none')")
 		phaseFlag = flag.String("analyzer-phases", "", "assert the shards were produced with exactly this analyzer phase set (after | before,after)")
 
-		obsOn       = flag.Bool("obs", true, "time the merge fold and write the runinfo sidecar next to the artifacts; artifacts are byte-identical either way")
+		obsOn       = flag.Bool("obs", true, "time the merge fold and write the runinfo sidecar next to the artifacts, plus <out>/<name>"+obs.FleetInfoSuffix+" when per-shard runinfo sidecars sit next to the input journals; artifacts are byte-identical either way")
 		runinfoPath = flag.String("runinfo", "", "write the telemetry sidecar to this path (default <out>/<name>"+obs.RunInfoSuffix+")")
-		fleetOn     = flag.Bool("fleetinfo", true, "merge any per-shard runinfo sidecars found next to the input journals into <out>/<name>"+obs.FleetInfoSuffix)
 		debugAddr   = flag.String("debug-addr", "", "serve live debug endpoints (expvar /debug/vars, Prometheus /metrics, net/http/pprof /debug/pprof/) on this host:port; port 0 picks one")
 	)
 	flag.Parse()
@@ -136,10 +135,8 @@ func main() {
 		}
 		fmt.Printf("runinfo: %s\n", ripath)
 
-		if *fleetOn {
-			if fp := writeFleetInfo(*out, res.Spec.Name, hash, flag.Args()); fp != "" {
-				fmt.Printf("fleetinfo: %s\n", fp)
-			}
+		if fp := writeFleetInfo(*out, res.Spec.Name, hash, flag.Args()); fp != "" {
+			fmt.Printf("fleetinfo: %s\n", fp)
 		}
 	}
 }
@@ -147,10 +144,10 @@ func main() {
 // writeFleetInfo is the fold-side fleet passthrough: each `lbfarm
 // -shard` run leaves a runinfo sidecar next to its shard journal;
 // merging those snapshots (the same order-independent bucket sums the
-// coordinator's live scrape uses) yields the campaign-level view even
-// for a manually-sharded run that never had a coordinator. Shards
-// without a sidecar simply contribute nothing; with none at all, no
-// fleetinfo is written.
+// coordinator applies to its workers' polled snapshots) yields the
+// campaign-level view even for a manually-sharded run that never had a
+// coordinator. Shards without a sidecar simply contribute nothing; with
+// none at all, no fleetinfo is written.
 func writeFleetInfo(out, name, hash string, shardPaths []string) string {
 	fi := obs.NewFleetInfo("lbmerge", name, hash, len(shardPaths))
 	var snaps []*obs.Snapshot

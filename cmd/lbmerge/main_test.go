@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/journal"
+	"repro/internal/obs"
 )
 
 // TestMain lets the test binary impersonate the lbmerge CLI: a child
@@ -42,8 +43,10 @@ func smokeSpec(analyzers, phases []string) *campaign.Spec {
 }
 
 // shards journals spec as three shards, each at its own worker count,
-// and returns the journal paths.
-func shards(t *testing.T, spec *campaign.Spec) []string {
+// and returns the journal paths. With sidecars, each shard also runs
+// with telemetry and leaves its runinfo sidecar next to its journal, as
+// `lbfarm -shard i/n -journal …` does.
+func shards(t *testing.T, spec *campaign.Spec, sidecars bool) []string {
 	t.Helper()
 	dir := t.TempDir()
 	var paths []string
@@ -57,11 +60,24 @@ func shards(t *testing.T, spec *campaign.Spec) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := (&campaign.Engine{Workers: i + 1, Lo: hdr.Lo, Hi: hdr.Hi, Sink: w.Append}).Run(spec); err != nil {
+		var set *obs.Set
+		if sidecars {
+			set = obs.NewSet(i + 1)
+		}
+		if _, err := (&campaign.Engine{Workers: i + 1, Lo: hdr.Lo, Hi: hdr.Hi, Obs: set, Sink: w.Append}).Run(spec); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if sidecars {
+			ri := obs.NewRunInfo("lbfarm")
+			ri.Name, ri.SpecHash, ri.Shard = spec.Name, hdr.SpecHash, fmt.Sprintf("%d/3", i+1)
+			ri.Trials, ri.Workers, ri.Obs = hdr.Hi-hdr.Lo, i+1, set.Snapshot()
+			ri.Finish(set.Elapsed())
+			if err := ri.Write(filepath.Join(dir, fmt.Sprintf("shard%d", i+1)+obs.RunInfoSuffix)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		paths = append(paths, path)
 	}
@@ -76,10 +92,10 @@ func shards(t *testing.T, spec *campaign.Spec) []string {
 func TestMergeCLI(t *testing.T) {
 	ana := []string{"schedulability", "moves"}
 	phased := []string{"contention", "reuse", "schedulability"}
-	plainShards := shards(t, smokeSpec(nil, nil))
-	anaShards := shards(t, smokeSpec(ana, nil))
-	afterShards := shards(t, smokeSpec(phased, nil))
-	phasedShards := shards(t, smokeSpec(phased, []string{"before", "after"}))
+	plainShards := shards(t, smokeSpec(nil, nil), false)
+	anaShards := shards(t, smokeSpec(ana, nil), false)
+	afterShards := shards(t, smokeSpec(phased, nil), false)
+	phasedShards := shards(t, smokeSpec(phased, []string{"before", "after"}), false)
 
 	for name, c := range map[string]struct {
 		spec   *campaign.Spec
@@ -127,5 +143,45 @@ func TestMergeCLI(t *testing.T) {
 		if msg, err := lbmerge(append([]string{"-table-only"}, c.args...)...); err == nil || !bytes.Contains(msg, []byte(c.want)) {
 			t.Errorf("%s: %v, want a refusal naming %q:\n%s", name, err, c.want, msg)
 		}
+	}
+}
+
+// TestMergeFleetInfo: shard journals with runinfo sidecars next to them
+// merge into <out>/<name>.fleetinfo.json, whose trial counters sum to
+// the campaign's trial count and which lists one worker per shard;
+// shards without sidecars leave no fleetinfo behind.
+func TestMergeFleetInfo(t *testing.T) {
+	spec := smokeSpec(nil, nil)
+	trials, err := spec.Trials()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	if msg, err := lbmerge(append([]string{"-out", out}, shards(t, spec, true)...)...); err != nil {
+		t.Fatalf("lbmerge: %v\n%s", err, msg)
+	}
+	fi, err := obs.ReadFleetInfo(filepath.Join(out, "smoke"+obs.FleetInfoSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Tool != "lbmerge" || fi.Shards != 3 || len(fi.Workers) != 3 {
+		t.Errorf("fleetinfo tool %q, %d shards, %d workers; want lbmerge, 3, 3", fi.Tool, fi.Shards, len(fi.Workers))
+	}
+	if fi.Obs == nil {
+		t.Fatal("fleetinfo has no merged snapshot")
+	}
+	if got := fi.Obs.Counters["trials_accepted"] + fi.Obs.Counters["trials_rejected"]; int(got) != len(trials) {
+		t.Errorf("fleetinfo trial counters sum to %d, the campaign has %d trials", got, len(trials))
+	}
+
+	out = filepath.Join(t.TempDir(), "out")
+	if msg, err := lbmerge(append([]string{"-out", out}, shards(t, spec, false)...)...); err != nil {
+		t.Fatalf("lbmerge without sidecars: %v\n%s", err, msg)
+	}
+	if _, err := os.Stat(filepath.Join(out, "smoke"+obs.FleetInfoSuffix)); !os.IsNotExist(err) {
+		t.Errorf("lbmerge without sidecars wrote a fleetinfo (stat: %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "smoke"+obs.RunInfoSuffix)); err != nil {
+		t.Errorf("lbmerge without sidecars wrote no runinfo: %v", err)
 	}
 }

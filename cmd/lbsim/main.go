@@ -1,7 +1,8 @@
 // Command lbsim runs the full pipeline on a task system: initial
 // distributed scheduling (the paper's reference [4] substrate), the
 // load-balancing and memory-usage heuristic, validation, and the
-// discrete-event execution over one hyper-period.
+// execution check (precedences, busy time, memory) over one
+// hyper-period.
 //
 // Usage:
 //

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // ---------------------------------------------------------------------
@@ -54,13 +55,17 @@ const (
 
 // WorkerStatus is a worker's self-report — the status-poll response.
 // Done counts journaled trials of the current job (replayed rows
-// included), Total the job's trial count.
+// included), Total the job's trial count. Obs is the worker's telemetry
+// snapshot (absent when it runs without telemetry), taken after the job
+// state was read, so a done reply's snapshot covers every trial of that
+// job.
 type WorkerStatus struct {
-	JobID string   `json:"job_id"`
-	State JobState `json:"state"`
-	Done  int      `json:"done"`
-	Total int      `json:"total"`
-	Err   string   `json:"err,omitempty"`
+	JobID string        `json:"job_id"`
+	State JobState      `json:"state"`
+	Done  int           `json:"done"`
+	Total int           `json:"total"`
+	Err   string        `json:"err,omitempty"`
+	Obs   *obs.Snapshot `json:"obs,omitempty"`
 }
 
 // Registration is the payload a worker pushes to the coordinator

@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -196,12 +197,6 @@ func (f *flakyWorker) Journal(ctx context.Context, jobID string) ([]byte, error)
 	}
 	return f.w.Journal(ctx, jobID)
 }
-func (f *flakyWorker) Snapshot(ctx context.Context) (*obs.Snapshot, error) {
-	if err := f.cut(); err != nil {
-		return nil, err
-	}
-	return f.w.Snapshot(ctx)
-}
 
 // TestHeartbeatLostThenRecovered: the only worker is partitioned away —
 // its job RPCs and its registrations both — long enough to be declared
@@ -211,10 +206,20 @@ func (f *flakyWorker) Snapshot(ctx context.Context) (*obs.Snapshot, error) {
 // rejoin it to the running campaign, which re-dispatches to it
 // (idempotently: the worker never stopped) and finishes with a
 // byte-identical artifact.
+//
+// The worker cuts the network itself after its first journaled trial,
+// so the partition always falls inside the running job, however the
+// test goroutine is scheduled: not before the dispatch reached the
+// worker, and not after the job landed.
 func TestHeartbeatLostThenRecovered(t *testing.T) {
-	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(20 * time.Millisecond) }}
+	fw := &flakyWorker{}
+	var cutOnce sync.Once
+	slow := Hooks{SinkDelay: func(campaign.TrialResult) {
+		cutOnce.Do(func() { fw.down.Store(true) })
+		time.Sleep(20 * time.Millisecond)
+	}}
 	addr := newWorkerURL(t, "w1", slow)
-	fw := &flakyWorker{w: NewClient("w1", addr)}
+	fw.w = NewClient("w1", addr)
 	reg := NewRegistry(func(string, string) Worker { return fw }, t.Logf)
 	mux := http.NewServeMux()
 	reg.Routes(mux)
@@ -245,10 +250,8 @@ func TestHeartbeatLostThenRecovered(t *testing.T) {
 		res, runErr = c.Run(ctx)
 	}()
 
-	// Wait for the dispatch, then cut the network until the coordinator
-	// declares the worker dead and re-queues its range.
-	waitFor(t, func() bool { return c.Stats().Dispatches >= 1 })
-	fw.down.Store(true)
+	// The network stays cut until the coordinator declares the worker
+	// dead and re-queues its range.
 	waitFor(t, func() bool { return c.Stats().DeadWorkers == 1 })
 	if st := c.Stats(); st.Requeues != 1 {
 		t.Errorf("requeues after partition = %d, want 1", st.Requeues)
@@ -267,6 +270,52 @@ func TestHeartbeatLostThenRecovered(t *testing.T) {
 	checkArtifacts(t, res)
 	if st := c.Stats(); st.Registered != 2 {
 		t.Errorf("registrations = %d, want 2 (initial + rejoin)", st.Registered)
+	}
+}
+
+// TestSlowPollBuriesNoOne: one tick polls the workers one after
+// another, so a status RPC slower than the liveness window delays the
+// liveness check of every worker polled before it. Those answered this
+// tick's poll and must stay alive, whatever order the tick polled in.
+func TestSlowPollBuriesNoOne(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.Liveness = 50 * time.Millisecond
+	c := mustNew(t, cfg)
+	c.AddWorker(&fakeWorker{id: "fast"})
+	c.AddWorker(&slowWorker{fakeWorker: fakeWorker{id: "slow"}, delay: 80 * time.Millisecond})
+	for i := 0; i < 8; i++ {
+		c.step(context.Background())
+	}
+	if st := c.Stats(); st.DeadWorkers != 0 || c.Workers() != 2 {
+		t.Errorf("after 8 ticks with an 80ms poll: %d workers dead, %d in the pool; want 0 and 2", st.DeadWorkers, c.Workers())
+	}
+}
+
+// slowWorker answers its status poll after a delay.
+type slowWorker struct {
+	fakeWorker
+	delay time.Duration
+}
+
+func (w *slowWorker) Status(ctx context.Context, jobID string) (WorkerStatus, error) {
+	time.Sleep(w.delay)
+	return w.fakeWorker.Status(ctx, jobID)
+}
+
+// TestSilentWorkerGetsNoWork: a worker that missed this tick's poll is
+// not dispatched to. It would refuse, and every refusal burns an
+// attempt of the range's budget until the liveness window buries the
+// worker; the range goes to a worker that answered instead.
+func TestSilentWorkerGetsNoWork(t *testing.T) {
+	c := mustNew(t, testConfig(t, 1))
+	cut := &flakyWorker{w: &fakeWorker{id: "a"}}
+	cut.down.Store(true)
+	c.AddWorker(cut)
+	c.AddWorker(&fakeWorker{id: "b"})
+	c.step(context.Background())
+	st := c.Status()
+	if st.Stats.Requeues != 0 || len(st.Leases[0].Workers) != 1 || st.Leases[0].Workers[0] != "b" {
+		t.Errorf("range leased to %v with %d requeues; want it on b, the worker that answered, with none", st.Leases[0].Workers, st.Stats.Requeues)
 	}
 }
 
@@ -289,7 +338,6 @@ func (f *fakeWorker) Cancel(context.Context, string) error {
 	return nil
 }
 func (f *fakeWorker) Journal(context.Context, string) ([]byte, error) { return f.journal, nil }
-func (f *fakeWorker) Snapshot(context.Context) (*obs.Snapshot, error) { return nil, nil }
 
 // TestDuplicateCompletionOfReissuedRange: a speculated range completes
 // on both tenants in the same tick. Exactly one journal may land; the
@@ -435,7 +483,7 @@ func TestStragglerSpeculativeReissue(t *testing.T) {
 	c := mustNew(t, cfg)
 	slow := Hooks{SinkDelay: func(campaign.TrialResult) { time.Sleep(75 * time.Millisecond) }}
 	// The slow worker carries telemetry so the speculation path exercises
-	// the snapshot scrape and classification.
+	// the polled snapshot and its classification.
 	c.AddWorker(newHTTPWorker(t, "w-slow", slow, obs.NewSet(2)))
 	c.AddWorker(newHTTPWorker(t, "w-fast", Hooks{}, nil))
 
@@ -459,6 +507,11 @@ func TestStragglerSpeculativeReissue(t *testing.T) {
 			found = true
 			if ev.Worker != "w-fast" || !strings.Contains(ev.Detail, "w-slow") {
 				t.Errorf("speculate event names worker %q detail %q, want twin w-fast fleeing w-slow", ev.Worker, ev.Detail)
+			}
+			// The injected delay sits in the sink, so the diagnosis from
+			// the last poll's snapshot must name the sink wait.
+			if !strings.Contains(ev.Detail, "sink_wait") {
+				t.Errorf("speculate event detail %q, want the straggler diagnosed by sink_wait", ev.Detail)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/obs"
 )
 
 // Client is the HTTP implementation of Worker: the coordinator's handle
@@ -62,18 +61,6 @@ func (c *Client) Journal(ctx context.Context, jobID string) ([]byte, error) {
 	var data []byte
 	err := c.do(ctx, http.MethodGet, "/v1/job/journal?id="+url.QueryEscape(jobID), nil, &data)
 	return data, err
-}
-
-// Snapshot implements Worker: scrape the worker's /debug/vars surface
-// and pull the obs snapshot out of it.
-func (c *Client) Snapshot(ctx context.Context) (*obs.Snapshot, error) {
-	var vars struct {
-		Obs *obs.Snapshot `json:"obs"`
-	}
-	if err := c.do(ctx, http.MethodGet, "/debug/vars", nil, &vars); err != nil {
-		return nil, err
-	}
-	return vars.Obs, nil
 }
 
 // Announce registers a worker with the coordinator and repeats the

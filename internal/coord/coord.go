@@ -73,11 +73,11 @@ type workerState struct {
 	// (or the lease began): the stall rule's clock.
 	progressAt time.Time
 
-	// snap is the last telemetry snapshot scraped from this worker (nil
-	// until the first scrape succeeds); snapAt is when. The scrape loop
-	// and the straggler detector share this cache — one scrape path.
-	snap   *obs.Snapshot
-	snapAt time.Time
+	// snap is the last telemetry snapshot a status poll carried (nil
+	// until one does): at most one Poll tick old while the worker
+	// answers. The fleet merge, the fleetinfo sidecar and the straggler
+	// diagnosis all read it.
+	snap *obs.Snapshot
 }
 
 // Coordinator is one fleet campaign's control plane: it owns the lease
@@ -100,11 +100,10 @@ type Coordinator struct {
 	stats   Stats
 	fatal   error
 
-	// lastScrape gates the periodic fleet scrape; gone keeps the stubs
-	// of buried workers for the fleetinfo sidecar (their telemetry is
-	// deliberately dropped: the merged snapshot sums survivors only).
-	lastScrape time.Time
-	gone       []obs.FleetWorker
+	// gone keeps the stubs of buried workers for the fleetinfo sidecar
+	// (their telemetry is deliberately dropped: the merged snapshot sums
+	// survivors only).
+	gone []obs.FleetWorker
 }
 
 // New validates cfg, resolves its Options (auto-sizing Splits against

@@ -1,7 +1,7 @@
 package coord
 
-// Fleet observability must be a pure observer: scraping worker
-// snapshots, appending the event log, and writing fleetinfo may not
+// Fleet observability must be a pure observer: carrying worker
+// snapshots on the status poll, appending the event log, and writing fleetinfo may not
 // change a byte of the artifacts. These tests run real chaos scenarios
 // with every observability knob on and assert (a) byte-identity holds,
 // (b) the event log reconstructs a killed range's full lease history,
@@ -32,14 +32,12 @@ func mustReadEvents(t *testing.T, path string) (EventLogHeader, []Event) {
 }
 
 // TestFleetObsByteIdentity: the same campaign, engine parallelism 1, 2,
-// and 8, with scraping, telemetry, and the event log all enabled — every
+// and 8, with telemetry on every poll and the event log enabled — every
 // merge must match the single-host baseline byte for byte.
 func TestFleetObsByteIdentity(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		t.Run(map[int]string{1: "w1", 2: "w2", 8: "w8"}[workers], func(t *testing.T) {
-			cfg := testConfig(t, 4)
-			cfg.ScrapeInterval = 30 * time.Millisecond
-			c := mustNew(t, cfg)
+			c := mustNew(t, testConfig(t, 4))
 			for _, id := range []string{"w1", "w2"} {
 				ws, err := NewWorkerServer(WorkerConfig{
 					ID: id, Dir: t.TempDir(), Workers: workers, Obs: obs.NewSet(workers), Logf: t.Logf,
@@ -68,9 +66,7 @@ func TestFleetObsByteIdentity(t *testing.T) {
 // sum to the campaign's trial count, and the fleetinfo must list every
 // worker as alive.
 func TestFleetInfoSumsWorkers(t *testing.T) {
-	cfg := testConfig(t, 4)
-	cfg.ScrapeInterval = 30 * time.Millisecond
-	c := mustNew(t, cfg)
+	c := mustNew(t, testConfig(t, 4))
 	c.AddWorker(newHTTPWorker(t, "w1", Hooks{}, obs.NewSet(2)))
 	c.AddWorker(newHTTPWorker(t, "w2", Hooks{}, obs.NewSet(2)))
 
@@ -81,7 +77,7 @@ func TestFleetInfoSumsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fi := c.FleetInfo(ctx)
+	fi := c.FleetInfo()
 	if fi.Obs == nil {
 		t.Fatal("fleetinfo has no merged snapshot")
 	}

@@ -19,8 +19,9 @@ type Options struct {
 	// Liveness declares a worker dead when no status poll has been
 	// answered for this long.
 	Liveness time.Duration
-	// Poll is the scheduler tick: status polls, liveness checks,
-	// dispatch, and straggler checks happen each tick.
+	// Poll is the scheduler tick: status polls (which carry each
+	// worker's telemetry), liveness checks, dispatch, and straggler
+	// checks happen each tick.
 	Poll time.Duration
 	// RPCTimeout bounds each worker RPC.
 	RPCTimeout time.Duration
@@ -32,14 +33,6 @@ type Options struct {
 	// retries at once.
 	Backoff Backoff
 
-	// ScrapeInterval is the fleet telemetry cadence: every interval the
-	// scheduler refreshes each worker's obs snapshot, feeding the live
-	// campaign snapshot (FleetSnapshot, /metrics) and the end-of-run
-	// fleetinfo sidecar; the straggler detector reuses the same cache.
-	// Negative disables the periodic loop (stragglers then scrape on
-	// demand).
-	ScrapeInterval time.Duration
-
 	// Straggler is the speculative re-issue policy. A zero StallWindow
 	// disables the stall rule.
 	Straggler StragglerPolicy
@@ -48,20 +41,19 @@ type Options struct {
 // DefaultOptions is the coordinator's one table of defaults.
 func DefaultOptions() Options {
 	return Options{
-		Liveness:       10 * time.Second,
-		Poll:           time.Second,
-		RPCTimeout:     5 * time.Second,
-		MaxAttempts:    5,
-		Backoff:        Backoff{Base: 500 * time.Millisecond, Max: 15 * time.Second, Jitter: 0.2},
-		ScrapeInterval: 5 * time.Second,
-		Straggler:      StragglerPolicy{MinCompleted: 1, SlowFactor: 2, StallWindow: 30 * time.Second},
+		Liveness:    10 * time.Second,
+		Poll:        time.Second,
+		RPCTimeout:  5 * time.Second,
+		MaxAttempts: 5,
+		Backoff:     Backoff{Base: 500 * time.Millisecond, Max: 15 * time.Second, Jitter: 0.2},
+		Straggler:   StragglerPolicy{MinCompleted: 1, SlowFactor: 2, StallWindow: 30 * time.Second},
 	}
 }
 
 // resolve fills o from DefaultOptions: all of it when o is zero,
 // otherwise each knob whose zero (or negative) value means nothing of
-// its own. Splits 0 (auto-size), a negative ScrapeInterval, a zero
-// StallWindow, and a zero Backoff (retry at once) keep their meanings.
+// its own. Splits 0 (auto-size), a zero StallWindow, and a zero Backoff
+// (retry at once) keep their meanings.
 // Splits is sized by AutoSplits separately.
 func (o Options) resolve() Options {
 	d := DefaultOptions()
@@ -80,9 +72,6 @@ func (o Options) resolve() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = d.MaxAttempts
 	}
-	if o.ScrapeInterval == 0 {
-		o.ScrapeInterval = d.ScrapeInterval
-	}
 	if o.Straggler.MinCompleted <= 0 {
 		o.Straggler.MinCompleted = d.Straggler.MinCompleted
 	}
@@ -97,13 +86,12 @@ func (o Options) resolve() Options {
 func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Splits, "splits", o.Splits, "shard ranges to cut each sweep into (0 = 4 per registered worker, minimum 8; more splits than workers lets the pool load-balance and re-issue cheaply)")
 	fs.DurationVar(&o.Liveness, "liveness", o.Liveness, "declare a worker dead after this long without an answered status poll")
-	fs.DurationVar(&o.Poll, "poll", o.Poll, "scheduler tick: status polls, dispatch, and straggler checks")
+	fs.DurationVar(&o.Poll, "poll", o.Poll, "scheduler tick: status polls (worker telemetry included), dispatch, and straggler checks")
 	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", o.RPCTimeout, "per-RPC deadline for worker calls")
 	fs.IntVar(&o.MaxAttempts, "max-attempts", o.MaxAttempts, "per-range failure budget before the campaign fails loudly")
 	fs.DurationVar(&o.Backoff.Base, "backoff-base", o.Backoff.Base, "first retry delay for a failed range (doubles per failure; 0 retries at once)")
 	fs.DurationVar(&o.Backoff.Max, "backoff-max", o.Backoff.Max, "retry delay ceiling")
 	fs.Float64Var(&o.Backoff.Jitter, "backoff-jitter", o.Backoff.Jitter, "symmetric random jitter fraction on retry delays")
-	fs.DurationVar(&o.ScrapeInterval, "scrape", o.ScrapeInterval, "scrape worker telemetry snapshots this often for the live fleet view (negative disables)")
 	fs.BoolVar(&o.Straggler.Disabled, "no-speculate", o.Straggler.Disabled, "disable speculative re-issue of straggling ranges")
 	fs.Float64Var(&o.Straggler.SlowFactor, "slow-factor", o.Straggler.SlowFactor, "speculate a range projected past this multiple of the median completed-range duration")
 	fs.IntVar(&o.Straggler.MinCompleted, "min-completed", o.Straggler.MinCompleted, "completed ranges required before the straggler baseline is trusted")

@@ -204,7 +204,7 @@ func TestNewValidation(t *testing.T) {
 // TestDefaultsWrittenOnce: DefaultOptions is the one table of defaults.
 // The flag defaults, a zero knob set resolved by New, and the zero
 // knobs New fills all read from it; the zero values with a meaning of
-// their own (-stall-window 0, a negative -scrape) keep that meaning.
+// their own (-stall-window 0, a zero backoff) keep that meaning.
 func TestDefaultsWrittenOnce(t *testing.T) {
 	fs := flag.NewFlagSet("lbfarmd", flag.ContinueOnError)
 	bound := DefaultOptions()
@@ -240,7 +240,7 @@ func TestDefaultsWrittenOnce(t *testing.T) {
 	fs = flag.NewFlagSet("lbfarmd", flag.ContinueOnError)
 	bound = DefaultOptions()
 	bound.Bind(fs)
-	if err := fs.Parse([]string{"-stall-window", "0", "-scrape", "-1s",
+	if err := fs.Parse([]string{"-stall-window", "0",
 		"-backoff-base", "0", "-backoff-max", "0", "-backoff-jitter", "0"}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,38 +254,12 @@ func TestDefaultsWrittenOnce(t *testing.T) {
 	if got.Straggler.StallWindow != 0 {
 		t.Errorf("-stall-window 0 resolved to %v, want 0", got.Straggler.StallWindow)
 	}
-	if got.ScrapeInterval >= 0 {
-		t.Errorf("-scrape -1s resolved to %v, want negative", got.ScrapeInterval)
-	}
 	if _, ok := got.Straggler.ShouldSpeculate(0, time.Hour, nil); ok {
 		t.Error("-stall-window 0 still applies the stall rule")
 	}
 	if _, ok := DefaultOptions().Straggler.ShouldSpeculate(0, time.Hour, nil); !ok {
 		t.Error("the default stall window does not flag an hour without progress")
 	}
-	for _, tc := range []struct {
-		o    Options
-		want int
-	}{{DefaultOptions(), 1}, {bound, 0}} {
-		c := mustNew(t, Config{Options: tc.o, Spec: testSpec(), JournalDir: t.TempDir()})
-		w := &countingWorker{fakeWorker: fakeWorker{id: "w"}}
-		c.AddWorker(w)
-		c.scrape(context.Background())
-		if w.snapshots != tc.want {
-			t.Errorf("-scrape %v: %d scrapes on the first tick, want %d", tc.o.ScrapeInterval, w.snapshots, tc.want)
-		}
-	}
-}
-
-// countingWorker counts snapshot scrapes.
-type countingWorker struct {
-	fakeWorker
-	snapshots int
-}
-
-func (w *countingWorker) Snapshot(context.Context) (*obs.Snapshot, error) {
-	w.snapshots++
-	return nil, nil
 }
 
 // TestRecoverRejectsForeignJournal: a corrupt or foreign file sitting at

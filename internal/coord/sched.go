@@ -115,25 +115,27 @@ func (c *Coordinator) merge() (*campaign.Result, error) {
 
 // step is one scheduler tick. RPCs run outside the lock; every lease
 // transition happens under it, on this goroutine only — registrations
-// merely add workers, so there is no second writer to race.
+// merely add workers, so there is no second writer to race. round is
+// when the tick's poll began: a worker seen since then answered it (or
+// joined during the tick).
 func (c *Coordinator) step(ctx context.Context) {
+	round := time.Now()
 	c.poll(ctx)
-	fetches := c.transition()
+	fetches := c.transition(round)
 	c.collect(ctx, fetches)
-	for _, s := range c.assign() {
+	for _, s := range c.assign(round) {
 		c.dispatch(ctx, s)
 	}
-	for _, s := range c.speculate(ctx) {
+	for _, s := range c.speculate(round) {
 		c.dispatch(ctx, s)
 	}
-	c.scrape(ctx)
 }
 
 // poll asks every worker with a lease for job status — the
-// coordinator's one view of a worker: its liveness, its job's state, and
-// the progress the straggler rules read. Idle workers are probed too so
-// a dead idle worker is dropped from the pool rather than assigned work
-// forever.
+// coordinator's one view of a worker: its liveness, its job's state, the
+// progress the straggler rules read, and its telemetry snapshot. Idle
+// workers are probed too so a dead idle worker is dropped from the pool
+// rather than assigned work forever.
 func (c *Coordinator) poll(ctx context.Context) {
 	type probe struct {
 		id    string
@@ -170,6 +172,9 @@ func (c *Coordinator) poll(ctx context.Context) {
 			}
 			ws.lastSeen = now
 			ws.status = st
+			if st.Obs != nil {
+				ws.snap = st.Obs
+			}
 		case errors.Is(err, ErrUnknownJob):
 			// Alive but amnesiac: it restarted and lost the assignment.
 			ws.lastSeen = time.Now()
@@ -200,14 +205,16 @@ type fetchOrder struct {
 // transition applies the post-poll bookkeeping under the lock: dead
 // workers are buried (their leases re-queued, the registry told to
 // forget them), failed jobs re-queued, and done jobs turned into fetch
-// orders.
-func (c *Coordinator) transition() []fetchOrder {
+// orders. A worker seen since round began is alive however long the
+// round took: the polls run one after another, each up to RPCTimeout,
+// so a slow one must not bury the workers that answered before it.
+func (c *Coordinator) transition(round time.Time) []fetchOrder {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
 
 	for id, ws := range c.workers {
-		if now.Sub(ws.lastSeen) <= c.cfg.Liveness {
+		if !ws.lastSeen.Before(round) || now.Sub(ws.lastSeen) <= c.cfg.Liveness {
 			continue
 		}
 		c.stats.DeadWorkers++
@@ -410,11 +417,11 @@ type startOrder struct {
 // assign pairs pending, backoff-expired ranges with idle workers (under
 // the lock) and returns the dispatch orders. Lowest range index first —
 // deterministic and friendly to tail-watching humans.
-func (c *Coordinator) assign() []startOrder {
+func (c *Coordinator) assign(round time.Time) []startOrder {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
-	idle := c.idleLocked()
+	idle := c.idleLocked(round)
 	var orders []startOrder
 	for i, l := range c.leases {
 		if len(idle) == 0 {
@@ -433,12 +440,14 @@ func (c *Coordinator) assign() []startOrder {
 	return orders
 }
 
-// idleLocked lists the workers without a lease in ID order; call under
-// c.mu.
-func (c *Coordinator) idleLocked() []string {
+// idleLocked lists, in ID order, the workers without a lease that were
+// seen since round began; call under c.mu. A worker that missed this
+// round's poll gets no work: it would likely refuse it, and every
+// refusal burns an attempt of the range's budget.
+func (c *Coordinator) idleLocked(round time.Time) []string {
 	var idle []string
 	for id, ws := range c.workers {
-		if ws.lease < 0 {
+		if ws.lease < 0 && !ws.lastSeen.Before(round) {
 			idle = append(idle, id)
 		}
 	}
@@ -481,82 +490,55 @@ func (c *Coordinator) dispatch(ctx context.Context, s startOrder) {
 // speculate books a twin on an idle worker for each straggling range
 // with a single tenant and returns the dispatch orders. It only runs
 // when no pending range wants the capacity, so speculation never starves
-// first-time work.
-func (c *Coordinator) speculate(ctx context.Context) []startOrder {
+// first-time work. It makes no RPC: the rules and the diagnosis read
+// what the last poll brought, so it runs under the lock throughout.
+func (c *Coordinator) speculate(round time.Time) []startOrder {
 	if c.cfg.Straggler.Disabled {
 		return nil
 	}
-
-	type candidate struct {
-		leaseIdx         int
-		primary          string
-		projected, quiet time.Duration
-	}
-	var (
-		cands     []candidate
-		completed []time.Duration
-	)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	now := time.Now()
+	var completed []time.Duration
 	for _, l := range c.leases {
 		if l.state == StatePending && !now.Before(l.notBefore) {
-			c.mu.Unlock()
 			return nil // pending work outranks speculation
 		}
-		if l.state == StateJournaled || l.state == StateMerged {
-			if l.dur > 0 {
-				completed = append(completed, l.dur)
-			}
+		if (l.state == StateJournaled || l.state == StateMerged) && l.dur > 0 {
+			completed = append(completed, l.dur)
 		}
 	}
-	idle := c.idleLocked()
-	if len(idle) == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	for i, l := range c.leases {
-		if l.state != StateLeased || len(l.workers) != 1 || l.started.IsZero() {
-			continue
-		}
-		for id := range l.workers {
-			ws := c.workers[id]
-			projected, _ := projectTotal(now.Sub(l.started), ws.status.Done, ws.status.Total)
-			cands = append(cands, candidate{i, id, projected, now.Sub(ws.progressAt)})
-		}
-	}
-	c.mu.Unlock()
-
+	idle := c.idleLocked(round)
 	var orders []startOrder
-	for _, cand := range cands {
+	for i, l := range c.leases {
 		if len(idle) == 0 {
 			break
 		}
-		why, slow := c.cfg.Straggler.ShouldSpeculate(cand.projected, cand.quiet, completed)
+		if l.state != StateLeased || len(l.workers) != 1 || l.started.IsZero() {
+			continue
+		}
+		var primary string
+		for id := range l.workers {
+			primary = id
+		}
+		ws := c.workers[primary]
+		projected, _ := projectTotal(now.Sub(l.started), ws.status.Done, ws.status.Total)
+		why, slow := c.cfg.Straggler.ShouldSpeculate(projected, now.Sub(ws.progressAt), completed)
 		if !slow {
 			continue
 		}
-		// The scrape says what the straggler is bound on. It shares the
-		// fleet scrape cache — a snapshot fresher than the scrape
-		// interval is reused instead of re-fetched.
-		diag := Classify(c.freshSnapshot(ctx, cand.primary, c.cfg.ScrapeInterval))
-
-		c.mu.Lock()
-		l := c.leases[cand.leaseIdx]
-		if l.state != StateLeased || len(l.workers) != 1 {
-			c.mu.Unlock()
-			continue
-		}
+		// The last poll's snapshot says what the straggler is bound on.
+		diag := Classify(ws.snap)
 		tid := idle[0]
 		idle = idle[1:]
-		orders = append(orders, c.book(cand.leaseIdx, tid))
+		orders = append(orders, c.book(i, tid))
 		c.stats.Speculations++
 		ev := c.rangeEvent(EvSpeculate, l)
 		ev.Worker = tid
-		ev.Detail = fmt.Sprintf("straggling on %s (%s; %s)", cand.primary, why, diag)
+		ev.Detail = fmt.Sprintf("straggling on %s (%s; %s)", primary, why, diag)
 		c.event(ev)
 		c.cfg.Logf("range %d/%d straggling on %s (%s; %s) — speculating on %s",
-			l.rng.Index+1, l.rng.Count, cand.primary, why, diag, tid)
-		c.mu.Unlock()
+			l.rng.Index+1, l.rng.Count, primary, why, diag, tid)
 	}
 	return orders
 }

@@ -33,10 +33,10 @@
 //     error — once a range exhausts its attempt budget.
 //   - Straggler re-issue: the detector projects each leased range's
 //     completion from its polled progress, flags a range whose polled
-//     progress stopped rising as stalled, scrapes the worker's debug
-//     endpoint for the obs snapshot (stage shares say whether it is
-//     compute- or fsync-bound), and speculatively re-issues the slowest
-//     tail ranges to idle workers through the ordinary dispatch path.
+//     progress stopped rising as stalled, reads the obs snapshot the
+//     last poll carried (stage shares say whether it is compute- or
+//     fsync-bound), and speculatively re-issues the slowest tail ranges
+//     to idle workers through the ordinary dispatch path.
 //     Determinism makes duplicates free: the first complete journal
 //     wins and the loser is discarded.
 //   - Durability: fetched shard journals are the coordinator's lease
@@ -49,7 +49,6 @@ import (
 	"errors"
 
 	"repro/internal/api"
-	"repro/internal/obs"
 )
 
 // The wire types of the job dialect — Job, Range, JobState,
@@ -88,8 +87,10 @@ type Worker interface {
 	// already runs or holds done is idempotent, never an error.
 	Start(ctx context.Context, job Job) error
 	// Status reports on jobID ("" = whatever the worker is doing) and
-	// doubles as the liveness probe. ErrUnknownJob means the worker has
-	// no memory of that job.
+	// is the coordinator's one channel to the worker: the liveness
+	// probe, the progress the straggler rules read, and the worker's
+	// telemetry snapshot (WorkerStatus.Obs, nil without telemetry).
+	// ErrUnknownJob means the worker has no memory of that job.
 	Status(ctx context.Context, jobID string) (WorkerStatus, error)
 	// Cancel drains jobID: the engine stops claiming trials, the
 	// journal is synced and closed. Best-effort; canceling an unknown
@@ -97,8 +98,4 @@ type Worker interface {
 	Cancel(ctx context.Context, jobID string) error
 	// Journal fetches the complete shard journal of a done job.
 	Journal(ctx context.Context, jobID string) ([]byte, error)
-	// Snapshot scrapes the worker's live telemetry (the -debug-addr
-	// expvar surface). Workers without telemetry return (nil, nil);
-	// the coordinator treats a missing snapshot as "no opinion".
-	Snapshot(ctx context.Context) (*obs.Snapshot, error)
 }

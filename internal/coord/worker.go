@@ -40,9 +40,10 @@ type WorkerConfig struct {
 	Dir string
 	// Workers is the engine pool size (≤ 0 = GOMAXPROCS).
 	Workers int
-	// Obs, when non-nil, is the telemetry set the engine records into
-	// and /debug/vars serves — the surface the coordinator's straggler
-	// detector scrapes.
+	// Obs, when non-nil, is the telemetry set the engine records into.
+	// Every status reply carries its snapshot, which is how the
+	// coordinator sees the worker's telemetry; /debug/vars and /metrics
+	// serve it to operators.
 	Obs *obs.Set
 	// Logf receives the worker's event log (nil = silent).
 	Logf func(format string, args ...any)
@@ -257,7 +258,18 @@ func (s *WorkerServer) runJob(j *workerJob) error {
 
 // Status implements Worker. jobID "" reports whatever the worker is
 // doing; naming a job the worker does not hold returns ErrUnknownJob.
+// The reply carries the telemetry snapshot, taken after the job state
+// was read: a JobDone reply's snapshot covers every trial of its job.
 func (s *WorkerServer) Status(_ context.Context, jobID string) (WorkerStatus, error) {
+	st, err := s.status(jobID)
+	if err == nil {
+		st.Obs = s.cfg.Obs.Snapshot()
+	}
+	return st, err
+}
+
+// status is the job part of a Status reply, without the telemetry.
+func (s *WorkerServer) status(jobID string) (WorkerStatus, error) {
 	if s.dead() {
 		return WorkerStatus{}, errors.New("coord: worker is down")
 	}
@@ -315,15 +327,6 @@ func (s *WorkerServer) Journal(_ context.Context, jobID string) ([]byte, error) 
 	return os.ReadFile(j.path)
 }
 
-// Snapshot implements Worker: the live telemetry snapshot (nil when the
-// worker runs without telemetry).
-func (s *WorkerServer) Snapshot(context.Context) (*obs.Snapshot, error) {
-	if s.dead() {
-		return nil, errors.New("coord: worker is down")
-	}
-	return s.cfg.Obs.Snapshot(), nil
-}
-
 // Drain cancels any running job and waits for it to settle — the
 // SIGTERM path of the worker serve mode.
 func (s *WorkerServer) Drain() { _ = s.Cancel(context.Background(), "") }
@@ -337,24 +340,25 @@ func (s *WorkerServer) dead() bool { return s.killed.Load() }
 //
 //	POST /v1/job/start        body: api.Job; 409 conflict when busy
 //	                          with a different job
-//	GET  /v1/job/status?id=J  200: api.WorkerStatus; 404 not_found
-//	                          envelope for a job this worker does not
-//	                          hold (the amnesiac-worker signal)
+//	GET  /v1/job/status?id=J  200: api.WorkerStatus, telemetry snapshot
+//	                          included; 404 not_found envelope for a job
+//	                          this worker does not hold (the
+//	                          amnesiac-worker signal)
 //	POST /v1/job/cancel?id=J  204 always (cancel is idempotent)
 //	GET  /v1/job/journal?id=J 200: raw journal bytes; 404 not_found,
 //	                          409 conflict while the job still runs
-//	GET  /debug/vars          {"obs": <snapshot>, "worker": {...}} —
-//	                          the expvar-shaped scrape surface the
-//	                          coordinator's fleet scrape (and through
-//	                          it the straggler detector) reads; the
-//	                          worker block echoes the current job's
-//	                          trace/span IDs (obs.RegisterDebug).
+//	GET  /debug/vars          {"obs": <snapshot>, "worker": {...}} for
+//	                          operators; the worker block echoes the
+//	                          current job's trace/span IDs
+//	                          (obs.RegisterDebug).
 //	GET  /metrics             Prometheus text exposition of the local
-//	                          snapshot (lb_ prefix).
+//	                          snapshot (lb_ prefix), for operators.
 //
-// A worker taken down by fault injection answers everything — debug
-// surface included — with a 503 unavailable envelope,
-// indistinguishable from a dead process to the coordinator.
+// The coordinator reads only the /v1/job routes: the status poll is its
+// one channel to the worker, telemetry included. A worker taken down by
+// fault injection answers everything — debug surface included — with a
+// 503 unavailable envelope, indistinguishable from a dead process to the
+// coordinator.
 func (s *WorkerServer) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/job/start", func(w http.ResponseWriter, r *http.Request) {
@@ -397,7 +401,7 @@ func (s *WorkerServer) Handler() http.Handler {
 	obs.RegisterDebug(mux, obs.SnapshotMetrics("lb_", s.cfg.Obs.Snapshot), map[string]func() any{
 		"obs": func() any { return s.cfg.Obs.Snapshot() },
 		"worker": func() any {
-			st, _ := s.Status(context.Background(), "")
+			st, _ := s.status("")
 			wv := map[string]any{"id": s.cfg.ID, "status": st}
 			s.mu.Lock()
 			if j := s.cur; j != nil {

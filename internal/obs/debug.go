@@ -39,8 +39,9 @@ func NewServer(h http.Handler) *http.Server {
 //
 //	GET /debug/vars    one JSON object, one key per vars entry, each
 //	                   value rendered fresh per request (the expvar
-//	                   shape the coordinator's fleet scrape and the
-//	                   straggler detector read)
+//	                   shape; operators read it, the fleet coordinator
+//	                   does not: its workers' telemetry rides their
+//	                   status poll replies)
 //	GET /debug/pprof/  the net/http/pprof profile family (index,
 //	                   cmdline, profile, symbol, trace, and the named
 //	                   runtime profiles)
@@ -94,11 +95,10 @@ func SnapshotMetrics(prefix string, snap func() *Snapshot) func(io.Writer) error
 // runs until closed (or process exit); a failed accept after close is
 // expected and swallowed.
 //
-// This is the observation surface a campaign daemon or coordinator
-// scrapes: /debug/vars for per-stage latency and counters mid-run
-// (straggler detection), /metrics for standard Prometheus ingestion,
-// /debug/pprof/profile for a CPU profile of a live sweep without
-// restarting it under -cpuprofile.
+// This is the operator's observation surface: /debug/vars for
+// per-stage latency and counters mid-run, /metrics for standard
+// Prometheus ingestion, /debug/pprof/profile for a CPU profile of a
+// live sweep without restarting it under -cpuprofile.
 func Serve(addr string, snap func() *Snapshot, vars map[string]func() any) (bound string, close func() error, err error) {
 	mux := http.NewServeMux()
 	RegisterDebug(mux, SnapshotMetrics("lb_", snap), vars)

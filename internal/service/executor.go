@@ -31,8 +31,8 @@ type ExecRequest struct {
 	// every engine worker at once — so Sink must be safe for concurrent
 	// use.
 	Sink func(r campaign.TrialResult) error
-	// Obs is the campaign's local telemetry set (fleet telemetry is
-	// scraped worker-side and surfaced separately).
+	// Obs is the campaign's local telemetry set (fleet telemetry rides
+	// the workers' status polls and is surfaced separately).
 	Obs *obs.Set
 	// Stop, when closed, drains the run: the executor stops issuing
 	// work, syncs its scratch, and returns campaign.ErrInterrupted.

@@ -130,13 +130,9 @@ func (e *FleetExecutor) Execute(req ExecRequest) (*campaign.Result, error) {
 		return nil, runErr
 	}
 
-	// One last scrape of the surviving workers on a fresh context (the
-	// run context may already be dead): the fleetinfo sidecar becomes an
-	// extra artifact next to json/csv/runinfo.
-	fctx, fcancel := context.WithTimeout(context.Background(), c.Options().RPCTimeout)
-	fi := c.FleetInfo(fctx)
-	fcancel()
-	if data, err := fi.JSON(); err == nil {
+	// The fleetinfo sidecar, built from the telemetry the polls carried,
+	// becomes an extra artifact next to json/csv/runinfo.
+	if data, err := c.FleetInfo().JSON(); err == nil {
 		e.mu.Lock()
 		e.fleetinfo[req.ID] = data
 		e.mu.Unlock()
@@ -200,8 +196,8 @@ func (e *FleetExecutor) Routes(mux *http.ServeMux) {
 
 // WriteMetrics appends the fleet families to the daemon's /metrics
 // exposition: registry gauges, the control-plane lease gauge and fault
-// counters under lbcoord_, and the merged telemetry scraped from the
-// workers, each summed over the campaigns currently executing on the
+// counters under lbcoord_, and the merged telemetry the status polls
+// carried from the workers, each summed over the campaigns currently executing on the
 // fleet (one at a time under lbfarmd -fleet).
 func (e *FleetExecutor) WriteMetrics(w io.Writer) error {
 	e.mu.Lock()

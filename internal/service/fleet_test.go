@@ -46,7 +46,6 @@ func fleetOpts() coord.Options {
 	o.Backoff.Max = 50 * time.Millisecond
 	o.MaxAttempts = 8
 	o.Straggler.Disabled = true
-	o.ScrapeInterval = 50 * time.Millisecond
 	return o
 }
 

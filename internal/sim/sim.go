@@ -1,35 +1,24 @@
-// Package sim is a discrete-event executor for instance-level schedules
-// over one hyper-period. It replays every task instance and data transfer
-// tick by tick, verifying as it goes that the schedule is executable
-// (producers really have delivered before consumers start), and measures
-// the quantities the paper reasons about:
+// Package sim checks that an instance-level schedule is executable and
+// measures what it costs to run over one hyper-period. Run checks every
+// instance-level precedence (a consumer starts only after each input
+// has arrived: producer end, plus C across processors) and sums, per
+// processor, the quantities the paper reasons about:
 //
-//   - per-processor busy and idle time (the §1 motivation: "over 65% of
-//     processors are idle at any given time");
-//   - per-processor resident task memory (the paper's accounting).
+//   - busy and idle time (the §1 motivation: "over 65% of processors
+//     are idle at any given time");
+//   - resident task memory (the paper's accounting).
 //
-// The memory a schedule needs beyond that is measured apart from the
-// replay (reuse.go): the receive-buffer high-watermark (BufferPeaks) and
-// the peak of live buffers under perfect reuse (MinMemoryWithReuse).
+// The memory a schedule needs beyond that is measured apart from Run
+// (reuse.go): the receive-buffer high-watermark (BufferPeaks) and the
+// peak of live buffers under perfect reuse (MinMemoryWithReuse).
 package sim
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/arch"
 	"repro/internal/model"
 	"repro/internal/sched"
 )
-
-// Event is one execution event in the replay log.
-type Event struct {
-	Time model.Time
-	Kind string // "start", "end", "send", "recv"
-	Inst model.InstanceID
-	Proc arch.ProcID
-	Note string
-}
 
 // ProcStats aggregates one processor's activity over the hyper-period.
 type ProcStats struct {
@@ -44,22 +33,17 @@ type Report struct {
 	Horizon   model.Time // window simulated: [0, Horizon)
 	Makespan  model.Time
 	Procs     []ProcStats
-	Events    []Event
 	IdleRatio float64 // mean fraction of idle time across processors
 }
 
-// Runner executes schedules.
-type Runner struct {
-	// LogEvents retains the full event log in the report (costly for large
-	// runs; off by default).
-	LogEvents bool
-}
+// Runner checks and measures schedules; it has no settings.
+type Runner struct{}
 
-// Run replays the schedule over [0, makespan] and returns the report. It
-// fails if any consumer starts before all its input data has arrived
-// (producer end + C for cross-processor edges), which would mean the
-// schedule is not executable.
-func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
+// Run checks the schedule's precedences and measures it over
+// [0, makespan]. It fails if any consumer starts before all its input
+// data has arrived (producer end + C for cross-processor edges), which
+// would mean the schedule is not executable.
+func (*Runner) Run(is *sched.InstSchedule) (*Report, error) {
 	ts, ar := is.TS, is.Arch
 	horizon := is.Makespan()
 	rep := &Report{Horizon: horizon, Makespan: horizon, Procs: make([]ProcStats, ar.Procs)}
@@ -92,12 +76,6 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 						ts.Task(dst).Name, k+1, cpl.Start, ts.Task(src.Task).Name, src.K+1, end)
 					return
 				}
-				if r.LogEvents && spl.Proc != cpl.Proc {
-					rep.Events = append(rep.Events,
-						Event{Time: is.End(src), Kind: "send", Inst: src, Proc: spl.Proc},
-						Event{Time: end, Kind: "recv", Inst: ci, Proc: cpl.Proc,
-							Note: fmt.Sprintf("from %s#%d", ts.Task(src.Task).Name, src.K+1)})
-				}
 			})
 			if depErr != nil {
 				return nil, depErr
@@ -105,7 +83,7 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 		}
 	}
 
-	// Busy time and start/end events.
+	// Busy time and resident memory.
 	for i := 0; i < ts.Len(); i++ {
 		id := model.TaskID(i)
 		t := ts.Task(id)
@@ -115,11 +93,6 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 			rep.Procs[pl.Proc].Busy += t.WCET
 			rep.Procs[pl.Proc].Instances++
 			rep.Procs[pl.Proc].ResidentMem += t.Mem
-			if r.LogEvents {
-				rep.Events = append(rep.Events,
-					Event{Time: pl.Start, Kind: "start", Inst: iid, Proc: pl.Proc},
-					Event{Time: pl.Start + t.WCET, Kind: "end", Inst: iid, Proc: pl.Proc})
-			}
 		}
 	}
 
@@ -131,9 +104,5 @@ func (r *Runner) Run(is *sched.InstSchedule) (*Report, error) {
 		}
 	}
 	rep.IdleRatio = idleSum / float64(ar.Procs)
-
-	if r.LogEvents {
-		sort.SliceStable(rep.Events, func(i, j int) bool { return rep.Events[i].Time < rep.Events[j].Time })
-	}
 	return rep, nil
 }

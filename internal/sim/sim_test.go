@@ -124,29 +124,6 @@ func TestIdleRatioAndBusy(t *testing.T) {
 	}
 }
 
-func TestEventLogOrdered(t *testing.T) {
-	rep, err := (&Runner{LogEvents: true}).Run(fig1Schedule(t, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Events) == 0 {
-		t.Fatal("no events logged")
-	}
-	for i := 1; i < len(rep.Events); i++ {
-		if rep.Events[i-1].Time > rep.Events[i].Time {
-			t.Fatalf("events out of order at %d", i)
-		}
-	}
-	kinds := map[string]int{}
-	for _, e := range rep.Events {
-		kinds[e.Kind]++
-	}
-	// 4 a-instances: 4 starts+4 ends; 1 b: 1+1; 4 transfers: 4 send+4 recv.
-	if kinds["start"] != 5 || kinds["end"] != 5 || kinds["send"] != 4 || kinds["recv"] != 4 {
-		t.Errorf("event kinds = %v", kinds)
-	}
-}
-
 func TestResidentAndTotalDemand(t *testing.T) {
 	is := fig1Schedule(t, 4)
 	rep, err := (&Runner{}).Run(is)
